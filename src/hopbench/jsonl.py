@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import MigrationError, SnapshotError
 
@@ -64,10 +64,6 @@ def load(path: str | Path, schema: str, version: int = 1) -> list[dict]:
                 continue
             records.append(record)
     return records
-
-
-def iter_load(path: str | Path, schema: str, version: int = 1) -> Iterator[dict]:
-    yield from load(path, schema, version)
 
 
 class IncrementalWriter:

@@ -3,6 +3,11 @@
 The shattered view prunes entities whose node frequency exceeds the threshold
 k (or that match the stop-entity list) and drops every incident edge, severing
 generic-hub shortcuts while the original view stays available for ablation.
+
+Edges are kept in insertion order with one per-head index for directed
+traversal (chain mining) and one undirected adjacency index for distances:
+the sorted neighbour list of every node, built from the edge list on first
+use and dropped by ``add_edge``, the only way an edge enters a graph.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ class KnowledgeGraph:
         self.entities: dict[str, Entity] = {}
         self.edges: list[Triplet] = []
         self._out: dict[str, list[int]] = {}
-        self._in: dict[str, list[int]] = {}
+        self._neighbors: dict[str, tuple[str, ...]] | None = None  # built on demand
         self._surface_index: dict[str, str] = {}
 
     # -- entities -----------------------------------------------------------
@@ -90,8 +95,6 @@ class KnowledgeGraph:
         entity = Entity(entity_id=entity_id, canonical_name=canonical_name.strip())
         self.entities[entity_id] = entity
         self._surface_index[normalized] = entity_id
-        self._out.setdefault(entity_id, [])
-        self._in.setdefault(entity_id, [])
         return entity
 
     def add_alias(self, entity_id: str, alias: str) -> None:
@@ -129,39 +132,47 @@ class KnowledgeGraph:
     # -- edges --------------------------------------------------------------
 
     def add_edge(self, triplet: Triplet) -> None:
+        """Attach an edge; every edge mutation goes through here, so this is
+        the one place the adjacency index is invalidated."""
         self.require(triplet.head)
         self.require(triplet.tail)
-        index = len(self.edges)
+        self._out.setdefault(triplet.head, []).append(len(self.edges))
         self.edges.append(triplet)
-        self._out.setdefault(triplet.head, []).append(index)
-        self._in.setdefault(triplet.tail, []).append(index)
+        self._neighbors = None
 
     def out_edges(self, entity_id: str) -> list[Triplet]:
         return [self.edges[i] for i in self._out.get(entity_id, [])]
 
-    def in_edges(self, entity_id: str) -> list[Triplet]:
-        return [self.edges[i] for i in self._in.get(entity_id, [])]
-
-    def undirected_neighbors(self, entity_id: str) -> list[str]:
-        seen = {self.edges[i].tail for i in self._out.get(entity_id, [])}
-        seen.update(self.edges[i].head for i in self._in.get(entity_id, []))
-        return sorted(seen)
+    def undirected_neighbors(self, entity_id: str) -> tuple[str, ...]:
+        """Sorted ids joined to ``entity_id`` by an edge in either direction,
+        pruned or not (callers filter on ``present``)."""
+        if self._neighbors is None:
+            adjacency: dict[str, set[str]] = {}
+            for edge in self.edges:
+                adjacency.setdefault(edge.head, set()).add(edge.tail)
+                adjacency.setdefault(edge.tail, set()).add(edge.head)
+            self._neighbors = {node: tuple(sorted(ids)) for node, ids in adjacency.items()}
+        return self._neighbors.get(entity_id, ())
 
     # -- snapshots ----------------------------------------------------------
 
-    def copy(self, view: str | None = None) -> "KnowledgeGraph":
+    def copy(self, view: str | None = None, edges: list[Triplet] | None = None) -> "KnowledgeGraph":
+        """Independent copy of the entities; ``edges`` (default: all of this
+        graph's) are attached in order."""
         clone = KnowledgeGraph(
             view=view or self.view, k_threshold=self.k_threshold, stoplist_id=self.stoplist_id
         )
         for entity_id in sorted(self.entities):
             entity = self.entities[entity_id]
             clone.entities[entity_id] = replace(entity, aliases=set(entity.aliases))
-            clone._out.setdefault(entity_id, [])
-            clone._in.setdefault(entity_id, [])
         clone._surface_index = dict(self._surface_index)
-        for edge in self.edges:
+        for edge in self.edges if edges is None else edges:
             clone.add_edge(edge)
         return clone
+
+    def present_edges(self) -> list[Triplet]:
+        """Edges whose endpoints are both present in this view."""
+        return [e for e in self.edges if self.present(e.head) and self.present(e.tail)]
 
 
 def load_stoplist(path: str | Path) -> tuple[set[str], str]:
@@ -221,28 +232,21 @@ def shatter(
     if threshold <= 0:
         raise ValidationError("k threshold must be positive")
 
-    shattered = KnowledgeGraph(view="shattered", k_threshold=None if k is None else k, stoplist_id=stoplist_id)
-    for entity_id in sorted(graph.entities):
-        entity = graph.entities[entity_id]
+    shattered = graph.copy(view="shattered", edges=[])
+    shattered.k_threshold = k
+    shattered.stoplist_id = stoplist_id
+    for entity in shattered.entities.values():
         surfaces = {normalize_for_match(s) for s in entity.surfaces()}
         reason: str | None = None
         if surfaces & stoplist:
             reason = "stoplist"
         elif entity.frequency > threshold:
             reason = "over_k"
-        shattered.entities[entity_id] = replace(
-            entity,
-            aliases=set(entity.aliases),
-            is_pruned=reason is not None,
-            prune_reason=reason,
-        )
-        shattered._out.setdefault(entity_id, [])
-        shattered._in.setdefault(entity_id, [])
-    shattered._surface_index = dict(graph._surface_index)
+        entity.is_pruned = reason is not None
+        entity.prune_reason = reason
     for edge in graph.edges:
-        if shattered.entities[edge.head].is_pruned or shattered.entities[edge.tail].is_pruned:
-            continue
-        shattered.add_edge(edge)
+        if shattered.present(edge.head) and shattered.present(edge.tail):
+            shattered.add_edge(edge)
     return shattered
 
 

@@ -293,8 +293,6 @@ def graph_from_records(records: list[dict]) -> tuple[KnowledgeGraph, str]:
                 prune_reason=record.get("prune_reason"),
             )
             graph.entities[entity.entity_id] = entity
-            graph._out.setdefault(entity.entity_id, [])
-            graph._in.setdefault(entity.entity_id, [])
             for surface in entity.surfaces():
                 graph._surface_index.setdefault(normalize_for_match(surface), entity.entity_id)
         elif record["kind"] == "edge":
@@ -313,24 +311,7 @@ def graph_from_records(records: list[dict]) -> tuple[KnowledgeGraph, str]:
 
 def shattered_from_flags(annotated: KnowledgeGraph) -> KnowledgeGraph:
     """Materialize the shattered view from stored prune flags."""
-    view = annotated.copy(view="shattered")
-    view.edges = []
-    view._out = {entity_id: [] for entity_id in view.entities}
-    view._in = {entity_id: [] for entity_id in view.entities}
-    for edge in annotated.edges:
-        if view.entities[edge.head].is_pruned or view.entities[edge.tail].is_pruned:
-            continue
-        view.add_edge(edge)
-    return view
-
-
-def original_from_flags(annotated: KnowledgeGraph) -> KnowledgeGraph:
-    """Materialize the original view: same edges, prune flags cleared."""
-    view = annotated.copy(view="original")
-    for entity in view.entities.values():
-        entity.is_pruned = False
-        entity.prune_reason = None
-    return view
+    return annotated.copy(view="shattered", edges=annotated.present_edges())
 
 
 def chain_to_record(chain: ReasoningChain) -> dict:
@@ -431,21 +412,49 @@ class StageResult:
 
 @contextmanager
 def run_lock(run_dir: Path):
-    """One command at a time per run directory."""
+    """One command at a time per run directory. A lock left by a process
+    that no longer exists (killed before it could remove it) is taken over."""
     run_dir.mkdir(parents=True, exist_ok=True)
     lock_path = run_dir / ".lock"
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+    locked = ValidationError(f"run directory is locked ({lock_path}); another command may be running")
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock_path, flags)
     except FileExistsError:
-        raise ValidationError(
-            f"run directory is locked ({lock_path}); another command may be running"
-        ) from None
+        holder = _exited_lock_holder(lock_path)
+        if holder is None:
+            raise locked from None
+        logger.warning("removing stale lock %s left by exited process %d", lock_path, holder)
+        lock_path.unlink(missing_ok=True)
+        try:
+            fd = os.open(lock_path, flags)
+        except FileExistsError:
+            raise locked from None
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         yield
     finally:
         lock_path.unlink(missing_ok=True)
+
+
+def _exited_lock_holder(lock_path: Path) -> int | None:
+    """The PID recorded in a lock file when that process no longer exists.
+    None when it is alive, or the file is unreadable, not yet written or
+    holds no process id: the lock counts as held."""
+    try:
+        pid = int(lock_path.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        return None
+    if pid <= 0:
+        return None
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return pid
+    except PermissionError:  # alive, owned by another user
+        pass
+    return None
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -660,12 +669,7 @@ def run_shatter(run_dir: str | Path, config: PipelineConfig, force: bool = False
         view = shatter(graph, config.k_threshold, stoplist=stop_terms, stoplist_id=stoplist_id)
         # Persist prune flags alongside the full original edge set so both
         # views can be materialized from one file.
-        annotated = graph.copy()
-        for entity_id, entity in view.entities.items():
-            annotated.entities[entity_id].is_pruned = entity.is_pruned
-            annotated.entities[entity_id].prune_reason = entity.prune_reason
-        annotated.k_threshold = view.k_threshold
-        annotated.stoplist_id = stoplist_id
+        annotated = view.copy(view=graph.view, edges=graph.edges)
         snapshot(
             graph_to_records(annotated, frequency_unit), outputs["graph.jsonl"], schema="graph"
         )

@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import re
-import threading
+import tempfile
 import time
 import unicodedata
 from concurrent.futures import ThreadPoolExecutor
@@ -136,29 +136,34 @@ class CacheEntry:
 class ResponseCache:
     """Directory of content-addressed response files.
 
-    Reads are lock-free; writes are serialized and atomic (temp + rename), so
-    concurrent readers never observe a torn entry.
+    Reads are lock-free; every write goes through its own temporary file and
+    an atomic rename, so concurrent writers (threads or processes) never
+    collide and readers never observe a torn entry. An entry that cannot be
+    read back (truncated or undecodable) counts as a miss.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._write_lock = threading.Lock()
 
     def _path(self, request_hash: str) -> Path:
         return self.directory / f"{request_hash}.json"
 
     def get(self, request_hash: str) -> CacheEntry | None:
         path = self._path(request_hash)
-        if not path.exists():
+        try:
+            record = json.loads(path.read_bytes().decode("utf-8"))
+            return CacheEntry(
+                request_hash=record["request_hash"],
+                response_payload=record["payload"].encode("utf-8"),
+                created_at=record["created_at"],
+                provider_id=record["provider_id"],
+            )
+        except FileNotFoundError:
             return None
-        record = json.loads(path.read_text(encoding="utf-8"))
-        return CacheEntry(
-            request_hash=record["request_hash"],
-            response_payload=record["payload"].encode("utf-8"),
-            created_at=record["created_at"],
-            provider_id=record["provider_id"],
-        )
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            logger.warning("ignoring unreadable cache entry %s: %s", path, exc)
+            return None
 
     def put(self, request_hash: str, payload: bytes, provider_id: str) -> None:
         record = {
@@ -167,11 +172,14 @@ class ResponseCache:
             "created_at": time.time(),
             "provider_id": provider_id,
         }
-        path = self._path(request_hash)
-        with self._write_lock:
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(record, ensure_ascii=False), encoding="utf-8")
-            os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{request_hash}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(record, ensure_ascii=False))
+            os.replace(tmp, self._path(request_hash))
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
 
 
 # ---------------------------------------------------------------------------

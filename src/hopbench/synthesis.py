@@ -99,19 +99,28 @@ def select_fillers(
     graph: KnowledgeGraph,
     count: int,
     rng: random.Random,
+    far_by_source: dict[str, list[str]] | None = None,
 ) -> list[str]:
     """Entity ids at undirected distance >= FILLER_MIN_DISTANCE from the
-    source (unreachable counts as far), excluding the chain's own nodes."""
+    source (unreachable counts as far), excluding the chain's own nodes.
+
+    ``far_by_source`` memoises the far ids of each source, in
+    ``present_ids()`` order, for callers that draw many items from one
+    unchanged graph; the sample is the same with or without it."""
     if count <= 0:
         return []
-    distances = bfs_hops(graph, chain.a)
-    excluded = {chain.a, chain.e_bridge, chain.b, chain.e_sib, chain.b_prime}
-    candidates = [
-        entity_id
-        for entity_id in graph.present_ids()
-        if entity_id not in excluded
-        and distances.get(entity_id, FILLER_MIN_DISTANCE) >= FILLER_MIN_DISTANCE
-    ]
+    far = None if far_by_source is None else far_by_source.get(chain.a)
+    if far is None:
+        distances = bfs_hops(graph, chain.a)
+        far = [
+            entity_id
+            for entity_id in graph.present_ids()
+            if distances.get(entity_id, FILLER_MIN_DISTANCE) >= FILLER_MIN_DISTANCE
+        ]
+        if far_by_source is not None:
+            far_by_source[chain.a] = far
+    excluded = {chain.e_bridge, chain.b, chain.e_sib, chain.b_prime}  # the source is at distance 0
+    candidates = [entity_id for entity_id in far if entity_id not in excluded]
     if len(candidates) < count:
         raise ItemDiscardedError(
             f"chain {chain.key}: only {len(candidates)} filler candidates for {count} slots",
@@ -133,8 +142,10 @@ def synthesize_item(
     difficulty: str = "hard",
     model_name: str = "default",
     temperature: float = 0.7,
+    far_by_source: dict[str, list[str]] | None = None,
 ) -> QAItem:
-    """Synthesize one masked multiple-choice item from a completed chain."""
+    """Synthesize one masked multiple-choice item from a completed chain;
+    ``far_by_source`` is passed on to ``select_fillers``."""
     if n_options < 3:
         raise ValidationError("n_options must be >= 3 (target, hard negative, filler)")
     if not chain.complete:
@@ -158,7 +169,7 @@ def synthesize_item(
     evidence_hop2 = span_text(chain.evidence_hop2)
 
     rng = random.Random(derive_seed(rng_seed, "options"))
-    fillers = select_fillers(chain, graph, n_options - 2, rng)
+    fillers = select_fillers(chain, graph, n_options - 2, rng, far_by_source)
     option_names = [target.canonical_name, hard_negative.canonical_name] + [
         graph.require(f).canonical_name for f in fillers
     ]
@@ -259,6 +270,7 @@ def synthesize_dataset(
     """Synthesize items for every completed chain; discards carry reasons."""
     items: list[QAItem] = []
     discards: list[Discard] = []
+    far_by_source: dict[str, list[str]] = {}  # chains share sources; the graph is fixed here
     for index, chain in enumerate(chains):
         qa_id = f"{qa_prefix}{index:05d}"
         try:
@@ -276,6 +288,7 @@ def synthesize_dataset(
                     difficulty=difficulty,
                     model_name=model_name,
                     temperature=temperature,
+                    far_by_source=far_by_source,
                 )
             )
         except ItemDiscardedError as exc:

@@ -4,6 +4,13 @@ Distances and components use the undirected skeleton (chain mining elsewhere
 stays directed); the average shortest path is taken over ordered pairs of
 distinct nodes inside the largest connected component, and the report records
 that pair basis explicitly.
+
+``topology_report`` builds one sparse adjacency matrix per view over its
+present nodes and hands components and all-pairs hop distances to
+``scipy.sparse.csgraph``. ``bfs_hops`` walks the graph's own adjacency index
+for single-source distances (filler selection); it and
+``connected_components`` are also the pure-Python reference the report is
+tested against.
 """
 
 from __future__ import annotations
@@ -11,8 +18,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+from scipy.sparse import csgraph, csr_matrix
+
 from .errors import ValidationError
 from .kg import KnowledgeGraph
+
+# Elements of the float64 distance block one batch of sources may fill
+# (8 MiB), so the all-pairs distances cost O(batch * n) memory.
+DISTANCE_BLOCK = 1 << 20
 
 PATH_BASIS = "ordered pairs of distinct nodes in the largest undirected component"
 
@@ -86,28 +100,53 @@ def connected_components(graph: KnowledgeGraph) -> list[list[str]]:
     return components
 
 
+def _present_adjacency(graph: KnowledgeGraph, present: list[str]) -> csr_matrix:
+    """Undirected adjacency over present nodes, in ``present`` order; edges
+    touching a pruned entity are left out, as ``bfs_hops`` never crosses them."""
+    index = {entity_id: i for i, entity_id in enumerate(present)}
+    edges = graph.present_edges()
+    rows = np.fromiter((index[e.head] for e in edges), dtype=np.int64, count=len(edges))
+    cols = np.fromiter((index[e.tail] for e in edges), dtype=np.int64, count=len(edges))
+    n = len(present)
+    return csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(n, n))
+
+
+def _distance_sum(adjacency: csr_matrix) -> int:
+    """Sum of hop distances over ordered pairs of a connected graph, as an
+    exact integer, computed a batch of sources at a time."""
+    n = adjacency.shape[0]
+    batch = max(1, DISTANCE_BLOCK // n)
+    total = 0
+    for start in range(0, n, batch):
+        sources = np.arange(start, min(start + batch, n))
+        hops = csgraph.shortest_path(adjacency, directed=False, unweighted=True, indices=sources)
+        total += int(hops.astype(np.int64).sum())
+    return total
+
+
 def topology_report(graph: KnowledgeGraph) -> TopologyReport:
     present = graph.present_ids()
     if not present:
         raise ValidationError("topology report of an empty graph")
-    components = connected_components(graph)
-    largest = components[0]
+    adjacency = _present_adjacency(graph, present)
+    component_count, labels = csgraph.connected_components(adjacency, directed=False)
+    sizes = np.bincount(labels, minlength=component_count)
+    # The first node of each label is its smallest id, since present is
+    # sorted; the largest component wins, ties to the smallest id.
+    first = np.unique(labels, return_index=True)[1]
+    largest = int(np.lexsort((first, -sizes))[0])
+    size = int(sizes[largest])
     asp: float | None = None
-    if len(largest) >= 2:
-        total = 0
-        count = 0
-        for node in largest:
-            for distance in bfs_hops(graph, node).values():
-                if distance > 0:
-                    total += distance
-                    count += 1
-        asp = total / count
+    if size >= 2:
+        members = np.flatnonzero(labels == largest)
+        total = _distance_sum(adjacency[members][:, members])
+        asp = total / (size * (size - 1))
     return TopologyReport(
         node_count=len(present),
         edge_count=len(graph.edges),
-        largest_component_size=len(largest),
+        largest_component_size=size,
         average_shortest_path=asp,
-        component_count=len(components),
+        component_count=int(component_count),
         pruned_count=sum(1 for e in graph.entities.values() if e.is_pruned),
     )
 

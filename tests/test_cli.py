@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -140,10 +144,32 @@ def test_stale_config_digest_refused_without_force(toy_yaml, tmp_path):
 def test_run_lock_blocks_concurrent_commands(toy_yaml, tmp_path):
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    (run_dir / ".lock").write_text("123", encoding="utf-8")
+    (run_dir / ".lock").write_text(str(os.getpid()), encoding="utf-8")  # a live holder
     config = load_config(toy_yaml)
     with pytest.raises(ValidationError):
         pipeline.run_ingest(run_dir, config)
+    assert (run_dir / ".lock").read_text(encoding="utf-8") == str(os.getpid())
+
+
+def test_run_lock_left_by_an_exited_process_is_taken_over(toy_yaml, tmp_path, caplog):
+    exited = subprocess.Popen([sys.executable, "-c", "pass"])
+    exited.wait(timeout=60)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / ".lock").write_text(str(exited.pid), encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="hopbench.pipeline"):
+        result = pipeline.run_ingest(run_dir, load_config(toy_yaml))
+    assert result.status == "ok"
+    assert "stale lock" in caplog.text
+    assert not (run_dir / ".lock").exists()
+
+
+def test_run_lock_without_a_recorded_pid_still_blocks(toy_yaml, tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / ".lock").write_text("", encoding="utf-8")  # holder has not written its pid yet
+    with pytest.raises(ValidationError):
+        pipeline.run_ingest(run_dir, load_config(toy_yaml))
 
 
 def test_cli_full_toy_pipeline(toy_yaml, tmp_path):

@@ -100,6 +100,17 @@ def test_pruning_blood_hub_stretches_shortest_path(diabetes_toy_graph):
         assert blood not in (edge.head, edge.tail)
 
 
+def test_adjacency_index_follows_add_edge(diabetes_toy_graph):
+    graph = diabetes_toy_graph
+    diabetes = entity_id_by_name(graph, "Type 2 Diabetes")
+    fracture = entity_id_by_name(graph, "Fracture risk")
+    assert shortest_path_hops(graph, diabetes, fracture) == 2
+    assert fracture not in graph.undirected_neighbors(diabetes)
+    graph.add_edge(Triplet(head=fracture, relation="r", tail=diabetes, evidence=evidence()))
+    assert fracture in graph.undirected_neighbors(diabetes)
+    assert shortest_path_hops(graph, diabetes, fracture) == 1
+
+
 def test_unbounded_k_with_empty_stoplist_is_identity(diabetes_toy_graph):
     shattered = shatter(diabetes_toy_graph, None, stoplist=set())
     assert len(shattered.edges) == len(diabetes_toy_graph.edges)

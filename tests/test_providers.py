@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import logging
+import os
+
 import numpy as np
 import pytest
 
+from hopbench import providers
 from hopbench.errors import ProtocolError, TransportError, ValidationError
 from hopbench.providers import (
     ChatMessage,
@@ -62,6 +66,41 @@ def test_cache_hit_skips_transport(tmp_path):
     assert CountingTransport.calls == 1
     service.complete(request, cache_policy="bypass")
     assert CountingTransport.calls == 2
+
+
+def test_cache_put_survives_a_concurrent_writer_of_the_same_entry(tmp_path, monkeypatch):
+    first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)  # two processes' caches
+    replace = os.replace
+
+    def other_writer_in_between(src, dst):
+        monkeypatch.setattr(providers.os, "replace", replace)
+        second.put("h", b"second", "p")
+        replace(src, dst)
+
+    monkeypatch.setattr(providers.os, "replace", other_writer_in_between)
+    first.put("h", b"first", "p")
+    assert first.get("h").response_payload == b"first"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json"]
+
+
+@pytest.mark.parametrize("damaged", [b'{"request_hash": "h", "payl', b"\xff\xfe{}", b"[1, 2]", b'{"request_hash": "h"}'])
+def test_unreadable_cache_entry_is_a_miss(tmp_path, caplog, damaged):
+    cache = ResponseCache(tmp_path)
+    (tmp_path / "h.json").write_bytes(damaged)
+    with caplog.at_level(logging.WARNING, logger="hopbench.providers"):
+        assert cache.get("h") is None
+    assert "unreadable cache entry" in caplog.text
+
+
+def test_service_refetches_over_a_truncated_cache_entry(tmp_path):
+    cache = ResponseCache(tmp_path)
+    service = ChatService(MockChatTransport(seed=1), cache=cache)
+    request = ChatRequest.user("cached then truncated")
+    expected = service.complete(request)
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_bytes(entry.read_bytes()[:10])
+    assert service.complete(request) == expected
+    assert cache.get(entry.stem).response_payload == expected.encode("utf-8")
 
 
 def test_mock_response_keyed_by_request_hash():

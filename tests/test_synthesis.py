@@ -5,11 +5,13 @@ import json
 import pytest
 
 from conftest import entity_id_by_name, make_graph
-from hopbench.chains import mine_chains, sample_hard_negative
+from hopbench import synthesis
+from hopbench.chains import MiningLimits, mine_chains, sample_hard_negative
 from hopbench.corpus import Chunk, Sentence, SentenceStore
 from hopbench.errors import ItemDiscardedError, ValidationError
 from hopbench.kg import shatter
 from hopbench.providers import ChatService, EmbeddingVector, MockChatTransport
+from hopbench.seeding import derive_seed
 from hopbench.synthesis import QAItem, synthesize_dataset, synthesize_item, verify_masking
 
 
@@ -261,3 +263,47 @@ def test_dataset_synthesis_collects_discard_reasons():
     assert len(items) == 1
     assert discards == []
     assert items[0].qa_id == "qa00000"
+
+
+def test_filler_memo_gives_the_fillers_of_a_fresh_search_per_item(monkeypatch):
+    """Six complete five-node groups: every node is the source of several
+    chains, so the dataset reuses each source's far ids."""
+    names = [f"group {g} member {m}" for g in range(6) for m in range(5)]
+    edges = [
+        (names[g * 5 + i], "r", names[g * 5 + j])
+        for g in range(6)
+        for i in range(5)
+        for j in range(5)
+        if i != j
+    ]
+    graph = shatter(make_graph(names, edges), None, stoplist=set())
+    mined = mine_chains(graph, MiningLimits(per_source_cap=4))
+    chains = [sample_hard_negative(c, graph, rng_seed=i) for i, c in enumerate(mined)]
+    sentences = [Sentence("d1", 1, 0, "group 0 member 0 r group 0 member 1.")]
+    chunk = Chunk(
+        chunk_id="c0",
+        doc_id="d1",
+        sentence_span=(0, 0),
+        text=sentences[0].text,
+        page_anchor=1,
+        embedding=EmbeddingVector(values=(1.0, 0.0), dimension=2, source_text_hash="h"),
+    )
+    chunks, store, chat = {"c0": chunk}, SentenceStore(sentences), ChatService(MockChatTransport())
+
+    searches = []
+    bfs_hops = synthesis.bfs_hops
+    monkeypatch.setattr(synthesis, "bfs_hops", lambda g, source: searches.append(source) or bfs_hops(g, source))
+    items, discards = synthesize_dataset(chains, graph, chunks, store, chat, master_seed=3)
+    assert not discards and len(items) == len(chains) == 120
+    assert sorted(searches) == sorted({c.a for c in chains})
+
+    searches.clear()
+    fresh = [
+        synthesize_item(
+            chain, graph, chunks, store, chat,
+            qa_id=f"qa{index:05d}", rng_seed=derive_seed(3, "synthesize", chain.key),
+        )
+        for index, chain in enumerate(chains)
+    ]
+    assert len(searches) == len(chains)
+    assert items == fresh

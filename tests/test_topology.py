@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
 from conftest import entity_id_by_name, make_graph, random_digraph
 from hopbench.errors import ValidationError
-from hopbench.kg import shatter
+from hopbench.kg import Evidence, KnowledgeGraph, Triplet, shatter
 from hopbench.topology import (
+    TopologyReport,
     connected_components,
     shatter_sweep,
     shortest_path_hops,
@@ -119,3 +121,133 @@ def test_sweep_reports_fragmentation_gracefully():
     sweep = shatter_sweep(graph, [None, 1.0])
     assert sweep.reports[0].node_count == 2
     assert sweep.reports[1].node_count == 0  # everything pruned at k=1
+
+
+# -- csgraph report against the all-sources BFS ----------------------------------
+
+
+def reference_topology_report(graph) -> TopologyReport:
+    """The report by one BFS per node over the undirected skeleton, present
+    nodes only: the algorithm topology_report ran before it used csgraph."""
+    adjacency: dict[str, set[str]] = {}
+    for edge in graph.edges:
+        adjacency.setdefault(edge.head, set()).add(edge.tail)
+        adjacency.setdefault(edge.tail, set()).add(edge.head)
+
+    def bfs(source: str) -> dict[str, int]:
+        distances = {source: 0}
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            for neighbor in sorted(adjacency.get(node, ())):
+                if neighbor not in distances and graph.present(neighbor):
+                    distances[neighbor] = distances[node] + 1
+                    queue.append(neighbor)
+        return distances
+
+    present = graph.present_ids()
+    remaining = set(present)
+    components = []
+    while remaining:
+        component = sorted(bfs(min(remaining)))
+        components.append(component)
+        remaining -= set(component)
+    components.sort(key=lambda c: (-len(c), c[0]))
+    largest = components[0]
+    asp = None
+    if len(largest) >= 2:
+        total = count = 0
+        for node in largest:
+            for distance in bfs(node).values():
+                if distance > 0:
+                    total += distance
+                    count += 1
+        asp = total / count
+    return TopologyReport(
+        node_count=len(present),
+        edge_count=len(graph.edges),
+        largest_component_size=len(largest),
+        average_shortest_path=asp,
+        component_count=len(components),
+        pruned_count=sum(1 for e in graph.entities.values() if e.is_pruned),
+    )
+
+
+def _link(graph: KnowledgeGraph, head: str, tail: str) -> None:
+    evidence = Evidence(chunk_id="c0", sentence_span=(0, 0), page_anchor=1)
+    graph.add_edge(Triplet(head=head, relation="links", tail=tail, evidence=evidence, source_node_id="n0"))
+
+
+def random_annotated_graph(rng: random.Random) -> KnowledgeGraph:
+    """Sparse random graph (so some nodes are isolated) whose pruned
+    entities keep their stored edges, as in the annotated graph.jsonl."""
+    n = rng.randint(2, 40)
+    graph = KnowledgeGraph()
+    ids = [graph.add_entity(f"node {i}").entity_id for i in range(n)]
+    for _ in range(rng.randint(0, n)):
+        _link(graph, *rng.sample(ids, 2))
+    for entity_id in rng.sample(ids, rng.randint(0, n - 1)):
+        graph.entities[entity_id].is_pruned = True
+        graph.entities[entity_id].prune_reason = "over_k"
+    return graph
+
+
+def random_tied_graph(rng: random.Random) -> KnowledgeGraph:
+    """Two connected components of the same size, the largest, on shuffled
+    ids; the other nodes are isolated or pruned with edges into the pair."""
+    size = rng.randint(2, 12)
+    n = 2 * size + rng.randint(0, 10)
+    graph = KnowledgeGraph()
+    ids = [graph.add_entity(f"node {i}").entity_id for i in range(n)]
+    rng.shuffle(ids)
+    first, second, rest = ids[:size], ids[size : 2 * size], ids[2 * size :]
+    for group in (first, second):
+        for i in range(1, size):
+            _link(graph, group[i], rng.choice(group[:i]))
+        for _ in range(rng.randint(0, size)):
+            _link(graph, *rng.sample(group, 2))
+    for entity_id in rest[: len(rest) // 2]:
+        _link(graph, entity_id, rng.choice(first))
+        _link(graph, rng.choice(second), entity_id)
+        graph.entities[entity_id].is_pruned = True
+        graph.entities[entity_id].prune_reason = "stoplist"
+    return graph
+
+
+def test_report_matches_all_sources_bfs_on_random_annotated_graphs():
+    rng = random.Random(31)
+    isolated = pruned_with_edges = 0
+    for _ in range(150):
+        graph = random_annotated_graph(rng)
+        if not graph.present_ids():
+            continue
+        touched = {x for e in graph.edges for x in (e.head, e.tail)}
+        isolated += any(entity_id not in touched for entity_id in graph.present_ids())
+        pruned_with_edges += any(not graph.present(x) for x in touched)
+        assert topology_report(graph) == reference_topology_report(graph)
+    assert isolated and pruned_with_edges
+
+
+def test_report_matches_all_sources_bfs_on_tied_largest_components():
+    rng = random.Random(32)
+    for _ in range(60):
+        graph = random_tied_graph(rng)
+        report = topology_report(graph)
+        assert report == reference_topology_report(graph)
+        components = connected_components(graph)
+        assert len(components[0]) == len(components[1]) == report.largest_component_size
+
+
+@pytest.mark.parametrize("path_first, expected", [(True, 4 / 3), (False, 1.0)])
+def test_equal_largest_components_break_ties_by_smallest_id(path_first, expected):
+    path = [("a", "r", "b"), ("b", "r", "c")]
+    triangle = [("x", "r", "y"), ("y", "r", "z"), ("x", "r", "z")]
+    if not path_first:
+        rename = dict(zip("abcxyz", "xyzabc"))
+        path, triangle = (
+            [(rename[h], r, rename[t]) for h, r, t in edges] for edges in (path, triangle)
+        )
+    report = topology_report(make_graph(["a", "b", "c", "x", "y", "z"], path + triangle))
+    assert report.largest_component_size == 3
+    assert report.component_count == 2
+    assert report.average_shortest_path == expected
