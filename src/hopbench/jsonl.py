@@ -7,11 +7,14 @@ always serializes to identical bytes. Writes are atomic (temp + rename)."""
 from __future__ import annotations
 
 import json
+import logging
 import os
 from pathlib import Path
 from typing import Iterable
 
 from .errors import MigrationError, SnapshotError
+
+logger = logging.getLogger(__name__)
 
 
 def _dumps(record: dict) -> str:
@@ -70,14 +73,18 @@ class IncrementalWriter:
     """Append-mode JSONL writer for resumable stages (evaluation outcomes).
 
     Creates the header on first use; appends flush per record so an
-    interrupted run keeps everything written so far."""
+    interrupted run keeps everything written so far. Opening a file whose
+    last line has no newline (a write cut short) truncates that incomplete
+    record, as a write-ahead log does on recovery."""
 
     def __init__(self, path: str | Path, schema: str, version: int = 1):
         self.path = Path(path)
         self.schema = schema
         self.version = version
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if not self.path.exists():
+        if self.path.exists():
+            _drop_torn_tail(self.path)
+        if not self.path.exists() or self.path.stat().st_size == 0:
             with self.path.open("w", encoding="utf-8") as handle:
                 handle.write(_dumps({"schema": schema, "version": version}) + "\n")
 
@@ -85,3 +92,18 @@ class IncrementalWriter:
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write(_dumps(record) + "\n")
             handle.flush()
+
+
+def _drop_torn_tail(path: Path) -> None:
+    """Truncate the file back to its last newline when it does not end in one."""
+    with path.open("rb+") as handle:
+        size = handle.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        handle.seek(size - 1)
+        if handle.read(1) == b"\n":
+            return
+        handle.seek(0)
+        keep = handle.read().rfind(b"\n") + 1
+        handle.truncate(keep)
+    logger.warning("%s: dropped an incomplete last record (%d bytes)", path, size - keep)

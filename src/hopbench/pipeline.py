@@ -91,6 +91,7 @@ ARTIFACT_PRODUCERS = {
     "discards.jsonl": "synthesize",
     "adjudications.jsonl": "adjudicate",
     "stats_report.json": "stats",
+    "rag_contexts.jsonl": "evaluate",
 }
 
 
@@ -854,6 +855,35 @@ def build_eval_chat_service(
     return ChatService(HttpChatTransport(config.chat_base_url, config.api_key_env), cache=cache)
 
 
+def run_retrieve(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
+    """Build every item's RAG context once per run. Contexts do not depend on
+    the model, so each model's RAG evaluation reads them from
+    ``rag_contexts.jsonl`` (chunk ids in prompt order, golden position)."""
+    embedder = make_embedding_service(config)
+
+    def compute(inputs, outputs):
+        items = [qa_item_from_record(r) for r in load(inputs["dataset.jsonl"], "dataset")]
+        if not items:
+            raise ValidationError("dataset is empty; nothing to evaluate")
+        index = CorpusIndex([chunk_from_record(r) for r in load(inputs["chunks.jsonl"], "chunks")])
+        retrieval = RetrievalConfig(
+            coarse_pool_size=config.coarse_pool,
+            rerank_keep=config.rerank_keep,
+            context_size=config.context_k,
+        )
+        reranker = TokenOverlapReranker() if config.use_reranker else None
+        records = [
+            build_rag_context(item, index, embedder, retrieval, seed=config.seed, reranker=reranker).to_record()
+            for item in items
+        ]
+        snapshot(records, outputs["rag_contexts.jsonl"], schema="rag_contexts")
+        return {"contexts": len(records)}
+
+    return _stage(
+        run_dir, config, "retrieve", ["dataset.jsonl", "chunks.jsonl"], ["rag_contexts.jsonl"], compute, force
+    )
+
+
 def run_evaluate(
     run_dir: str | Path,
     config: PipelineConfig,
@@ -863,9 +893,10 @@ def run_evaluate(
 ) -> StageResult:
     if mode not in ("zero_shot", "rag"):
         raise ValidationError(f"unknown evaluation mode: {mode!r}")
-    embedder = make_embedding_service(config)
     out_name = outcomes_name(model, mode)
     stage_name = f"evaluate:{sanitize_model_id(model)}:{mode}"
+    if mode == "rag":
+        run_retrieve(run_dir, config, force=force)
 
     def compute(inputs, outputs):
         items = [qa_item_from_record(r) for r in load(inputs["dataset.jsonl"], "dataset")]
@@ -874,29 +905,19 @@ def run_evaluate(
         contexts: dict[str, RagContext] | None = None
         golden_texts: dict[str, str] = {}
         if mode == "rag":
-            chunks = [chunk_from_record(r) for r in load(inputs["chunks.jsonl"], "chunks")]
-            index = CorpusIndex(chunks)
-            retrieval = RetrievalConfig(
-                coarse_pool_size=config.coarse_pool,
-                rerank_keep=config.rerank_keep,
-                context_size=config.context_k,
-            )
-            reranker = TokenOverlapReranker() if config.use_reranker else None
+            texts = {r["chunk_id"]: r["text"] for r in load(inputs["chunks.jsonl"], "chunks")}
             contexts = {}
-            for item in items:
-                context = build_rag_context(
-                    item, index, embedder, retrieval, seed=config.seed, reranker=reranker
-                )
-                contexts[item.qa_id] = context
-                golden_texts[item.qa_id] = context.documents[context.golden_position]
+            for record in load(inputs["rag_contexts.jsonl"], "rag_contexts"):
+                context = RagContext.from_record(record, texts)
+                contexts[context.qa_id] = context
+                golden_texts[context.qa_id] = context.documents[context.golden_position]
 
         out_path = outputs[out_name]
-        done: set[str] = set()
-        if out_path.exists():
-            done = {r["qa_id"] for r in load(out_path, "outcomes")}
-            if done:
-                logger.info("resuming %s: %d outcomes already recorded", out_name, len(done))
+        # Opened before the read: it drops a torn last record.
         writer = IncrementalWriter(out_path, schema="outcomes")
+        done = {r["qa_id"] for r in load(out_path, "outcomes")}
+        if done:
+            logger.info("resuming %s: %d outcomes already recorded", out_name, len(done))
         chat = build_eval_chat_service(config, model, items, mode, golden_texts)
         outcomes = evaluate_dataset(
             items,
@@ -909,7 +930,9 @@ def run_evaluate(
         )
         return {"evaluated": len(outcomes), "resumed_existing": len(done)}
 
-    input_names = ["dataset.jsonl"] + (["chunks.jsonl"] if mode == "rag" else [])
+    input_names = ["dataset.jsonl"]
+    if mode == "rag":
+        input_names += ["chunks.jsonl", "rag_contexts.jsonl"]
     return _stage(run_dir, config, stage_name, input_names, [out_name], compute, force)
 
 

@@ -4,17 +4,20 @@ Two-stage retrieval: a coarse cosine pass over the chunk index picks a
 candidate pool, an optional reranker keeps the most relevant subset, and the
 final context embeds the golden paragraph (the hop evidence that names the
 masked bridge) at a seeded-random position among the top-ranked distractor
-passages."""
+passages.
+
+Contexts depend on the question, the corpus and the retrieval config, not on
+the model answering, so a run builds them once (the ``retrieve`` stage writes
+their chunk ids to ``rag_contexts.jsonl``) and every model's RAG evaluation
+reads them back with ``RagContext.from_record``."""
 
 from __future__ import annotations
 
-import os
 import random
-from dataclasses import dataclass
-from typing import Protocol, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from .corpus import Chunk
 from .errors import StageError, ValidationError
@@ -44,17 +47,34 @@ class RetrievalConfig:
 @dataclass
 class RagContext:
     qa_id: str
+    chunk_ids: list[str]
     documents: list[str]
     golden_position: int
-    retrieval_config: dict
+    retrieval_config: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
+        """The stored form: chunk ids in prompt order, not their texts. The
+        retrieval config is left out; the stage that stores contexts is keyed
+        on the run config that holds it."""
         return {
             "qa_id": self.qa_id,
-            "documents": self.documents,
+            "chunk_ids": self.chunk_ids,
             "golden_position": self.golden_position,
-            "retrieval_config": self.retrieval_config,
         }
+
+    @classmethod
+    def from_record(cls, record: dict, texts: Mapping[str, str]) -> "RagContext":
+        """Rebuild a stored context; ``texts`` maps chunk id to chunk text."""
+        chunk_ids = list(record["chunk_ids"])
+        missing = [c for c in chunk_ids if c not in texts]
+        if missing:
+            raise StageError(f"{record['qa_id']}: context chunks {missing} are not in the corpus")
+        return cls(
+            qa_id=record["qa_id"],
+            chunk_ids=chunk_ids,
+            documents=[texts[c] for c in chunk_ids],
+            golden_position=record["golden_position"],
+        )
 
 
 class Reranker(Protocol):
@@ -77,30 +97,6 @@ class TokenOverlapReranker:
         return out
 
 
-class HttpReranker:
-    """Cross-encoder rerank endpoint: POST {query, documents} -> {scores}."""
-
-    def __init__(self, base_url: str, model_name: str = "default", api_key_env: str = "HOPBENCH_API_KEY"):
-        self.base_url = base_url.rstrip("/")
-        self.model_name = model_name
-        self.api_key_env = api_key_env
-        self.provider_id = f"rerank:http:{self.base_url}:{model_name}"
-
-    def scores(self, query: str, passages: Sequence[str]) -> list[float]:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        response = requests.post(
-            f"{self.base_url}/rerank",
-            json={"model": self.model_name, "query": query, "documents": list(passages)},
-            headers=headers,
-            timeout=60,
-        )
-        response.raise_for_status()
-        return [float(s) for s in response.json()["scores"]]
-
-
 class CorpusIndex:
     """Chunk embeddings stacked for cosine ranking."""
 
@@ -121,12 +117,20 @@ class CorpusIndex:
         return self._by_id.get(chunk_id)
 
     def rank(self, query_vector: np.ndarray, top_k: int) -> list[Chunk]:
+        """The ``top_k`` chunks by cosine score, best first, ties in corpus
+        order: exactly ``np.argsort(-scores, kind="stable")[:top_k]``. Only
+        the chunks scoring at least the k-th best score are sorted."""
         query = np.asarray(query_vector, dtype=np.float64)
         norm = np.linalg.norm(query)
         if norm > 0:
             query = query / norm
-        scores = self._matrix @ query
-        order = np.argsort(-scores, kind="stable")[:top_k]
+        negated = -(self._matrix @ query)
+        if 0 < top_k < len(negated) and np.isfinite(negated).all():
+            kth = np.partition(negated, top_k - 1)[top_k - 1]
+            candidates = np.flatnonzero(negated <= kth)  # every tie with the k-th, in corpus order
+            order = candidates[np.argsort(negated[candidates], kind="stable")[:top_k]]
+        else:
+            order = np.argsort(negated, kind="stable")[:top_k]
         return [self.chunks[int(i)] for i in order]
 
 
@@ -151,7 +155,6 @@ def build_rag_context(
     golden_chunk = index.chunk(golden_anchor["chunk_id"])
     if golden_chunk is None:
         raise StageError(f"{item.qa_id}: golden paragraph {golden_anchor['chunk_id']} unresolvable")
-    golden_text = golden_chunk.text
 
     query_vector = embedder.embed_texts([item.question])[0].as_array()
     candidates = index.rank(query_vector, config.coarse_pool_size)
@@ -170,15 +173,16 @@ def build_rag_context(
             if c.chunk_id != golden_chunk.chunk_id and all(c.chunk_id != d.chunk_id for d in distractors)
         ]
         distractors.extend(extras)
-    documents = [c.text for c in distractors[: k - 1]]
+    passages = distractors[: k - 1]
 
     rng = random.Random(derive_seed(seed, "golden-position", item.qa_id))
     golden_position = rng.randrange(k)
-    documents.insert(golden_position, golden_text)
+    passages.insert(golden_position, golden_chunk)
 
     return RagContext(
         qa_id=item.qa_id,
-        documents=documents,
+        chunk_ids=[c.chunk_id for c in passages],
+        documents=[c.text for c in passages],
         golden_position=golden_position,
         retrieval_config={
             "coarse_pool_size": config.coarse_pool_size,

@@ -205,9 +205,7 @@ def test_manifest_records_matching_digests(toy_yaml, tmp_path):
     assert recorded == on_disk
 
 
-def test_evaluate_resumes_partial_outcomes(toy_yaml, tmp_path):
-    run_dir = tmp_path / "run"
-    config = load_config(toy_yaml)
+def synthesized_toy_run(run_dir, config) -> None:
     for fn in (
         pipeline.run_ingest,
         pipeline.run_chunk,
@@ -218,6 +216,12 @@ def test_evaluate_resumes_partial_outcomes(toy_yaml, tmp_path):
         pipeline.run_synthesize,
     ):
         fn(run_dir, config)
+
+
+def test_evaluate_resumes_partial_outcomes(toy_yaml, tmp_path):
+    run_dir = tmp_path / "run"
+    config = load_config(toy_yaml)
+    synthesized_toy_run(run_dir, config)
     from hopbench.jsonl import IncrementalWriter, load as jsonl_load
 
     dataset = jsonl_load(run_dir / "dataset.jsonl", "dataset")
@@ -247,3 +251,131 @@ def test_shatter_sweep_appends_to_topology_report(toy_yaml, tmp_path):
     report = json.loads((run_dir / "topology_report.json").read_text(encoding="utf-8"))
     assert "original" in report and "shattered" in report
     assert [row["k"] for row in report["sweep"]] == ["inf", 4.0, 1.0]
+
+
+def test_evaluate_resumes_over_a_torn_last_outcome(toy_yaml, tmp_path, caplog):
+    run_dir = tmp_path / "run"
+    config = load_config(toy_yaml)
+    synthesized_toy_run(run_dir, config)
+    from hopbench.jsonl import load as jsonl_load
+
+    dataset = jsonl_load(run_dir / "dataset.jsonl", "dataset")
+    assert len(dataset) >= 2
+    out_path = run_dir / pipeline.outcomes_name("mock:oracle", "zero_shot")
+    header = json.dumps({"schema": "outcomes", "version": 1}, separators=(",", ":"))
+    lines = [
+        json.dumps(
+            {
+                "model_id": "mock:oracle",
+                "qa_id": record["qa_id"],
+                "mode": "zero_shot",
+                "raw_response": "A",
+                "parsed_choice": 0,
+                "correct": False,
+            },
+            sort_keys=True,
+        )
+        for record in dataset[:2]
+    ]
+    # One whole outcome, then half of a second: the write was cut short.
+    out_path.write_text(f"{header}\n{lines[0]}\n{lines[1][: len(lines[1]) // 2]}", encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="hopbench.jsonl"):
+        result = pipeline.run_evaluate(run_dir, config, "mock:oracle", "zero_shot")
+    assert "incomplete last record" in caplog.text
+    assert result.stats["resumed_existing"] == 1
+    assert result.stats["evaluated"] == len(dataset) - 1
+    outcomes = jsonl_load(out_path, "outcomes")
+    assert sorted(r["qa_id"] for r in outcomes) == sorted(r["qa_id"] for r in dataset)
+
+
+# -- retrieval once per run ----------------------------------------------------
+
+
+def test_stored_contexts_equal_fresh_ones(toy_yaml, tmp_path):
+    from hopbench.jsonl import load as jsonl_load
+    from hopbench.rag import CorpusIndex, RagContext, RetrievalConfig, build_rag_context
+
+    run_dir = tmp_path / "run"
+    config = load_config(toy_yaml)
+    synthesized_toy_run(run_dir, config)
+    assert pipeline.run_retrieve(run_dir, config).status == "ok"
+
+    items = [pipeline.qa_item_from_record(r) for r in jsonl_load(run_dir / "dataset.jsonl", "dataset")]
+    chunks = [pipeline.chunk_from_record(r) for r in jsonl_load(run_dir / "chunks.jsonl", "chunks")]
+    index = CorpusIndex(chunks)
+    texts = {c.chunk_id: c.text for c in chunks}
+    stored = jsonl_load(run_dir / "rag_contexts.jsonl", "rag_contexts")
+    assert [r["qa_id"] for r in stored] == [i.qa_id for i in items]
+    retrieval = RetrievalConfig(config.coarse_pool, config.rerank_keep, config.context_k)
+    embedder = pipeline.make_embedding_service(config)
+    for item, record in zip(items, stored):
+        fresh = build_rag_context(item, index, embedder, retrieval, seed=config.seed)
+        context = RagContext.from_record(record, texts)
+        assert context.documents == fresh.documents
+        assert context.golden_position == fresh.golden_position
+    assert pipeline.run_retrieve(run_dir, config).status == "skipped"
+
+
+def test_second_model_reuses_the_run_contexts(toy_yaml, tmp_path, monkeypatch):
+    from hopbench.providers import EmbeddingService
+
+    run_dir = tmp_path / "run"
+    config = load_config(toy_yaml)
+    synthesized_toy_run(run_dir, config)
+    retrievals = []
+    real_retrieve = pipeline.run_retrieve
+
+    def retrieve(*args, **kwargs):
+        retrievals.append(real_retrieve(*args, **kwargs))
+        return retrievals[-1]
+
+    monkeypatch.setattr(pipeline, "run_retrieve", retrieve)
+    pipeline.run_evaluate(run_dir, config, "mock:uniform", "rag")
+
+    embedded = []
+    real_embed = EmbeddingService.embed_texts
+
+    def embed_texts(self, texts):
+        embedded.extend(texts)
+        return real_embed(self, texts)
+
+    monkeypatch.setattr(EmbeddingService, "embed_texts", embed_texts)
+    result = pipeline.run_evaluate(run_dir, config, "mock:hash", "rag")
+    assert result.status == "ok"
+    assert [r.status for r in retrievals] == ["ok", "skipped"]
+    assert embedded == []
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert [s["stage"] for s in manifest["stages"]].count("retrieve") == 1
+    evaluate_stage = next(s for s in manifest["stages"] if s["stage"] == "evaluate:mock-hash:rag")
+    assert set(evaluate_stage["inputs"]) == {"dataset.jsonl", "chunks.jsonl", "rag_contexts.jsonl"}
+
+
+def test_forced_synthesis_rebuilds_the_run_contexts(toy_yaml, tmp_path):
+    run_dir = tmp_path / "run"
+    config = load_config(toy_yaml)
+    synthesized_toy_run(run_dir, config)
+    pipeline.run_evaluate(run_dir, config, "mock:uniform", "rag")
+
+    changed = load_config(toy_yaml)
+    changed.n_options = 3
+    with pytest.raises(StaleRunError):
+        pipeline.run_evaluate(run_dir, changed, "mock:uniform", "rag")
+    pipeline.run_synthesize(run_dir, changed, force=True)
+    pipeline.run_evaluate(run_dir, changed, "mock:uniform", "rag")
+
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    retrieves = [s for s in manifest["stages"] if s["stage"] == "retrieve"]
+    synthesize = [s for s in manifest["stages"] if s["stage"] == "synthesize"][-1]
+    assert len(retrieves) == 2
+    assert retrieves[-1]["config_digest"] == changed.digest()
+    assert retrieves[-1]["inputs"]["dataset.jsonl"] == synthesize["outputs"]["dataset.jsonl"]
+    assert pipeline.run_retrieve(run_dir, changed).status == "skipped"
+
+    # evaluate --force passes the force on: contexts follow the forced config.
+    wider = load_config(toy_yaml)
+    wider.n_options, wider.context_k = 3, 4
+    pipeline.run_evaluate(run_dir, wider, "mock:hash", "rag", force=True)
+    from hopbench.jsonl import load as jsonl_load
+
+    stored = jsonl_load(run_dir / "rag_contexts.jsonl", "rag_contexts")
+    assert stored and all(len(r["chunk_ids"]) == 4 for r in stored)

@@ -5,9 +5,10 @@ import pytest
 
 from hopbench.corpus import Chunk
 from hopbench.errors import StageError, ValidationError
-from hopbench.providers import EmbeddingService, MockEmbeddingTransport
+from hopbench.providers import EmbeddingService, EmbeddingVector, MockEmbeddingTransport
 from hopbench.rag import (
     CorpusIndex,
+    RagContext,
     RetrievalConfig,
     TokenOverlapReranker,
     build_rag_context,
@@ -147,3 +148,68 @@ def test_reranker_can_reorder_candidates(toy_index, embedder):
 def test_retrieval_config_validation():
     with pytest.raises(ValidationError):
         RetrievalConfig(context_size=0)
+
+
+def index_of_rows(matrix: np.ndarray) -> CorpusIndex:
+    return CorpusIndex(
+        [
+            Chunk(
+                chunk_id=f"c{i:03d}",
+                doc_id="d1",
+                sentence_span=(0, 0),
+                text=f"chunk {i}",
+                page_anchor=1,
+                embedding=EmbeddingVector(values=tuple(row), dimension=len(row), source_text_hash=""),
+            )
+            for i, row in enumerate(matrix)
+        ]
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_equals_the_stable_full_sort_prefix(seed):
+    # Duplicated chunk vectors score exactly alike, so for some k a tie group
+    # straddles position k; every k from 1 to past the corpus size is tried.
+    rng = np.random.default_rng(seed)
+    distinct = rng.normal(size=(9, 6))
+    distinct[0] = 0.0  # a zero chunk vector scores 0 against every query
+    matrix = distinct[rng.integers(0, len(distinct), size=40)]
+    index = index_of_rows(matrix)
+    for query in (rng.normal(size=6), np.zeros(6)):  # a zero query scores every chunk 0
+        norm = np.linalg.norm(query)
+        scores = index._matrix @ (query / norm if norm > 0 else query)
+        straddled = 0
+        for k in range(1, len(matrix) + 3):
+            expected = [f"c{i:03d}" for i in np.argsort(-scores, kind="stable")[:k]]
+            assert [c.chunk_id for c in index.rank(query, k)] == expected, k
+            if k < len(scores):
+                straddled += int(np.sort(-scores)[k - 1] == np.sort(-scores)[k])
+        assert straddled > 0  # ties did straddle position k
+
+
+def test_rank_with_a_non_finite_score_falls_back_to_the_full_sort():
+    matrix = np.random.default_rng(1).normal(size=(12, 4))
+    matrix[5, 2] = np.nan
+    index = index_of_rows(matrix)
+    query = np.ones(4)
+    scores = index._matrix @ (query / np.linalg.norm(query))
+    for k in (1, 3, 11):
+        expected = [f"c{i:03d}" for i in np.argsort(-scores, kind="stable")[:k]]
+        assert [c.chunk_id for c in index.rank(query, k)] == expected
+
+
+def test_context_record_round_trip(toy_index, embedder):
+    item = item_with_golden("c0", "diabetes and bone")
+    context = build_rag_context(item, toy_index, embedder, RetrievalConfig(context_size=4), seed=3)
+    record = context.to_record()
+    assert set(record) == {"qa_id", "chunk_ids", "golden_position"}
+    assert context.chunk_ids[context.golden_position] == "c0"
+    texts = {c.chunk_id: c.text for c in toy_index.chunks}
+    restored = RagContext.from_record(record, texts)
+    assert (restored.chunk_ids, restored.documents, restored.golden_position) == (
+        context.chunk_ids,
+        context.documents,
+        context.golden_position,
+    )
+    with pytest.raises(StageError):
+        RagContext.from_record(record, {"c0": texts["c0"]})
