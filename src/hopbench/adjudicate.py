@@ -30,17 +30,6 @@ class Adjudication:
     difficulty: float
     members_responded: int
 
-    def to_record(self) -> dict:
-        return {
-            "qa_id": self.qa_id,
-            "clinical_task": self.clinical_task,
-            "reasoning_type": self.reasoning_type,
-            "clarity": self.clarity,
-            "validity": self.validity,
-            "difficulty": self.difficulty,
-            "members_responded": self.members_responded,
-        }
-
 
 def _ask_member(service: ChatService, prompt: str, model_name: str) -> dict | None:
     request = ChatRequest.user(prompt, temperature=0.0, model_name=model_name)

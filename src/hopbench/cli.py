@@ -1,6 +1,8 @@
 """Command-line pipeline driver.
 
-Commands map one-to-one to pipeline stages and share a single YAML config.
+Commands map one-to-one to the stages of ``pipeline.STAGES`` and share a
+single YAML config; stages without options of their own are registered from
+that table.
 Exit codes: 0 success, 2 validation error, 3 missing dependency or stale
 run, 4 provider failure."""
 
@@ -19,27 +21,26 @@ from .errors import HopbenchError
 logger = logging.getLogger(__name__)
 
 
-def _finish(result: pipeline.StageResult) -> None:
-    if result.status == "skipped":
-        click.echo(f"{result.stage}: up to date (no-op)")
-    else:
-        click.echo(f"{result.stage}: ok {result.stats}")
-
-
-def _run(action) -> None:
-    try:
-        action()
-    except HopbenchError as error:
-        click.echo(f"error: {error}", err=True)
-        sys.exit(error.exit_code)
-
-
 def _context(ctx: click.Context) -> tuple[Path, PipelineConfig, bool]:
     obj = ctx.obj or {}
     if not obj.get("config_path") or not obj.get("run_dir"):
         raise click.UsageError("this command needs --config and --run-dir (pass them before the subcommand)")
     config = load_config(obj["config_path"])
     return Path(obj["run_dir"]), config, obj.get("force", False)
+
+
+def _run(ctx: click.Context, runner, *args) -> None:
+    """Run one stage, ``runner(run_dir, config, *args, force=...)``, and print its result."""
+    try:
+        run_dir, config, force = _context(ctx)
+        result = runner(run_dir, config, *args, force=force)
+    except HopbenchError as error:
+        click.echo(f"error: {error}", err=True)
+        sys.exit(error.exit_code)
+    if result.status == "skipped":
+        click.echo(f"{result.stage}: up to date (no-op)")
+    else:
+        click.echo(f"{result.stage}: ok {result.stats}")
 
 
 @click.group()
@@ -58,107 +59,48 @@ def main(ctx: click.Context, config_path, run_dir, force: bool, verbose: bool):
     ctx.obj.update(config_path=config_path, run_dir=run_dir, force=force)
 
 
-def _stage_command(name: str, runner, doc: str):
-    @main.command(name=name, help=doc)
-    @click.pass_context
-    def command(ctx: click.Context):
-        def action():
-            run_dir, config, force = _context(ctx)
-            _finish(runner(run_dir, config, force=force))
-
-        _run(action)
-
-    return command
-
-
-_stage_command("ingest", pipeline.run_ingest, "Load corpus files and split them into sentences.")
-_stage_command("tree", pipeline.run_tree, "Build the hierarchical soft-cluster summary tree.")
-_stage_command("extract", pipeline.run_extract, "Extract and align triplets into the raw graph.")
-_stage_command("shatter", pipeline.run_shatter, "Prune hub entities and write both graph views.")
-_stage_command("mine", pipeline.run_mine, "Mine 2-hop chains and sample hard negatives.")
-_stage_command("synthesize", pipeline.run_synthesize, "Generate masked vignette items.")
-_stage_command("adjudicate", pipeline.run_adjudicate, "Score items with the quality ensemble.")
-_stage_command("stats", pipeline.run_stats, "Compute dataset lexical and similarity statistics.")
-
-
-@main.command()
-@click.option(
-    "--global-threshold/--per-document-threshold",
-    "global_threshold",
-    default=None,
-    help="Compute the breakpoint percentile over the whole corpus instead of per document.",
-)
-@click.pass_context
-def chunk(ctx, global_threshold):
-    """Embed sentences and cut percentile-threshold chunks."""
-
-    def action():
-        run_dir, config, force = _context(ctx)
-        if global_threshold is not None:
-            config.global_threshold = global_threshold
-        _finish(pipeline.run_chunk(run_dir, config, force=force))
-
-    _run(action)
-
-
-@main.command()
+@main.command(help=pipeline.STAGES["evaluate"].help)
 @click.option("--model", required=True, help="Chat model name, or mock:{oracle,adversarial,uniform,hash}.")
 @click.option("--mode", type=click.Choice(["zero_shot", "rag"]), default="zero_shot")
-@click.option("--context-k", type=int, default=None, help="Override context document count.")
-@click.option("--coarse-pool", type=int, default=None, help="Override coarse retrieval pool size.")
-@click.option("--rerank-keep", type=int, default=None, help="Override rerank keep count.")
-@click.option("--seed", type=int, default=None, help="Override the master seed.")
 @click.pass_context
-def evaluate(ctx, model: str, mode: str, context_k, coarse_pool, rerank_keep, seed):
-    """Run multiple-choice evaluation and persist outcomes incrementally."""
-
-    def action():
-        run_dir, config, force = _context(ctx)
-        for field_name, value in (
-            ("context_k", context_k),
-            ("coarse_pool", coarse_pool),
-            ("rerank_keep", rerank_keep),
-            ("seed", seed),
-        ):
-            if value is not None:
-                setattr(config, field_name, value)
-        config.validate()
-        _finish(pipeline.run_evaluate(run_dir, config, model, mode, force=force))
-
-    _run(action)
+def evaluate(ctx, model: str, mode: str):
+    _run(ctx, pipeline.run_evaluate, model, mode)
 
 
-@main.command()
+@main.command(help=pipeline.STAGES["report"].help)
 @click.option("--model", required=True)
 @click.pass_context
 def report(ctx, model: str):
-    """Aggregate outcomes into the behavioral report for one model."""
-
-    def action():
-        run_dir, config, force = _context(ctx)
-        _finish(pipeline.run_report(run_dir, config, model, force=force))
-
-    _run(action)
+    _run(ctx, pipeline.run_report, model)
 
 
-@main.command(name="shatter-sweep")
+@main.command(name="shatter-sweep", help=pipeline.STAGES["shatter-sweep"].help)
 @click.option("--k", "k_spec", default="10,50,100,inf", show_default=True, help="Comma-separated thresholds.")
 @click.pass_context
 def shatter_sweep(ctx, k_spec: str):
-    """Topology ablation across frequency thresholds."""
-
     def parse_k(token: str) -> float | None:
         token = token.strip().lower()
         if token in ("inf", "none", ""):
             return None
         return float(token)
 
-    def action():
-        run_dir, config, force = _context(ctx)
-        ks = [parse_k(token) for token in k_spec.split(",")]
-        _finish(pipeline.run_shatter_sweep(run_dir, config, ks, force=force))
+    ks = [parse_k(token) for token in k_spec.split(",")]
+    _run(ctx, pipeline.run_shatter_sweep, ks)
 
-    _run(action)
+
+def _stage_command(stage: pipeline.Stage) -> None:
+    runner = getattr(pipeline, "run_" + stage.name.replace("-", "_"))
+
+    @main.command(name=stage.name, help=stage.help)
+    @click.pass_context
+    def command(ctx: click.Context):
+        _run(ctx, runner)
+
+
+# Every other stage takes no option of its own.
+for _stage in pipeline.STAGES.values():
+    if _stage.name not in main.commands:
+        _stage_command(_stage)
 
 
 @main.command(name="write-toy-config")

@@ -54,7 +54,6 @@ class PipelineConfig:
     provider_mode: str = "mock"  # mock | http
     chat_base_url: str = ""
     embed_base_url: str = ""
-    rerank_base_url: str = ""
     chat_model: str = "default"
     embed_model: str = "default"
     api_key_env: str = "HOPBENCH_API_KEY"

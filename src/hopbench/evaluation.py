@@ -43,16 +43,6 @@ class EvalOutcome:
     parsed_choice: int | None
     correct: bool
 
-    def to_record(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "qa_id": self.qa_id,
-            "mode": self.mode,
-            "raw_response": self.raw_response,
-            "parsed_choice": self.parsed_choice,
-            "correct": self.correct,
-        }
-
 
 def parse_choice(response: str, n_options: int) -> int | None:
     """Extract the chosen option index from free-form model output.

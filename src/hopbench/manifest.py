@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .codec import from_record, to_record
 from .errors import StaleRunError
 from .seeding import stable_digest
 
@@ -33,18 +34,6 @@ class StageRecord:
     finished_at: float
     status: str = "ok"
     stats: dict = field(default_factory=dict)
-
-    def to_record(self) -> dict:
-        return {
-            "stage": self.stage,
-            "config_digest": self.config_digest,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "status": self.status,
-            "stats": self.stats,
-        }
 
 
 class RunManifest:
@@ -68,19 +57,7 @@ class RunManifest:
         data = json.loads(path.read_text(encoding="utf-8"))
         manifest = cls(run_id=data["run_id"], config_digest=data["config_digest"])
         manifest.tool_version = data.get("tool_version", TOOL_VERSION)
-        for entry in data.get("stages", []):
-            manifest.stages.append(
-                StageRecord(
-                    stage=entry["stage"],
-                    config_digest=entry["config_digest"],
-                    inputs=entry["inputs"],
-                    outputs=entry["outputs"],
-                    started_at=entry["started_at"],
-                    finished_at=entry["finished_at"],
-                    status=entry.get("status", "ok"),
-                    stats=entry.get("stats", {}),
-                )
-            )
+        manifest.stages = [from_record(StageRecord, entry) for entry in data.get("stages", [])]
         return manifest
 
     def save(self, run_dir: str | Path) -> None:
@@ -90,7 +67,7 @@ class RunManifest:
             "run_id": self.run_id,
             "config_digest": self.config_digest,
             "tool_version": self.tool_version,
-            "stages": [stage.to_record() for stage in self.stages],
+            "stages": [to_record(stage) for stage in self.stages],
         }
         tmp = path.with_suffix(".tmp")
         tmp.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")

@@ -4,10 +4,13 @@ Each stage validates its upstream artifacts (by presence and manifest
 digest), computes, writes outputs atomically, and records itself in the run
 manifest. Re-running an unchanged stage is a no-op; a changed config digest
 is refused without --force. Artifacts carry no timestamps, so identical
-configs and seeds reproduce byte-identical files."""
+configs and seeds reproduce byte-identical files. ``STAGES`` lists every
+stage with the files it reads and writes; records round-trip through
+``codec``."""
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import logging
 import os
@@ -20,6 +23,7 @@ from typing import Callable
 
 from .adjudicate import adjudicate_quality
 from .chains import MiningLimits, ReasoningChain, mine_chains, sample_hard_negative
+from .codec import from_record, to_record
 from .config import PipelineConfig
 from .corpus import (
     Chunk,
@@ -29,6 +33,7 @@ from .corpus import (
     consecutive_distances,
     load_document,
     nearest_rank_percentile,
+    normalize_for_match,
     semantic_chunk,
     split_sentences,
 )
@@ -49,7 +54,6 @@ from .extract import extract_tree
 from .jsonl import IncrementalWriter, load, snapshot
 from .kg import (
     Entity,
-    Evidence,
     KnowledgeGraph,
     Triplet,
     apply_frequencies,
@@ -61,7 +65,6 @@ from .manifest import RunManifest
 from .providers import (
     ChatService,
     EmbeddingService,
-    EmbeddingVector,
     HttpChatTransport,
     HttpEmbeddingTransport,
     MockChatTransport,
@@ -77,22 +80,110 @@ from .tree import SummaryTree, SummaryTreeNode, TreeBuildConfig, build_summary_t
 
 logger = logging.getLogger(__name__)
 
-ARTIFACT_PRODUCERS = {
-    "documents.jsonl": "ingest",
-    "sentences.jsonl": "ingest",
-    "chunks.jsonl": "chunk",
-    "tree.jsonl": "tree",
-    "gmm_report.json": "tree",
-    "graph_raw.jsonl": "extract",
-    "graph.jsonl": "shatter",
-    "topology_report.json": "shatter",
-    "chains.jsonl": "mine",
-    "dataset.jsonl": "synthesize",
-    "discards.jsonl": "synthesize",
-    "adjudications.jsonl": "adjudicate",
-    "stats_report.json": "stats",
-    "rag_contexts.jsonl": "evaluate",
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage and the files it reads and writes.
+
+    ``inputs`` and ``outputs`` are run-directory artifacts; ``{model}`` and
+    ``{mode}`` in a name stand for the evaluated model and mode. ``optional``
+    inputs are read by some runs only (``adjudications.jsonl`` once it
+    exists, the retrieval artifacts in RAG mode). ``sources`` name config
+    fields holding files outside the run directory (corpus files, the
+    stoplist): they are digested with the inputs, so editing one re-runs the
+    stage."""
+
+    name: str
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    help: str
+    optional: tuple[str, ...] = ()
+    sources: tuple[str, ...] = ()
+
+
+# The single list of stages and artifacts; the CLI registers its commands from it.
+STAGES = {
+    stage.name: stage
+    for stage in (
+        Stage(
+            "ingest",
+            (),
+            ("documents.jsonl", "sentences.jsonl"),
+            "Load corpus files and split them into sentences.",
+            sources=("corpus_paths",),
+        ),
+        Stage("chunk", ("sentences.jsonl",), ("chunks.jsonl",), "Embed sentences and cut percentile-threshold chunks."),
+        Stage(
+            "tree",
+            ("chunks.jsonl",),
+            ("tree.jsonl", "gmm_report.json"),
+            "Build the hierarchical soft-cluster summary tree.",
+        ),
+        Stage(
+            "extract",
+            ("tree.jsonl", "chunks.jsonl", "sentences.jsonl"),
+            ("graph_raw.jsonl",),
+            "Extract and align triplets into the raw graph.",
+        ),
+        Stage(
+            "shatter",
+            ("graph_raw.jsonl",),
+            ("graph.jsonl", "topology_report.json"),
+            "Prune hub entities and write both graph views.",
+            sources=("stoplist_path",),
+        ),
+        Stage(
+            "shatter-sweep",
+            ("graph_raw.jsonl",),
+            ("topology_report.json",),
+            "Topology ablation across frequency thresholds.",
+            sources=("stoplist_path",),
+        ),
+        Stage("mine", ("graph.jsonl",), ("chains.jsonl",), "Mine 2-hop chains and sample hard negatives."),
+        Stage(
+            "synthesize",
+            ("chains.jsonl", "graph.jsonl", "chunks.jsonl", "sentences.jsonl"),
+            ("dataset.jsonl", "discards.jsonl"),
+            "Generate masked vignette items.",
+        ),
+        Stage("adjudicate", ("dataset.jsonl",), ("adjudications.jsonl",), "Score items with the quality ensemble."),
+        Stage(
+            "stats",
+            ("dataset.jsonl", "chunks.jsonl", "sentences.jsonl"),
+            ("stats_report.json",),
+            "Compute dataset lexical and similarity statistics.",
+            optional=("adjudications.jsonl",),
+        ),
+        Stage(
+            "retrieve",
+            ("dataset.jsonl", "chunks.jsonl"),
+            ("rag_contexts.jsonl",),
+            "Build every item's RAG context once; each model's RAG evaluation reads them.",
+        ),
+        Stage(
+            "evaluate",
+            ("dataset.jsonl",),
+            ("outcomes_{model}_{mode}.jsonl",),
+            "Run multiple-choice evaluation and persist outcomes incrementally.",
+            optional=("chunks.jsonl", "rag_contexts.jsonl"),
+        ),
+        Stage(
+            "report",
+            ("dataset.jsonl", "outcomes_{model}_zero_shot.jsonl"),
+            ("report_{model}.json",),
+            "Aggregate outcomes into the behavioral report for one model.",
+            optional=("outcomes_{model}_rag.jsonl",),
+        ),
+    )
 }
+
+
+def producer(artifact: str) -> str:
+    """The first stage in table order that lists ``artifact`` as an output."""
+    for stage in STAGES.values():
+        if any(fnmatch.fnmatchcase(artifact, re.sub(r"\{\w+\}", "*", name)) for name in stage.outputs):
+            return stage.name
+    raise KeyError(f"no stage writes {artifact}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,143 +221,28 @@ def make_adjudication_ensemble(config: PipelineConfig) -> tuple[list[ChatService
 
 
 # ---------------------------------------------------------------------------
-# Record conversion
+# Records: the codec for round trips, explicit projections for the rest
 # ---------------------------------------------------------------------------
 
-
-def _embedding_to_record(vector: EmbeddingVector) -> dict:
-    return {
-        "values": list(vector.values),
-        "dimension": vector.dimension,
-        "source_text_hash": vector.source_text_hash,
-    }
-
-
-def _embedding_from_record(record: dict) -> EmbeddingVector:
-    return EmbeddingVector(
-        values=tuple(record["values"]),
-        dimension=record["dimension"],
-        source_text_hash=record["source_text_hash"],
-    )
-
-
-def sentence_to_record(sentence: Sentence) -> dict:
-    return {
-        "doc_id": sentence.doc_id,
-        "page_number": sentence.page_number,
-        "sentence_index": sentence.sentence_index,
-        "text": sentence.text,
-    }
-
-
-def sentence_from_record(record: dict) -> Sentence:
-    return Sentence(
-        doc_id=record["doc_id"],
-        page_number=record["page_number"],
-        sentence_index=record["sentence_index"],
-        text=record["text"],
-    )
-
-
-def chunk_to_record(chunk: Chunk) -> dict:
-    return {
-        "chunk_id": chunk.chunk_id,
-        "doc_id": chunk.doc_id,
-        "sentence_span": list(chunk.sentence_span),
-        "text": chunk.text,
-        "page_anchor": chunk.page_anchor,
-        "embedding": _embedding_to_record(chunk.embedding),
-    }
-
-
-def chunk_from_record(record: dict) -> Chunk:
-    return Chunk(
-        chunk_id=record["chunk_id"],
-        doc_id=record["doc_id"],
-        sentence_span=tuple(record["sentence_span"]),
-        text=record["text"],
-        page_anchor=record["page_anchor"],
-        embedding=_embedding_from_record(record["embedding"]),
-    )
+# Public names for writing artifacts from outside the package (perfbench/).
+sentence_to_record = chunk_to_record = qa_item_to_record = to_record
 
 
 def tree_node_to_record(node: SummaryTreeNode) -> dict:
-    return {
-        "node_id": node.node_id,
-        "level": node.level,
-        "member_ids": {k: round(v, 9) for k, v in sorted(node.member_ids.items())},
-        "summary_text": node.summary_text,
-        "cluster_model_ref": node.cluster_model_ref,
-    }
-
-
-def tree_from_records(records: list[dict]) -> SummaryTree:
-    tree = SummaryTree()
-    for record in records:
-        tree.add(
-            SummaryTreeNode(
-                node_id=record["node_id"],
-                level=record["level"],
-                member_ids=dict(record["member_ids"]),
-                summary_text=record["summary_text"],
-                cluster_model_ref=record.get("cluster_model_ref"),
-            )
-        )
-    tree.validate()
-    return tree
-
-
-def _evidence_to_record(evidence: Evidence) -> dict:
-    return {
-        "chunk_id": evidence.chunk_id,
-        "sentence_span": list(evidence.sentence_span),
-        "page_anchor": evidence.page_anchor,
-    }
-
-
-def _evidence_from_record(record: dict) -> Evidence:
-    return Evidence(
-        chunk_id=record["chunk_id"],
-        sentence_span=tuple(record["sentence_span"]),
-        page_anchor=record["page_anchor"],
-    )
+    return {**to_record(node), "member_ids": {k: round(v, 9) for k, v in node.member_ids.items()}}
 
 
 def graph_to_records(graph: KnowledgeGraph, frequency_unit: str) -> list[dict]:
-    records = [
-        {
-            "kind": "meta",
-            "view": graph.view,
-            "k_threshold": graph.k_threshold,
-            "stoplist_id": graph.stoplist_id,
-            "frequency_unit": frequency_unit,
-        }
-    ]
-    for entity_id in sorted(graph.entities):
-        entity = graph.entities[entity_id]
-        records.append(
-            {
-                "kind": "entity",
-                "entity_id": entity.entity_id,
-                "canonical_name": entity.canonical_name,
-                "aliases": sorted(entity.aliases),
-                "frequency": entity.frequency,
-                "is_pruned": entity.is_pruned,
-                "prune_reason": entity.prune_reason,
-            }
-        )
-    for edge in graph.edges:
-        records.append(
-            {
-                "kind": "edge",
-                "head": edge.head,
-                "relation": edge.relation,
-                "tail": edge.tail,
-                "evidence": _evidence_to_record(edge.evidence),
-                "confidence": edge.confidence,
-                "source_node_id": edge.source_node_id,
-            }
-        )
+    meta = {
+        "kind": "meta",
+        "view": graph.view,
+        "k_threshold": graph.k_threshold,
+        "stoplist_id": graph.stoplist_id,
+        "frequency_unit": frequency_unit,
+    }
+    records = [meta]
+    records += ({"kind": "entity", **to_record(graph.entities[i])} for i in sorted(graph.entities))
+    records += ({"kind": "edge", **to_record(edge)} for edge in graph.edges)
     return records
 
 
@@ -281,121 +257,20 @@ def graph_from_records(records: list[dict]) -> tuple[KnowledgeGraph, str]:
         k_threshold=meta.get("k_threshold"),
         stoplist_id=meta.get("stoplist_id", ""),
     )
-    from .corpus import normalize_for_match
-
     for record in records[1:]:
         if record["kind"] == "entity":
-            entity = Entity(
-                entity_id=record["entity_id"],
-                canonical_name=record["canonical_name"],
-                aliases=set(record["aliases"]),
-                frequency=record["frequency"],
-                is_pruned=record["is_pruned"],
-                prune_reason=record.get("prune_reason"),
-            )
+            entity = from_record(Entity, record)
             graph.entities[entity.entity_id] = entity
             for surface in entity.surfaces():
                 graph._surface_index.setdefault(normalize_for_match(surface), entity.entity_id)
         elif record["kind"] == "edge":
-            graph.add_edge(
-                Triplet(
-                    head=record["head"],
-                    relation=record["relation"],
-                    tail=record["tail"],
-                    evidence=_evidence_from_record(record["evidence"]),
-                    confidence=record["confidence"],
-                    source_node_id=record.get("source_node_id", ""),
-                )
-            )
+            graph.add_edge(from_record(Triplet, record))
     return graph, meta.get("frequency_unit", "tree_nodes")
 
 
 def shattered_from_flags(annotated: KnowledgeGraph) -> KnowledgeGraph:
     """Materialize the shattered view from stored prune flags."""
     return annotated.copy(view="shattered", edges=annotated.present_edges())
-
-
-def chain_to_record(chain: ReasoningChain) -> dict:
-    return {
-        "a": chain.a,
-        "e_bridge": chain.e_bridge,
-        "b": chain.b,
-        "relation_hop1": chain.relation_hop1,
-        "relation_hop2": chain.relation_hop2,
-        "evidence_hop1": _evidence_to_record(chain.evidence_hop1),
-        "evidence_hop2": _evidence_to_record(chain.evidence_hop2),
-        "e_sib": chain.e_sib,
-        "b_prime": chain.b_prime,
-        "relation_sibling": chain.relation_sibling,
-        "evidence_sibling": None
-        if chain.evidence_sibling is None
-        else _evidence_to_record(chain.evidence_sibling),
-    }
-
-
-def chain_from_record(record: dict) -> ReasoningChain:
-    return ReasoningChain(
-        a=record["a"],
-        e_bridge=record["e_bridge"],
-        b=record["b"],
-        relation_hop1=record["relation_hop1"],
-        relation_hop2=record["relation_hop2"],
-        evidence_hop1=_evidence_from_record(record["evidence_hop1"]),
-        evidence_hop2=_evidence_from_record(record["evidence_hop2"]),
-        e_sib=record.get("e_sib"),
-        b_prime=record.get("b_prime"),
-        relation_sibling=record.get("relation_sibling"),
-        evidence_sibling=None
-        if record.get("evidence_sibling") is None
-        else _evidence_from_record(record["evidence_sibling"]),
-    )
-
-
-def qa_item_to_record(item: QAItem) -> dict:
-    return {
-        "qa_id": item.qa_id,
-        "language": item.language,
-        "difficulty": item.difficulty,
-        "clinical_task": item.clinical_task,
-        "question": item.question,
-        "options": list(item.options),
-        "answer_index": item.answer_index,
-        "hard_negative_index": item.hard_negative_index,
-        "masked_entity": item.masked_entity,
-        "rationale": item.rationale,
-        "evidence_anchors": item.evidence_anchors,
-        "chain_ref": item.chain_ref,
-        "generation_metadata": item.generation_metadata,
-    }
-
-
-def qa_item_from_record(record: dict) -> QAItem:
-    return QAItem(
-        qa_id=record["qa_id"],
-        language=record["language"],
-        difficulty=record["difficulty"],
-        clinical_task=record["clinical_task"],
-        question=record["question"],
-        options=list(record["options"]),
-        answer_index=record["answer_index"],
-        hard_negative_index=record["hard_negative_index"],
-        masked_entity=record["masked_entity"],
-        rationale=record["rationale"],
-        evidence_anchors=record["evidence_anchors"],
-        chain_ref=record["chain_ref"],
-        generation_metadata=record.get("generation_metadata", {}),
-    )
-
-
-def outcome_from_record(record: dict) -> EvalOutcome:
-    return EvalOutcome(
-        model_id=record["model_id"],
-        qa_id=record["qa_id"],
-        mode=record["mode"],
-        raw_response=record["raw_response"],
-        parsed_choice=record["parsed_choice"],
-        correct=record["correct"],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -464,36 +339,45 @@ def _write_json(path: Path, payload: dict) -> None:
     os.replace(tmp, path)
 
 
-def _producer_of(name: str) -> str:
-    if name.startswith("outcomes_"):
-        return "evaluate"
-    if name.startswith("report_"):
-        return "report"
-    return ARTIFACT_PRODUCERS.get(name, "ingest")
-
-
 def _check_inputs(run_dir: Path, names: list[str]) -> dict[str, Path]:
     inputs = {}
     for name in names:
         path = run_dir / name
         if not path.exists():
-            producer = _producer_of(name)
-            raise DependencyError(
-                f"missing {name}; run `hopbench {producer}` first", required_command=producer
-            )
+            command = producer(name)
+            raise DependencyError(f"missing {name}; run `hopbench {command}` first", required_command=command)
         inputs[name] = path
     return inputs
+
+
+def _check_sources(config: PipelineConfig, fields: tuple[str, ...]) -> dict[str, Path]:
+    """Files named by config fields, keyed by their configured path."""
+    sources = {}
+    for field_name in fields:
+        value = getattr(config, field_name) or []
+        for path in value if isinstance(value, list) else [value]:
+            if not Path(path).is_file():
+                raise ValidationError(f"config.{field_name}: file not found: {path}")
+            sources[str(path)] = Path(path)
+    return sources
 
 
 def _stage(
     run_dir: str | Path,
     config: PipelineConfig,
-    stage: str,
-    input_names: list[str],
-    output_names: list[str],
+    name: str,
     compute: Callable[[dict[str, Path], dict[str, Path]], dict],
     force: bool = False,
+    optional: bool = False,
+    **params: str,
 ) -> StageResult:
+    """Run the table stage ``name`` unless its inputs, sources and outputs
+    are unchanged since it last ran. ``params`` fill the ``{model}`` and
+    ``{mode}`` names and extend the manifest key (``evaluate:<model>:<mode>``);
+    ``optional`` adds the stage's optional inputs."""
+    stage = STAGES[name]
+    key = ":".join([name, *params.values()])
+    input_names = [n.format(**params) for n in stage.inputs + (stage.optional if optional else ())]
     run_dir = Path(run_dir)
     digest = config.digest()
     with run_lock(run_dir):
@@ -502,18 +386,22 @@ def _stage(
             manifest = RunManifest(run_id=f"run-{digest[:12]}", config_digest=digest)
         manifest.check_config(digest, force=force)
 
-        inputs = _check_inputs(run_dir, input_names)
-        outputs = {name: run_dir / name for name in output_names}
-        if manifest.is_noop(stage, digest, inputs, outputs):
-            logger.info("%s: inputs and outputs unchanged; no-op", stage)
+        inputs = {**_check_inputs(run_dir, input_names), **_check_sources(config, stage.sources)}
+        outputs = {n.format(**params): run_dir / n.format(**params) for n in stage.outputs}
+        if manifest.is_noop(key, digest, inputs, outputs):
+            logger.info("%s: inputs and outputs unchanged; no-op", key)
             manifest.save(run_dir)
-            return StageResult(stage=stage, status="skipped", outputs=outputs, stats={})
+            return StageResult(stage=key, status="skipped", outputs=outputs, stats={})
 
         started = time.time()
         stats = compute(inputs, outputs)
-        manifest.record_stage(stage, digest, inputs, outputs, started, stats=stats)
+        manifest.record_stage(key, digest, inputs, outputs, started, stats=stats)
         manifest.save(run_dir)
-        return StageResult(stage=stage, status="ok", outputs=outputs, stats=stats)
+        return StageResult(stage=key, status="ok", outputs=outputs, stats=stats)
+
+
+def _stoplist(config: PipelineConfig) -> tuple[set[str], str]:
+    return load_stoplist(config.stoplist_path) if config.stoplist_path else (set(), "")
 
 
 # ---------------------------------------------------------------------------
@@ -548,19 +436,17 @@ def run_ingest(run_dir: str | Path, config: PipelineConfig, force: bool = False)
             outputs["documents.jsonl"],
             schema="documents",
         )
-        snapshot(
-            [sentence_to_record(s) for s in sentences], outputs["sentences.jsonl"], schema="sentences"
-        )
+        snapshot([to_record(s) for s in sentences], outputs["sentences.jsonl"], schema="sentences")
         return {"documents": len(documents), "sentences": len(sentences)}
 
-    return _stage(run_dir, config, "ingest", [], ["documents.jsonl", "sentences.jsonl"], compute, force)
+    return _stage(run_dir, config, "ingest", compute, force)
 
 
 def run_chunk(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
     embedder = make_embedding_service(config)
 
     def compute(inputs, outputs):
-        sentences = [sentence_from_record(r) for r in load(inputs["sentences.jsonl"], "sentences")]
+        sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
         by_doc: dict[str, list[Sentence]] = {}
         for sentence in sentences:
             by_doc.setdefault(sentence.doc_id, []).append(sentence)
@@ -586,10 +472,10 @@ def run_chunk(run_dir: str | Path, config: PipelineConfig, force: bool = False) 
                     threshold=global_tau,
                 )
             )
-        snapshot([chunk_to_record(c) for c in chunks], outputs["chunks.jsonl"], schema="chunks")
+        snapshot([to_record(c) for c in chunks], outputs["chunks.jsonl"], schema="chunks")
         return {"chunks": len(chunks), "global_threshold": global_tau}
 
-    return _stage(run_dir, config, "chunk", ["sentences.jsonl"], ["chunks.jsonl"], compute, force)
+    return _stage(run_dir, config, "chunk", compute, force)
 
 
 def run_tree(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
@@ -597,7 +483,7 @@ def run_tree(run_dir: str | Path, config: PipelineConfig, force: bool = False) -
     embedder = make_embedding_service(config)
 
     def compute(inputs, outputs):
-        chunks = [chunk_from_record(r) for r in load(inputs["chunks.jsonl"], "chunks")]
+        chunks = [from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")]
         tree = build_summary_tree(
             chunks,
             chat,
@@ -617,19 +503,21 @@ def run_tree(run_dir: str | Path, config: PipelineConfig, force: bool = False) -
         _write_json(outputs["gmm_report.json"], {"levels": tree.level_reports})
         return {"nodes": len(tree.nodes), "levels": tree.max_level()}
 
-    return _stage(run_dir, config, "tree", ["chunks.jsonl"], ["tree.jsonl", "gmm_report.json"], compute, force)
+    return _stage(run_dir, config, "tree", compute, force)
 
 
 def run_extract(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
     chat = make_chat_service(config)
 
     def compute(inputs, outputs):
-        chunks = [chunk_from_record(r) for r in load(inputs["chunks.jsonl"], "chunks")]
-        sentences = [sentence_from_record(r) for r in load(inputs["sentences.jsonl"], "sentences")]
-        tree = tree_from_records(load(inputs["tree.jsonl"], "tree"))
-        store = SentenceStore(sentences)
+        chunks = [from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")]
+        sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
+        tree = SummaryTree()
+        for record in load(inputs["tree.jsonl"], "tree"):
+            tree.add(from_record(SummaryTreeNode, record))
+        tree.validate()
         raw, reports, failed = extract_tree(
-            tree, chunks, chat, store, model_name=config.chat_model, seed=config.seed
+            tree, chunks, chat, SentenceStore(sentences), model_name=config.chat_model, seed=config.seed
         )
         graph, assembly = assemble_graph(
             raw, config.theta_schedule(), counting_unit=config.frequency_unit
@@ -648,24 +536,13 @@ def run_extract(run_dir: str | Path, config: PipelineConfig, force: bool = False
             "dropped_self_loops": assembly.dropped_self_loops,
         }
 
-    return _stage(
-        run_dir,
-        config,
-        "extract",
-        ["tree.jsonl", "chunks.jsonl", "sentences.jsonl"],
-        ["graph_raw.jsonl"],
-        compute,
-        force,
-    )
+    return _stage(run_dir, config, "extract", compute, force)
 
 
 def run_shatter(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
     def compute(inputs, outputs):
         graph, frequency_unit = graph_from_records(load(inputs["graph_raw.jsonl"], "graph"))
-        stop_terms: set[str] = set()
-        stoplist_id = ""
-        if config.stoplist_path:
-            stop_terms, stoplist_id = load_stoplist(config.stoplist_path)
+        stop_terms, stoplist_id = _stoplist(config)
         apply_frequencies(graph, frequency_unit)
         view = shatter(graph, config.k_threshold, stoplist=stop_terms, stoplist_id=stoplist_id)
         # Persist prune flags alongside the full original edge set so both
@@ -691,15 +568,7 @@ def run_shatter(run_dir: str | Path, config: PipelineConfig, force: bool = False
             "edges_kept": len(view.edges),
         }
 
-    return _stage(
-        run_dir,
-        config,
-        "shatter",
-        ["graph_raw.jsonl"],
-        ["graph.jsonl", "topology_report.json"],
-        compute,
-        force,
-    )
+    return _stage(run_dir, config, "shatter", compute, force)
 
 
 def run_mine(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
@@ -717,10 +586,10 @@ def run_mine(run_dir: str | Path, config: PipelineConfig, force: bool = False) -
                 )
             except NoHardNegativeError:
                 no_sibling += 1
-        snapshot([chain_to_record(c) for c in completed], outputs["chains.jsonl"], schema="chains")
+        snapshot([to_record(c) for c in completed], outputs["chains.jsonl"], schema="chains")
         return {"mined": len(mined), "completed": len(completed), "no_sibling": no_sibling}
 
-    return _stage(run_dir, config, "mine", ["graph.jsonl"], ["chains.jsonl"], compute, force)
+    return _stage(run_dir, config, "mine", compute, force)
 
 
 def run_synthesize(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
@@ -729,9 +598,9 @@ def run_synthesize(run_dir: str | Path, config: PipelineConfig, force: bool = Fa
     def compute(inputs, outputs):
         annotated, _unit = graph_from_records(load(inputs["graph.jsonl"], "graph"))
         view = shattered_from_flags(annotated)
-        chains = [chain_from_record(r) for r in load(inputs["chains.jsonl"], "chains")]
-        chunks = [chunk_from_record(r) for r in load(inputs["chunks.jsonl"], "chunks")]
-        sentences = [sentence_from_record(r) for r in load(inputs["sentences.jsonl"], "sentences")]
+        chains = [from_record(ReasoningChain, r) for r in load(inputs["chains.jsonl"], "chains")]
+        chunks = [from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")]
+        sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
         items, discards = synthesize_dataset(
             chains,
             view,
@@ -745,7 +614,7 @@ def run_synthesize(run_dir: str | Path, config: PipelineConfig, force: bool = Fa
             model_name=config.chat_model,
             temperature=config.synthesis_temperature,
         )
-        snapshot([qa_item_to_record(i) for i in items], outputs["dataset.jsonl"], schema="dataset")
+        snapshot([to_record(i) for i in items], outputs["dataset.jsonl"], schema="dataset")
         snapshot(
             [{"chain_ref": d.chain_key, "reason": d.reason, "detail": d.detail} for d in discards],
             outputs["discards.jsonl"],
@@ -756,22 +625,18 @@ def run_synthesize(run_dir: str | Path, config: PipelineConfig, force: bool = Fa
             reasons[discard.reason] = reasons.get(discard.reason, 0) + 1
         return {"items": len(items), "discards": len(discards), "discard_reasons": reasons}
 
-    return _stage(
-        run_dir,
-        config,
-        "synthesize",
-        ["chains.jsonl", "graph.jsonl", "chunks.jsonl", "sentences.jsonl"],
-        ["dataset.jsonl", "discards.jsonl"],
-        compute,
-        force,
-    )
+    return _stage(run_dir, config, "synthesize", compute, force)
+
+
+def _load_items(path: Path) -> list[QAItem]:
+    return [from_record(QAItem, r) for r in load(path, "dataset")]
 
 
 def run_adjudicate(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
     ensemble, names = make_adjudication_ensemble(config)
 
     def compute(inputs, outputs):
-        items = [qa_item_from_record(r) for r in load(inputs["dataset.jsonl"], "dataset")]
+        items = _load_items(inputs["dataset.jsonl"])
 
         def judge(item: QAItem):
             try:
@@ -781,30 +646,24 @@ def run_adjudicate(run_dir: str | Path, config: PipelineConfig, force: bool = Fa
                 return None
 
         verdicts = parallel_map(judge, items, max_workers=config.max_parallel)
-        records = [v.to_record() for v in verdicts if v is not None]
+        records = [to_record(v) for v in verdicts if v is not None]
         snapshot(records, outputs["adjudications.jsonl"], schema="adjudications")
         return {"scored": len(records), "unscored": len(items) - len(records)}
 
-    return _stage(
-        run_dir, config, "adjudicate", ["dataset.jsonl"], ["adjudications.jsonl"], compute, force
-    )
+    return _stage(run_dir, config, "adjudicate", compute, force)
 
 
 def run_stats(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
     from .textstats import compute_overlap_stats
 
     embedder = make_embedding_service(config)
-    has_adjudications = (Path(run_dir) / "adjudications.jsonl").exists()
-    input_names = ["dataset.jsonl", "chunks.jsonl", "sentences.jsonl"]
-    if has_adjudications:
-        input_names.append("adjudications.jsonl")
 
     def compute(inputs, outputs):
-        items = [qa_item_from_record(r) for r in load(inputs["dataset.jsonl"], "dataset")]
-        chunks = [chunk_from_record(r) for r in load(inputs["chunks.jsonl"], "chunks")]
-        sentences = [sentence_from_record(r) for r in load(inputs["sentences.jsonl"], "sentences")]
+        items = _load_items(inputs["dataset.jsonl"])
+        chunks = [from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")]
+        sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
         adjudications = None
-        if has_adjudications:
+        if "adjudications.jsonl" in inputs:
             adjudications = {
                 r["qa_id"]: r for r in load(inputs["adjudications.jsonl"], "adjudications")
             }
@@ -820,15 +679,8 @@ def run_stats(run_dir: str | Path, config: PipelineConfig, force: bool = False) 
         _write_json(outputs["stats_report.json"], payload)
         return {"total": stats.total, "excluded": stats.excluded}
 
-    return _stage(
-        run_dir,
-        config,
-        "stats",
-        input_names,
-        ["stats_report.json"],
-        compute,
-        force,
-    )
+    has_adjudications = (Path(run_dir) / "adjudications.jsonl").exists()
+    return _stage(run_dir, config, "stats", compute, force, optional=has_adjudications)
 
 
 def sanitize_model_id(model: str) -> str:
@@ -836,7 +688,7 @@ def sanitize_model_id(model: str) -> str:
 
 
 def outcomes_name(model: str, mode: str) -> str:
-    return f"outcomes_{sanitize_model_id(model)}_{mode}.jsonl"
+    return STAGES["evaluate"].outputs[0].format(model=sanitize_model_id(model), mode=mode)
 
 
 def build_eval_chat_service(
@@ -862,10 +714,10 @@ def run_retrieve(run_dir: str | Path, config: PipelineConfig, force: bool = Fals
     embedder = make_embedding_service(config)
 
     def compute(inputs, outputs):
-        items = [qa_item_from_record(r) for r in load(inputs["dataset.jsonl"], "dataset")]
+        items = _load_items(inputs["dataset.jsonl"])
         if not items:
             raise ValidationError("dataset is empty; nothing to evaluate")
-        index = CorpusIndex([chunk_from_record(r) for r in load(inputs["chunks.jsonl"], "chunks")])
+        index = CorpusIndex([from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")])
         retrieval = RetrievalConfig(
             coarse_pool_size=config.coarse_pool,
             rerank_keep=config.rerank_keep,
@@ -879,9 +731,7 @@ def run_retrieve(run_dir: str | Path, config: PipelineConfig, force: bool = Fals
         snapshot(records, outputs["rag_contexts.jsonl"], schema="rag_contexts")
         return {"contexts": len(records)}
 
-    return _stage(
-        run_dir, config, "retrieve", ["dataset.jsonl", "chunks.jsonl"], ["rag_contexts.jsonl"], compute, force
-    )
+    return _stage(run_dir, config, "retrieve", compute, force)
 
 
 def run_evaluate(
@@ -893,13 +743,11 @@ def run_evaluate(
 ) -> StageResult:
     if mode not in ("zero_shot", "rag"):
         raise ValidationError(f"unknown evaluation mode: {mode!r}")
-    out_name = outcomes_name(model, mode)
-    stage_name = f"evaluate:{sanitize_model_id(model)}:{mode}"
     if mode == "rag":
         run_retrieve(run_dir, config, force=force)
 
     def compute(inputs, outputs):
-        items = [qa_item_from_record(r) for r in load(inputs["dataset.jsonl"], "dataset")]
+        items = _load_items(inputs["dataset.jsonl"])
         if not items:
             raise ValidationError("dataset is empty; nothing to evaluate")
         contexts: dict[str, RagContext] | None = None
@@ -912,7 +760,7 @@ def run_evaluate(
                 contexts[context.qa_id] = context
                 golden_texts[context.qa_id] = context.documents[context.golden_position]
 
-        out_path = outputs[out_name]
+        [(out_name, out_path)] = outputs.items()
         # Opened before the read: it drops a torn last record.
         writer = IncrementalWriter(out_path, schema="outcomes")
         done = {r["qa_id"] for r in load(out_path, "outcomes")}
@@ -925,40 +773,36 @@ def run_evaluate(
             model_id=model,
             mode=mode,
             contexts=contexts,
-            outcome_sink=lambda o: writer.append(o.to_record()),
+            outcome_sink=lambda o: writer.append(to_record(o)),
             skip_qa_ids=done,
         )
         return {"evaluated": len(outcomes), "resumed_existing": len(done)}
 
-    input_names = ["dataset.jsonl"]
-    if mode == "rag":
-        input_names += ["chunks.jsonl", "rag_contexts.jsonl"]
-    return _stage(run_dir, config, stage_name, input_names, [out_name], compute, force)
+    return _stage(
+        run_dir, config, "evaluate", compute, force, optional=mode == "rag", model=sanitize_model_id(model), mode=mode
+    )
 
 
 def run_report(run_dir: str | Path, config: PipelineConfig, model: str, force: bool = False) -> StageResult:
-    run_path = Path(run_dir)
     zero_name = outcomes_name(model, "zero_shot")
     rag_name = outcomes_name(model, "rag")
-    report_name = f"report_{sanitize_model_id(model)}.json"
-    stage_name = f"report:{sanitize_model_id(model)}"
-    has_rag = (run_path / rag_name).exists()
-    input_names = ["dataset.jsonl", zero_name] + ([rag_name] if has_rag else [])
 
     def compute(inputs, outputs):
-        items = [qa_item_from_record(r) for r in load(inputs["dataset.jsonl"], "dataset")]
-        zero = [outcome_from_record(r) for r in load(inputs[zero_name], "outcomes")]
+        items = _load_items(inputs["dataset.jsonl"])
+        zero = [from_record(EvalOutcome, r) for r in load(inputs[zero_name], "outcomes")]
         rag = None
-        if has_rag:
-            rag = [outcome_from_record(r) for r in load(inputs[rag_name], "outcomes")]
+        if rag_name in inputs:
+            rag = [from_record(EvalOutcome, r) for r in load(inputs[rag_name], "outcomes")]
         report = behavioral_report(model, zero, items, rag_outcomes=rag)
         payload = report.to_record()
         payload["config_digest"] = config.digest()
-        _write_json(outputs[report_name], payload)
+        [report_path] = outputs.values()
+        _write_json(report_path, payload)
         print(report.table())
         return {"total_errors": report.total_errors, "unparseable": report.unparseable_count}
 
-    return _stage(run_dir, config, stage_name, input_names, [report_name], compute, force)
+    has_rag = (Path(run_dir) / rag_name).exists()
+    return _stage(run_dir, config, "report", compute, force, optional=has_rag, model=sanitize_model_id(model))
 
 
 def run_shatter_sweep(
@@ -967,10 +811,7 @@ def run_shatter_sweep(
     def compute(inputs, outputs):
         graph, frequency_unit = graph_from_records(load(inputs["graph_raw.jsonl"], "graph"))
         apply_frequencies(graph, frequency_unit)
-        stop_terms: set[str] = set()
-        stoplist_id = ""
-        if config.stoplist_path:
-            stop_terms, stoplist_id = load_stoplist(config.stoplist_path)
+        stop_terms, stoplist_id = _stoplist(config)
         sweep = shatter_sweep(graph, ks, stoplist=stop_terms, stoplist_id=stoplist_id)
         report_path = outputs["topology_report.json"]
         payload = {}
@@ -980,6 +821,4 @@ def run_shatter_sweep(
         _write_json(report_path, payload)
         return {"k_values": ["inf" if k is None else k for k in ks]}
 
-    return _stage(
-        run_dir, config, "shatter-sweep", ["graph_raw.jsonl"], ["topology_report.json"], compute, force
-    )
+    return _stage(run_dir, config, "shatter-sweep", compute, force)

@@ -226,6 +226,14 @@ def _retrying_post(url: str, payload: dict, headers: dict, timeout: float, sleep
     raise TransportError(f"request to {url} failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
+def _headers(api_key_env: str) -> dict:
+    headers = {"Content-Type": "application/json"}
+    key = os.environ.get(api_key_env, "")
+    if key:
+        headers["Authorization"] = f"Bearer {key}"
+    return headers
+
+
 class HttpChatTransport:
     """JSON chat-completion endpoint (OpenAI-compatible wire shape)."""
 
@@ -242,13 +250,6 @@ class HttpChatTransport:
         self.sleep = sleep
         self.provider_id = f"http-chat:{self.base_url}"
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
     def complete(self, request: ChatRequest) -> str:
         payload = {
             "model": request.model_name,
@@ -259,7 +260,7 @@ class HttpChatTransport:
         if request.seed is not None:
             payload["seed"] = request.seed
         data = _retrying_post(
-            f"{self.base_url}/chat/completions", payload, self._headers(), self.timeout, self.sleep
+            f"{self.base_url}/chat/completions", payload, _headers(self.api_key_env), self.timeout, self.sleep
         )
         try:
             return data["choices"][0]["message"]["content"]
@@ -285,16 +286,9 @@ class HttpEmbeddingTransport:
         self.sleep = sleep
         self.provider_id = f"http-embed:{self.base_url}:{model_name}"
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         payload = {"model": self.model_name, "input": list(texts)}
-        data = _retrying_post(f"{self.base_url}/embeddings", payload, self._headers(), self.timeout, self.sleep)
+        data = _retrying_post(f"{self.base_url}/embeddings", payload, _headers(self.api_key_env), self.timeout, self.sleep)
         try:
             rows = sorted(data["data"], key=lambda row: row["index"])
             return [list(map(float, row["embedding"])) for row in rows]

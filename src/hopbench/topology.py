@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
+from . import codec
 from .errors import ValidationError
 from .kg import KnowledgeGraph
 
@@ -42,17 +43,8 @@ class TopologyReport:
     pruned_count: int = 0
 
     def to_record(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "edge_count": self.edge_count,
-            "largest_component_size": self.largest_component_size,
-            "average_shortest_path": None
-            if self.average_shortest_path is None
-            else round(self.average_shortest_path, 6),
-            "path_basis": self.path_basis,
-            "component_count": self.component_count,
-            "pruned_count": self.pruned_count,
-        }
+        path = self.average_shortest_path
+        return {**codec.to_record(self), "average_shortest_path": None if path is None else round(path, 6)}
 
 
 def _require_present(graph: KnowledgeGraph, entity_id: str) -> None:

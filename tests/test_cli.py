@@ -3,8 +3,10 @@ from __future__ import annotations
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -12,8 +14,11 @@ from click.testing import CliRunner
 
 from hopbench import pipeline
 from hopbench.cli import main
+from hopbench.codec import from_record
 from hopbench.config import PipelineConfig, dump_config, load_config
+from hopbench.corpus import Chunk
 from hopbench.errors import DependencyError, StaleRunError, ValidationError
+from hopbench.synthesis import QAItem
 from hopbench.toydata import toy_config
 
 
@@ -110,6 +115,18 @@ def test_report_before_evaluate_names_evaluate(toy_yaml, tmp_path):
     assert excinfo.value.required_command == "evaluate"
 
 
+def test_every_consumed_artifact_names_a_registered_producer():
+    for stage in pipeline.STAGES.values():
+        assert stage.name in main.commands
+        for name in stage.inputs + stage.optional:
+            producer = pipeline.producer(name.format(model="mock-oracle", mode="rag"))
+            assert producer in main.commands, f"{stage.name} reads {name}"
+            assert producer != stage.name
+    assert pipeline.producer("topology_report.json") == "shatter"
+    with pytest.raises(KeyError):
+        pipeline.producer("unknown.jsonl")
+
+
 def test_cli_invalid_config_exit_code(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("chunk_percentile: 250\n", encoding="utf-8")
@@ -127,6 +144,63 @@ def test_rerunning_unchanged_stage_is_noop(toy_yaml, tmp_path):
     second = pipeline.run_ingest(run_dir, config)
     assert second.status == "skipped"
     assert (run_dir / "sentences.jsonl").read_bytes() == digest_before
+
+
+def test_edited_corpus_file_reruns_ingest(tmp_path):
+    config = toy_config(seed=7)
+    corpus = []
+    for path in config.corpus_paths:
+        corpus.append(tmp_path / os.path.basename(path))
+        shutil.copyfile(path, corpus[-1])
+    config.corpus_paths = [str(path) for path in corpus]
+    run_dir = tmp_path / "run"
+    first = pipeline.run_ingest(run_dir, config)
+    assert pipeline.run_ingest(run_dir, config).status == "skipped"
+    with corpus[0].open("a", encoding="utf-8") as handle:
+        handle.write("\nAn added sentence about renal clearance.\n")
+    second = pipeline.run_ingest(run_dir, config)
+    assert second.status == "ok"
+    assert second.stats["sentences"] == first.stats["sentences"] + 1
+
+
+def test_emptied_stoplist_reruns_shatter_and_the_sweep(tmp_path):
+    config = toy_config(seed=7)
+    stoplist = tmp_path / "stoplist.txt"
+    shutil.copyfile(config.stoplist_path, stoplist)
+    config.stoplist_path = str(stoplist)
+    run_dir = tmp_path / "run"
+    for fn in (pipeline.run_ingest, pipeline.run_chunk, pipeline.run_tree, pipeline.run_extract):
+        fn(run_dir, config)
+    first = pipeline.run_shatter(run_dir, config)
+    assert first.stats["pruned_stoplist"] > 0
+    assert pipeline.run_shatter(run_dir, config).status == "skipped"
+    stoplist.write_text("", encoding="utf-8")
+    second = pipeline.run_shatter(run_dir, config)
+    assert second.status == "ok"
+    assert second.stats["pruned_stoplist"] == 0
+
+    assert pipeline.run_shatter_sweep(run_dir, config, [None, 4.0]).status == "ok"
+    assert pipeline.run_shatter_sweep(run_dir, config, [None, 4.0]).status == "skipped"
+    stoplist.write_text("blood\n", encoding="utf-8")
+    assert pipeline.run_shatter_sweep(run_dir, config, [None, 4.0]).status == "ok"
+
+
+def test_missing_corpus_file_or_stoplist_is_a_validation_error(tmp_path):
+    config = toy_config(seed=7)
+    gone = str(tmp_path / "gone.txt")
+    with pytest.raises(ValidationError, match="corpus_paths"):
+        pipeline.run_ingest(tmp_path / "missing-corpus", replace(config, corpus_paths=[*config.corpus_paths, gone]))
+
+    stoplist = tmp_path / "stoplist.txt"
+    shutil.copyfile(config.stoplist_path, stoplist)
+    config.stoplist_path = str(stoplist)
+    run_dir = tmp_path / "run"
+    for fn in (pipeline.run_ingest, pipeline.run_chunk, pipeline.run_tree, pipeline.run_extract):
+        fn(run_dir, config)
+    stoplist.unlink()
+    for run in (pipeline.run_shatter, lambda *args: pipeline.run_shatter_sweep(*args, [None])):
+        with pytest.raises(ValidationError, match="stoplist_path"):
+            run(run_dir, config)
 
 
 def test_stale_config_digest_refused_without_force(toy_yaml, tmp_path):
@@ -300,8 +374,8 @@ def test_stored_contexts_equal_fresh_ones(toy_yaml, tmp_path):
     synthesized_toy_run(run_dir, config)
     assert pipeline.run_retrieve(run_dir, config).status == "ok"
 
-    items = [pipeline.qa_item_from_record(r) for r in jsonl_load(run_dir / "dataset.jsonl", "dataset")]
-    chunks = [pipeline.chunk_from_record(r) for r in jsonl_load(run_dir / "chunks.jsonl", "chunks")]
+    items = [from_record(QAItem, r) for r in jsonl_load(run_dir / "dataset.jsonl", "dataset")]
+    chunks = [from_record(Chunk, r) for r in jsonl_load(run_dir / "chunks.jsonl", "chunks")]
     index = CorpusIndex(chunks)
     texts = {c.chunk_id: c.text for c in chunks}
     stored = jsonl_load(run_dir / "rag_contexts.jsonl", "rag_contexts")

@@ -1,0 +1,174 @@
+"""The dataclass record codec against literal artifact lines.
+
+Each line below is in the form the pipeline writes. Decoding it and encoding
+the result must give the same bytes, and keys left out of older or hand-made
+records must decode to the field defaults."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from hopbench import pipeline
+from hopbench.adjudicate import Adjudication
+from hopbench.chains import ReasoningChain
+from hopbench.codec import from_record, to_record
+from hopbench.corpus import Chunk, Sentence
+from hopbench.evaluation import EvalOutcome
+from hopbench.jsonl import load, snapshot
+from hopbench.kg import Evidence
+from hopbench.manifest import RunManifest, StageRecord
+from hopbench.providers import EmbeddingVector
+from hopbench.synthesis import QAItem
+from hopbench.tree import SummaryTreeNode
+
+LINES = {
+    "sentences": (
+        Sentence,
+        '{"doc_id":"toy_metabolic","page_number":1,"sentence_index":0,'
+        '"text":"Clinical overview of metabolic bone disease."}',
+    ),
+    "chunks": (
+        Chunk,
+        '{"chunk_id":"toy_circulatory-c0000","doc_id":"toy_circulatory","embedding":{"dimension":2,'
+        '"source_text_hash":"97dee169","values":[-0.28135035736392294,0.10569562276844179]},'
+        '"page_anchor":1,"sentence_span":[0,3],"text":"Chronic hypertension strains the heart."}',
+    ),
+    "tree": (
+        SummaryTreeNode,
+        '{"cluster_model_ref":"L1-gmm-K2","level":1,"member_ids":{"toy_a-c0000":0.5,'
+        '"toy_b-c0001":0.123456789},"node_id":"L1-n000","summary_text":"Hypertension and the heart."}',
+    ),
+    "chains": (
+        ReasoningChain,
+        '{"a":"e00009","b":"e00011","b_prime":"e00015","e_bridge":"e00010","e_sib":"e00014",'
+        '"evidence_hop1":{"chunk_id":"toy_metabolic-c0000","page_anchor":1,"sentence_span":[1,1]},'
+        '"evidence_hop2":{"chunk_id":"toy_metabolic-c0000","page_anchor":1,"sentence_span":[2,2]},'
+        '"evidence_sibling":{"chunk_id":"toy_metabolic-c0001","page_anchor":2,"sentence_span":[9,9]},'
+        '"relation_hop1":"causes","relation_hop2":"triggers","relation_sibling":"damages"}',
+    ),
+    "dataset": (
+        QAItem,
+        '{"answer_index":2,"chain_ref":"e00009>e00010>e00011","clinical_task":"unadjudicated",'
+        '"difficulty":"hard","evidence_anchors":[{"chunk_id":"toy_metabolic-c0000","hop":"hop1",'
+        '"page_anchor":1,"sentence_span":[1,1]}],"generation_metadata":{"attempts":1,"model":"default",'
+        '"seed":13596717972768120383,"temperature":0.7},"hard_negative_index":1,"language":"EN",'
+        '"masked_entity":{"aliases":[],"canonical":"AGEs accumulation"},'
+        '"options":["Chronic bronchitis","schwann cells","osteoblast suppression","早产"],'
+        '"qa_id":"qa00000","question":"Which finding follows?","rationale":"Two hops."}',
+    ),
+    "outcomes": (
+        EvalOutcome,
+        '{"correct":false,"mode":"zero_shot","model_id":"mock:hash","parsed_choice":null,'
+        '"qa_id":"qa00003","raw_response":"I cannot tell."}',
+    ),
+    "adjudications": (
+        Adjudication,
+        '{"clarity":4.0,"clinical_task":"Clinical Treatment","difficulty":3.0,"members_responded":3,'
+        '"qa_id":"qa00000","reasoning_type":"Multi-hop","validity":4.67}',
+    ),
+}
+
+GRAPH_LINES = [
+    '{"frequency_unit":"tree_nodes","k_threshold":50,"kind":"meta","stoplist_id":"3f2a","view":"original"}',
+    '{"aliases":["T2D","type II diabetes"],"canonical_name":"Type 2 Diabetes","entity_id":"e00000",'
+    '"frequency":12,"is_pruned":false,"kind":"entity","prune_reason":null}',
+    '{"aliases":[],"canonical_name":"blood","entity_id":"e00001","frequency":9,"is_pruned":true,'
+    '"kind":"entity","prune_reason":"stoplist"}',
+    '{"confidence":0.75,"evidence":{"chunk_id":"toy_metabolic-c0000","page_anchor":1,"sentence_span":[1,2]},'
+    '"head":"e00000","kind":"edge","relation":"alters","source_node_id":"L1-n000","tail":"e00001"}',
+]
+
+STAGE_RECORD = {
+    "config_digest": "9c1e",
+    "finished_at": 1700000001.25,
+    "inputs": {"sentences.jsonl": "ab12"},
+    "outputs": {"chunks.jsonl": "cd34"},
+    "stage": "chunk",
+    "started_at": 1700000000.5,
+    "stats": {"chunks": 7, "global_threshold": None},
+    "status": "ok",
+}
+
+
+def _file(tmp_path, schema: str, lines: list[str]):
+    path = tmp_path / f"{schema}.jsonl"
+    header = json.dumps({"schema": schema, "version": 1}, separators=(",", ":"))
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("schema", sorted(LINES))
+def test_decode_then_encode_gives_the_same_bytes(tmp_path, schema):
+    cls, line = LINES[schema]
+    source = _file(tmp_path, schema, [line])
+    encode = pipeline.tree_node_to_record if cls is SummaryTreeNode else to_record
+    objects = [from_record(cls, record) for record in load(source, schema)]
+    assert all(type(obj) is cls for obj in objects)
+    written = snapshot([encode(obj) for obj in objects], tmp_path / "out.jsonl", schema=schema)
+    assert written.read_bytes() == source.read_bytes()
+
+
+def test_graph_records_decode_then_encode_to_the_same_bytes(tmp_path):
+    source = _file(tmp_path, "graph", GRAPH_LINES)
+    graph, unit = pipeline.graph_from_records(load(source, "graph"))
+    assert graph.entities["e00000"].aliases == {"T2D", "type II diabetes"}
+    assert graph.edges[0].evidence == Evidence("toy_metabolic-c0000", (1, 2), 1)
+    assert graph.resolve_surface("t2d") == "e00000"
+    written = snapshot(pipeline.graph_to_records(graph, unit), tmp_path / "out.jsonl", schema="graph")
+    assert written.read_bytes() == source.read_bytes()
+
+
+def test_nested_fields_decode_to_their_types():
+    chunk = from_record(Chunk, json.loads(LINES["chunks"][1]))
+    assert chunk.sentence_span == (0, 3)
+    assert chunk.embedding == EmbeddingVector((-0.28135035736392294, 0.10569562276844179), 2, "97dee169")
+    chain = from_record(ReasoningChain, json.loads(LINES["chains"][1]))
+    assert chain.evidence_sibling == Evidence("toy_metabolic-c0001", (9, 9), 2)
+
+
+def test_stage_record_round_trip_through_the_manifest(tmp_path):
+    assert to_record(from_record(StageRecord, STAGE_RECORD)) == STAGE_RECORD
+    manifest = RunManifest("run-1", "9c1e")
+    manifest.stages.append(from_record(StageRecord, STAGE_RECORD))
+    manifest.save(tmp_path)
+    first = (tmp_path / "manifest.json").read_bytes()
+    RunManifest.load(tmp_path).save(tmp_path)
+    assert (tmp_path / "manifest.json").read_bytes() == first
+
+
+def test_left_out_optional_keys_decode_to_the_defaults():
+    entity_line, edge_line = json.loads(GRAPH_LINES[2]), json.loads(GRAPH_LINES[3])
+    del entity_line["prune_reason"], edge_line["source_node_id"]
+    graph, _unit = pipeline.graph_from_records(
+        [json.loads(GRAPH_LINES[0]), json.loads(GRAPH_LINES[1]), entity_line, edge_line]
+    )
+    assert graph.entities["e00001"].prune_reason is None
+    assert graph.edges[0].source_node_id == ""
+
+    chain = json.loads(LINES["chains"][1])
+    for key in ("e_sib", "b_prime", "relation_sibling", "evidence_sibling"):
+        del chain[key]
+    decoded = from_record(ReasoningChain, chain)
+    assert (decoded.e_sib, decoded.b_prime, decoded.relation_sibling, decoded.evidence_sibling) == (None,) * 4
+    assert not decoded.complete
+
+    node = json.loads(LINES["tree"][1])
+    del node["cluster_model_ref"]
+    assert from_record(SummaryTreeNode, node).cluster_model_ref is None
+
+    item = json.loads(LINES["dataset"][1])
+    del item["generation_metadata"]
+    assert from_record(QAItem, item).generation_metadata == {}
+
+    stage = {k: v for k, v in STAGE_RECORD.items() if k not in ("status", "stats")}
+    decoded_stage = from_record(StageRecord, stage)
+    assert (decoded_stage.status, decoded_stage.stats) == ("ok", {})
+
+
+def test_a_missing_required_key_is_refused():
+    record = json.loads(LINES["outcomes"][1])
+    del record["qa_id"]
+    with pytest.raises(KeyError):
+        from_record(EvalOutcome, record)
