@@ -60,20 +60,20 @@ def _majority_label(labels: list[str]) -> str:
 def adjudicate_quality(
     item: QAItem,
     ensemble: list[ChatService],
-    model_names: list[str] | None = None,
+    model_names: list[str],
 ) -> Adjudication:
-    """Score one item with the ensemble; raises when every member fails."""
+    """Score one item with the ensemble, one model name per member; raises
+    when every member fails."""
     if not ensemble:
         raise ValidationError("adjudication ensemble must be non-empty")
-    names = model_names or ["default"] * len(ensemble)
-    if len(names) != len(ensemble):
+    if len(model_names) != len(ensemble):
         raise ValidationError("model_names must align with the ensemble")
 
     prompt = prompts.render_adjudication_prompt(
         item.question, item.options, item.answer_index, item.rationale
     )
     verdicts: list[dict] = []
-    for service, name in zip(ensemble, names):
+    for service, name in zip(ensemble, model_names):
         payload = _ask_member(service, prompt, name)
         if payload is not None:
             verdicts.append(payload)

@@ -1,20 +1,13 @@
-"""Entity mention alignment: greedy longest-match scanning, edit distance,
-and length-scaled fuzzy merging of surface variants onto known entities."""
+"""Entity mention alignment: edit distance and length-scaled fuzzy merging
+of surface variants onto known entities."""
 
 from __future__ import annotations
 
-import logging
-import re
 from dataclasses import dataclass
 from typing import Mapping
 
 from .corpus import normalize_for_match
 from .errors import ValidationError
-
-logger = logging.getLogger(__name__)
-
-_WORD_TOKEN = re.compile(r"[A-Za-z0-9][A-Za-z0-9'\-]*|[一-鿿]")
-_CHAR_TOKEN = re.compile(r"\S")
 
 
 @dataclass(frozen=True)
@@ -67,83 +60,23 @@ def damerau_levenshtein(s1: str, s2: str) -> int:
     return previous[n]
 
 
-def _tokenize_with_spans(text: str, mode: str) -> list[tuple[int, int]]:
-    pattern = _CHAR_TOKEN if mode == "char" else _WORD_TOKEN
-    return [(m.start(), m.end()) for m in pattern.finditer(text)]
-
-
-def _phrase_key(text: str, spans: list[tuple[int, int]], mode: str) -> str:
-    joiner = "" if mode == "char" else " "
-    return normalize_for_match(joiner.join(text[a:b] for a, b in spans))
-
-
-def align_maxmatch(
-    text: str,
-    vocabulary: Mapping[str, str] | set[str],
-    mode: str = "word",
-) -> list[tuple[str, str, tuple[int, int]]]:
-    """Greedy left-to-right longest-match scan of ``text`` against vocabulary.
-
-    ``vocabulary`` maps surface forms (canonical names and aliases) to entity
-    ids; a plain set maps each surface to itself. Matches never overlap;
-    unmatched tokens are skipped. ``mode`` is "word" for space-delimited text
-    and "char" for CJK-style text.
-    """
-    if mode not in ("word", "char"):
-        raise ValidationError(f"unknown maxmatch mode: {mode!r}")
-    if isinstance(vocabulary, set):
-        vocabulary = {surface: surface for surface in vocabulary}
-    normalized_vocab: dict[str, str] = {}
-    max_tokens = 1
-    for surface, entity_id in vocabulary.items():
-        token_spans = _tokenize_with_spans(surface, mode)
-        if not token_spans:
-            continue
-        key = _phrase_key(surface, token_spans, mode)
-        normalized_vocab.setdefault(key, entity_id)
-        max_tokens = max(max_tokens, len(token_spans))
-
-    if not normalized_vocab:
-        return []
-
-    spans = _tokenize_with_spans(text, mode)
-    matches: list[tuple[str, str, tuple[int, int]]] = []
-    i = 0
-    while i < len(spans):
-        matched = False
-        for width in range(min(max_tokens, len(spans) - i), 0, -1):
-            window = spans[i : i + width]
-            key = _phrase_key(text, window, mode)
-            entity_id = normalized_vocab.get(key)
-            if entity_id is not None:
-                start, end = window[0][0], window[-1][1]
-                matches.append((text[start:end], entity_id, (start, end)))
-                i += width
-                matched = True
-                break
-        if not matched:
-            i += 1
-    return matches
-
-
 def fuzzy_merge(
     candidate: str,
     vocabulary: Mapping[str, str],
     theta_schedule: ThetaSchedule = DEFAULT_THETA,
-    frequencies: Mapping[str, int] | None = None,
     canonical_names: Mapping[str, str] | None = None,
 ) -> str | None:
     """Map a candidate surface onto the closest known entity within tolerance.
 
     Tolerance scales with the candidate's length per the schedule. Ties break
-    by smaller distance, then higher entity frequency, then lexicographic
-    canonical name. Returns None when nothing qualifies.
+    by smaller distance, then lexicographic canonical name, then entity id.
+    Returns None when nothing qualifies.
     """
     normalized = normalize_for_match(candidate)
     if not normalized:
         return None
     tolerance = theta_schedule.theta(len(normalized))
-    best: tuple[int, int, str, str] | None = None
+    best: tuple[int, str, str] | None = None
     for surface, entity_id in vocabulary.items():
         target = normalize_for_match(surface)
         if abs(len(target) - len(normalized)) > tolerance:
@@ -151,26 +84,8 @@ def fuzzy_merge(
         distance = damerau_levenshtein(normalized, target)
         if distance > tolerance:
             continue
-        frequency = (frequencies or {}).get(entity_id, 0)
         name = (canonical_names or {}).get(entity_id, entity_id)
-        key = (distance, -frequency, name, entity_id)
+        key = (distance, name, entity_id)
         if best is None or key < best:
             best = key
-    return best[3] if best else None
-
-
-def osa_triangle_violations(samples: list[str]) -> list[tuple[str, str, str]]:
-    """Count triangle-inequality violations of the alignment distance.
-
-    The adjacent-transposition variant is not a true metric on adversarial
-    strings; violations are logged rather than repaired.
-    """
-    violations = []
-    for a in samples:
-        for b in samples:
-            for c in samples:
-                if damerau_levenshtein(a, c) > damerau_levenshtein(a, b) + damerau_levenshtein(b, c):
-                    violations.append((a, b, c))
-    if violations:
-        logger.warning("alignment distance triangle violations: %d", len(violations))
-    return violations
+    return best[2] if best else None

@@ -37,14 +37,9 @@ class ReasoningChain:
         return self.e_sib is not None and self.b_prime is not None
 
 
-@dataclass(frozen=True)
-class MiningLimits:
-    per_source_cap: int | None = None
-    max_chains: int | None = None
-
-
-def mine_chains(graph: KnowledgeGraph, limits: MiningLimits = MiningLimits()) -> list[ReasoningChain]:
-    """Enumerate deduplicated directed 2-hop paths with their edge evidence."""
+def mine_chains(graph: KnowledgeGraph, per_source_cap: int | None = None) -> list[ReasoningChain]:
+    """Enumerate deduplicated directed 2-hop paths with their edge evidence,
+    at most ``per_source_cap`` per source (None: no cap)."""
     chains: list[ReasoningChain] = []
     seen: set[tuple[str, str, str]] = set()
     for a in graph.present_ids():
@@ -59,7 +54,7 @@ def mine_chains(graph: KnowledgeGraph, limits: MiningLimits = MiningLimits()) ->
                 if signature in seen:
                     continue
                 seen.add(signature)
-                if limits.per_source_cap is not None and per_source >= limits.per_source_cap:
+                if per_source_cap is not None and per_source >= per_source_cap:
                     continue
                 chains.append(
                     ReasoningChain(
@@ -73,8 +68,6 @@ def mine_chains(graph: KnowledgeGraph, limits: MiningLimits = MiningLimits()) ->
                     )
                 )
                 per_source += 1
-                if limits.max_chains is not None and len(chains) >= limits.max_chains:
-                    return chains
     return chains
 
 

@@ -9,6 +9,7 @@ run, 4 provider failure."""
 from __future__ import annotations
 
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -74,17 +75,31 @@ def report(ctx, model: str):
     _run(ctx, pipeline.run_report, model)
 
 
-@main.command(name="shatter-sweep", help=pipeline.STAGES["shatter-sweep"].help)
-@click.option("--k", "k_spec", default="10,50,100,inf", show_default=True, help="Comma-separated thresholds.")
-@click.pass_context
-def shatter_sweep(ctx, k_spec: str):
-    def parse_k(token: str) -> float | None:
+def _parse_ks(_ctx, _param, spec: str) -> list[float | None]:
+    """Comma-separated thresholds; "inf", "none" or an empty token is None
+    (no threshold). A token that is not a number is a usage error."""
+    ks: list[float | None] = []
+    for token in spec.split(","):
         token = token.strip().lower()
         if token in ("inf", "none", ""):
-            return None
-        return float(token)
+            ks.append(None)
+            continue
+        try:
+            k = float(token)
+            if math.isnan(k):
+                raise ValueError(token)
+        except ValueError:
+            raise click.BadParameter(f"{token!r} is not a number") from None
+        ks.append(k)
+    return ks
 
-    ks = [parse_k(token) for token in k_spec.split(",")]
+
+@main.command(name="shatter-sweep", help=pipeline.STAGES["shatter-sweep"].help)
+@click.option(
+    "--k", "ks", default="10,50,100,inf", show_default=True, callback=_parse_ks, help="Comma-separated thresholds."
+)
+@click.pass_context
+def shatter_sweep(ctx, ks: list[float | None]):
     _run(ctx, pipeline.run_shatter_sweep, ks)
 
 

@@ -76,8 +76,9 @@ def clean_text(raw: str) -> str:
     return text.strip()
 
 
-def load_document(path: str | Path, doc_id: str | None = None, language: str = "EN") -> Document:
-    """Read a UTF-8 text file into pages (form feed or marker line breaks)."""
+def load_document(path: str | Path, language: str = "EN") -> Document:
+    """Read a UTF-8 text file into pages (form feed or marker line breaks);
+    the file's stem is the document id."""
     path = Path(path)
     raw = path.read_text(encoding="utf-8")
     parts = PAGE_BREAK.split(raw)
@@ -87,7 +88,7 @@ def load_document(path: str | Path, doc_id: str | None = None, language: str = "
         if clean_text(part)
     ) or (Page(page_number=1, text=""),)
     return Document(
-        doc_id=doc_id or path.stem,
+        doc_id=path.stem,
         language=language,
         pages=pages,
         source_path=str(path),

@@ -1,6 +1,5 @@
 """Exception hierarchy and process exit codes shared across the pipeline."""
 
-EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DEPENDENCY = 3
 EXIT_PROVIDER = 4
@@ -84,10 +83,6 @@ class ItemDiscardedError(HopbenchError):
 
 class AdjudicationError(HopbenchError):
     """Every ensemble member failed to return parseable adjudication JSON."""
-
-
-class UndefinedRateError(HopbenchError):
-    """A rate with an empty denominator (e.g. zero errors); reported as an em dash."""
 
 
 class SnapshotError(HopbenchError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import prompts
-from .errors import ProviderError, UndefinedRateError, ValidationError
+from .errors import ProviderError, ValidationError
 from .providers import ChatRequest, ChatService, MockChatTransport
 from .rag import RagContext
 from .seeding import derive_seed
@@ -126,49 +126,6 @@ def evaluate_dataset(
     return outcomes
 
 
-def _items_by_id(items: Sequence[QAItem]) -> dict[str, QAItem]:
-    return {item.qa_id: item for item in items}
-
-
-def compute_hne(outcomes: Sequence[EvalOutcome], items: Sequence[QAItem]) -> tuple[float, int]:
-    """(hard-negative error rate, error count) over zero-shot outcomes.
-
-    Unparseable outcomes count as errors but never as hard-negative picks."""
-    modes = {o.mode for o in outcomes}
-    if modes - {"zero_shot"}:
-        raise ValidationError("compute_hne expects zero-shot outcomes only")
-    by_id = _items_by_id(items)
-    wrong = [o for o in outcomes if not o.correct]
-    if not wrong:
-        raise UndefinedRateError("no zero-shot errors: hard-negative rate undefined")
-    picks = 0
-    for outcome in wrong:
-        item = by_id.get(outcome.qa_id)
-        if item is None:
-            raise ValidationError(f"outcome references unknown item {outcome.qa_id}")
-        if outcome.parsed_choice is not None and outcome.parsed_choice == item.hard_negative_index:
-            picks += 1
-    return picks / len(wrong), len(wrong)
-
-
-def compute_r3(
-    zero_outcomes: Sequence[EvalOutcome], rag_outcomes: Sequence[EvalOutcome]
-) -> tuple[float, int]:
-    """(recovery rate, recovered count): zero-shot failures fixed under RAG."""
-    zero_ids = {o.qa_id for o in zero_outcomes}
-    rag_ids = {o.qa_id for o in rag_outcomes}
-    if zero_ids != rag_ids:
-        raise ValidationError(
-            f"zero-shot and rag outcome sets differ ({len(zero_ids ^ rag_ids)} mismatched ids)"
-        )
-    rag_correct = {o.qa_id for o in rag_outcomes if o.correct}
-    failures = [o.qa_id for o in zero_outcomes if not o.correct]
-    if not failures:
-        raise UndefinedRateError("no zero-shot errors: recovery rate undefined")
-    recovered = sum(1 for qa_id in failures if qa_id in rag_correct)
-    return recovered / len(failures), recovered
-
-
 @dataclass
 class SplitMetrics:
     total: int = 0
@@ -257,11 +214,15 @@ def behavioral_report(
     items: Sequence[QAItem],
     rag_outcomes: Sequence[EvalOutcome] | None = None,
 ) -> BehavioralReport:
-    """Aggregate accuracies and behavioral rates overall and per split."""
-    by_id = _items_by_id(items)
-    for outcome in zero_outcomes:
-        if outcome.qa_id not in by_id:
-            raise ValidationError(f"outcome references unknown item {outcome.qa_id}")
+    """Aggregate accuracies and behavioral rates overall and per split.
+
+    The zero-shot outcomes, and the RAG outcomes when given, must each answer
+    every dataset item exactly once: a report over an interrupted or foreign
+    evaluation would misstate both rates."""
+    by_id = {item.qa_id: item for item in items}
+    _check_coverage("zero_shot", zero_outcomes, by_id)
+    if rag_outcomes is not None:
+        _check_coverage("rag", rag_outcomes, by_id)
 
     splits: dict[str, SplitMetrics] = {}
     overall = SplitMetrics()
@@ -297,6 +258,21 @@ def behavioral_report(
         accuracy_by_split={key: s.accuracy for key, s in splits.items()},
         splits=splits,
     )
+
+
+def _check_coverage(mode: str, outcomes: Sequence[EvalOutcome], by_id: dict[str, QAItem]) -> None:
+    """Raise, with the counts, unless ``outcomes`` are of ``mode`` and answer
+    every item of ``by_id`` exactly once."""
+    answered = {o.qa_id for o in outcomes}
+    missing = len(by_id.keys() - answered)
+    unknown = len(answered - by_id.keys())
+    repeated = len(outcomes) - len(answered)
+    other_mode = sum(o.mode != mode for o in outcomes)
+    if missing or unknown or repeated or other_mode:
+        raise ValidationError(
+            f"{mode} outcomes do not cover the dataset: {len(outcomes)} outcomes for {len(by_id)} items "
+            f"({missing} items unanswered, {unknown} unknown ids, {repeated} repeated, {other_mode} of another mode)"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -66,16 +66,16 @@ def parse_json_array(text: str) -> list | None:
 
 
 def extract_triplets(
-    node_id: str,
+    report: NodeExtraction,
     source_chunks: list[Chunk],
     chat: ChatService,
     sentence_store: SentenceStore,
     model_name: str = "default",
     seed: int = 0,
-    report: NodeExtraction | None = None,
 ) -> list[RawTriplet]:
-    """Extract evidence-validated triplets for one tree node."""
-    report = report if report is not None else NodeExtraction(node_id=node_id)
+    """Extract evidence-validated triplets for the tree node ``report`` is
+    for, recording accepted and rejected rows in it."""
+    node_id = report.node_id
     lines = tagged_sentence_lines(source_chunks, sentence_store)
     if not lines:
         return []
@@ -171,10 +171,7 @@ def extract_tree(
         member_chunks = [chunk_by_id[cid] for cid in tree.leaf_ids(node_id) if cid in chunk_by_id]
         report = NodeExtraction(node_id=node_id)
         try:
-            accepted = extract_triplets(
-                node_id, member_chunks, chat, sentence_store,
-                model_name=model_name, seed=seed, report=report,
-            )
+            accepted = extract_triplets(report, member_chunks, chat, sentence_store, model_name, seed)
         except ExtractionError as exc:
             logger.warning("extraction failed for node %s: %s", node_id, exc)
             failed.append(node_id)

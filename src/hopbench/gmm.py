@@ -62,10 +62,7 @@ def bic_score(log_likelihood: float, k: int, n: int) -> float:
 
 
 def _as_matrix(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        matrix = np.asarray(points, dtype=np.float64)
-    else:
-        matrix = np.stack([p.as_array() for p in points])
+    matrix = np.asarray(points, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValidationError("points must form an (N, d) matrix")
     if not np.all(np.isfinite(matrix)):
@@ -125,23 +122,17 @@ def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return means
 
 
-def _regularize(covariances: np.ndarray, covariance_type: str, reg: float) -> np.ndarray:
+def _regularize(covariances: np.ndarray, covariance_type: str) -> np.ndarray:
     if covariance_type == "full":
         d = covariances.shape[-1]
-        return covariances + reg * np.eye(d)
-    return covariances + reg
+        return covariances + COVARIANCE_REGULARIZATION * np.eye(d)
+    return covariances + COVARIANCE_REGULARIZATION
 
 
-def fit_gmm_em(
-    points,
-    K: int,
-    seed: int,
-    max_iterations: int = MAX_ITERATIONS,
-    tol: float = CONVERGENCE_TOL,
-    reg: float = COVARIANCE_REGULARIZATION,
-    covariance_type: str | None = None,
-) -> tuple[GaussianMixture, SoftAssignment]:
+def fit_gmm_em(points, K: int, seed: int) -> tuple[GaussianMixture, SoftAssignment]:
     """Fit a K-component mixture; returns the model and its responsibilities.
+    Covariances are full up to ``FULL_COVARIANCE_MAX_DIM`` dimensions and
+    diagonal above.
 
     The per-iteration log-likelihood trace is non-decreasing. The only
     exception is the dead-component rescue (a component whose responsibility
@@ -154,26 +145,25 @@ def fit_gmm_em(
     n, d = x.shape
     if n < K:
         raise ValidationError(f"need at least K={K} points, got {n}")
-    if covariance_type is None:
-        covariance_type = "full" if d <= FULL_COVARIANCE_MAX_DIM else "diag"
+    covariance_type = "full" if d <= FULL_COVARIANCE_MAX_DIM else "diag"
 
     rng = np.random.default_rng(seed)
     means = _kmeanspp_means(x, K, rng)
     weights = np.full(K, 1.0 / K)
     base_cov = np.cov(x.T).reshape(d, d) if d > 1 else np.var(x, axis=0).reshape(1, 1)
     if covariance_type == "full":
-        covariances = _regularize(np.repeat(base_cov[None, :, :], K, axis=0), "full", reg)
+        covariances = _regularize(np.repeat(base_cov[None, :, :], K, axis=0), "full")
     else:
-        covariances = _regularize(np.repeat(np.diag(base_cov)[None, :], K, axis=0), "diag", reg)
+        covariances = _regularize(np.repeat(np.diag(base_cov)[None, :], K, axis=0), "diag")
 
     trace: list[float] = []
     converged = False
     rescues_left = 3  # bounded so a hopeless component cannot thrash forever
     gamma = np.full((n, K), 1.0 / K)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         gamma, log_likelihood = _e_step(x, weights, means, covariances, covariance_type)
         trace.append(log_likelihood)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < CONVERGENCE_TOL:
             converged = True
             break
 
@@ -188,9 +178,9 @@ def fit_gmm_em(
             for j in dead:
                 means[j] = x[worst]
                 if covariance_type == "full":
-                    covariances[j] = _regularize(base_cov.copy(), "full", reg)
+                    covariances[j] = _regularize(base_cov.copy(), "full")
                 else:
-                    covariances[j] = _regularize(np.diag(base_cov).copy(), "diag", reg)
+                    covariances[j] = _regularize(np.diag(base_cov).copy(), "diag")
                 weights[j] = 1.0 / n
             weights = weights / weights.sum()
             logger.debug("rescued %d dead component(s); restarting trace", dead.size)
@@ -206,13 +196,13 @@ def fit_gmm_em(
             for j in range(K):
                 diff = x - means[j]
                 covariances[j] = (gamma[:, j : j + 1] * diff).T @ diff / mass[j]
-            covariances = _regularize(covariances, "full", reg)
+            covariances = _regularize(covariances, "full")
         else:
             covariances = np.empty((K, d))
             for j in range(K):
                 diff = x - means[j]
                 covariances[j] = np.sum(gamma[:, j : j + 1] * diff * diff, axis=0) / mass[j]
-            covariances = _regularize(covariances, "diag", reg)
+            covariances = _regularize(covariances, "diag")
 
     if not trace:
         gamma, log_likelihood = _e_step(x, weights, means, covariances, covariance_type)
@@ -245,13 +235,7 @@ def soft_assign(model: GaussianMixture, points) -> SoftAssignment:
     return SoftAssignment(gamma=gamma)
 
 
-def search_cluster_count(
-    points,
-    K_max: int = 50,
-    seed: int = 0,
-    n_restarts: int = 4,
-    covariance_type: str | None = None,
-) -> ClusterSearch:
+def search_cluster_count(points, K_max: int = 50, seed: int = 0, n_restarts: int = 4) -> ClusterSearch:
     """Fit K = 1..K_max (best of ``n_restarts`` each) and minimize the
     penalized objective; ties break toward smaller K."""
     if K_max < 1:
@@ -265,9 +249,7 @@ def search_cluster_count(
     for k in range(1, min(K_max, n) + 1):
         best_model: GaussianMixture | None = None
         for restart in range(max(1, n_restarts)):
-            model, _ = fit_gmm_em(
-                x, k, seed=derive_seed(seed, f"k{k}", f"r{restart}"), covariance_type=covariance_type
-            )
+            model, _ = fit_gmm_em(x, k, seed=derive_seed(seed, f"k{k}", f"r{restart}"))
             if best_model is None or model.log_likelihood > best_model.log_likelihood:
                 best_model = model
         assert best_model is not None
@@ -278,8 +260,3 @@ def search_cluster_count(
             search.best = best_model
     return search
 
-
-def select_cluster_count(points, K_max: int = 50, seed: int = 0, n_restarts: int = 4):
-    """Spec-shaped wrapper over ``search_cluster_count``: (K*, best model)."""
-    search = search_cluster_count(points, K_max=K_max, seed=seed, n_restarts=n_restarts)
-    return search.k_star, search.best

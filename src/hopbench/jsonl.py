@@ -16,25 +16,27 @@ from .errors import MigrationError, SnapshotError
 
 logger = logging.getLogger(__name__)
 
+SCHEMA_VERSION = 1  # of every artifact's header; a reader refuses any other
+
 
 def _dumps(record: dict) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def snapshot(records: Iterable[dict], path: str | Path, schema: str, version: int = 1) -> Path:
+def snapshot(records: Iterable[dict], path: str | Path, schema: str) -> Path:
     """Write records under a schema header; an empty list gives a header-only file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(_dumps({"schema": schema, "version": version}) + "\n")
+        handle.write(_dumps({"schema": schema, "version": SCHEMA_VERSION}) + "\n")
         for record in records:
             handle.write(_dumps(record) + "\n")
     os.replace(tmp, path)
     return path
 
 
-def load(path: str | Path, schema: str, version: int = 1) -> list[dict]:
+def load(path: str | Path, schema: str) -> list[dict]:
     """Read records back, enforcing the schema header; malformed lines raise
     with their line number."""
     path = Path(path)
@@ -60,9 +62,9 @@ def load(path: str | Path, schema: str, version: int = 1) -> list[dict]:
                     raise MigrationError(
                         f"{path}: schema {record['schema']!r} where {schema!r} expected"
                     )
-                if record.get("version") != version:
+                if record.get("version") != SCHEMA_VERSION:
                     raise MigrationError(
-                        f"{path}: schema version {record.get('version')} (reader supports {version})"
+                        f"{path}: schema version {record.get('version')} (reader supports {SCHEMA_VERSION})"
                     )
                 continue
             records.append(record)
@@ -77,16 +79,14 @@ class IncrementalWriter:
     last line has no newline (a write cut short) truncates that incomplete
     record, as a write-ahead log does on recovery."""
 
-    def __init__(self, path: str | Path, schema: str, version: int = 1):
+    def __init__(self, path: str | Path, schema: str):
         self.path = Path(path)
-        self.schema = schema
-        self.version = version
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.exists():
             _drop_torn_tail(self.path)
         if not self.path.exists() or self.path.stat().st_size == 0:
             with self.path.open("w", encoding="utf-8") as handle:
-                handle.write(_dumps({"schema": schema, "version": version}) + "\n")
+                handle.write(_dumps({"schema": schema, "version": SCHEMA_VERSION}) + "\n")
 
     def append(self, record: dict) -> None:
         with self.path.open("a", encoding="utf-8") as handle:

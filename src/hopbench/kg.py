@@ -264,7 +264,6 @@ class RawTriplet:
 
 @dataclass
 class AssemblyReport:
-    accepted_edges: int = 0
     merged_aliases: int = 0
     dropped_self_loops: int = 0
 
@@ -286,15 +285,8 @@ def assemble_graph(
         entity_id = graph.resolve_surface(surface)
         if entity_id is not None:
             return entity_id
-        frequencies = {e.entity_id: e.frequency for e in graph.entities.values()}
         names = {e.entity_id: e.canonical_name for e in graph.entities.values()}
-        merged = fuzzy_merge(
-            surface,
-            graph.surface_vocabulary(),
-            theta_schedule,
-            frequencies=frequencies,
-            canonical_names=names,
-        )
+        merged = fuzzy_merge(surface, graph.surface_vocabulary(), theta_schedule, canonical_names=names)
         if merged is not None:
             graph.add_alias(merged, surface)
             report.merged_aliases += 1
@@ -318,7 +310,6 @@ def assemble_graph(
                 source_node_id=raw.source_node_id,
             )
         )
-        report.accepted_edges += 1
 
     apply_frequencies(graph, counting_unit)
     return graph, report

@@ -98,7 +98,6 @@ class RunManifest:
         outputs: dict[str, Path],
         started_at: float,
         stats: dict | None = None,
-        status: str = "ok",
     ) -> StageRecord:
         record = StageRecord(
             stage=stage,
@@ -107,7 +106,6 @@ class RunManifest:
             outputs={name: file_digest(path) for name, path in sorted(outputs.items())},
             started_at=started_at,
             finished_at=time.time(),
-            status=status,
             stats=stats or {},
         )
         self.stages.append(record)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable
 
 from .adjudicate import adjudicate_quality
-from .chains import MiningLimits, ReasoningChain, mine_chains, sample_hard_negative
+from .chains import ReasoningChain, mine_chains, sample_hard_negative
 from .codec import from_record, to_record
 from .config import PipelineConfig
 from .corpus import (
@@ -575,8 +575,7 @@ def run_mine(run_dir: str | Path, config: PipelineConfig, force: bool = False) -
     def compute(inputs, outputs):
         annotated, _unit = graph_from_records(load(inputs["graph.jsonl"], "graph"))
         view = shattered_from_flags(annotated)
-        limits = MiningLimits(per_source_cap=config.per_source_cap)
-        mined = mine_chains(view, limits)
+        mined = mine_chains(view, config.per_source_cap)
         completed: list[ReasoningChain] = []
         no_sibling = 0
         for chain in mined:

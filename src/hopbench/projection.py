@@ -1,14 +1,10 @@
-"""Deterministic dimensionality reduction behind a pluggable projector.
+"""Deterministic dimensionality reduction.
 
-The default projector is PCA computed by seeded orthogonal (power) iteration,
-so identical inputs and seed give identical projections on any platform. The
-projector_id travels with every projected point so an alternative projector
-(e.g. a manifold learner) can be slotted in and audited downstream.
+PCA computed by seeded orthogonal (power) iteration, so identical inputs and
+seed give identical projections on any platform.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -16,79 +12,40 @@ from scipy import stats
 from .errors import ValidationError
 from .providers import EmbeddingVector
 
-
-@dataclass(frozen=True)
-class ProjectedPoint:
-    chunk_id: str
-    z: tuple[float, ...]
-    projector_id: str
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.z, dtype=np.float64)
+POWER_ITERATIONS = 100
+MAX_PAIRS = 2000
 
 
-class PcaPowerProjector:
-    """PCA via orthogonal iteration with a seeded start and fixed sign rule."""
-
-    def __init__(self, target_dim: int, seed: int = 0, iterations: int = 100):
-        if target_dim < 1:
-            raise ValidationError("target_dim must be >= 1")
-        self.target_dim = target_dim
-        self.seed = seed
-        self.iterations = iterations
-        self.projector_id = f"pca-power:d{target_dim}:s{seed}"
-
-    def project(self, matrix: np.ndarray) -> np.ndarray:
-        n, d = matrix.shape
-        if n < 2:
-            raise ValidationError("projection needs at least 2 vectors")
-        if self.target_dim >= d:
-            raise ValidationError(f"target_dim {self.target_dim} must be < source dimension {d}")
-        centered = matrix - matrix.mean(axis=0)
-        rng = np.random.default_rng(self.seed)
-        basis = np.linalg.qr(rng.standard_normal((d, self.target_dim)))[0]
-        for _ in range(self.iterations):
-            # Covariance product without materializing the d x d matrix.
-            basis = np.linalg.qr(centered.T @ (centered @ basis))[0]
-        # Sign rule: largest-magnitude loading of each component is positive.
-        for j in range(basis.shape[1]):
-            pivot = int(np.argmax(np.abs(basis[:, j])))
-            if basis[pivot, j] < 0:
-                basis[:, j] = -basis[:, j]
-        return centered @ basis
-
-
-def reduce_dimensions(
-    vectors: list[EmbeddingVector],
-    target_dim: int,
-    ids: list[str] | None = None,
-    seed: int = 0,
-) -> list[ProjectedPoint]:
-    """Project embedding vectors to ``target_dim`` with the default projector."""
+def reduce_dimensions(vectors: list[EmbeddingVector], target_dim: int, seed: int = 0) -> np.ndarray:
+    """Project embedding vectors to ``target_dim`` by PCA via orthogonal
+    iteration with a seeded start and a fixed sign rule: (N, target_dim)."""
     if len(vectors) < 2:
         raise ValidationError("reduce_dimensions needs at least 2 vectors")
-    if ids is not None and len(ids) != len(vectors):
-        raise ValidationError("ids and vectors must align")
+    if target_dim < 1:
+        raise ValidationError("target_dim must be >= 1")
     matrix = np.stack([v.as_array() for v in vectors])
-    projector = PcaPowerProjector(target_dim, seed=seed)
-    projected = projector.project(matrix)
-    point_ids = ids if ids is not None else [v.source_text_hash for v in vectors]
-    return [
-        ProjectedPoint(chunk_id=pid, z=tuple(float(x) for x in row), projector_id=projector.projector_id)
-        for pid, row in zip(point_ids, projected)
-    ]
+    d = matrix.shape[1]
+    if target_dim >= d:
+        raise ValidationError(f"target_dim {target_dim} must be < source dimension {d}")
+    centered = matrix - matrix.mean(axis=0)
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((d, target_dim)))[0]
+    for _ in range(POWER_ITERATIONS):
+        # Covariance product without materializing the d x d matrix.
+        basis = np.linalg.qr(centered.T @ (centered @ basis))[0]
+    # Sign rule: largest-magnitude loading of each component is positive.
+    for j in range(basis.shape[1]):
+        pivot = int(np.argmax(np.abs(basis[:, j])))
+        if basis[pivot, j] < 0:
+            basis[:, j] = -basis[:, j]
+    return centered @ basis
 
 
-def distance_rank_correlation(
-    vectors: list[EmbeddingVector],
-    points: list[ProjectedPoint],
-    max_pairs: int = 2000,
-    seed: int = 0,
-) -> float:
+def distance_rank_correlation(vectors: list[EmbeddingVector], points: np.ndarray, seed: int = 0) -> float:
     """Spearman correlation of pairwise distances before vs. after projection.
 
     Reported as a projection-quality diagnostic; pairs are subsampled with a
-    seeded RNG when the full pair set is large.
+    seeded RNG when there are more than ``MAX_PAIRS``.
     """
     if len(vectors) != len(points):
         raise ValidationError("vectors and points must align")
@@ -96,11 +53,11 @@ def distance_rank_correlation(
     if n < 3:
         return 1.0
     source = np.stack([v.as_array() for v in vectors])
-    target = np.stack([p.as_array() for p in points])
+    target = np.asarray(points, dtype=np.float64)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if len(pairs) > max_pairs:
+    if len(pairs) > MAX_PAIRS:
         rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(pairs), size=max_pairs, replace=False)
+        chosen = rng.choice(len(pairs), size=MAX_PAIRS, replace=False)
         pairs = [pairs[int(c)] for c in chosen]
     d_source = [float(np.linalg.norm(source[i] - source[j])) for i, j in pairs]
     d_target = [float(np.linalg.norm(target[i] - target[j])) for i, j in pairs]

@@ -545,16 +545,14 @@ class ChatService:
         self.transport = transport
         self.cache = cache
 
-    def complete(self, request: ChatRequest, cache_policy: str = "use") -> str:
-        if cache_policy not in ("use", "bypass"):
-            raise ValidationError(f"unknown cache policy: {cache_policy!r}")
+    def complete(self, request: ChatRequest) -> str:
         request_hash = chat_request_hash(request)
-        if cache_policy == "use" and self.cache is not None:
+        if self.cache is not None:
             entry = self.cache.get(request_hash)
             if entry is not None:
                 return entry.response_payload.decode("utf-8")
         response = self.transport.complete(request)
-        if cache_policy == "use" and self.cache is not None:
+        if self.cache is not None:
             self.cache.put(request_hash, response.encode("utf-8"), self.transport.provider_id)
         return response
 

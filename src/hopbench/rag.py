@@ -14,8 +14,8 @@ reads them back with ``RagContext.from_record``."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -50,12 +50,9 @@ class RagContext:
     chunk_ids: list[str]
     documents: list[str]
     golden_position: int
-    retrieval_config: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
-        """The stored form: chunk ids in prompt order, not their texts. The
-        retrieval config is left out; the stage that stores contexts is keyed
-        on the run config that holds it."""
+        """The stored form: chunk ids in prompt order, not their texts."""
         return {
             "qa_id": self.qa_id,
             "chunk_ids": self.chunk_ids,
@@ -77,16 +74,8 @@ class RagContext:
         )
 
 
-class Reranker(Protocol):
-    provider_id: str
-
-    def scores(self, query: str, passages: Sequence[str]) -> list[float]: ...
-
-
 class TokenOverlapReranker:
     """Offline reranker: scores passages by query-token overlap."""
-
-    provider_id = "rerank:token-overlap"
 
     def scores(self, query: str, passages: Sequence[str]) -> list[float]:
         query_tokens = set(tokenize(query))
@@ -140,7 +129,7 @@ def build_rag_context(
     embedder: EmbeddingService,
     config: RetrievalConfig = RetrievalConfig(),
     seed: int = 0,
-    reranker: Reranker | None = None,
+    reranker: TokenOverlapReranker | None = None,
 ) -> RagContext:
     """Assemble the k-document context with the golden paragraph embedded.
 
@@ -184,10 +173,4 @@ def build_rag_context(
         chunk_ids=[c.chunk_id for c in passages],
         documents=[c.text for c in passages],
         golden_position=golden_position,
-        retrieval_config={
-            "coarse_pool_size": config.coarse_pool_size,
-            "rerank_keep": config.rerank_keep,
-            "context_size": k,
-            "reranker": getattr(reranker, "provider_id", None),
-        },
     )

@@ -265,14 +265,13 @@ def synthesize_dataset(
     difficulty: str = "hard",
     model_name: str = "default",
     temperature: float = 0.7,
-    qa_prefix: str = "qa",
 ) -> tuple[list[QAItem], list[Discard]]:
     """Synthesize items for every completed chain; discards carry reasons."""
     items: list[QAItem] = []
     discards: list[Discard] = []
     far_by_source: dict[str, list[str]] = {}  # chains share sources; the graph is fixed here
     for index, chain in enumerate(chains):
-        qa_id = f"{qa_prefix}{index:05d}"
+        qa_id = f"qa{index:05d}"
         try:
             items.append(
                 synthesize_item(

@@ -9,7 +9,6 @@ stops at a single root, at two nodes, or at ``max_levels``.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .projection import distance_rank_correlation, reduce_dimensions
 from .providers import ChatRequest, ChatService, EmbeddingService, EmbeddingVector
 from .seeding import derive_seed
 
-logger = logging.getLogger(__name__)
+MAX_MEMBER_CHARS = 2000  # of each member text in a summary prompt
 
 
 @dataclass
@@ -43,11 +42,6 @@ class SummaryTree:
         if node.node_id in self.nodes:
             raise ValidationError(f"duplicate tree node {node.node_id}")
         self.nodes[node.node_id] = node
-
-    def by_level(self, level: int) -> list[SummaryTreeNode]:
-        return sorted(
-            (n for n in self.nodes.values() if n.level == level), key=lambda n: n.node_id
-        )
 
     def max_level(self) -> int:
         return max(n.level for n in self.nodes.values())
@@ -102,8 +96,6 @@ class TreeBuildConfig:
     membership_floor: float = 0.10
     max_levels: int = 4
     chat_model: str = "default"
-    summary_temperature: float = 0.0
-    max_member_chars: int = 2000
 
 
 def build_summary_tree(
@@ -133,9 +125,8 @@ def build_summary_tree(
         target_dim = min(config.target_dim, source_dim - 1, len(current) - 1)
         level_seed = derive_seed(seed, f"tree-level{level}")
         if target_dim >= 1:
-            points = reduce_dimensions(vectors, target_dim, ids=ids, seed=level_seed)
-            rank_corr = distance_rank_correlation(vectors, points, seed=level_seed)
-            matrix = np.stack([p.as_array() for p in points])
+            matrix = reduce_dimensions(vectors, target_dim, seed=level_seed)
+            rank_corr = distance_rank_correlation(vectors, matrix, seed=level_seed)
         else:
             matrix = np.stack([v.as_array() for v in vectors])
             rank_corr = 1.0
@@ -172,11 +163,11 @@ def build_summary_tree(
             if not members:
                 continue
             node_id = f"n{level}-{k:03d}"
-            member_texts = [texts[m][: config.max_member_chars] for m in sorted(members)]
+            member_texts = [texts[m][:MAX_MEMBER_CHARS] for m in sorted(members)]
             prompt = prompts.render_summary_prompt(member_texts)
             request = ChatRequest.user(
                 prompt,
-                temperature=config.summary_temperature,
+                temperature=0.0,
                 model_name=config.chat_model,
                 seed=derive_seed(seed, f"summary-{node_id}"),
             )

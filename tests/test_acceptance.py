@@ -26,8 +26,8 @@ from hopbench.align import damerau_levenshtein
 from hopbench.chains import mine_chains, sample_hard_negative
 from hopbench.corpus import Chunk, Sentence, SentenceStore
 from hopbench.errors import ItemDiscardedError, NoHardNegativeError
-from hopbench.evaluation import UniformWrongEvalTransport, compute_hne, compute_r3, evaluate_dataset
-from hopbench.gmm import fit_gmm_em, select_cluster_count
+from hopbench.evaluation import EvalOutcome, UniformWrongEvalTransport, behavioral_report, evaluate_dataset
+from hopbench.gmm import fit_gmm_em, search_cluster_count
 from hopbench.kg import KnowledgeGraph, shatter
 from hopbench.providers import ChatService, EmbeddingService, EmbeddingVector, MockChatTransport, MockEmbeddingTransport
 from hopbench.rag import CorpusIndex, RetrievalConfig, build_rag_context
@@ -158,8 +158,7 @@ def test_acceptance_05_bic_recovery():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         x = np.vstack([rng.normal(0.0, 5e-4, size=(200, 2)) + c for c in centers])
-        k_star, _ = select_cluster_count(x, K_max=6, seed=seed, n_restarts=2)
-        successes += k_star == 3
+        successes += search_cluster_count(x, K_max=6, seed=seed, n_restarts=2).k_star == 3
     elapsed = time.time() - started
     assert successes >= 95, f"only {successes}/100 seeds recovered K*=3"
     assert elapsed < 60.0, f"BIC recovery took {elapsed:.1f}s"
@@ -301,11 +300,9 @@ def test_acceptance_08_hard_negative_topology(thousand_items):
 
 
 def test_acceptance_09_metric_arithmetic_vs_published_rows():
-    def hne_of(errors: int, picks: int) -> float:
-        items = []
-        outcomes = []
-        for i in range(errors):
-            item = QAItem(
+    def items_of(n: int) -> list[QAItem]:
+        return [
+            QAItem(
                 qa_id=f"qa{i}",
                 language="EN",
                 difficulty="hard",
@@ -319,40 +316,31 @@ def test_acceptance_09_metric_arithmetic_vs_published_rows():
                 evidence_anchors=[],
                 chain_ref="k",
             )
-            items.append(item)
-            chosen = 1 if i < picks else 2
-            outcomes.append(
-                type(
-                    "O",
-                    (),
-                    {
-                        "model_id": "m",
-                        "qa_id": item.qa_id,
-                        "mode": "zero_shot",
-                        "raw_response": "",
-                        "parsed_choice": chosen,
-                        "correct": False,
-                    },
-                )()
-            )
-        rate, count = compute_hne(outcomes, items)
-        assert count == errors
-        return rate
+            for i in range(n)
+        ]
+
+    def hne_of(errors: int, picks: int) -> float:
+        items = items_of(errors)
+        outcomes = [
+            EvalOutcome("m", item.qa_id, "zero_shot", "", 1 if i < picks else 2, False)
+            for i, item in enumerate(items)
+        ]
+        report = behavioral_report("m", outcomes, items)
+        assert (report.total_errors, report.hne_picks) == (errors, picks)
+        return report.hne_rate
 
     assert hne_of(66, 35) == pytest.approx(0.5303, abs=0.005)
 
     def r3_of(errors: int, recovered: int, total: int = 2000) -> float:
-        from hopbench.evaluation import EvalOutcome
-
+        items = items_of(total)
         zero, rag = [], []
-        for i in range(total):
-            qa = f"qa{i}"
+        for i, item in enumerate(items):
             zero_correct = i >= errors
-            zero.append(EvalOutcome("m", qa, "zero_shot", "", 0, zero_correct))
-            rag.append(EvalOutcome("m", qa, "rag", "", 0, zero_correct or i < recovered))
-        rate, count = compute_r3(zero, rag)
-        assert count == recovered
-        return rate
+            zero.append(EvalOutcome("m", item.qa_id, "zero_shot", "", 0, zero_correct))
+            rag.append(EvalOutcome("m", item.qa_id, "rag", "", 0, zero_correct or i < recovered))
+        report = behavioral_report("m", zero, items, rag_outcomes=rag)
+        assert (report.total_errors, report.recovered_count) == (errors, recovered)
+        return report.r3_rate
 
     assert r3_of(56, 39) == pytest.approx(0.6964, abs=0.005)
     assert r3_of(685, 50) == pytest.approx(0.0730, abs=0.005)
@@ -384,7 +372,8 @@ def test_acceptance_10_hne_random_baseline():
         )
     chat = ChatService(UniformWrongEvalTransport(items, seed=3))
     outcomes = evaluate_dataset(items, chat, model_id="uniform", mode="zero_shot")
-    rate, errors = compute_hne(outcomes, items)
+    report = behavioral_report("uniform", outcomes, items)
+    rate, errors = report.hne_rate, report.total_errors
     assert errors >= 10000
     assert rate == pytest.approx(1 / 3, abs=0.03)
     report_pass(10, f"uniform-wrong baseline HNE {100 * rate:.2f}% over {errors} errors (33.3 ± 3)")

@@ -31,6 +31,10 @@ def scripted_member(payload: str) -> ChatService:
     return ChatService(MockChatTransport(scripted=[("adjudicator", payload)]))
 
 
+def names(ensemble: list[ChatService]) -> list[str]:
+    return [f"judge-{i}" for i in range(len(ensemble))]
+
+
 def verdict(task: str, clarity: int, validity: int = 5, difficulty: int = 3) -> str:
     return json.dumps(
         {
@@ -49,7 +53,7 @@ def test_scores_are_arithmetic_means_two_decimals():
         scripted_member(verdict("Clinical Diagnosis", 4)),
         scripted_member(verdict("Clinical Diagnosis", 5)),
     ]
-    result = adjudicate_quality(item(), ensemble)
+    result = adjudicate_quality(item(), ensemble, names(ensemble))
     assert result.clarity == 4.67  # mean of {5, 4, 5}
     assert result.validity == 5.0
     assert result.members_responded == 3
@@ -57,7 +61,7 @@ def test_scores_are_arithmetic_means_two_decimals():
 
 def test_prose_wrapped_json_accepted():
     wrapped = f"Sure, here you go: {verdict('Basic Medicine', 4)} hope that helps"
-    result = adjudicate_quality(item(), [scripted_member(wrapped)])
+    result = adjudicate_quality(item(), [scripted_member(wrapped)], ["judge"])
     assert result.clinical_task == "Basic Medicine"
     assert result.clarity == 4.0
 
@@ -68,36 +72,36 @@ def test_majority_vote_with_first_provider_tie_break():
         scripted_member(verdict("Basic Medicine", 4)),
         scripted_member(verdict("Basic Medicine", 4)),
     ]
-    assert adjudicate_quality(item(), ensemble).clinical_task == "Basic Medicine"
+    assert adjudicate_quality(item(), ensemble, names(ensemble)).clinical_task == "Basic Medicine"
 
     tied = [
         scripted_member(verdict("Clinical Treatment", 4)),
         scripted_member(verdict("Basic Medicine", 4)),
     ]
-    assert adjudicate_quality(item(), tied).clinical_task == "Clinical Treatment"
+    assert adjudicate_quality(item(), tied, names(tied)).clinical_task == "Clinical Treatment"
 
 
 def test_all_members_unparseable_is_adjudication_error():
     garbage = [scripted_member("not json"), scripted_member("also not json")]
     with pytest.raises(AdjudicationError):
-        adjudicate_quality(item(), garbage)
+        adjudicate_quality(item(), garbage, names(garbage))
 
 
 def test_failed_members_are_skipped_not_fatal():
     ensemble = [scripted_member("garbage"), scripted_member(verdict("Clinical Diagnosis", 5))]
-    result = adjudicate_quality(item(), ensemble)
+    result = adjudicate_quality(item(), ensemble, names(ensemble))
     assert result.members_responded == 1
     assert result.clarity == 5.0
 
 
 def test_empty_ensemble_rejected():
     with pytest.raises(ValidationError):
-        adjudicate_quality(item(), [])
+        adjudicate_quality(item(), [], [])
 
 
 def test_builtin_mock_judges_return_valid_schema():
     ensemble = [ChatService(MockChatTransport(seed=s)) for s in (1, 2, 3)]
-    result = adjudicate_quality(item(), ensemble)
+    result = adjudicate_quality(item(), ensemble, names(ensemble))
     assert 1 <= result.clarity <= 5
     assert 1 <= result.validity <= 5
     assert 1 <= result.difficulty <= 5

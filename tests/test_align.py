@@ -1,19 +1,11 @@
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopbench.align import (
-    DEFAULT_THETA,
-    ThetaSchedule,
-    align_maxmatch,
-    damerau_levenshtein,
-    fuzzy_merge,
-    osa_triangle_violations,
-)
+from hopbench.align import DEFAULT_THETA, ThetaSchedule, damerau_levenshtein, fuzzy_merge
 from hopbench.errors import ValidationError
 
 
@@ -77,45 +69,9 @@ def test_distance_symmetric_and_bounded(s1, s2):
 def test_osa_triangle_violations_are_detected_not_hidden():
     # The canonical counterexample: d(ca,abc)=3 under optimal string
     # alignment, but d(ca,ac)+d(ac,abc)=2. The variant stays (it matches the
-    # published edit set); violations are surfaced for logging.
+    # published edit set), so the distance is not a metric.
     assert damerau_levenshtein("ca", "abc") == 3
-    violations = osa_triangle_violations(["ca", "ac", "abc"])
-    assert ("ca", "ac", "abc") in violations
-
-
-# -- greedy longest-match scanning ---------------------------------------------
-
-
-def test_maxmatch_prefers_longest_phrase():
-    vocab = {"diabetes mellitus": "e1", "diabetes": "e2"}
-    matches = align_maxmatch("type 2 diabetes mellitus", vocab)
-    assert matches == [("diabetes mellitus", "e1", (7, 24))]
-
-
-def test_maxmatch_char_mode_greedy_left_to_right():
-    matches = align_maxmatch("abc", {"ab", "bc"}, mode="char")
-    assert [(m[0], m[1]) for m in matches] == [("ab", "ab")]
-
-
-def test_maxmatch_empty_vocabulary():
-    assert align_maxmatch("anything", {}) == []
-
-
-def test_maxmatch_matches_never_overlap():
-    vocab = {"a b": "e1", "b c": "e2", "c": "e3"}
-    matches = align_maxmatch("a b c", vocab)
-    spans = [m[2] for m in matches]
-    for (s1, e1), (s2, e2) in itertools.combinations(spans, 2):
-        assert e1 <= s2 or e2 <= s1
-
-
-def test_maxmatch_case_insensitive_and_positionally_accurate():
-    text = "Chronic Bronchitis worsens; chronic bronchitis persists."
-    matches = align_maxmatch(text, {"chronic bronchitis": "e9"})
-    assert len(matches) == 2
-    for surface, entity_id, (start, end) in matches:
-        assert text[start:end] == surface
-        assert entity_id == "e9"
+    assert damerau_levenshtein("ca", "ac") + damerau_levenshtein("ac", "abc") == 2
 
 
 # -- length-scaled fuzzy merge ---------------------------------------------------
@@ -147,17 +103,11 @@ def test_fuzzy_merge_exact_match():
     assert fuzzy_merge("diabetes", {"diabetes": "e1", "diabetic": "e2"}) == "e1"
 
 
-def test_fuzzy_merge_tie_breaks_by_frequency_then_name():
+def test_fuzzy_merge_tie_breaks_by_name_then_id():
     vocab = {"abcdef": "e1", "abcdeg": "e2"}
-    # candidate at distance 1 from both; higher frequency wins
-    assert fuzzy_merge("abcdex", vocab, frequencies={"e1": 1, "e2": 9}) == "e2"
-    # equal frequency: lexicographic canonical name
-    assert (
-        fuzzy_merge(
-            "abcdex",
-            vocab,
-            frequencies={"e1": 5, "e2": 5},
-            canonical_names={"e1": "zeta", "e2": "alpha"},
-        )
-        == "e2"
-    )
+    # candidate at distance 1 from both: lexicographic canonical name
+    assert fuzzy_merge("abcdex", vocab, canonical_names={"e1": "zeta", "e2": "alpha"}) == "e2"
+    # equal names: entity id
+    assert fuzzy_merge("abcdex", vocab, canonical_names={"e1": "same", "e2": "same"}) == "e1"
+    # a smaller distance wins over any name
+    assert fuzzy_merge("abcdeg", vocab, canonical_names={"e1": "alpha", "e2": "zeta"}) == "e2"

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import entity_id_by_name, make_graph, random_digraph
-from hopbench.chains import MiningLimits, mine_chains, sample_hard_negative
+from hopbench.chains import mine_chains, sample_hard_negative
 from hopbench.errors import NoHardNegativeError, ValidationError
 from hopbench.kg import shatter
 
@@ -66,7 +66,7 @@ def test_per_source_cap_respected():
     names = ["s", "m1", "m2", "m3", "t"]
     edges = [("s", "r", m) for m in ("m1", "m2", "m3")] + [(m, "r", "t") for m in ("m1", "m2", "m3")]
     graph = make_graph(names, edges)
-    capped = mine_chains(graph, MiningLimits(per_source_cap=2))
+    capped = mine_chains(graph, per_source_cap=2)
     sources = [c.a for c in capped]
     assert sources.count(entity_id_by_name(graph, "s")) == 2
 

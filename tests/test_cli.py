@@ -453,3 +453,66 @@ def test_forced_synthesis_rebuilds_the_run_contexts(toy_yaml, tmp_path):
 
     stored = jsonl_load(run_dir / "rag_contexts.jsonl", "rag_contexts")
     assert stored and all(len(r["chunk_ids"]) == 4 for r in stored)
+
+
+# -- reports over outcomes that do not cover the dataset -------------------------
+
+
+@pytest.fixture(scope="module")
+def zero_shot_toy_run(tmp_path_factory):
+    """A synthesized toy run with mock:uniform evaluated zero-shot."""
+    root = tmp_path_factory.mktemp("zero-shot")
+    config_path = root / "toy.yaml"
+    dump_config(toy_config(seed=7), config_path)
+    run_dir = root / "run"
+    config = load_config(config_path)
+    synthesized_toy_run(run_dir, config)
+    pipeline.run_evaluate(run_dir, config, "mock:uniform", "zero_shot")
+    return config_path, run_dir
+
+
+def keep_first_half(outcomes_path) -> None:
+    header, *records = outcomes_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(records) >= 2
+    outcomes_path.write_text(header + "".join(records[: len(records) // 2]), encoding="utf-8")
+
+
+def copied_run(source, tmp_path):
+    config_path, run_dir = source
+    shutil.copytree(run_dir, tmp_path / "run")
+    return config_path, tmp_path / "run"
+
+
+def test_report_over_half_the_zero_shot_outcomes_exits_2(zero_shot_toy_run, tmp_path):
+    config_path, run_dir = copied_run(zero_shot_toy_run, tmp_path)
+    keep_first_half(run_dir / pipeline.outcomes_name("mock:uniform", "zero_shot"))
+    result = invoke(["--config", str(config_path), "--run-dir", str(run_dir), "--force", "report", "--model", "mock:uniform"])
+    assert result.exit_code == 2, result.output
+    assert "zero_shot outcomes do not cover the dataset" in result.output
+    assert not (run_dir / "report_mock-uniform.json").exists()
+
+
+def test_report_over_partial_rag_outcomes_exits_2(zero_shot_toy_run, tmp_path):
+    config_path, run_dir = copied_run(zero_shot_toy_run, tmp_path)
+    pipeline.run_evaluate(run_dir, load_config(config_path), "mock:uniform", "rag")
+    keep_first_half(run_dir / pipeline.outcomes_name("mock:uniform", "rag"))
+    result = invoke(["--config", str(config_path), "--run-dir", str(run_dir), "--force", "report", "--model", "mock:uniform"])
+    assert result.exit_code == 2, result.output
+    assert "rag outcomes do not cover the dataset" in result.output
+    assert not (run_dir / "report_mock-uniform.json").exists()
+
+
+def test_shatter_sweep_rejects_a_threshold_that_is_not_a_number(zero_shot_toy_run, tmp_path):
+    config_path, run_dir = copied_run(zero_shot_toy_run, tmp_path)
+    base = ["--config", str(config_path), "--run-dir", str(run_dir), "shatter-sweep", "--k"]
+    for spec, token in (("10,abc", "abc"), ("nan,10", "nan")):
+        result = invoke(base + [spec])
+        assert result.exit_code == 2
+        assert f"'{token}' is not a number" in result.output
+    result = invoke(base + ["0"])  # a number, but not a valid threshold
+    assert result.exit_code == 2
+    assert "k threshold must be positive" in result.output
+    result = invoke(base + ["10, inf"])
+    assert result.exit_code == 0, result.output
+    report = json.loads((run_dir / "topology_report.json").read_text(encoding="utf-8"))
+    assert [row["k"] for row in report["sweep"]] == [10.0, "inf"]

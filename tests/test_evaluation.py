@@ -2,15 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from hopbench.errors import UndefinedRateError, ValidationError
+from hopbench.errors import ValidationError
 from hopbench.evaluation import (
     AdversarialEvalTransport,
     EvalOutcome,
     OracleEvalTransport,
     UniformWrongEvalTransport,
     behavioral_report,
-    compute_hne,
-    compute_r3,
     evaluate_dataset,
     parse_choice,
 )
@@ -92,8 +90,7 @@ def test_oracle_mock_scores_every_item():
     chat = ChatService(OracleEvalTransport(items))
     outcomes = evaluate_dataset(items, chat, model_id="oracle", mode="zero_shot")
     assert all(o.correct for o in outcomes)
-    with pytest.raises(UndefinedRateError):
-        compute_hne(outcomes, items)
+    assert behavioral_report("oracle", outcomes, items).hne_rate is None
 
 
 def test_adversarial_mock_always_picks_hard_negative():
@@ -101,9 +98,9 @@ def test_adversarial_mock_always_picks_hard_negative():
     chat = ChatService(AdversarialEvalTransport(items))
     outcomes = evaluate_dataset(items, chat, model_id="adv", mode="zero_shot")
     assert not any(o.correct for o in outcomes)
-    rate, errors = compute_hne(outcomes, items)
-    assert errors == 10
-    assert rate == 1.0
+    report = behavioral_report("adv", outcomes, items)
+    assert report.total_errors == 10
+    assert report.hne_rate == 1.0
 
 
 def test_rag_mode_requires_contexts():
@@ -147,10 +144,11 @@ def test_hne_integer_consistency_with_published_rows():
                 x for x in range(4) if x not in (item.answer_index, item.hard_negative_index)
             )
             outcomes.append(outcome(item.qa_id, False, wrong_other))
-    rate, errors = compute_hne(outcomes, items)
-    assert errors == 66
-    assert rate * 100 == pytest.approx(53.03, abs=0.5)
-    assert rate == pytest.approx(35 / 66)
+    report = behavioral_report("m", outcomes, items)
+    assert report.total_errors == 66
+    assert report.hne_picks == 35
+    assert report.hne_rate * 100 == pytest.approx(53.03, abs=0.5)
+    assert report.hne_rate == pytest.approx(35 / 66)
 
 
 def test_unparseable_counts_as_error_never_as_pick():
@@ -159,47 +157,82 @@ def test_unparseable_counts_as_error_never_as_pick():
         outcome("qa0000", False, None),
         outcome("qa0001", False, make_item(1).hard_negative_index),
     ]
-    rate, errors = compute_hne(outcomes, items)
-    assert errors == 2
-    assert rate == pytest.approx(0.5)
+    report = behavioral_report("m", outcomes, items)
+    assert report.total_errors == 2
+    assert report.unparseable_count == 1
+    assert report.hne_rate == pytest.approx(0.5)
 
 
 def test_hne_rejects_rag_outcomes():
     items = [make_item(0)]
-    with pytest.raises(ValidationError):
-        compute_hne([outcome("qa0000", False, 0, mode="rag")], items)
+    with pytest.raises(ValidationError, match="zero_shot outcomes"):
+        behavioral_report("m", [outcome("qa0000", False, 0, mode="rag")], items)
 
 
 def test_r3_integer_consistency_with_published_rows():
     def r3_of(total_errors: int, recovered: int, total: int = 1000) -> float:
+        items = [make_item(i) for i in range(total)]
         zero, rag = [], []
-        for i in range(total):
-            qa = f"qa{i:05d}"
+        for i, item in enumerate(items):
             correct_zero = i >= total_errors
-            zero.append(outcome(qa, correct_zero, 0))
-            rag.append(outcome(qa, correct_zero or i < recovered, 0, mode="rag"))
-        rate, count = compute_r3(zero, rag)
-        assert count == recovered
-        return rate
+            zero.append(outcome(item.qa_id, correct_zero, 0))
+            rag.append(outcome(item.qa_id, correct_zero or i < recovered, 0, mode="rag"))
+        report = behavioral_report("m", zero, items, rag_outcomes=rag)
+        assert report.recovered_count == recovered
+        return report.r3_rate
 
     assert r3_of(56, 39) * 100 == pytest.approx(69.64, abs=0.5)
     assert r3_of(685, 50) * 100 == pytest.approx(7.30, abs=0.5)
 
 
 def test_r3_zero_when_rag_recovers_nothing():
-    zero = [outcome("qa1", False, 0)]
-    rag = [outcome("qa1", False, 0, mode="rag")]
-    assert compute_r3(zero, rag) == (0.0, 0)
+    items = [make_item(1)]
+    zero = [outcome("qa0001", False, 0)]
+    rag = [outcome("qa0001", False, 0, mode="rag")]
+    report = behavioral_report("m", zero, items, rag_outcomes=rag)
+    assert (report.r3_rate, report.recovered_count) == (0.0, 0)
 
 
 def test_r3_requires_matching_qa_sets():
+    items = [make_item(1), make_item(2)]
+    zero = [outcome("qa0001", False, 0), outcome("qa0002", False, 0)]
     with pytest.raises(ValidationError):
-        compute_r3([outcome("qa1", False, 0)], [outcome("qa2", True, 0, mode="rag")])
+        behavioral_report("m", zero, items, rag_outcomes=[outcome("qa0002", True, 0, mode="rag")])
 
 
 def test_r3_undefined_without_zero_shot_errors():
-    with pytest.raises(UndefinedRateError):
-        compute_r3([outcome("qa1", True, 0)], [outcome("qa1", True, 0, mode="rag")])
+    items = [make_item(1)]
+    report = behavioral_report(
+        "m", [outcome("qa0001", True, 0)], items, rag_outcomes=[outcome("qa0001", True, 0, mode="rag")]
+    )
+    assert report.r3_rate is None
+    assert "—" in report.table()
+
+
+def test_report_refuses_partial_rag_outcomes():
+    # Four zero-shot failures and one RAG outcome, which recovers its item:
+    # read as a full run, this would report a recovery rate of 25 %.
+    items = [make_item(i) for i in range(4)]
+    zero = [outcome(item.qa_id, False, item.hard_negative_index) for item in items]
+    rag = [outcome("qa0000", True, items[0].answer_index, mode="rag")]
+    with pytest.raises(ValidationError, match=r"1 outcomes for 4 items \(3 items unanswered"):
+        behavioral_report("m", zero, items, rag_outcomes=rag)
+
+
+@pytest.mark.parametrize(
+    "qa_ids, counts",
+    [
+        (["qa0000", "qa0001"], "2 outcomes for 4 items (2 items unanswered, 0 unknown ids, 0 repeated"),
+        (["qa0000", "qa0001", "qa0002", "qa0003", "qa0003"], "(0 items unanswered, 0 unknown ids, 1 repeated"),
+        (["qa0000", "qa0001", "qa0002", "qa9999"], "(1 items unanswered, 1 unknown ids, 0 repeated"),
+    ],
+)
+def test_report_refuses_zero_shot_outcomes_that_do_not_cover_the_dataset(qa_ids, counts):
+    items = [make_item(i) for i in range(4)]
+    zero = [outcome(qa_id, False, 0) for qa_id in qa_ids]
+    with pytest.raises(ValidationError) as error:
+        behavioral_report("m", zero, items)
+    assert counts in str(error.value)
 
 
 # -- reports -----------------------------------------------------------------------

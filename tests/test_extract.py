@@ -40,7 +40,7 @@ def test_fixture_triplet_with_valid_span_accepted():
     chat = scripted_chat(
         [{"head": "Diabetes", "relation": "accumulation of", "tail": "AGEs", "chunk_id": "c1", "sentence_index": 0}]
     )
-    accepted = extract_triplets("n1", chunks, chat, store)
+    accepted = extract_triplets(NodeExtraction("n1"), chunks, chat, store)
     assert len(accepted) == 1
     assert accepted[0].head_surface == "Diabetes"
     assert accepted[0].tail_surface == "AGEs"
@@ -55,7 +55,7 @@ def test_triplet_absent_from_cited_sentence_rejected():
         [{"head": "Diabetes", "relation": "causes", "tail": "Melanoma", "chunk_id": "c1", "sentence_index": 0}]
     )
     report = NodeExtraction(node_id="n1")
-    accepted = extract_triplets("n1", chunks, chat, store, report=report)
+    accepted = extract_triplets(report, chunks, chat, store)
     assert accepted == []
     assert report.rejected == 1
     assert report.rejection_reasons == {"surface_not_in_evidence": 1}
@@ -67,7 +67,7 @@ def test_sentence_index_outside_span_rejected():
         [{"head": "Diabetes", "relation": "causes", "tail": "AGEs", "chunk_id": "c1", "sentence_index": 7}]
     )
     report = NodeExtraction(node_id="n1")
-    assert extract_triplets("n1", chunks, chat, store, report=report) == []
+    assert extract_triplets(report, chunks, chat, store) == []
     assert report.rejection_reasons == {"sentence_out_of_span": 1}
 
 
@@ -77,7 +77,7 @@ def test_empty_node_returns_empty_without_calls():
             raise AssertionError("no call expected")
 
     _, store = fixture_corpus()
-    assert extract_triplets("n1", [], ChatService(ExplodingTransport()), store) == []
+    assert extract_triplets(NodeExtraction("n1"), [], ChatService(ExplodingTransport()), store) == []
 
 
 def test_unparseable_output_errors_after_two_reasks():
@@ -90,7 +90,7 @@ def test_unparseable_output_errors_after_two_reasks():
 
     chunks, store = fixture_corpus()
     with pytest.raises(ExtractionError):
-        extract_triplets("n1", chunks, ChatService(GarbageTransport()), store)
+        extract_triplets(NodeExtraction("n1"), chunks, ChatService(GarbageTransport()), store)
     assert len(calls) == 3  # first ask plus two re-asks
 
 
@@ -106,7 +106,7 @@ def test_reask_recovers_once_json_appears():
             return "hmm let me think" if len(calls) == 1 else good
 
     chunks, store = fixture_corpus()
-    accepted = extract_triplets("n1", chunks, ChatService(FlakyTransport()), store)
+    accepted = extract_triplets(NodeExtraction("n1"), chunks, ChatService(FlakyTransport()), store)
     assert len(accepted) == 1
     assert len(calls) == 2
 
@@ -131,7 +131,7 @@ def test_builtin_mock_extracts_relation_sentences():
         page_anchor=1,
         embedding=embedding(),
     )
-    accepted = extract_triplets("n1", [chunk], ChatService(MockChatTransport()), SentenceStore(sentences))
+    accepted = extract_triplets(NodeExtraction("n1"), [chunk], ChatService(MockChatTransport()), SentenceStore(sentences))
     pairs = {(t.head_surface, t.tail_surface) for t in accepted}
     assert ("Type 2 diabetes", "AGEs accumulation") in pairs
     assert ("AGEs accumulation", "osteoblast suppression") in pairs

@@ -12,7 +12,6 @@ from hopbench.gmm import (
     bic_score,
     fit_gmm_em,
     search_cluster_count,
-    select_cluster_count,
     soft_assign,
 )
 
@@ -105,16 +104,15 @@ def test_select_cluster_count_three_blobs():
     rng = np.random.default_rng(100)
     centers = np.array([[0.0, 0.0], [8.0, 8.0], [16.0, 0.0]])
     x = np.vstack([rng.normal(0, BLOB_SIGMA, size=(200, 2)) + c for c in centers])
-    k_star, best = select_cluster_count(x, K_max=6, seed=0, n_restarts=2)
-    assert k_star == 3
-    assert best.K == 3
+    search = search_cluster_count(x, K_max=6, seed=0, n_restarts=2)
+    assert search.k_star == 3
+    assert search.best.K == 3
 
 
 def test_select_cluster_count_single_gaussian():
     rng = np.random.default_rng(200)
     x = rng.normal(0, BLOB_SIGMA, size=(300, 2))
-    k_star, _ = select_cluster_count(x, K_max=5, seed=0, n_restarts=2)
-    assert k_star == 1
+    assert search_cluster_count(x, K_max=5, seed=0, n_restarts=2).k_star == 1
 
 
 def test_search_records_full_bic_curve():

@@ -38,9 +38,10 @@ def test_schema_mismatch_is_migration_error(tmp_path):
 
 
 def test_version_mismatch_is_migration_error(tmp_path):
-    path = snapshot([{"a": 1}], tmp_path / "v.jsonl", schema="chunks", version=2)
+    path = tmp_path / "v.jsonl"
+    path.write_text('{"schema":"chunks","version":2}\n{"a":1}\n', encoding="utf-8")
     with pytest.raises(MigrationError):
-        load(path, "chunks", version=1)
+        load(path, "chunks")
 
 
 def test_missing_header_rejected(tmp_path):

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from hopbench.errors import ValidationError
-from hopbench.projection import (
-    PcaPowerProjector,
-    distance_rank_correlation,
-    reduce_dimensions,
-)
+from hopbench.projection import distance_rank_correlation, reduce_dimensions
 from hopbench.providers import EmbeddingVector
 
 
@@ -24,9 +20,8 @@ def vectors_from(matrix: np.ndarray) -> list[EmbeddingVector]:
 def test_identical_inputs_project_identically():
     matrix = np.tile([0.3, 0.4, 0.5, 0.6], (4, 1))
     points = reduce_dimensions(vectors_from(matrix), target_dim=2, seed=1)
-    arrays = [p.as_array() for p in points]
-    for array in arrays[1:]:
-        assert np.allclose(array, arrays[0])
+    for row in points[1:]:
+        assert np.allclose(row, points[0])
 
 
 def test_orthonormal_triple_keeps_equal_pairwise_distances():
@@ -36,7 +31,7 @@ def test_orthonormal_triple_keeps_equal_pairwise_distances():
     matrix = np.eye(3)
     points = reduce_dimensions(vectors_from(matrix), target_dim=2, seed=0)
     distances = [
-        float(np.linalg.norm(points[i].as_array() - points[j].as_array()))
+        float(np.linalg.norm(points[i] - points[j]))
         for i, j in itertools.combinations(range(3), 2)
     ]
     assert np.allclose(distances, np.sqrt(2.0), atol=1e-9)
@@ -58,8 +53,8 @@ def test_projection_deterministic_across_instances():
     matrix = np.random.default_rng(42).standard_normal((20, 8))
     first = reduce_dimensions(vectors_from(matrix), target_dim=3, seed=9)
     second = reduce_dimensions(vectors_from(matrix), target_dim=3, seed=9)
-    assert [p.z for p in first] == [p.z for p in second]
-    assert all(p.projector_id == "pca-power:d3:s9" for p in first)
+    assert first.shape == (20, 3)
+    assert first.tobytes() == second.tobytes()
 
 
 def test_projection_recovers_planted_subspace():
@@ -69,8 +64,7 @@ def test_projection_recovers_planted_subspace():
     basis, _ = np.linalg.qr(rng.standard_normal((8, 2)))
     coords = rng.standard_normal((40, 2)) * [3.0, 1.5]
     matrix = coords @ basis.T + rng.standard_normal((40, 8)) * 1e-8
-    points = reduce_dimensions(vectors_from(matrix), target_dim=2, seed=0)
-    projected = np.stack([p.as_array() for p in points])
+    projected = reduce_dimensions(vectors_from(matrix), target_dim=2, seed=0)
     for i, j in itertools.combinations(range(10), 2):
         original = np.linalg.norm(matrix[i] - matrix[j])
         mapped = np.linalg.norm(projected[i] - projected[j])
@@ -87,5 +81,6 @@ def test_rank_correlation_is_one_for_isometric_projection():
 
 
 def test_projector_validates_target_dim():
+    matrix = np.random.default_rng(0).standard_normal((5, 4))
     with pytest.raises(ValidationError):
-        PcaPowerProjector(target_dim=0)
+        reduce_dimensions(vectors_from(matrix), target_dim=0)

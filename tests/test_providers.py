@@ -45,8 +45,8 @@ def test_request_hash_stable_and_sensitive():
 def test_cache_round_trip_byte_identical(tmp_path):
     service = ChatService(MockChatTransport(seed=1), cache=ResponseCache(tmp_path))
     request = ChatRequest.user("anything at all")
-    first = service.complete(request, cache_policy="use")
-    second = service.complete(request, cache_policy="use")
+    first = service.complete(request)
+    second = service.complete(request)
     assert first == second
     assert first.encode("utf-8") == second.encode("utf-8")
 
@@ -64,8 +64,6 @@ def test_cache_hit_skips_transport(tmp_path):
     service.complete(request)
     service.complete(request)
     assert CountingTransport.calls == 1
-    service.complete(request, cache_policy="bypass")
-    assert CountingTransport.calls == 2
 
 
 def test_cache_put_survives_a_concurrent_writer_of_the_same_entry(tmp_path, monkeypatch):

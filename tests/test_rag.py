@@ -142,7 +142,6 @@ def test_reranker_can_reorder_candidates(toy_index, embedder):
     )
     non_golden = [d for i, d in enumerate(context.documents) if i != context.golden_position]
     assert "bacteria colonize airways" in non_golden  # highest token overlap
-    assert context.retrieval_config["reranker"] == "rerank:token-overlap"
 
 
 def test_retrieval_config_validation():

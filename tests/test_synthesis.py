@@ -6,7 +6,7 @@ import pytest
 
 from conftest import entity_id_by_name, make_graph
 from hopbench import synthesis
-from hopbench.chains import MiningLimits, mine_chains, sample_hard_negative
+from hopbench.chains import mine_chains, sample_hard_negative
 from hopbench.corpus import Chunk, Sentence, SentenceStore
 from hopbench.errors import ItemDiscardedError, ValidationError
 from hopbench.kg import shatter
@@ -277,7 +277,7 @@ def test_filler_memo_gives_the_fillers_of_a_fresh_search_per_item(monkeypatch):
         if i != j
     ]
     graph = shatter(make_graph(names, edges), None, stoplist=set())
-    mined = mine_chains(graph, MiningLimits(per_source_cap=4))
+    mined = mine_chains(graph, per_source_cap=4)
     chains = [sample_hard_negative(c, graph, rng_seed=i) for i, c in enumerate(mined)]
     sentences = [Sentence("d1", 1, 0, "group 0 member 0 r group 0 member 1.")]
     chunk = Chunk(

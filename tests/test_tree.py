@@ -54,6 +54,10 @@ def make_chunks(texts: list[str], embedder: EmbeddingService) -> list[Chunk]:
     ]
 
 
+def level_nodes(tree: SummaryTree, level: int) -> list[SummaryTreeNode]:
+    return [node for node in tree.nodes.values() if node.level == level]
+
+
 def small_config() -> TreeBuildConfig:
     return TreeBuildConfig(target_dim=3, k_max=4, n_restarts=2, max_levels=3)
 
@@ -74,7 +78,7 @@ def test_two_topic_groups_form_two_level1_nodes():
     tree = build_summary_tree(
         chunks, ChatService(MockChatTransport()), embedder, small_config(), seed=3
     )
-    level1 = tree.by_level(1)
+    level1 = level_nodes(tree, 1)
     assert len(level1) == 2
     member_sets = [set(node.member_ids) for node in level1]
     metabolic_ids = {f"c{i:03d}" for i in range(4)}
@@ -107,7 +111,7 @@ def test_soft_membership_lists_chunk_under_multiple_parents():
     chunks = make_chunks(METABOLIC + RESPIRATORY + [bridging], embedder)
     config = TreeBuildConfig(target_dim=3, k_max=3, n_restarts=2, max_levels=2, membership_floor=0.05)
     tree = build_summary_tree(chunks, ChatService(MockChatTransport()), embedder, config, seed=5)
-    level1 = tree.by_level(1)
+    level1 = level_nodes(tree, 1)
     parent_count = sum(1 for node in level1 if "c008" in node.member_ids)
     total_weight = sum(node.member_ids.get("c008", 0.0) for node in level1)
     assert parent_count >= 1
@@ -137,7 +141,7 @@ def test_leaf_ids_resolve_through_levels():
     tree = build_summary_tree(
         chunks, ChatService(MockChatTransport()), embedder, small_config(), seed=3
     )
-    top = tree.by_level(tree.max_level())
+    top = level_nodes(tree, tree.max_level())
     covered = set()
     for node in top:
         covered.update(tree.leaf_ids(node.node_id))
@@ -163,7 +167,7 @@ def test_provider_failure_carries_partial_tree():
         build_summary_tree(chunks, ChatService(FailingChat()), embedder, small_config(), seed=3)
     partial = excinfo.value.partial
     assert partial is not None
-    assert len(partial.by_level(0)) == 8  # leaves survived for resume
+    assert len(level_nodes(partial, 0)) == 8  # leaves survived for resume
 
 
 def test_builds_are_deterministic():
