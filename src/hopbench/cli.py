@@ -3,8 +3,8 @@
 Commands map one-to-one to the stages of ``pipeline.STAGES`` and share a
 single YAML config; stages without options of their own are registered from
 that table.
-Exit codes: 0 success, 2 validation error, 3 missing dependency or stale
-run, 4 provider failure."""
+Exit codes: 0 success, 2 validation error, 3 missing input or an upstream
+stage recorded under other settings, 4 provider failure."""
 
 from __future__ import annotations
 
@@ -16,25 +16,19 @@ from pathlib import Path
 import click
 
 from . import pipeline
-from .config import PipelineConfig, dump_config, load_config
+from .config import dump_config, load_config
 from .errors import HopbenchError
 
 logger = logging.getLogger(__name__)
 
 
-def _context(ctx: click.Context) -> tuple[Path, PipelineConfig, bool]:
+def _run(ctx: click.Context, runner, *args) -> None:
+    """Run one stage, ``runner(run_dir, config, *args)``, and print its result."""
     obj = ctx.obj or {}
     if not obj.get("config_path") or not obj.get("run_dir"):
         raise click.UsageError("this command needs --config and --run-dir (pass them before the subcommand)")
-    config = load_config(obj["config_path"])
-    return Path(obj["run_dir"]), config, obj.get("force", False)
-
-
-def _run(ctx: click.Context, runner, *args) -> None:
-    """Run one stage, ``runner(run_dir, config, *args, force=...)``, and print its result."""
     try:
-        run_dir, config, force = _context(ctx)
-        result = runner(run_dir, config, *args, force=force)
+        result = runner(Path(obj["run_dir"]), load_config(obj["config_path"]), *args)
     except HopbenchError as error:
         click.echo(f"error: {error}", err=True)
         sys.exit(error.exit_code)
@@ -47,17 +41,16 @@ def _run(ctx: click.Context, runner, *args) -> None:
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--run-dir", "run_dir", type=click.Path(file_okay=False), default=None)
-@click.option("--force", is_flag=True, help="Proceed despite a config digest mismatch.")
 @click.option("--verbose", is_flag=True)
 @click.pass_context
-def main(ctx: click.Context, config_path, run_dir, force: bool, verbose: bool):
+def main(ctx: click.Context, config_path, run_dir, verbose: bool):
     """Corpus-to-benchmark pipeline: build the graph, synthesize items, evaluate models."""
     logging.basicConfig(
         level=logging.DEBUG if verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
     ctx.ensure_object(dict)
-    ctx.obj.update(config_path=config_path, run_dir=run_dir, force=force)
+    ctx.obj.update(config_path=config_path, run_dir=run_dir)
 
 
 @main.command(help=pipeline.STAGES["evaluate"].help)

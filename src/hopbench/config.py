@@ -1,9 +1,10 @@
 """Single-file pipeline configuration with a schema-validated loader.
 
-The config is a flat YAML mapping; every report embeds its digest so any
-artifact can be traced to the exact settings that produced it. The master
-seed fully determines all stage and per-item seeds via the derivation rule
-in ``seeding``."""
+The config is a flat YAML mapping. Each stage is keyed on the fields it and
+its upstream stages read (``pipeline.Stage.reads``), and every report embeds
+the digest of its stage's key, so any artifact can be traced to the settings
+that produced it. The master seed fully determines all stage and per-item
+seeds via the derivation rule in ``seeding``."""
 
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ import yaml
 
 from .align import ThetaSchedule
 from .errors import ValidationError
-from .providers import canonical_json
-from .seeding import stable_text_digest
 
 
 @dataclass
@@ -119,9 +118,6 @@ class PipelineConfig:
         if record["k_threshold"] is not None and math.isinf(record["k_threshold"]):
             record["k_threshold"] = None
         return record
-
-    def digest(self) -> str:
-        return stable_text_digest(canonical_json(self.to_record()))
 
 
 _KNOWN_KEYS = set(PipelineConfig.__dataclass_fields__)

@@ -18,17 +18,8 @@ class ValidationError(HopbenchError):
 
 
 class DependencyError(HopbenchError):
-    """A required upstream artifact is missing; carries the command to run."""
-
-    exit_code = EXIT_DEPENDENCY
-
-    def __init__(self, message: str, required_command: str | None = None):
-        super().__init__(message)
-        self.required_command = required_command
-
-
-class StaleRunError(HopbenchError):
-    """Config digest no longer matches the run manifest (use --force to override)."""
+    """A required upstream artifact is missing, or its stage ran under other
+    settings; the message names the command to run."""
 
     exit_code = EXIT_DEPENDENCY
 
@@ -52,11 +43,7 @@ class ProviderFaultError(ProviderError):
 
 
 class StageError(HopbenchError):
-    """A pipeline stage failed partway; may carry a partial result for resume."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A pipeline stage failed partway."""
 
 
 class ExtractionError(StageError):
@@ -89,10 +76,6 @@ class SnapshotError(HopbenchError):
     """JSONL snapshot could not be read back (bad line or schema mismatch)."""
 
     exit_code = EXIT_VALIDATION
-
-    def __init__(self, message: str, line_number: int | None = None):
-        super().__init__(message)
-        self.line_number = line_number
 
 
 class MigrationError(SnapshotError):

@@ -51,10 +51,7 @@ def load(path: str | Path, schema: str) -> list[dict]:
             try:
                 record = json.loads(stripped)
             except json.JSONDecodeError as exc:
-                raise SnapshotError(
-                    f"{path}: malformed JSON at line {line_number}: {exc.msg}",
-                    line_number=line_number,
-                ) from exc
+                raise SnapshotError(f"{path}: malformed JSON at line {line_number}: {exc.msg}") from exc
             if line_number == 1:
                 if not isinstance(record, dict) or "schema" not in record:
                     raise MigrationError(f"{path}: missing schema header line")

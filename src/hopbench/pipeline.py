@@ -2,11 +2,13 @@
 
 Each stage validates its upstream artifacts (by presence and manifest
 digest), computes, writes outputs atomically, and records itself in the run
-manifest. Re-running an unchanged stage is a no-op; a changed config digest
-is refused without --force. Artifacts carry no timestamps, so identical
-configs and seeds reproduce byte-identical files. ``STAGES`` lists every
-stage with the files it reads and writes; records round-trip through
-``codec``."""
+manifest under its key: the settings it and every stage upstream of it read,
+and its arguments. A stage runs again when its key, its inputs or its
+outputs changed, and is a no-op otherwise; it refuses to run over an upstream
+stage recorded under other settings. Artifacts carry no timestamps, so
+identical configs and seeds reproduce byte-identical files. ``STAGES`` lists
+every stage with the settings and files it reads and the files it writes;
+records round-trip through ``codec``."""
 
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable
 
@@ -61,7 +64,7 @@ from .kg import (
     load_stoplist,
     shatter,
 )
-from .manifest import RunManifest
+from .manifest import RunManifest, file_digest
 from .providers import (
     ChatService,
     EmbeddingService,
@@ -70,10 +73,11 @@ from .providers import (
     MockChatTransport,
     MockEmbeddingTransport,
     ResponseCache,
+    canonical_json,
     parallel_map,
 )
 from .rag import CorpusIndex, RagContext, RetrievalConfig, TokenOverlapReranker, build_rag_context
-from .seeding import derive_seed
+from .seeding import derive_seed, stable_text_digest
 from .synthesis import QAItem, synthesize_dataset
 from .topology import shatter_sweep, topology_report
 from .tree import SummaryTree, SummaryTreeNode, TreeBuildConfig, build_summary_tree
@@ -83,23 +87,31 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Stage:
-    """One pipeline stage and the files it reads and writes.
+    """One pipeline stage, the settings it reads and the files it reads and
+    writes.
 
+    ``reads`` names the ``PipelineConfig`` fields the stage's own code reads.
     ``inputs`` and ``outputs`` are run-directory artifacts; ``{model}`` and
     ``{mode}`` in a name stand for the evaluated model and mode. ``optional``
     inputs are read by some runs only (``adjudications.jsonl`` once it
-    exists, the retrieval artifacts in RAG mode). ``sources`` name config
-    fields holding files outside the run directory (corpus files, the
-    stoplist): they are digested with the inputs, so editing one re-runs the
-    stage."""
+    exists, the retrieval artifacts in RAG mode). A stage that ``resumes``
+    appends to its outputs and resumes them after an interruption; a run
+    under another key or on other inputs starts them afresh."""
 
     name: str
+    reads: tuple[str, ...]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     help: str
     optional: tuple[str, ...] = ()
-    sources: tuple[str, ...] = ()
+    resumes: bool = False
 
+
+# What a chat and an embedding service read. Three fields are in no stage's
+# reads: `api_key_env`, `cache_dir` and `max_parallel` change how a provider
+# is reached, not what it returns.
+CHAT = ("provider_mode", "chat_base_url", "seed")
+EMBED = ("provider_mode", "embed_base_url", "embed_model", "mock_embed_dim", "seed")
 
 # The single list of stages and artifacts; the CLI registers its commands from it.
 STAGES = {
@@ -107,48 +119,70 @@ STAGES = {
     for stage in (
         Stage(
             "ingest",
+            ("corpus_paths", "language"),
             (),
             ("documents.jsonl", "sentences.jsonl"),
             "Load corpus files and split them into sentences.",
-            sources=("corpus_paths",),
         ),
-        Stage("chunk", ("sentences.jsonl",), ("chunks.jsonl",), "Embed sentences and cut percentile-threshold chunks."),
+        Stage(
+            "chunk",
+            ("chunk_percentile", "global_threshold", "max_sentences_per_chunk", *EMBED),
+            ("sentences.jsonl",),
+            ("chunks.jsonl",),
+            "Embed sentences and cut percentile-threshold chunks.",
+        ),
         Stage(
             "tree",
+            ("target_dim", "gmm_k_max", "gmm_restarts", "membership_floor", "max_levels", "chat_model", *CHAT, *EMBED),
             ("chunks.jsonl",),
             ("tree.jsonl", "gmm_report.json"),
             "Build the hierarchical soft-cluster summary tree.",
         ),
         Stage(
             "extract",
+            ("chat_model", "theta_steps", "theta_above", "frequency_unit", *CHAT),
             ("tree.jsonl", "chunks.jsonl", "sentences.jsonl"),
             ("graph_raw.jsonl",),
             "Extract and align triplets into the raw graph.",
         ),
         Stage(
             "shatter",
+            ("k_threshold", "stoplist_path"),
             ("graph_raw.jsonl",),
             ("graph.jsonl", "topology_report.json"),
             "Prune hub entities and write both graph views.",
-            sources=("stoplist_path",),
         ),
         Stage(
             "shatter-sweep",
+            ("stoplist_path",),
             ("graph_raw.jsonl",),
             ("topology_report.json",),
             "Topology ablation across frequency thresholds.",
-            sources=("stoplist_path",),
         ),
-        Stage("mine", ("graph.jsonl",), ("chains.jsonl",), "Mine 2-hop chains and sample hard negatives."),
+        Stage(
+            "mine",
+            ("per_source_cap", "seed"),
+            ("graph.jsonl",),
+            ("chains.jsonl",),
+            "Mine 2-hop chains and sample hard negatives.",
+        ),
         Stage(
             "synthesize",
+            ("chat_model", "difficulty", "language", "n_options", "synthesis_temperature", *CHAT),
             ("chains.jsonl", "graph.jsonl", "chunks.jsonl", "sentences.jsonl"),
             ("dataset.jsonl", "discards.jsonl"),
             "Generate masked vignette items.",
         ),
-        Stage("adjudicate", ("dataset.jsonl",), ("adjudications.jsonl",), "Score items with the quality ensemble."),
+        Stage(
+            "adjudicate",
+            ("adjudication_ensemble", *CHAT),
+            ("dataset.jsonl",),
+            ("adjudications.jsonl",),
+            "Score items with the quality ensemble.",
+        ),
         Stage(
             "stats",
+            EMBED,
             ("dataset.jsonl", "chunks.jsonl", "sentences.jsonl"),
             ("stats_report.json",),
             "Compute dataset lexical and similarity statistics.",
@@ -156,19 +190,23 @@ STAGES = {
         ),
         Stage(
             "retrieve",
+            ("coarse_pool", "context_k", "rerank_keep", "use_reranker", *EMBED),
             ("dataset.jsonl", "chunks.jsonl"),
             ("rag_contexts.jsonl",),
             "Build every item's RAG context once; each model's RAG evaluation reads them.",
         ),
         Stage(
             "evaluate",
+            CHAT,
             ("dataset.jsonl",),
             ("outcomes_{model}_{mode}.jsonl",),
             "Run multiple-choice evaluation and persist outcomes incrementally.",
             optional=("chunks.jsonl", "rag_contexts.jsonl"),
+            resumes=True,
         ),
         Stage(
             "report",
+            (),
             ("dataset.jsonl", "outcomes_{model}_zero_shot.jsonl"),
             ("report_{model}.json",),
             "Aggregate outcomes into the behavioral report for one model.",
@@ -191,10 +229,11 @@ def producer(artifact: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def make_chat_service(config: PipelineConfig) -> ChatService:
+def make_chat_service(config: PipelineConfig, seed: int | None = None) -> ChatService:
+    """Chat through the configured provider and cache; ``seed`` replaces the master seed of the mock."""
     cache = ResponseCache(config.cache_dir) if config.cache_dir else None
     if config.provider_mode == "mock":
-        return ChatService(MockChatTransport(seed=config.seed), cache=cache)
+        return ChatService(MockChatTransport(seed=config.seed if seed is None else seed), cache=cache)
     return ChatService(HttpChatTransport(config.chat_base_url, config.api_key_env), cache=cache)
 
 
@@ -211,13 +250,8 @@ def make_embedding_service(config: PipelineConfig) -> EmbeddingService:
 
 
 def make_adjudication_ensemble(config: PipelineConfig) -> tuple[list[ChatService], list[str]]:
-    services = []
-    for name in config.adjudication_ensemble:
-        if config.provider_mode == "mock":
-            services.append(ChatService(MockChatTransport(seed=derive_seed(config.seed, "judge", name))))
-        else:
-            services.append(ChatService(HttpChatTransport(config.chat_base_url, config.api_key_env)))
-    return services, list(config.adjudication_ensemble)
+    names = list(config.adjudication_ensemble)
+    return [make_chat_service(config, seed=derive_seed(config.seed, "judge", name)) for name in names], names
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +316,6 @@ def shattered_from_flags(annotated: KnowledgeGraph) -> KnowledgeGraph:
 class StageResult:
     stage: str
     status: str  # ok | skipped
-    outputs: dict[str, Path]
     stats: dict
 
 
@@ -339,65 +372,95 @@ def _write_json(path: Path, payload: dict) -> None:
     os.replace(tmp, path)
 
 
-def _check_inputs(run_dir: Path, names: list[str]) -> dict[str, Path]:
-    inputs = {}
-    for name in names:
-        path = run_dir / name
-        if not path.exists():
-            command = producer(name)
-            raise DependencyError(f"missing {name}; run `hopbench {command}` first", required_command=command)
-        inputs[name] = path
-    return inputs
+@cache
+def _reads_upstream_of(artifact: str) -> frozenset[str]:
+    """Fields read by the stage that writes ``artifact`` and by every stage
+    upstream of it."""
+    stage = STAGES[producer(artifact)]
+    return frozenset(stage.reads).union(*(_reads_upstream_of(n) for n in stage.inputs + stage.optional))
 
 
-def _check_sources(config: PipelineConfig, fields: tuple[str, ...]) -> dict[str, Path]:
-    """Files named by config fields, keyed by their configured path."""
-    sources = {}
-    for field_name in fields:
-        value = getattr(config, field_name) or []
-        for path in value if isinstance(value, list) else [value]:
-            if not Path(path).is_file():
-                raise ValidationError(f"config.{field_name}: file not found: {path}")
-            sources[str(path)] = Path(path)
-    return sources
+def stage_key(config: PipelineConfig, name: str, input_names: list[str], args: dict) -> dict:
+    """What a run of stage ``name`` over ``input_names`` depends on: the
+    fields read by it and by every stage upstream of those inputs, with the
+    corpus files and the stoplist entered by content, and its arguments."""
+    fields = set(STAGES[name].reads).union(*(_reads_upstream_of(n) for n in input_names))
+    record = config.to_record()
+    key = {field_name: record[field_name] for field_name in sorted(fields)}
+    if "corpus_paths" in key:
+        key["corpus_paths"] = [_content_digest("corpus_paths", path) for path in key["corpus_paths"]]
+    if key.get("stoplist_path") is not None:
+        key["stoplist_path"] = _content_digest("stoplist_path", key["stoplist_path"])
+    return {**key, **args}
+
+
+def _content_digest(field_name: str, path: str) -> str:
+    if not Path(path).is_file():
+        raise ValidationError(f"config.{field_name}: file not found: {path}")
+    return file_digest(path)
+
+
+def _check_upstream(manifest: RunManifest, input_names: list[str], key: dict) -> None:
+    """Refuse to run over an upstream stage recorded under other settings: the
+    records that wrote ``input_names``, and those that wrote their inputs in
+    turn, are compared with ``key`` on the entries both hold. An input that
+    no record wrote is taken as given."""
+    writers = {artifact: record for record in manifest.stages.values() for artifact in record.outputs}
+    pending, changed = list(input_names), {}
+    while pending:
+        record = writers.get(pending.pop())
+        if record is not None and record.stage not in changed:
+            changed[record.stage] = sorted(n for n in record.key.keys() & key.keys() if record.key[n] != key[n])
+            pending.extend(record.inputs)
+    stale = sorted((list(STAGES).index(stage.split(":")[0]), stage) for stage in changed if changed[stage])
+    if stale:
+        stage = stale[0][1]
+        raise DependencyError(
+            f"{stage} ran under other settings ({', '.join(changed[stage])} changed); "
+            f"run `hopbench {stage.split(':')[0]}` first"
+        )
 
 
 def _stage(
     run_dir: str | Path,
     config: PipelineConfig,
     name: str,
-    compute: Callable[[dict[str, Path], dict[str, Path]], dict],
-    force: bool = False,
+    compute: Callable[[dict[str, Path], dict[str, Path], str], dict],
     optional: bool = False,
+    args: dict | None = None,
     **params: str,
 ) -> StageResult:
-    """Run the table stage ``name`` unless its inputs, sources and outputs
-    are unchanged since it last ran. ``params`` fill the ``{model}`` and
-    ``{mode}`` names and extend the manifest key (``evaluate:<model>:<mode>``);
-    ``optional`` adds the stage's optional inputs."""
+    """Run the table stage ``name`` unless its key, inputs and outputs are
+    unchanged since it last ran. ``params`` fill the ``{model}`` and
+    ``{mode}`` names and name the stage's record (``evaluate:<model>:<mode>``);
+    they and ``args`` enter the key. ``optional`` adds the stage's optional
+    inputs. ``compute`` gets the inputs, the outputs and the key's digest."""
     stage = STAGES[name]
-    key = ":".join([name, *params.values()])
+    record_name = ":".join([name, *params.values()])
     input_names = [n.format(**params) for n in stage.inputs + (stage.optional if optional else ())]
     run_dir = Path(run_dir)
-    digest = config.digest()
+    key = stage_key(config, name, input_names, {**params, **(args or {})})
     with run_lock(run_dir):
         manifest = RunManifest.load(run_dir)
-        if manifest is None:
-            manifest = RunManifest(run_id=f"run-{digest[:12]}", config_digest=digest)
-        manifest.check_config(digest, force=force)
-
-        inputs = {**_check_inputs(run_dir, input_names), **_check_sources(config, stage.sources)}
+        inputs = {n: run_dir / n for n in input_names}
+        for n, path in inputs.items():
+            if not path.exists():
+                raise DependencyError(f"missing {n}; run `hopbench {producer(n)}` first")
         outputs = {n.format(**params): run_dir / n.format(**params) for n in stage.outputs}
-        if manifest.is_noop(key, digest, inputs, outputs):
-            logger.info("%s: inputs and outputs unchanged; no-op", key)
-            manifest.save(run_dir)
-            return StageResult(stage=key, status="skipped", outputs=outputs, stats={})
+        changes = manifest.changes(record_name, key, inputs, outputs)
+        if changes == set():
+            logger.info("%s: key, inputs and outputs unchanged; no-op", record_name)
+            return StageResult(stage=record_name, status="skipped", stats={})
+        _check_upstream(manifest, input_names, key)
+        if stage.resumes and changes is not None and changes & {"key", "inputs"}:
+            for path in outputs.values():  # left by a run under other settings or inputs
+                path.unlink(missing_ok=True)
 
         started = time.time()
-        stats = compute(inputs, outputs)
-        manifest.record_stage(key, digest, inputs, outputs, started, stats=stats)
+        stats = compute(inputs, outputs, stable_text_digest(canonical_json(key)))
+        manifest.record_stage(record_name, key, inputs, outputs, started, stats=stats)
         manifest.save(run_dir)
-        return StageResult(stage=key, status="ok", outputs=outputs, stats=stats)
+        return StageResult(stage=record_name, status="ok", stats=stats)
 
 
 def _stoplist(config: PipelineConfig) -> tuple[set[str], str]:
@@ -409,11 +472,11 @@ def _stoplist(config: PipelineConfig) -> tuple[set[str], str]:
 # ---------------------------------------------------------------------------
 
 
-def run_ingest(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
+def run_ingest(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     if not config.corpus_paths:
         raise ValidationError("config.corpus_paths is empty")
 
-    def compute(_inputs, outputs):
+    def compute(_inputs, outputs, _digest):
         documents: list[Document] = []
         sentences: list[Sentence] = []
         for path in config.corpus_paths:
@@ -439,13 +502,13 @@ def run_ingest(run_dir: str | Path, config: PipelineConfig, force: bool = False)
         snapshot([to_record(s) for s in sentences], outputs["sentences.jsonl"], schema="sentences")
         return {"documents": len(documents), "sentences": len(sentences)}
 
-    return _stage(run_dir, config, "ingest", compute, force)
+    return _stage(run_dir, config, "ingest", compute)
 
 
-def run_chunk(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
+def run_chunk(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     embedder = make_embedding_service(config)
 
-    def compute(inputs, outputs):
+    def compute(inputs, outputs, _digest):
         sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
         by_doc: dict[str, list[Sentence]] = {}
         for sentence in sentences:
@@ -475,14 +538,14 @@ def run_chunk(run_dir: str | Path, config: PipelineConfig, force: bool = False) 
         snapshot([to_record(c) for c in chunks], outputs["chunks.jsonl"], schema="chunks")
         return {"chunks": len(chunks), "global_threshold": global_tau}
 
-    return _stage(run_dir, config, "chunk", compute, force)
+    return _stage(run_dir, config, "chunk", compute)
 
 
-def run_tree(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
+def run_tree(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     chat = make_chat_service(config)
     embedder = make_embedding_service(config)
 
-    def compute(inputs, outputs):
+    def compute(inputs, outputs, _digest):
         chunks = [from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")]
         tree = build_summary_tree(
             chunks,
@@ -503,13 +566,13 @@ def run_tree(run_dir: str | Path, config: PipelineConfig, force: bool = False) -
         _write_json(outputs["gmm_report.json"], {"levels": tree.level_reports})
         return {"nodes": len(tree.nodes), "levels": tree.max_level()}
 
-    return _stage(run_dir, config, "tree", compute, force)
+    return _stage(run_dir, config, "tree", compute)
 
 
-def run_extract(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
+def run_extract(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     chat = make_chat_service(config)
 
-    def compute(inputs, outputs):
+    def compute(inputs, outputs, _digest):
         chunks = [from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")]
         sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
         tree = SummaryTree()
@@ -536,11 +599,11 @@ def run_extract(run_dir: str | Path, config: PipelineConfig, force: bool = False
             "dropped_self_loops": assembly.dropped_self_loops,
         }
 
-    return _stage(run_dir, config, "extract", compute, force)
+    return _stage(run_dir, config, "extract", compute)
 
 
-def run_shatter(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
-    def compute(inputs, outputs):
+def run_shatter(run_dir: str | Path, config: PipelineConfig) -> StageResult:
+    def compute(inputs, outputs, _digest):
         graph, frequency_unit = graph_from_records(load(inputs["graph_raw.jsonl"], "graph"))
         stop_terms, stoplist_id = _stoplist(config)
         apply_frequencies(graph, frequency_unit)
@@ -568,11 +631,11 @@ def run_shatter(run_dir: str | Path, config: PipelineConfig, force: bool = False
             "edges_kept": len(view.edges),
         }
 
-    return _stage(run_dir, config, "shatter", compute, force)
+    return _stage(run_dir, config, "shatter", compute)
 
 
-def run_mine(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
-    def compute(inputs, outputs):
+def run_mine(run_dir: str | Path, config: PipelineConfig) -> StageResult:
+    def compute(inputs, outputs, _digest):
         annotated, _unit = graph_from_records(load(inputs["graph.jsonl"], "graph"))
         view = shattered_from_flags(annotated)
         mined = mine_chains(view, config.per_source_cap)
@@ -588,13 +651,13 @@ def run_mine(run_dir: str | Path, config: PipelineConfig, force: bool = False) -
         snapshot([to_record(c) for c in completed], outputs["chains.jsonl"], schema="chains")
         return {"mined": len(mined), "completed": len(completed), "no_sibling": no_sibling}
 
-    return _stage(run_dir, config, "mine", compute, force)
+    return _stage(run_dir, config, "mine", compute)
 
 
-def run_synthesize(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
+def run_synthesize(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     chat = make_chat_service(config)
 
-    def compute(inputs, outputs):
+    def compute(inputs, outputs, _digest):
         annotated, _unit = graph_from_records(load(inputs["graph.jsonl"], "graph"))
         view = shattered_from_flags(annotated)
         chains = [from_record(ReasoningChain, r) for r in load(inputs["chains.jsonl"], "chains")]
@@ -624,17 +687,17 @@ def run_synthesize(run_dir: str | Path, config: PipelineConfig, force: bool = Fa
             reasons[discard.reason] = reasons.get(discard.reason, 0) + 1
         return {"items": len(items), "discards": len(discards), "discard_reasons": reasons}
 
-    return _stage(run_dir, config, "synthesize", compute, force)
+    return _stage(run_dir, config, "synthesize", compute)
 
 
 def _load_items(path: Path) -> list[QAItem]:
     return [from_record(QAItem, r) for r in load(path, "dataset")]
 
 
-def run_adjudicate(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
+def run_adjudicate(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     ensemble, names = make_adjudication_ensemble(config)
 
-    def compute(inputs, outputs):
+    def compute(inputs, outputs, _digest):
         items = _load_items(inputs["dataset.jsonl"])
 
         def judge(item: QAItem):
@@ -649,15 +712,15 @@ def run_adjudicate(run_dir: str | Path, config: PipelineConfig, force: bool = Fa
         snapshot(records, outputs["adjudications.jsonl"], schema="adjudications")
         return {"scored": len(records), "unscored": len(items) - len(records)}
 
-    return _stage(run_dir, config, "adjudicate", compute, force)
+    return _stage(run_dir, config, "adjudicate", compute)
 
 
-def run_stats(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
+def run_stats(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     from .textstats import compute_overlap_stats
 
     embedder = make_embedding_service(config)
 
-    def compute(inputs, outputs):
+    def compute(inputs, outputs, digest):
         items = _load_items(inputs["dataset.jsonl"])
         chunks = [from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")]
         sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
@@ -674,12 +737,12 @@ def run_stats(run_dir: str | Path, config: PipelineConfig, force: bool = False) 
             adjudications=adjudications,
         )
         payload = stats.to_record()
-        payload["config_digest"] = config.digest()
+        payload["config_digest"] = digest
         _write_json(outputs["stats_report.json"], payload)
         return {"total": stats.total, "excluded": stats.excluded}
 
     has_adjudications = (Path(run_dir) / "adjudications.jsonl").exists()
-    return _stage(run_dir, config, "stats", compute, force, optional=has_adjudications)
+    return _stage(run_dir, config, "stats", compute, optional=has_adjudications)
 
 
 def sanitize_model_id(model: str) -> str:
@@ -702,17 +765,16 @@ def build_eval_chat_service(
         if mode == "rag" and golden_texts and model.split(":", 1)[1] in ("uniform", "hash"):
             transport = RagAwareEvalTransport(items, transport, golden_texts)
         return ChatService(transport)
-    cache = ResponseCache(config.cache_dir) if config.cache_dir else None
-    return ChatService(HttpChatTransport(config.chat_base_url, config.api_key_env), cache=cache)
+    return make_chat_service(config)
 
 
-def run_retrieve(run_dir: str | Path, config: PipelineConfig, force: bool = False) -> StageResult:
+def run_retrieve(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     """Build every item's RAG context once per run. Contexts do not depend on
     the model, so each model's RAG evaluation reads them from
     ``rag_contexts.jsonl`` (chunk ids in prompt order, golden position)."""
     embedder = make_embedding_service(config)
 
-    def compute(inputs, outputs):
+    def compute(inputs, outputs, _digest):
         items = _load_items(inputs["dataset.jsonl"])
         if not items:
             raise ValidationError("dataset is empty; nothing to evaluate")
@@ -730,7 +792,7 @@ def run_retrieve(run_dir: str | Path, config: PipelineConfig, force: bool = Fals
         snapshot(records, outputs["rag_contexts.jsonl"], schema="rag_contexts")
         return {"contexts": len(records)}
 
-    return _stage(run_dir, config, "retrieve", compute, force)
+    return _stage(run_dir, config, "retrieve", compute)
 
 
 def run_evaluate(
@@ -738,14 +800,13 @@ def run_evaluate(
     config: PipelineConfig,
     model: str,
     mode: str = "zero_shot",
-    force: bool = False,
 ) -> StageResult:
     if mode not in ("zero_shot", "rag"):
         raise ValidationError(f"unknown evaluation mode: {mode!r}")
     if mode == "rag":
-        run_retrieve(run_dir, config, force=force)
+        run_retrieve(run_dir, config)
 
-    def compute(inputs, outputs):
+    def compute(inputs, outputs, _digest):
         items = _load_items(inputs["dataset.jsonl"])
         if not items:
             raise ValidationError("dataset is empty; nothing to evaluate")
@@ -778,15 +839,15 @@ def run_evaluate(
         return {"evaluated": len(outcomes), "resumed_existing": len(done)}
 
     return _stage(
-        run_dir, config, "evaluate", compute, force, optional=mode == "rag", model=sanitize_model_id(model), mode=mode
+        run_dir, config, "evaluate", compute, optional=mode == "rag", model=sanitize_model_id(model), mode=mode
     )
 
 
-def run_report(run_dir: str | Path, config: PipelineConfig, model: str, force: bool = False) -> StageResult:
+def run_report(run_dir: str | Path, config: PipelineConfig, model: str) -> StageResult:
     zero_name = outcomes_name(model, "zero_shot")
     rag_name = outcomes_name(model, "rag")
 
-    def compute(inputs, outputs):
+    def compute(inputs, outputs, digest):
         items = _load_items(inputs["dataset.jsonl"])
         zero = [from_record(EvalOutcome, r) for r in load(inputs[zero_name], "outcomes")]
         rag = None
@@ -794,20 +855,18 @@ def run_report(run_dir: str | Path, config: PipelineConfig, model: str, force: b
             rag = [from_record(EvalOutcome, r) for r in load(inputs[rag_name], "outcomes")]
         report = behavioral_report(model, zero, items, rag_outcomes=rag)
         payload = report.to_record()
-        payload["config_digest"] = config.digest()
+        payload["config_digest"] = digest
         [report_path] = outputs.values()
         _write_json(report_path, payload)
         print(report.table())
         return {"total_errors": report.total_errors, "unparseable": report.unparseable_count}
 
     has_rag = (Path(run_dir) / rag_name).exists()
-    return _stage(run_dir, config, "report", compute, force, optional=has_rag, model=sanitize_model_id(model))
+    return _stage(run_dir, config, "report", compute, optional=has_rag, model=sanitize_model_id(model))
 
 
-def run_shatter_sweep(
-    run_dir: str | Path, config: PipelineConfig, ks: list[float | None], force: bool = False
-) -> StageResult:
-    def compute(inputs, outputs):
+def run_shatter_sweep(run_dir: str | Path, config: PipelineConfig, ks: list[float | None]) -> StageResult:
+    def compute(inputs, outputs, _digest):
         graph, frequency_unit = graph_from_records(load(inputs["graph_raw.jsonl"], "graph"))
         apply_frequencies(graph, frequency_unit)
         stop_terms, stoplist_id = _stoplist(config)
@@ -820,4 +879,4 @@ def run_shatter_sweep(
         _write_json(report_path, payload)
         return {"k_values": ["inf" if k is None else k for k in ks]}
 
-    return _stage(run_dir, config, "shatter-sweep", compute, force)
+    return _stage(run_dir, config, "shatter-sweep", compute, args={"ks": ks})

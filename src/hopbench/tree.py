@@ -174,10 +174,7 @@ def build_summary_tree(
             try:
                 summary = chat.complete(request).strip()
             except ProviderError as exc:
-                raise StageError(
-                    f"summary generation failed at level {level} cluster {k}: {exc}",
-                    partial=tree,
-                ) from exc
+                raise StageError(f"summary generation failed at level {level} cluster {k}: {exc}") from exc
             new_nodes.append(
                 SummaryTreeNode(
                     node_id=node_id,

@@ -17,7 +17,7 @@ from hopbench.cli import main
 from hopbench.codec import from_record
 from hopbench.config import PipelineConfig, dump_config, load_config
 from hopbench.corpus import Chunk
-from hopbench.errors import DependencyError, StaleRunError, ValidationError
+from hopbench.errors import DependencyError, ValidationError
 from hopbench.synthesis import QAItem
 from hopbench.toydata import toy_config
 
@@ -44,11 +44,14 @@ def test_config_round_trip(toy_yaml):
 
 
 def test_config_digest_stable_and_sensitive(toy_yaml):
+    def key(config):
+        return pipeline.stage_key(config, "report", ["dataset.jsonl"], {"model": "mock-oracle"})
+
     first = load_config(toy_yaml)
     second = load_config(toy_yaml)
-    assert first.digest() == second.digest()
+    assert key(first) == key(second)
     second.seed = 8
-    assert first.digest() != second.digest()
+    assert key(first) != key(second)
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -85,8 +88,7 @@ def test_mine_before_shatter_names_missing_command(tmp_path):
     config = toy_config(seed=7)
     with pytest.raises(DependencyError) as excinfo:
         pipeline.run_mine(tmp_path / "run", config)
-    assert excinfo.value.required_command == "shatter"
-    assert "shatter" in str(excinfo.value)
+    assert "run `hopbench shatter` first" in str(excinfo.value)
 
 
 def test_cli_dependency_error_exit_code(toy_yaml, tmp_path):
@@ -112,7 +114,7 @@ def test_report_before_evaluate_names_evaluate(toy_yaml, tmp_path):
         fn(run_dir, config)
     with pytest.raises(DependencyError) as excinfo:
         pipeline.run_report(run_dir, config, "mock:oracle")
-    assert excinfo.value.required_command == "evaluate"
+    assert "run `hopbench evaluate` first" in str(excinfo.value)
 
 
 def test_every_consumed_artifact_names_a_registered_producer():
@@ -203,16 +205,25 @@ def test_missing_corpus_file_or_stoplist_is_a_validation_error(tmp_path):
             run(run_dir, config)
 
 
-def test_stale_config_digest_refused_without_force(toy_yaml, tmp_path):
+def test_stage_over_a_stale_upstream_stage_is_refused(toy_yaml, tmp_path):
     run_dir = tmp_path / "run"
     config = load_config(toy_yaml)
     pipeline.run_ingest(run_dir, config)
     changed = load_config(toy_yaml)
-    changed.seed = 99
-    with pytest.raises(StaleRunError):
-        pipeline.run_chunk(run_dir, changed)
-    result = pipeline.run_chunk(run_dir, changed, force=True)
-    assert result.status == "ok"
+    changed.seed = 99  # ingest does not read the seed
+    assert pipeline.run_ingest(run_dir, changed).status == "skipped"
+    assert pipeline.run_chunk(run_dir, changed).status == "ok"
+    changed.chunk_percentile = 90.0
+    with pytest.raises(DependencyError, match=r"chunk ran under other settings \(chunk_percentile changed\); run `hopbench chunk` first"):
+        pipeline.run_tree(run_dir, changed)
+    assert pipeline.run_chunk(run_dir, changed).status == "ok"
+    assert pipeline.run_tree(run_dir, changed).status == "ok"
+
+
+def test_force_is_not_an_option(toy_yaml, tmp_path):
+    result = invoke(["--config", str(toy_yaml), "--run-dir", str(tmp_path / "run"), "--force", "ingest"])
+    assert result.exit_code == 2
+    assert "--force" in result.output
 
 
 def test_run_lock_blocks_concurrent_commands(toy_yaml, tmp_path):
@@ -419,12 +430,11 @@ def test_second_model_reuses_the_run_contexts(toy_yaml, tmp_path, monkeypatch):
     assert [r.status for r in retrievals] == ["ok", "skipped"]
     assert embedded == []
     manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-    assert [s["stage"] for s in manifest["stages"]].count("retrieve") == 1
     evaluate_stage = next(s for s in manifest["stages"] if s["stage"] == "evaluate:mock-hash:rag")
     assert set(evaluate_stage["inputs"]) == {"dataset.jsonl", "chunks.jsonl", "rag_contexts.jsonl"}
 
 
-def test_forced_synthesis_rebuilds_the_run_contexts(toy_yaml, tmp_path):
+def test_resynthesis_rebuilds_the_run_contexts(toy_yaml, tmp_path):
     run_dir = tmp_path / "run"
     config = load_config(toy_yaml)
     synthesized_toy_run(run_dir, config)
@@ -432,23 +442,22 @@ def test_forced_synthesis_rebuilds_the_run_contexts(toy_yaml, tmp_path):
 
     changed = load_config(toy_yaml)
     changed.n_options = 3
-    with pytest.raises(StaleRunError):
+    with pytest.raises(DependencyError, match="synthesize ran under other settings"):
         pipeline.run_evaluate(run_dir, changed, "mock:uniform", "rag")
-    pipeline.run_synthesize(run_dir, changed, force=True)
+    pipeline.run_synthesize(run_dir, changed)
     pipeline.run_evaluate(run_dir, changed, "mock:uniform", "rag")
 
     manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-    retrieves = [s for s in manifest["stages"] if s["stage"] == "retrieve"]
-    synthesize = [s for s in manifest["stages"] if s["stage"] == "synthesize"][-1]
-    assert len(retrieves) == 2
-    assert retrieves[-1]["config_digest"] == changed.digest()
-    assert retrieves[-1]["inputs"]["dataset.jsonl"] == synthesize["outputs"]["dataset.jsonl"]
+    [retrieve] = [s for s in manifest["stages"] if s["stage"] == "retrieve"]
+    [synthesize] = [s for s in manifest["stages"] if s["stage"] == "synthesize"]
+    assert retrieve["key"]["n_options"] == 3
+    assert retrieve["inputs"]["dataset.jsonl"] == synthesize["outputs"]["dataset.jsonl"]
     assert pipeline.run_retrieve(run_dir, changed).status == "skipped"
 
-    # evaluate --force passes the force on: contexts follow the forced config.
+    # A wider context rebuilds the contexts the next RAG evaluation reads.
     wider = load_config(toy_yaml)
     wider.n_options, wider.context_k = 3, 4
-    pipeline.run_evaluate(run_dir, wider, "mock:hash", "rag", force=True)
+    pipeline.run_evaluate(run_dir, wider, "mock:hash", "rag")
     from hopbench.jsonl import load as jsonl_load
 
     stored = jsonl_load(run_dir / "rag_contexts.jsonl", "rag_contexts")
@@ -486,7 +495,7 @@ def copied_run(source, tmp_path):
 def test_report_over_half_the_zero_shot_outcomes_exits_2(zero_shot_toy_run, tmp_path):
     config_path, run_dir = copied_run(zero_shot_toy_run, tmp_path)
     keep_first_half(run_dir / pipeline.outcomes_name("mock:uniform", "zero_shot"))
-    result = invoke(["--config", str(config_path), "--run-dir", str(run_dir), "--force", "report", "--model", "mock:uniform"])
+    result = invoke(["--config", str(config_path), "--run-dir", str(run_dir), "report", "--model", "mock:uniform"])
     assert result.exit_code == 2, result.output
     assert "zero_shot outcomes do not cover the dataset" in result.output
     assert not (run_dir / "report_mock-uniform.json").exists()
@@ -496,7 +505,7 @@ def test_report_over_partial_rag_outcomes_exits_2(zero_shot_toy_run, tmp_path):
     config_path, run_dir = copied_run(zero_shot_toy_run, tmp_path)
     pipeline.run_evaluate(run_dir, load_config(config_path), "mock:uniform", "rag")
     keep_first_half(run_dir / pipeline.outcomes_name("mock:uniform", "rag"))
-    result = invoke(["--config", str(config_path), "--run-dir", str(run_dir), "--force", "report", "--model", "mock:uniform"])
+    result = invoke(["--config", str(config_path), "--run-dir", str(run_dir), "report", "--model", "mock:uniform"])
     assert result.exit_code == 2, result.output
     assert "rag outcomes do not cover the dataset" in result.output
     assert not (run_dir / "report_mock-uniform.json").exists()

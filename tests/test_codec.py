@@ -81,14 +81,13 @@ GRAPH_LINES = [
 ]
 
 STAGE_RECORD = {
-    "config_digest": "9c1e",
     "finished_at": 1700000001.25,
     "inputs": {"sentences.jsonl": "ab12"},
+    "key": {"chunk_percentile": 95.0, "corpus_paths": ["9c1e"], "global_threshold": False, "seed": 7},
     "outputs": {"chunks.jsonl": "cd34"},
     "stage": "chunk",
     "started_at": 1700000000.5,
     "stats": {"chunks": 7, "global_threshold": None},
-    "status": "ok",
 }
 
 
@@ -130,8 +129,8 @@ def test_nested_fields_decode_to_their_types():
 
 def test_stage_record_round_trip_through_the_manifest(tmp_path):
     assert to_record(from_record(StageRecord, STAGE_RECORD)) == STAGE_RECORD
-    manifest = RunManifest("run-1", "9c1e")
-    manifest.stages.append(from_record(StageRecord, STAGE_RECORD))
+    manifest = RunManifest()
+    manifest.stages["chunk"] = from_record(StageRecord, STAGE_RECORD)
     manifest.save(tmp_path)
     first = (tmp_path / "manifest.json").read_bytes()
     RunManifest.load(tmp_path).save(tmp_path)
@@ -162,9 +161,8 @@ def test_left_out_optional_keys_decode_to_the_defaults():
     del item["generation_metadata"]
     assert from_record(QAItem, item).generation_metadata == {}
 
-    stage = {k: v for k, v in STAGE_RECORD.items() if k not in ("status", "stats")}
-    decoded_stage = from_record(StageRecord, stage)
-    assert (decoded_stage.status, decoded_stage.stats) == ("ok", {})
+    stage = {k: v for k, v in STAGE_RECORD.items() if k != "stats"}
+    assert from_record(StageRecord, stage).stats == {}
 
 
 def test_a_missing_required_key_is_refused():

@@ -1,0 +1,183 @@
+"""When a stage runs: each stage is keyed on the settings that it and every
+stage upstream of it read (``Stage.reads``), so a changed setting re-runs
+exactly the stages that read it, and a stage refuses to run over an upstream
+stage that was recorded under other settings."""
+
+from __future__ import annotations
+
+import json
+import shutil
+from dataclasses import replace
+
+import pytest
+
+from hopbench import pipeline
+from hopbench.config import PipelineConfig
+from hopbench.errors import DependencyError
+from hopbench.toydata import toy_config
+
+FIELDS = set(PipelineConfig.__dataclass_fields__)
+PROVIDER_ONLY = {"api_key_env", "cache_dir", "max_parallel"}
+BUILD = ("ingest", "chunk", "tree", "extract", "shatter", "mine", "synthesize", "adjudicate", "stats")
+
+
+def toy_config_over_copied_assets(directory) -> PipelineConfig:
+    """The toy config, reading copies of the bundled corpus and stoplist."""
+    config = toy_config(seed=7)
+    directory.mkdir(parents=True)
+    config.corpus_paths = [shutil.copy(path, directory) for path in config.corpus_paths]
+    config.stoplist_path = shutil.copy(config.stoplist_path, directory)
+    return config
+
+
+def run_stage(run_dir, config, name: str, *args):
+    return getattr(pipeline, "run_" + name.replace("-", "_"))(run_dir, config, *args)
+
+
+def full_run(run_dir, config) -> None:
+    for name in BUILD:
+        run_stage(run_dir, config, name)
+    for mode in ("zero_shot", "rag"):
+        pipeline.run_evaluate(run_dir, config, "mock:uniform", mode)
+    pipeline.run_report(run_dir, config, "mock:uniform")
+
+
+def manifest_keys(run_dir) -> dict[str, dict]:
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    return {record["stage"]: record["key"] for record in manifest["stages"]}
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("finished")
+    config = toy_config_over_copied_assets(root / "assets")
+    full_run(root / "run", config)
+    return config, root / "run"
+
+
+@pytest.fixture
+def copied_run(finished_run, tmp_path):
+    config, run_dir = finished_run
+    shutil.copytree(run_dir, tmp_path / "run")
+    return config, tmp_path / "run"
+
+
+# -- the stage table ------------------------------------------------------------
+
+
+def test_every_setting_is_read_by_a_stage_or_is_provider_only():
+    read = set().union(*(stage.reads for stage in pipeline.STAGES.values()))
+    assert read <= FIELDS, f"not config fields: {sorted(read - FIELDS)}"
+    assert FIELDS - read == PROVIDER_ONLY
+
+
+class RecordingConfig(PipelineConfig):
+    """A config that notes each field read while ``recording`` is set."""
+
+    def __getattribute__(self, name):
+        if name in FIELDS and object.__getattribute__(self, "__dict__").get("recording"):
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_each_stage_reads_only_the_fields_in_its_table_row(tmp_path, monkeypatch):
+    config = RecordingConfig(**toy_config(seed=7).to_record())
+    config.read, config.recording = set(), False
+    real_key = pipeline.stage_key
+
+    def unrecorded_key(config, *args):
+        config.recording = False
+        try:
+            return real_key(config, *args)
+        finally:
+            config.recording = True
+
+    monkeypatch.setattr(pipeline, "stage_key", unrecorded_key)
+    runs = [(name, ()) for name in BUILD]
+    runs += [("shatter-sweep", ([None, 4.0],)), ("retrieve", ())]
+    runs += [("evaluate", ("mock:uniform", mode)) for mode in ("zero_shot", "rag")]
+    runs += [("report", ("mock:uniform",))]
+    for name, args in runs:
+        if name == "evaluate":  # contexts are built; a RAG evaluation would re-check them
+            monkeypatch.setattr(pipeline, "run_retrieve", lambda *_: None)
+        config.read, config.recording = set(), True
+        result = run_stage(tmp_path / "run", config, name, *args)
+        config.recording = False
+        assert result.status == "ok"
+        unlisted = config.read - set(pipeline.STAGES[name].reads) - PROVIDER_ONLY
+        assert not unlisted, f"{name} reads {sorted(unlisted)}, which its `reads` does not list"
+
+
+# -- a changed setting re-runs what reads it --------------------------------------
+
+
+def test_a_changed_context_size_reruns_only_retrieval_and_what_follows_it(copied_run):
+    config, run_dir = copied_run
+    changed = replace(config, context_k=2)
+    for name in BUILD:
+        assert run_stage(run_dir, changed, name).status == "skipped", name
+    assert pipeline.run_evaluate(run_dir, changed, "mock:uniform", "zero_shot").status == "skipped"
+    assert pipeline.run_retrieve(run_dir, changed).status == "ok"
+    rag = pipeline.run_evaluate(run_dir, changed, "mock:uniform", "rag")
+    assert rag.status == "ok"
+    assert rag.stats["resumed_existing"] == 0, "outcomes over the old contexts were kept"
+    assert pipeline.run_report(run_dir, changed, "mock:uniform").status == "ok"
+
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    stages = [record["stage"] for record in manifest["stages"]]
+    assert sorted(stages) == sorted(set(stages)), "one record per stage"
+    assert manifest_keys(run_dir)["retrieve"]["context_k"] == 2
+
+
+def test_a_changed_option_count_refuses_evaluation_until_synthesis_ran(copied_run):
+    config, run_dir = copied_run
+    changed = replace(config, n_options=3)
+    with pytest.raises(DependencyError, match=r"synthesize ran under other settings \(n_options changed\)"):
+        pipeline.run_evaluate(run_dir, changed, "mock:uniform", "zero_shot")
+    assert pipeline.run_synthesize(run_dir, changed).status == "ok"
+    zero_shot = pipeline.run_evaluate(run_dir, changed, "mock:uniform", "zero_shot")
+    assert zero_shot.status == "ok"
+    assert zero_shot.stats["resumed_existing"] == 0, "outcomes over the old dataset were kept"
+
+
+@pytest.mark.parametrize("setting", [{"max_parallel": 2}, {"cache_dir": "cache"}, {"api_key_env": "OTHER_KEY"}])
+def test_provider_only_settings_rerun_nothing(copied_run, setting):
+    config, run_dir = copied_run
+    if "cache_dir" in setting:
+        setting = {"cache_dir": str(run_dir.parent / setting["cache_dir"])}
+    changed = replace(config, **setting)
+    for name in BUILD:
+        assert run_stage(run_dir, changed, name).status == "skipped", name
+    for mode in ("zero_shot", "rag"):
+        assert pipeline.run_evaluate(run_dir, changed, "mock:uniform", mode).status == "skipped"
+    assert pipeline.run_report(run_dir, changed, "mock:uniform").status == "skipped"
+
+
+def test_a_sweep_over_other_thresholds_runs_again(copied_run):
+    config, run_dir = copied_run
+    assert pipeline.run_shatter_sweep(run_dir, config, [10.0]).status == "ok"
+    assert pipeline.run_shatter_sweep(run_dir, config, [None, 4.0]).status == "ok"
+    report = json.loads((run_dir / "topology_report.json").read_text(encoding="utf-8"))
+    assert [row["k"] for row in report["sweep"]] == ["inf", 4.0]
+    assert pipeline.run_shatter_sweep(run_dir, config, [None, 4.0]).status == "skipped"
+
+
+def test_keys_and_report_digests_do_not_depend_on_where_the_assets_are(finished_run, tmp_path):
+    config, run_dir = finished_run
+    elsewhere = toy_config_over_copied_assets(tmp_path / "elsewhere")
+    assert elsewhere.corpus_paths != config.corpus_paths
+    full_run(tmp_path / "run", elsewhere)
+    assert manifest_keys(tmp_path / "run") == manifest_keys(run_dir)
+    for name in ("stats_report.json", "report_mock-uniform.json"):
+        ours = json.loads((tmp_path / "run" / name).read_text(encoding="utf-8"))["config_digest"]
+        assert ours == json.loads((run_dir / name).read_text(encoding="utf-8"))["config_digest"]
+
+
+def test_adjudication_goes_through_the_response_cache(copied_run):
+    config, run_dir = copied_run
+    cache = run_dir.parent / "cache"
+    verdicts = (run_dir / "adjudications.jsonl").read_bytes()
+    (run_dir / "adjudications.jsonl").unlink()  # deleting an output re-runs its stage
+    assert pipeline.run_adjudicate(run_dir, replace(config, cache_dir=str(cache))).status == "ok"
+    assert len(list(cache.glob("*.json"))) > 0
+    assert (run_dir / "adjudications.jsonl").read_bytes() == verdicts
