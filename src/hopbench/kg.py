@@ -18,7 +18,7 @@ import unicodedata
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .align import ThetaSchedule, fuzzy_merge, DEFAULT_THETA
+from .align import DEFAULT_THETA, SurfaceIndex, ThetaSchedule, fuzzy_merge
 from .corpus import normalize_for_match
 from .errors import ValidationError
 from .seeding import stable_text_digest
@@ -113,14 +113,6 @@ class KnowledgeGraph:
 
     def resolve_surface(self, surface: str) -> str | None:
         return self._surface_index.get(normalize_for_match(surface))
-
-    def surface_vocabulary(self) -> dict[str, str]:
-        """surface form -> entity_id over canonical names and aliases."""
-        vocab: dict[str, str] = {}
-        for entity in self.entities.values():
-            for surface in entity.surfaces():
-                vocab.setdefault(surface, entity.entity_id)
-        return vocab
 
     def present(self, entity_id: str) -> bool:
         entity = self.entities.get(entity_id)
@@ -276,22 +268,26 @@ def assemble_graph(
     """Resolve surfaces (exact, then fuzzy) into a graph and index frequencies.
 
     Fuzzy-merged variants are recorded as aliases of the winning entity, so
-    every surface that ever appeared resolves to some entity afterwards.
+    every surface that ever appeared resolves to some entity afterwards. One
+    ``SurfaceIndex`` grows with the graph's canonical names and aliases.
     """
     graph = KnowledgeGraph(view="original")
     report = AssemblyReport()
+    index = SurfaceIndex()
 
     def resolve(surface: str) -> str:
         entity_id = graph.resolve_surface(surface)
         if entity_id is not None:
             return entity_id
-        names = {e.entity_id: e.canonical_name for e in graph.entities.values()}
-        merged = fuzzy_merge(surface, graph.surface_vocabulary(), theta_schedule, canonical_names=names)
+        merged = fuzzy_merge(surface, index, theta_schedule)
         if merged is not None:
             graph.add_alias(merged, surface)
+            index.add(surface, merged, graph.entities[merged].canonical_name)
             report.merged_aliases += 1
             return merged
-        return graph.add_entity(surface).entity_id
+        entity = graph.add_entity(surface)
+        index.add(entity.canonical_name, entity.entity_id, entity.canonical_name)
+        return entity.entity_id
 
     for raw in raw_triplets:
         head_id = resolve(raw.head_surface)

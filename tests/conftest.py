@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from hopbench.kg import Evidence, KnowledgeGraph, Triplet
@@ -87,3 +88,20 @@ def random_digraph(rng: random.Random, max_nodes: int = 50, max_edges: int = 200
     for entity in graph.entities.values():
         entity.frequency = rng.randint(0, 10)
     return graph
+
+
+def far_apart_surfaces(count: int, seed: int = 0) -> list[str]:
+    """``count`` random 12-letter surfaces, pairwise at bag distance 4 or more:
+    above every default merge tolerance, so none may merge with another."""
+    rng = random.Random(seed)
+    surfaces: list[str] = []
+    bags = np.zeros((count, 26), dtype=np.int64)
+    while len(surfaces) < count:
+        surface = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(12))
+        bag = np.bincount([ord(ch) - ord("a") for ch in surface], minlength=26)
+        diff = bags[: len(surfaces)] - bag
+        if len(surfaces) and np.maximum(np.clip(diff, 0, None).sum(1), np.clip(-diff, 0, None).sum(1)).min() < 4:
+            continue
+        bags[len(surfaces)] = bag
+        surfaces.append(surface)
+    return surfaces

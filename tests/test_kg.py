@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import entity_id_by_name, make_graph, random_digraph
+from conftest import entity_id_by_name, far_apart_surfaces, make_graph, random_digraph
+from hopbench import align
 from hopbench.errors import ValidationError
 from hopbench.kg import (
     Evidence,
@@ -193,6 +194,24 @@ def test_assembly_merges_typo_variants_as_aliases():
     assert graph.resolve_surface("diabtes") == diabetes
     assert "diabtes" in graph.entities[diabetes].aliases
     assert report.merged_aliases == 1
+
+
+def test_assembly_rules_out_far_surfaces_without_edit_distances(monkeypatch):
+    # A full scan would run one edit distance per earlier surface of similar
+    # length (about 125,000 here); the bag-distance bound rules every one out.
+    calls = 0
+    original = align.damerau_levenshtein
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(align, "damerau_levenshtein", counting)
+    surfaces = far_apart_surfaces(500)
+    graph, report = assemble_graph([raw(surfaces[i], surfaces[i + 1]) for i in range(0, 500, 2)])
+    assert len(graph.entities) == 500 and report.merged_aliases == 0
+    assert calls < 500
 
 
 def test_assembly_drops_self_loops_after_merge():
