@@ -78,7 +78,8 @@ def clean_text(raw: str) -> str:
 
 def load_document(path: str | Path, language: str = "EN") -> Document:
     """Read a UTF-8 text file into pages (form feed or marker line breaks);
-    the file's stem is the document id."""
+    the file's stem is the document id and its name the source path, so the
+    record does not depend on where the corpus lies."""
     path = Path(path)
     raw = path.read_text(encoding="utf-8")
     parts = PAGE_BREAK.split(raw)
@@ -91,7 +92,7 @@ def load_document(path: str | Path, language: str = "EN") -> Document:
         doc_id=path.stem,
         language=language,
         pages=pages,
-        source_path=str(path),
+        source_path=path.name,
     )
 
 

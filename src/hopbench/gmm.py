@@ -5,6 +5,15 @@ means, and covariances; EM alternates posterior responsibilities (E-step)
 with weighted parameter recalibration (M-step) and is monotone in the
 objective. The component count is chosen by minimizing
 ``-2 ln(L) + K ln(N)`` over a capped search range, ties toward smaller K.
+
+Each E-step and M-step acts on all K components at once, on the (K, d, N)
+stack of differences between the points and the means: one stacked Cholesky
+factorization of the (K, d, d) covariances, one batched product with the
+factors' inverses for the Mahalanobis terms, the log-determinants from the
+factors' diagonals, and one batched product for the weighted scatter
+matrices. The log-sum-exp helper repeats the arithmetic of
+``scipy.special.logsumexp``, so the fits match a per-component loop to
+rounding.
 """
 
 from __future__ import annotations
@@ -14,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from .errors import DegenerateFitError, ValidationError
 from .seeding import derive_seed
@@ -70,39 +77,68 @@ def _as_matrix(points) -> np.ndarray:
     return matrix
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) as an (N, 1) column, in the arithmetic of
+    ``scipy.special.logsumexp``: the row maxima are taken out of the sum and
+    counted, so a row with one dominant term loses no precision."""
+    a_max = a.max(axis=1, keepdims=True)
+    is_max = a == a_max
+    m = is_max.sum(axis=1, keepdims=True, dtype=np.float64)
+    s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+    return np.log1p(s / m) + np.log(m) + a_max
+
+
+def _differences(x: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """x_i - mu_k for all k, i -> (K, d, N)."""
+    return np.ascontiguousarray(x.T)[None, :, :] - means[:, :, None]
+
+
 def _log_gaussian(x: np.ndarray, means: np.ndarray, covariances: np.ndarray, covariance_type: str) -> np.ndarray:
-    """log N(x_i | mu_k, Sigma_k) for all i, k -> (N, K)."""
-    n, d = x.shape
-    k = means.shape[0]
-    out = np.empty((n, k))
+    """log N(x_i | mu_k, Sigma_k) for all i, k -> (N, K), all components at once."""
+    d = x.shape[1]
+    diff = _differences(x, means)
     if covariance_type == "full":
-        for j in range(k):
-            try:
-                chol = np.linalg.cholesky(covariances[j])
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateFitError(f"component {j} covariance not positive definite") from exc
-            diff = x - means[j]
-            z = solve_triangular(chol, diff.T, lower=True)
-            maha = np.sum(z * z, axis=0)
-            log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-            out[:, j] = -0.5 * (d * math.log(2 * math.pi) + log_det + maha)
+        try:
+            chol = np.linalg.cholesky(covariances)
+        except np.linalg.LinAlgError as exc:
+            for j, covariance in enumerate(covariances):  # name the first that fails
+                try:
+                    np.linalg.cholesky(covariance)
+                except np.linalg.LinAlgError:
+                    raise DegenerateFitError(f"component {j} covariance not positive definite") from exc
+            raise
+        z = np.linalg.inv(chol) @ diff
+        maha = np.einsum("kdn,kdn->kn", z, z)
+        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
     else:
-        for j in range(k):
-            var = covariances[j]
-            if np.any(var <= 0):
-                raise DegenerateFitError(f"component {j} has non-positive variance")
-            diff = x - means[j]
-            maha = np.sum(diff * diff / var, axis=1)
-            log_det = float(np.sum(np.log(var)))
-            out[:, j] = -0.5 * (d * math.log(2 * math.pi) + log_det + maha)
-    return out
+        bad = np.flatnonzero(np.any(covariances <= 0, axis=1))
+        if bad.size:
+            raise DegenerateFitError(f"component {bad[0]} has non-positive variance")
+        maha = np.sum(diff * diff / covariances[:, :, None], axis=1)
+        log_det = np.sum(np.log(covariances), axis=1)
+    out = -0.5 * (d * math.log(2 * math.pi) + log_det[:, None] + maha)
+    return np.ascontiguousarray(out.T)  # row-major: _logsumexp then sums rows in scipy's order
 
 
 def _e_step(x, weights, means, covariances, covariance_type):
     weighted = _log_gaussian(x, means, covariances, covariance_type) + np.log(weights)
-    norms = logsumexp(weighted, axis=1, keepdims=True)
+    norms = _logsumexp(weighted)
     gamma = np.exp(weighted - norms)
     return gamma, float(np.sum(norms))
+
+
+def _m_step(x: np.ndarray, gamma: np.ndarray, mass: np.ndarray, covariance_type: str):
+    """Weights, means and regularized covariances from the responsibilities
+    and their per-component sums, all components at once."""
+    weights = mass / x.shape[0]
+    weights = weights / weights.sum()
+    means = (gamma.T @ x) / mass[:, None]
+    diff = _differences(x, means)
+    weighted = np.ascontiguousarray(gamma.T)[:, None, :] * diff
+    if covariance_type == "full":
+        scatter = np.matmul(weighted, diff.transpose(0, 2, 1))
+        return weights, means, _regularize(scatter / mass[:, None, None], "full")
+    return weights, means, _regularize(np.sum(weighted * diff, axis=2) / mass[:, None], "diag")
 
 
 def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -171,9 +207,7 @@ def fit_gmm_em(points, K: int, seed: int) -> tuple[GaussianMixture, SoftAssignme
         dead = np.where(mass < 1e-10)[0]
         if dead.size and rescues_left > 0:
             rescues_left -= 1
-            per_point = logsumexp(
-                _log_gaussian(x, means, covariances, covariance_type) + np.log(weights), axis=1
-            )
+            per_point = _logsumexp(_log_gaussian(x, means, covariances, covariance_type) + np.log(weights))
             worst = int(np.argmin(per_point))
             for j in dead:
                 means[j] = x[worst]
@@ -188,21 +222,7 @@ def fit_gmm_em(points, K: int, seed: int) -> tuple[GaussianMixture, SoftAssignme
             continue
 
         mass = np.maximum(mass, 10 * np.finfo(np.float64).eps)  # guards the division once rescues run out
-        weights = mass / n
-        weights = weights / weights.sum()
-        means = (gamma.T @ x) / mass[:, None]
-        if covariance_type == "full":
-            covariances = np.empty((K, d, d))
-            for j in range(K):
-                diff = x - means[j]
-                covariances[j] = (gamma[:, j : j + 1] * diff).T @ diff / mass[j]
-            covariances = _regularize(covariances, "full")
-        else:
-            covariances = np.empty((K, d))
-            for j in range(K):
-                diff = x - means[j]
-                covariances[j] = np.sum(gamma[:, j : j + 1] * diff * diff, axis=0) / mass[j]
-            covariances = _regularize(covariances, "diag")
+        weights, means, covariances = _m_step(x, gamma, mass, covariance_type)
 
     if not trace:
         gamma, log_likelihood = _e_step(x, weights, means, covariances, covariance_type)

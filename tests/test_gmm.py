@@ -4,11 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.special import logsumexp
 
-from hopbench.errors import ValidationError
+from hopbench.errors import DegenerateFitError, ValidationError
 from hopbench.gmm import (
     COVARIANCE_REGULARIZATION,
     GaussianMixture,
+    _e_step,
+    _log_gaussian,
+    _logsumexp,
+    _m_step,
     bic_score,
     fit_gmm_em,
     search_cluster_count,
@@ -180,3 +186,107 @@ def test_diag_covariance_used_above_dimension_cap():
     model, _ = fit_gmm_em(x, K=2, seed=1)
     assert model.covariance_type == "diag"
     assert model.covariances.shape == (2, 20)
+
+
+def loop_log_gaussian(x, means, covariances, covariance_type):
+    """Reference: the log-densities one component at a time."""
+    n, d = x.shape
+    out = np.empty((n, means.shape[0]))
+    for j in range(means.shape[0]):
+        diff = x - means[j]
+        if covariance_type == "full":
+            chol = np.linalg.cholesky(covariances[j])
+            z = solve_triangular(chol, diff.T, lower=True)
+            maha = np.sum(z * z, axis=0)
+            log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+        else:
+            maha = np.sum(diff * diff / covariances[j], axis=1)
+            log_det = float(np.sum(np.log(covariances[j])))
+        out[:, j] = -0.5 * (d * math.log(2 * math.pi) + log_det + maha)
+    return out
+
+
+def random_mixture(rng, k, d, covariance_type):
+    means = rng.normal(0.0, 3.0, size=(k, d))
+    weights = rng.dirichlet(np.ones(k))
+    if covariance_type == "full":
+        factors = rng.standard_normal((k, d, d))
+        covariances = factors @ factors.transpose(0, 2, 1) / d + 0.05 * np.eye(d)
+    else:
+        covariances = rng.uniform(0.05, 2.0, size=(k, d))
+    return weights, means, covariances
+
+
+@pytest.mark.parametrize("covariance_type", ["full", "diag"])
+@pytest.mark.parametrize("d", [10, 20])
+def test_batched_densities_match_the_per_component_loop(covariance_type, d):
+    rng = np.random.default_rng(d)
+    x = rng.normal(0.0, 3.0, size=(120, d))
+    weights, means, covariances = random_mixture(rng, 7, d, covariance_type)
+
+    expected = loop_log_gaussian(x, means, covariances, covariance_type)
+    np.testing.assert_allclose(_log_gaussian(x, means, covariances, covariance_type), expected, rtol=1e-12)
+
+    weighted = expected + np.log(weights)
+    norms = logsumexp(weighted, axis=1, keepdims=True)
+    gamma, log_likelihood = _e_step(x, weights, means, covariances, covariance_type)
+    # A responsibility far below 1 carries the rounding of its exponent (about
+    # 1e-13 at -600) as relative error; on the probability scale it is nil.
+    np.testing.assert_allclose(gamma, np.exp(weighted - norms), rtol=1e-12, atol=1e-15)
+    assert log_likelihood == pytest.approx(float(np.sum(norms)), rel=1e-12)
+
+
+def loop_m_step(x, gamma, mass, covariance_type):
+    """Reference: the M-step one component at a time."""
+    n, d = x.shape
+    weights = mass / n
+    weights = weights / weights.sum()
+    means = (gamma.T @ x) / mass[:, None]
+    covariances = []
+    for j in range(gamma.shape[1]):
+        diff = x - means[j]
+        if covariance_type == "full":
+            scatter = (gamma[:, j : j + 1] * diff).T @ diff
+            covariances.append(scatter / mass[j] + COVARIANCE_REGULARIZATION * np.eye(d))
+        else:
+            scatter = np.sum(gamma[:, j : j + 1] * diff * diff, axis=0)
+            covariances.append(scatter / mass[j] + COVARIANCE_REGULARIZATION)
+    return weights, means, np.array(covariances)
+
+
+@pytest.mark.parametrize("covariance_type", ["full", "diag"])
+@pytest.mark.parametrize("d", [10, 20])
+def test_batched_m_step_matches_the_per_component_loop(covariance_type, d):
+    rng = np.random.default_rng(d + 1)
+    x = rng.normal(0.0, 3.0, size=(120, d))
+    gamma = rng.dirichlet(np.ones(7), size=120)
+    mass = gamma.sum(axis=0)
+    for ours, expected in zip(_m_step(x, gamma, mass, covariance_type), loop_m_step(x, gamma, mass, covariance_type)):
+        np.testing.assert_allclose(ours, expected, rtol=1e-12)
+
+
+def test_logsumexp_repeats_scipy_arithmetic():
+    a = np.random.default_rng(9).normal(0.0, 30.0, size=(200, 50))
+    a[:20, 7] = a[:20].max(axis=1)  # two terms tie at the maximum
+    a[20:40] = 4.0  # every term ties
+    assert np.array_equal(_logsumexp(a), logsumexp(a, axis=1, keepdims=True))
+
+
+def test_non_positive_definite_covariance_names_the_first_bad_component():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((30, 3))
+    weights, means, covariances = random_mixture(rng, 4, 3, "full")
+    covariances[2] = -np.eye(3)
+    covariances[3] = np.zeros((3, 3))
+    with pytest.raises(DegenerateFitError, match="component 2 covariance not positive definite"):
+        _e_step(x, weights, means, covariances, "full")
+
+
+def test_zero_variance_names_the_first_bad_component():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((30, 3))
+    weights, means, covariances = random_mixture(rng, 4, 3, "diag")
+    covariances[1, 2] = 0.0
+    covariances[3, 0] = -1.0
+    with pytest.raises(DegenerateFitError, match="component 1 has non-positive variance"):
+        _e_step(x, weights, means, covariances, "diag")

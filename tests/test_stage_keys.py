@@ -173,6 +173,19 @@ def test_keys_and_report_digests_do_not_depend_on_where_the_assets_are(finished_
         assert ours == json.loads((run_dir / name).read_text(encoding="utf-8"))["config_digest"]
 
 
+def test_documents_name_their_files_not_where_they_are(tmp_path):
+    written = []
+    for side in ("here", "there"):
+        config = toy_config_over_copied_assets(tmp_path / side / "assets")
+        pipeline.run_ingest(tmp_path / side / "run", config)
+        written.append((tmp_path / side / "run" / "documents.jsonl").read_bytes())
+    assert written[0] == written[1]
+    records = [json.loads(line) for line in written[0].decode("utf-8").splitlines()[1:]]
+    assert [record["source_path"] for record in records] == [
+        "toy_metabolic.txt", "toy_respiratory.txt", "toy_circulatory.txt"
+    ]
+
+
 def test_adjudication_goes_through_the_response_cache(copied_run):
     config, run_dir = copied_run
     cache = run_dir.parent / "cache"
