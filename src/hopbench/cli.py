@@ -18,6 +18,7 @@ import click
 from . import pipeline
 from .config import dump_config, load_config
 from .errors import HopbenchError
+from .evaluation import MOCK_EVAL_BEHAVIORS
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +55,7 @@ def main(ctx: click.Context, config_path, run_dir, verbose: bool):
 
 
 @main.command(help=pipeline.STAGES["evaluate"].help)
-@click.option("--model", required=True, help="Chat model name, or mock:{oracle,adversarial,uniform,hash}.")
+@click.option("--model", required=True, help=f"Chat model name, or mock:{{{','.join(MOCK_EVAL_BEHAVIORS)}}}.")
 @click.option("--mode", type=click.Choice(["zero_shot", "rag"]), default="zero_shot")
 @click.pass_context
 def evaluate(ctx, model: str, mode: str):

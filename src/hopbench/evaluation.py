@@ -280,98 +280,57 @@ def _check_coverage(mode: str, outcomes: Sequence[EvalOutcome], by_id: dict[str,
 # ---------------------------------------------------------------------------
 
 
-class _ItemAwareTransport:
-    """Locates the item under evaluation by its rendered options block."""
+# The answering behaviours of the ``mock:<behavior>`` evaluation models.
+MOCK_EVAL_BEHAVIORS = ("oracle", "adversarial", "uniform", "hash")
 
-    def __init__(self, items: Sequence[QAItem], provider_id: str):
-        self.provider_id = provider_id
-        self._by_block: dict[str, QAItem] = {}
-        for item in items:
-            letters = [chr(ord("A") + i) for i in range(len(item.options))]
-            block = "\n".join(f"{l}. {o}" for l, o in zip(letters, item.options))
-            self._by_block[block] = item
 
-    def _find(self, prompt: str) -> QAItem | None:
+class MockEvalTransport:
+    """The offline answering model of a ``mock:<behavior>`` model id.
+
+    It finds the item under evaluation by its options block and answers:
+    ``oracle`` the correct letter; ``adversarial`` the hard negative;
+    ``uniform`` a seeded-uniform wrong option, the baseline against which
+    elevated hard-negative rates are judged; ``hash`` what
+    ``MockChatTransport`` answers. Given the golden passage of each item
+    (RAG mode), ``uniform`` and ``hash`` answer correctly when the item's
+    passage is in the prompt, which exercises recovery offline. An item it
+    cannot find gets "A" (``hash`` needs no item)."""
+
+    def __init__(
+        self, model: str, items: Sequence[QAItem], seed: int = 0, golden_texts: dict[str, str] | None = None
+    ):
+        prefix, _, behavior = model.partition(":")
+        if prefix != "mock" or behavior not in MOCK_EVAL_BEHAVIORS:
+            raise ValidationError(f"unknown mock evaluation model: {model!r}")
+        self.behavior = behavior
+        self.seed = seed
+        self.golden_texts = golden_texts or {}
+        self.provider_id = f"mock-eval:{behavior}:s{seed}"
+        self._hash = MockChatTransport(seed=seed)
+        self._by_block = {prompts.options_block(item.options): item for item in items}
+
+    def complete(self, request: ChatRequest) -> str:
+        prompt = "\n".join(m.content for m in request.messages)
         # The evaluation prompt sandwiches the options block between the
         # "Options:" header and the answer instruction.
         _, _, tail = prompt.partition("Options:\n")
         block, _, _ = tail.partition(f"\n\n{prompts.ANSWER_INSTRUCTION}")
-        return self._by_block.get(block)
-
-    def complete(self, request: ChatRequest) -> str:
-        prompt = "\n".join(m.content for m in request.messages)
-        item = self._find(prompt)
+        item = self._by_block.get(block)
+        if item is not None and self.behavior in ("uniform", "hash"):
+            golden = self.golden_texts.get(item.qa_id)
+            if golden and golden in prompt:
+                return _letter(item.answer_index)
+        if self.behavior == "hash":
+            return self._hash.complete(request)
         if item is None:
             return "A"
-        return self.answer(item)
-
-    def answer(self, item: QAItem) -> str:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class OracleEvalTransport(_ItemAwareTransport):
-    """Always answers the correct letter."""
-
-    def __init__(self, items: Sequence[QAItem]):
-        super().__init__(items, "mock-eval:oracle")
-
-    def answer(self, item: QAItem) -> str:
-        return chr(ord("A") + item.answer_index)
-
-
-class AdversarialEvalTransport(_ItemAwareTransport):
-    """Always answers the hard-negative letter."""
-
-    def __init__(self, items: Sequence[QAItem]):
-        super().__init__(items, "mock-eval:adversarial")
-
-    def answer(self, item: QAItem) -> str:
-        return chr(ord("A") + item.hard_negative_index)
-
-
-class UniformWrongEvalTransport(_ItemAwareTransport):
-    """Answers seeded-uniformly among the incorrect options (the baseline
-    against which elevated hard-negative rates are judged)."""
-
-    def __init__(self, items: Sequence[QAItem], seed: int = 0):
-        super().__init__(items, f"mock-eval:uniform-wrong:s{seed}")
-        self.seed = seed
-
-    def answer(self, item: QAItem) -> str:
+        if self.behavior == "oracle":
+            return _letter(item.answer_index)
+        if self.behavior == "adversarial":
+            return _letter(item.hard_negative_index)
         wrong = [i for i in range(len(item.options)) if i != item.answer_index]
-        rng = random.Random(derive_seed(self.seed, "uniform-wrong", item.qa_id))
-        return chr(ord("A") + rng.choice(wrong))
+        return _letter(random.Random(derive_seed(self.seed, "uniform-wrong", item.qa_id)).choice(wrong))
 
 
-class RagAwareEvalTransport(_ItemAwareTransport):
-    """Correct when the golden evidence text appears in the prompt, otherwise
-    defers to an inner behavior; used to exercise recovery flows offline."""
-
-    def __init__(self, items: Sequence[QAItem], fallback: _ItemAwareTransport, golden_texts: dict[str, str]):
-        super().__init__(items, f"mock-eval:rag-aware:{fallback.provider_id}")
-        self.fallback = fallback
-        self.golden_texts = golden_texts
-
-    def complete(self, request: ChatRequest) -> str:
-        prompt = "\n".join(m.content for m in request.messages)
-        item = self._find(prompt)
-        if item is None:
-            return "A"
-        golden = self.golden_texts.get(item.qa_id)
-        if golden and golden in prompt:
-            return chr(ord("A") + item.answer_index)
-        return self.fallback.answer(item)
-
-
-def make_mock_eval_transport(name: str, items: Sequence[QAItem], seed: int = 0):
-    """Resolve 'mock:<behavior>' model ids used by the CLI evaluate command."""
-    behavior = name.split(":", 1)[1] if ":" in name else name
-    if behavior == "oracle":
-        return OracleEvalTransport(items)
-    if behavior == "adversarial":
-        return AdversarialEvalTransport(items)
-    if behavior == "uniform":
-        return UniformWrongEvalTransport(items, seed=seed)
-    if behavior == "hash":
-        return MockChatTransport(seed=seed)
-    raise ValidationError(f"unknown mock evaluation behavior: {behavior!r}")
+def _letter(index: int) -> str:
+    return chr(ord("A") + index)

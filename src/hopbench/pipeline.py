@@ -12,6 +12,7 @@ records round-trip through ``codec``."""
 
 from __future__ import annotations
 
+import fcntl
 import fnmatch
 import json
 import logging
@@ -46,13 +47,7 @@ from .errors import (
     NoHardNegativeError,
     ValidationError,
 )
-from .evaluation import (
-    EvalOutcome,
-    behavioral_report,
-    evaluate_dataset,
-    make_mock_eval_transport,
-    RagAwareEvalTransport,
-)
+from .evaluation import EvalOutcome, MockEvalTransport, behavioral_report, evaluate_dataset
 from .extract import extract_tree
 from .jsonl import IncrementalWriter, load, snapshot
 from .kg import (
@@ -321,49 +316,21 @@ class StageResult:
 
 @contextmanager
 def run_lock(run_dir: Path):
-    """One command at a time per run directory. A lock left by a process
-    that no longer exists (killed before it could remove it) is taken over."""
+    """One command at a time per run directory: an exclusive ``flock`` on
+    ``run_dir/.lock``. The kernel drops the lock when its holder exits,
+    however it exits, so a crashed command leaves no lock behind. The empty
+    file stays: were it removed, a second command could lock a new file of
+    that name while the first still held the old one."""
     run_dir.mkdir(parents=True, exist_ok=True)
     lock_path = run_dir / ".lock"
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
-    locked = ValidationError(f"run directory is locked ({lock_path}); another command may be running")
-    try:
-        fd = os.open(lock_path, flags)
-    except FileExistsError:
-        holder = _exited_lock_holder(lock_path)
-        if holder is None:
-            raise locked from None
-        logger.warning("removing stale lock %s left by exited process %d", lock_path, holder)
-        lock_path.unlink(missing_ok=True)
+    with open(lock_path, "a") as handle:
         try:
-            fd = os.open(lock_path, flags)
-        except FileExistsError:
-            raise locked from None
-    try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ValidationError(
+                f"run directory is locked ({lock_path}); another command may be running"
+            ) from None
         yield
-    finally:
-        lock_path.unlink(missing_ok=True)
-
-
-def _exited_lock_holder(lock_path: Path) -> int | None:
-    """The PID recorded in a lock file when that process no longer exists.
-    None when it is alive, or the file is unreadable, not yet written or
-    holds no process id: the lock counts as held."""
-    try:
-        pid = int(lock_path.read_text(encoding="ascii"))
-    except (OSError, ValueError):
-        return None
-    if pid <= 0:
-        return None
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return pid
-    except PermissionError:  # alive, owned by another user
-        pass
-    return None
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -753,21 +720,6 @@ def outcomes_name(model: str, mode: str) -> str:
     return STAGES["evaluate"].outputs[0].format(model=sanitize_model_id(model), mode=mode)
 
 
-def build_eval_chat_service(
-    config: PipelineConfig,
-    model: str,
-    items: list[QAItem],
-    mode: str,
-    golden_texts: dict[str, str] | None = None,
-) -> ChatService:
-    if model.startswith("mock:"):
-        transport = make_mock_eval_transport(model, items, seed=config.seed)
-        if mode == "rag" and golden_texts and model.split(":", 1)[1] in ("uniform", "hash"):
-            transport = RagAwareEvalTransport(items, transport, golden_texts)
-        return ChatService(transport)
-    return make_chat_service(config)
-
-
 def run_retrieve(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     """Build every item's RAG context once per run. Contexts do not depend on
     the model, so each model's RAG evaluation reads them from
@@ -826,7 +778,10 @@ def run_evaluate(
         done = {r["qa_id"] for r in load(out_path, "outcomes")}
         if done:
             logger.info("resuming %s: %d outcomes already recorded", out_name, len(done))
-        chat = build_eval_chat_service(config, model, items, mode, golden_texts)
+        if model.startswith("mock:"):
+            chat = ChatService(MockEvalTransport(model, items, config.seed, golden_texts))
+        else:
+            chat = make_chat_service(config)
         outcomes = evaluate_dataset(
             items,
             chat,

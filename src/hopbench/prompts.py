@@ -70,11 +70,10 @@ RAG_CONTEXT_HEADER = "Background documents:"
 
 ADJUDICATION_SENTINEL = "expert medical adjudicator"
 
-
-def adjudication_prompt_template() -> str:
-    """Load the quality-adjudication prompt shipped as a text asset."""
-    ref = resources.files("hopbench").joinpath("assets/adjudication_prompt.txt")
-    return ref.read_text(encoding="utf-8")
+# The quality-adjudication prompt, shipped as a text asset and read once.
+ADJUDICATION_TEMPLATE = (
+    resources.files("hopbench").joinpath("assets/adjudication_prompt.txt").read_text(encoding="utf-8")
+)
 
 
 def render_extraction_prompt(tagged_sentences: list[str]) -> str:
@@ -106,9 +105,12 @@ def render_vignette_prompt(
     )
 
 
+def options_block(options: list[str]) -> str:
+    """The lettered options, one per line, as the evaluation prompt shows them."""
+    return "\n".join(f"{chr(ord('A') + i)}. {text}" for i, text in enumerate(options))
+
+
 def render_eval_prompt(question: str, options: list[str], context_docs: list[str] | None = None) -> str:
-    letters = [chr(ord("A") + i) for i in range(len(options))]
-    options_block = "\n".join(f"{letter}. {text}" for letter, text in zip(letters, options))
     if context_docs:
         docs = "\n".join(f"[{i + 1}] {doc}" for i, doc in enumerate(context_docs))
         context_block = f"{RAG_CONTEXT_HEADER}\n{docs}\n\n"
@@ -117,17 +119,17 @@ def render_eval_prompt(question: str, options: list[str], context_docs: list[str
     return EVAL_TEMPLATE.format(
         context_block=context_block,
         question=question,
-        options_block=options_block,
+        options_block=options_block(options),
         answer_instruction=ANSWER_INSTRUCTION,
     )
 
 
 def render_adjudication_prompt(question: str, options: list[str], answer_index: int, rationale: str) -> str:
     letters = [chr(ord("A") + i) for i in range(len(options))]
-    options_block = "; ".join(f"{letter}. {text}" for letter, text in zip(letters, options))
-    return adjudication_prompt_template().format(
+    options_line = "; ".join(f"{letter}. {text}" for letter, text in zip(letters, options))
+    return ADJUDICATION_TEMPLATE.format(
         question=question,
-        options=options_block,
+        options=options_line,
         answer=letters[answer_index],
         rationale=rationale,
     )

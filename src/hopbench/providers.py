@@ -1,9 +1,12 @@
 """Provider-agnostic chat and embedding clients.
 
-Ships three transports: an HTTP JSON client for any chat-completion /
-embedding endpoint, a deterministic mock that makes the whole pipeline run
-offline, and a content-addressed response cache so repeated requests are
-byte-identical and free.
+Transports reach a provider: an HTTP JSON client for any chat-completion /
+embedding endpoint, and deterministic mocks that make the whole pipeline run
+offline (the answering models of ``evaluate --model mock:<behavior>`` are
+``evaluation.MockEvalTransport``). ``ChatService`` and ``EmbeddingService``
+are the one path from a stage to a transport. Without a cache they call the
+transport directly; with a ``ResponseCache`` they hash the request, and a
+repeated request is answered byte-identically from the cache.
 """
 
 from __future__ import annotations
@@ -125,14 +128,6 @@ def embed_request_hash(model_name: str, texts: Sequence[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    request_hash: str
-    response_payload: bytes
-    created_at: float
-    provider_id: str
-
-
 class ResponseCache:
     """Directory of content-addressed response files.
 
@@ -149,16 +144,12 @@ class ResponseCache:
     def _path(self, request_hash: str) -> Path:
         return self.directory / f"{request_hash}.json"
 
-    def get(self, request_hash: str) -> CacheEntry | None:
+    def get(self, request_hash: str) -> bytes | None:
+        """The stored payload, or None on a miss."""
         path = self._path(request_hash)
         try:
             record = json.loads(path.read_bytes().decode("utf-8"))
-            return CacheEntry(
-                request_hash=record["request_hash"],
-                response_payload=record["payload"].encode("utf-8"),
-                created_at=record["created_at"],
-                provider_id=record["provider_id"],
-            )
+            return record["payload"].encode("utf-8")
         except FileNotFoundError:
             return None
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -546,15 +537,14 @@ class ChatService:
         self.cache = cache
 
     def complete(self, request: ChatRequest) -> str:
+        if self.cache is None:
+            return self.transport.complete(request)
         request_hash = chat_request_hash(request)
-        if self.cache is not None:
-            entry = self.cache.get(request_hash)
-            if entry is not None:
-                return entry.response_payload.decode("utf-8")
-        response = self.transport.complete(request)
-        if self.cache is not None:
-            self.cache.put(request_hash, response.encode("utf-8"), self.transport.provider_id)
-        return response
+        payload = self.cache.get(request_hash)
+        if payload is None:
+            payload = self.transport.complete(request).encode("utf-8")
+            self.cache.put(request_hash, payload, self.transport.provider_id)
+        return payload.decode("utf-8")
 
 
 class EmbeddingService:
@@ -574,17 +564,15 @@ class EmbeddingService:
         for i, text in enumerate(texts):
             if not text.strip():
                 raise ValidationError(f"embed_texts: text {i} is empty after trim")
-        request_hash = embed_request_hash(self.transport.provider_id, texts)
-        rows: list[list[float]] | None = None
-        if self.cache is not None:
-            entry = self.cache.get(request_hash)
-            if entry is not None:
-                rows = json.loads(entry.response_payload.decode("utf-8"))
-        if rows is None:
+        if self.cache is None:
             rows = self.transport.embed(texts)
-            if self.cache is not None:
-                payload = json.dumps(rows).encode("utf-8")
+        else:
+            request_hash = embed_request_hash(self.transport.provider_id, texts)
+            payload = self.cache.get(request_hash)
+            if payload is None:
+                payload = json.dumps(self.transport.embed(texts)).encode("utf-8")
                 self.cache.put(request_hash, payload, self.transport.provider_id)
+            rows = json.loads(payload)
         if len(rows) != len(texts):
             raise ProviderFaultError(f"embedding batch returned {len(rows)} vectors for {len(texts)} texts")
         dimensions = {len(row) for row in rows}

@@ -102,7 +102,9 @@ def select_fillers(
     far_by_source: dict[str, list[str]] | None = None,
 ) -> list[str]:
     """Entity ids at undirected distance >= FILLER_MIN_DISTANCE from the
-    source (unreachable counts as far), excluding the chain's own nodes.
+    source (unreachable counts as far). None of the chain's own nodes is
+    that far in the view it was mined from: the bridge and the sibling are
+    one hop from the source, the target and the hard negative two at most.
 
     ``far_by_source`` memoises the far ids of each source, in
     ``present_ids()`` order, for callers that draw many items from one
@@ -119,14 +121,12 @@ def select_fillers(
         ]
         if far_by_source is not None:
             far_by_source[chain.a] = far
-    excluded = {chain.e_bridge, chain.b, chain.e_sib, chain.b_prime}  # the source is at distance 0
-    candidates = [entity_id for entity_id in far if entity_id not in excluded]
-    if len(candidates) < count:
+    if len(far) < count:
         raise ItemDiscardedError(
-            f"chain {chain.key}: only {len(candidates)} filler candidates for {count} slots",
+            f"chain {chain.key}: only {len(far)} filler candidates for {count} slots",
             reason="insufficient_fillers",
         )
-    return rng.sample(candidates, count)
+    return rng.sample(far, count)
 
 
 def synthesize_item(

@@ -26,7 +26,7 @@ from hopbench.align import damerau_levenshtein
 from hopbench.chains import mine_chains, sample_hard_negative
 from hopbench.corpus import Chunk, Sentence, SentenceStore
 from hopbench.errors import ItemDiscardedError, NoHardNegativeError
-from hopbench.evaluation import EvalOutcome, UniformWrongEvalTransport, behavioral_report, evaluate_dataset
+from hopbench.evaluation import EvalOutcome, MockEvalTransport, behavioral_report, evaluate_dataset
 from hopbench.gmm import fit_gmm_em, search_cluster_count
 from hopbench.kg import KnowledgeGraph, shatter
 from hopbench.providers import ChatService, EmbeddingService, EmbeddingVector, MockChatTransport, MockEmbeddingTransport
@@ -370,7 +370,7 @@ def test_acceptance_10_hne_random_baseline():
                 chain_ref="k",
             )
         )
-    chat = ChatService(UniformWrongEvalTransport(items, seed=3))
+    chat = ChatService(MockEvalTransport("mock:uniform", items, seed=3))
     outcomes = evaluate_dataset(items, chat, model_id="uniform", mode="zero_shot")
     report = behavioral_report("uniform", outcomes, items)
     rate, errors = report.hne_rate, report.total_errors

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -229,32 +231,37 @@ def test_force_is_not_an_option(toy_yaml, tmp_path):
 def test_run_lock_blocks_concurrent_commands(toy_yaml, tmp_path):
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    (run_dir / ".lock").write_text(str(os.getpid()), encoding="utf-8")  # a live holder
     config = load_config(toy_yaml)
-    with pytest.raises(ValidationError):
-        pipeline.run_ingest(run_dir, config)
-    assert (run_dir / ".lock").read_text(encoding="utf-8") == str(os.getpid())
+    with open(run_dir / ".lock", "a") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)  # another command holds the run
+        with pytest.raises(ValidationError, match="run directory is locked"):
+            pipeline.run_ingest(run_dir, config)
+    assert pipeline.run_ingest(run_dir, config).status == "ok"
+    assert (run_dir / ".lock").read_bytes() == b""  # left in place, empty
 
 
-def test_run_lock_left_by_an_exited_process_is_taken_over(toy_yaml, tmp_path, caplog):
-    exited = subprocess.Popen([sys.executable, "-c", "pass"])
-    exited.wait(timeout=60)
+def test_run_lock_of_a_killed_holder_no_longer_blocks(toy_yaml, tmp_path):
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    (run_dir / ".lock").write_text(str(exited.pid), encoding="utf-8")
-    with caplog.at_level(logging.WARNING, logger="hopbench.pipeline"):
-        result = pipeline.run_ingest(run_dir, load_config(toy_yaml))
-    assert result.status == "ok"
-    assert "stale lock" in caplog.text
-    assert not (run_dir / ".lock").exists()
-
-
-def test_run_lock_without_a_recorded_pid_still_blocks(toy_yaml, tmp_path):
-    run_dir = tmp_path / "run"
-    run_dir.mkdir()
-    (run_dir / ".lock").write_text("", encoding="utf-8")  # holder has not written its pid yet
-    with pytest.raises(ValidationError):
-        pipeline.run_ingest(run_dir, load_config(toy_yaml))
+    config = load_config(toy_yaml)
+    hold = (
+        "import fcntl, sys, time\n"
+        "handle = open(sys.argv[1], 'a')\n"
+        "fcntl.flock(handle, fcntl.LOCK_EX)\n"
+        "print('locked', flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    holder = subprocess.Popen([sys.executable, "-c", hold, str(run_dir / ".lock")], stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline() == "locked\n"
+        with pytest.raises(ValidationError, match="run directory is locked"):
+            pipeline.run_ingest(run_dir, config)
+    finally:
+        holder.send_signal(signal.SIGKILL)
+        holder.wait(timeout=60)
+        holder.stdout.close()
+    assert holder.returncode == -signal.SIGKILL
+    assert pipeline.run_ingest(run_dir, config).status == "ok"
 
 
 def test_cli_full_toy_pipeline(toy_yaml, tmp_path):

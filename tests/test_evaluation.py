@@ -4,15 +4,15 @@ import pytest
 
 from hopbench.errors import ValidationError
 from hopbench.evaluation import (
-    AdversarialEvalTransport,
     EvalOutcome,
-    OracleEvalTransport,
-    UniformWrongEvalTransport,
+    MockEvalTransport,
     behavioral_report,
     evaluate_dataset,
     parse_choice,
 )
-from hopbench.providers import ChatService
+from hopbench import prompts
+from hopbench.providers import ChatRequest, ChatService, MockChatTransport
+from hopbench.rag import RagContext
 from hopbench.synthesis import QAItem
 
 
@@ -87,7 +87,7 @@ def test_parse_option_count_bounds():
 
 def test_oracle_mock_scores_every_item():
     items = [make_item(i) for i in range(10)]
-    chat = ChatService(OracleEvalTransport(items))
+    chat = ChatService(MockEvalTransport("mock:oracle", items))
     outcomes = evaluate_dataset(items, chat, model_id="oracle", mode="zero_shot")
     assert all(o.correct for o in outcomes)
     assert behavioral_report("oracle", outcomes, items).hne_rate is None
@@ -95,7 +95,7 @@ def test_oracle_mock_scores_every_item():
 
 def test_adversarial_mock_always_picks_hard_negative():
     items = [make_item(i) for i in range(10)]
-    chat = ChatService(AdversarialEvalTransport(items))
+    chat = ChatService(MockEvalTransport("mock:adversarial", items))
     outcomes = evaluate_dataset(items, chat, model_id="adv", mode="zero_shot")
     assert not any(o.correct for o in outcomes)
     report = behavioral_report("adv", outcomes, items)
@@ -103,16 +103,42 @@ def test_adversarial_mock_always_picks_hard_negative():
     assert report.hne_rate == 1.0
 
 
+@pytest.mark.parametrize("behavior", ["uniform", "hash"])
+def test_rag_aware_mocks_recover_only_with_the_golden_passage(behavior):
+    items = [make_item(i) for i in range(8)]
+    golden = {item.qa_id: f"golden passage of {item.qa_id}" for item in items}
+    chat = ChatService(MockEvalTransport(f"mock:{behavior}", items, seed=3, golden_texts=golden))
+
+    def run(documents):
+        contexts = {item.qa_id: RagContext(item.qa_id, ["c"], documents(item), 0) for item in items}
+        return evaluate_dataset(items, chat, model_id=f"mock:{behavior}", mode="rag", contexts=contexts)
+
+    assert all(o.correct for o in run(lambda item: [golden[item.qa_id]]))
+    without = run(lambda item: ["an unrelated passage"])
+    if behavior == "uniform":
+        assert not any(o.correct for o in without)
+    else:  # the answer of the hash model, not a crash
+        hashed = MockChatTransport(seed=3)
+        for item, outcome in zip(items, without):
+            prompt = prompts.render_eval_prompt(item.question, item.options, ["an unrelated passage"])
+            assert outcome.raw_response == hashed.complete(ChatRequest.user(prompt))
+
+
+def test_unknown_mock_model_is_rejected():
+    with pytest.raises(ValidationError):
+        MockEvalTransport("mock:random", [make_item(0)])
+
+
 def test_rag_mode_requires_contexts():
     items = [make_item(0)]
-    chat = ChatService(OracleEvalTransport(items))
+    chat = ChatService(MockEvalTransport("mock:oracle", items))
     with pytest.raises(ValidationError):
         evaluate_dataset(items, chat, model_id="m", mode="rag")
 
 
 def test_outcome_sink_and_resume_skip():
     items = [make_item(i) for i in range(4)]
-    chat = ChatService(OracleEvalTransport(items))
+    chat = ChatService(MockEvalTransport("mock:oracle", items))
     seen: list[str] = []
     outcomes = evaluate_dataset(
         items,
@@ -240,7 +266,7 @@ def test_report_refuses_zero_shot_outcomes_that_do_not_cover_the_dataset(qa_ids,
 
 def test_report_oracle_everything_correct():
     items = [make_item(i) for i in range(8)]
-    chat = ChatService(OracleEvalTransport(items))
+    chat = ChatService(MockEvalTransport("mock:oracle", items))
     outcomes = evaluate_dataset(items, chat, model_id="oracle", mode="zero_shot")
     report = behavioral_report("oracle", outcomes, items)
     assert report.total_errors == 0
@@ -251,7 +277,7 @@ def test_report_oracle_everything_correct():
 
 def test_report_adversarial_composition():
     items = [make_item(i) for i in range(100)]
-    chat = ChatService(AdversarialEvalTransport(items))
+    chat = ChatService(MockEvalTransport("mock:adversarial", items))
     outcomes = evaluate_dataset(items, chat, model_id="adv", mode="zero_shot")
     report = behavioral_report("adv", outcomes, items)
     assert report.total_errors == 100
@@ -261,7 +287,7 @@ def test_report_adversarial_composition():
 
 def test_report_rates_recomputable_from_stored_counts():
     items = [make_item(i) for i in range(40)]
-    chat = ChatService(UniformWrongEvalTransport(items, seed=5))
+    chat = ChatService(MockEvalTransport("mock:uniform", items, seed=5))
     zero = evaluate_dataset(items, chat, model_id="u", mode="zero_shot")
     report = behavioral_report("u", zero, items)
     record = report.to_record()
@@ -274,7 +300,7 @@ def test_report_rates_recomputable_from_stored_counts():
 def test_mock_outcomes_identical_across_runs():
     items = [make_item(i) for i in range(15)]
     runs = [
-        evaluate_dataset(items, ChatService(UniformWrongEvalTransport(items, seed=9)), "u", "zero_shot")
+        evaluate_dataset(items, ChatService(MockEvalTransport("mock:uniform", items, seed=9)), "u", "zero_shot")
         for _ in range(2)
     ]
     assert runs[0] == runs[1]  # every outcome field, including raw responses

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from hopbench import providers
+from hopbench import prompts, providers
 from hopbench.errors import ProtocolError, TransportError, ValidationError
 from hopbench.providers import (
     ChatMessage,
@@ -77,7 +77,7 @@ def test_cache_put_survives_a_concurrent_writer_of_the_same_entry(tmp_path, monk
 
     monkeypatch.setattr(providers.os, "replace", other_writer_in_between)
     first.put("h", b"first", "p")
-    assert first.get("h").response_payload == b"first"
+    assert first.get("h") == b"first"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json"]
 
 
@@ -98,7 +98,45 @@ def test_service_refetches_over_a_truncated_cache_entry(tmp_path):
     (entry,) = tmp_path.glob("*.json")
     entry.write_bytes(entry.read_bytes()[:10])
     assert service.complete(request) == expected
-    assert cache.get(entry.stem).response_payload == expected.encode("utf-8")
+    assert cache.get(entry.stem) == expected.encode("utf-8")
+
+
+# A prompt the mock answers with a letter, without hashing the request itself.
+MCQ_PROMPT = prompts.render_eval_prompt("Which finding?", ["first", "second"])
+
+
+def _count_request_hashes(monkeypatch) -> dict[str, int]:
+    counts = {"chat": 0, "embed": 0}
+    chat_hash, embed_hash = providers.chat_request_hash, providers.embed_request_hash
+
+    def counted(kind, hash_fn):
+        def wrapper(*args):
+            counts[kind] += 1
+            return hash_fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(providers, "chat_request_hash", counted("chat", chat_hash))
+    monkeypatch.setattr(providers, "embed_request_hash", counted("embed", embed_hash))
+    return counts
+
+
+def test_service_without_a_cache_hashes_no_request(monkeypatch):
+    counts = _count_request_hashes(monkeypatch)
+    ChatService(MockChatTransport(seed=1)).complete(ChatRequest.user(MCQ_PROMPT))
+    EmbeddingService(MockEmbeddingTransport(dimension=8)).embed_texts(["one text", "another"])
+    assert counts == {"chat": 0, "embed": 0}
+
+
+def test_cached_service_hashes_each_request_once(tmp_path, monkeypatch):
+    counts = _count_request_hashes(monkeypatch)
+    chat = ChatService(MockChatTransport(seed=1), cache=ResponseCache(tmp_path))
+    embedder = EmbeddingService(MockEmbeddingTransport(dimension=8), cache=ResponseCache(tmp_path))
+    request = ChatRequest.user(MCQ_PROMPT)
+    assert chat.complete(request) == chat.complete(request)  # a miss, then a hit
+    first, second = embedder.embed_texts(["one text"]), embedder.embed_texts(["one text"])
+    assert first == second
+    assert counts == {"chat": 2, "embed": 2}
 
 
 def test_mock_response_keyed_by_request_hash():
