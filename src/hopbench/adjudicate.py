@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import prompts
 from .errors import AdjudicationError, ProviderError, ValidationError
 from .providers import ChatRequest, ChatService
-from .synthesis import QAItem, parse_json_object
+from .synthesis import QAItem
 
 logger = logging.getLogger(__name__)
 
@@ -39,7 +39,7 @@ def _ask_member(service: ChatService, prompt: str, model_name: str) -> dict | No
         except ProviderError as exc:
             logger.warning("adjudication member failed: %s", exc)
             return None
-        payload = parse_json_object(response)
+        payload = prompts.parse_json_reply(response, dict)
         if payload is not None and all(f in payload for f in SCORE_FIELDS):
             return payload
         request = request.with_reask("Output EXACTLY the JSON format requested, nothing else.")

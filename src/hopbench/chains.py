@@ -37,7 +37,7 @@ class ReasoningChain:
         return self.e_sib is not None and self.b_prime is not None
 
 
-def mine_chains(graph: KnowledgeGraph, per_source_cap: int | None = None) -> list[ReasoningChain]:
+def mine_chains(graph: KnowledgeGraph, per_source_cap: int | None) -> list[ReasoningChain]:
     """Enumerate deduplicated directed 2-hop paths with their edge evidence,
     at most ``per_source_cap`` per source (None: no cap)."""
     chains: list[ReasoningChain] = []

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .align import ThetaSchedule
+from .align import DEFAULT_THETA, ThetaSchedule
 from .errors import ValidationError
 
 
@@ -31,8 +31,8 @@ class PipelineConfig:
     k_threshold: float | None = 50  # None = unbounded
     stoplist_path: str | None = None
     frequency_unit: str = "tree_nodes"
-    theta_steps: list[list[int]] = field(default_factory=lambda: [[3, 0], [7, 1], [12, 2]])
-    theta_above: int = 3
+    theta_steps: list[list[int]] = field(default_factory=lambda: [list(step) for step in DEFAULT_THETA.steps])
+    theta_above: int = DEFAULT_THETA.above
     # hierarchy
     target_dim: int = 10
     gmm_k_max: int = 50

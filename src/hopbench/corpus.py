@@ -76,7 +76,7 @@ def clean_text(raw: str) -> str:
     return text.strip()
 
 
-def load_document(path: str | Path, language: str = "EN") -> Document:
+def load_document(path: str | Path, language: str) -> Document:
     """Read a UTF-8 text file into pages (form feed or marker line breaks);
     the file's stem is the document id and its name the source path, so the
     record does not depend on where the corpus lies."""
@@ -163,8 +163,8 @@ def _mean_embedding(members: list[EmbeddingVector]) -> EmbeddingVector:
 def semantic_chunk(
     sentences: list[Sentence],
     embeddings: list[EmbeddingVector],
-    percentile: float = 95.0,
-    max_sentences: int = 64,
+    percentile: float,
+    max_sentences: int,
     threshold: float | None = None,
 ) -> list[Chunk]:
     """Partition one document's sentences into contiguous chunks.

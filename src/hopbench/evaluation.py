@@ -297,7 +297,7 @@ class MockEvalTransport:
     cannot find gets "A" (``hash`` needs no item)."""
 
     def __init__(
-        self, model: str, items: Sequence[QAItem], seed: int = 0, golden_texts: dict[str, str] | None = None
+        self, model: str, items: Sequence[QAItem], seed: int, golden_texts: dict[str, str] | None = None
     ):
         prefix, _, behavior = model.partition(":")
         if prefix != "mock" or behavior not in MOCK_EVAL_BEHAVIORS:

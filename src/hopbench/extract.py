@@ -7,9 +7,7 @@ logs it and moves on)."""
 
 from __future__ import annotations
 
-import json
 import logging
-import re
 from dataclasses import dataclass, field
 
 from . import prompts
@@ -23,8 +21,6 @@ from .tree import SummaryTree
 logger = logging.getLogger(__name__)
 
 MAX_REASKS = 2
-
-_ARRAY = re.compile(r"\[.*\]", re.DOTALL)
 
 
 @dataclass
@@ -49,29 +45,13 @@ def tagged_sentence_lines(chunks: list[Chunk], store: SentenceStore) -> list[str
     return lines
 
 
-def parse_json_array(text: str) -> list | None:
-    try:
-        value = json.loads(text)
-        return value if isinstance(value, list) else None
-    except json.JSONDecodeError:
-        pass
-    match = _ARRAY.search(text)
-    if match:
-        try:
-            value = json.loads(match.group(0))
-            return value if isinstance(value, list) else None
-        except json.JSONDecodeError:
-            return None
-    return None
-
-
 def extract_triplets(
     report: NodeExtraction,
     source_chunks: list[Chunk],
     chat: ChatService,
     sentence_store: SentenceStore,
-    model_name: str = "default",
-    seed: int = 0,
+    model_name: str,
+    seed: int,
 ) -> list[RawTriplet]:
     """Extract evidence-validated triplets for the tree node ``report`` is
     for, recording accepted and rejected rows in it."""
@@ -93,7 +73,7 @@ def extract_triplets(
             response = chat.complete(request)
         except ProviderError as exc:
             raise ExtractionError(f"provider failure extracting node {node_id}: {exc}") from exc
-        rows = parse_json_array(response)
+        rows = prompts.parse_json_reply(response, list)
         if rows is not None:
             break
         request = request.with_reask("Return ONLY the JSON array, with no surrounding text.")
@@ -153,8 +133,8 @@ def extract_tree(
     chunks: list[Chunk],
     chat: ChatService,
     sentence_store: SentenceStore,
-    model_name: str = "default",
-    seed: int = 0,
+    model_name: str,
+    seed: int,
 ) -> tuple[list[RawTriplet], list[NodeExtraction], list[str]]:
     """Run extraction over every tree node; failed nodes are skipped.
 

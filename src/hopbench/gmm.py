@@ -255,7 +255,7 @@ def soft_assign(model: GaussianMixture, points) -> SoftAssignment:
     return SoftAssignment(gamma=gamma)
 
 
-def search_cluster_count(points, K_max: int = 50, seed: int = 0, n_restarts: int = 4) -> ClusterSearch:
+def search_cluster_count(points, K_max: int, seed: int, n_restarts: int) -> ClusterSearch:
     """Fit K = 1..K_max (best of ``n_restarts`` each) and minimize the
     penalized objective; ties break toward smaller K."""
     if K_max < 1:

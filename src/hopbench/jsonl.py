@@ -71,19 +71,24 @@ def load(path: str | Path, schema: str) -> list[dict]:
 class IncrementalWriter:
     """Append-mode JSONL writer for resumable stages (evaluation outcomes).
 
-    Creates the header on first use; appends flush per record so an
-    interrupted run keeps everything written so far. Opening a file whose
+    The header names the digest of the key the records are written under.
+    Appends flush per record so an interrupted run keeps everything written
+    so far, and a run under the same key resumes them. Opening a file whose
     last line has no newline (a write cut short) truncates that incomplete
-    record, as a write-ahead log does on recovery."""
+    record, as a write-ahead log does on recovery; a file whose header names
+    another key, or none, is started afresh."""
 
-    def __init__(self, path: str | Path, schema: str):
+    def __init__(self, path: str | Path, schema: str, key_digest: str):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        header = _dumps({"schema": schema, "version": SCHEMA_VERSION, "key_digest": key_digest}) + "\n"
         if self.path.exists():
             _drop_torn_tail(self.path)
-        if not self.path.exists() or self.path.stat().st_size == 0:
-            with self.path.open("w", encoding="utf-8") as handle:
-                handle.write(_dumps({"schema": schema, "version": SCHEMA_VERSION}) + "\n")
+            with self.path.open("r", encoding="utf-8") as handle:
+                if handle.readline() == header:
+                    return
+            logger.info("%s: no records under this key; starting afresh", self.path)
+        self.path.write_text(header, encoding="utf-8")
 
     def append(self, record: dict) -> None:
         with self.path.open("a", encoding="utf-8") as handle:

@@ -18,7 +18,7 @@ import unicodedata
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .align import DEFAULT_THETA, SurfaceIndex, ThetaSchedule, fuzzy_merge
+from .align import SurfaceIndex, ThetaSchedule, fuzzy_merge
 from .corpus import normalize_for_match
 from .errors import ValidationError
 from .seeding import stable_text_digest
@@ -180,7 +180,7 @@ def load_stoplist(path: str | Path) -> tuple[set[str], str]:
 
 def entity_frequencies(
     triplets: list[Triplet],
-    counting_unit: str = "tree_nodes",
+    counting_unit: str,
     known_ids: set[str] | None = None,
 ) -> dict[str, int]:
     """Occurrence counts per entity: distinct tree nodes or raw mentions."""
@@ -262,8 +262,8 @@ class AssemblyReport:
 
 def assemble_graph(
     raw_triplets: list[RawTriplet],
-    theta_schedule: ThetaSchedule = DEFAULT_THETA,
-    counting_unit: str = "tree_nodes",
+    theta_schedule: ThetaSchedule,
+    counting_unit: str,
 ) -> tuple[KnowledgeGraph, AssemblyReport]:
     """Resolve surfaces (exact, then fuzzy) into a graph and index frequencies.
 

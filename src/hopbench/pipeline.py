@@ -71,11 +71,11 @@ from .providers import (
     canonical_json,
     parallel_map,
 )
-from .rag import CorpusIndex, RagContext, RetrievalConfig, TokenOverlapReranker, build_rag_context
+from .rag import CorpusIndex, RagContext, build_rag_context
 from .seeding import derive_seed, stable_text_digest
 from .synthesis import QAItem, synthesize_dataset
 from .topology import shatter_sweep, topology_report
-from .tree import SummaryTree, SummaryTreeNode, TreeBuildConfig, build_summary_tree
+from .tree import SummaryTree, SummaryTreeNode, build_summary_tree
 
 logger = logging.getLogger(__name__)
 
@@ -224,11 +224,11 @@ def producer(artifact: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def make_chat_service(config: PipelineConfig, seed: int | None = None) -> ChatService:
-    """Chat through the configured provider and cache; ``seed`` replaces the master seed of the mock."""
+def make_chat_service(config: PipelineConfig, seed: int) -> ChatService:
+    """Chat through the configured provider and cache; ``seed`` seeds the mock."""
     cache = ResponseCache(config.cache_dir) if config.cache_dir else None
     if config.provider_mode == "mock":
-        return ChatService(MockChatTransport(seed=config.seed if seed is None else seed), cache=cache)
+        return ChatService(MockChatTransport(seed=seed), cache=cache)
     return ChatService(HttpChatTransport(config.chat_base_url, config.api_key_env), cache=cache)
 
 
@@ -246,7 +246,7 @@ def make_embedding_service(config: PipelineConfig) -> EmbeddingService:
 
 def make_adjudication_ensemble(config: PipelineConfig) -> tuple[list[ChatService], list[str]]:
     names = list(config.adjudication_ensemble)
-    return [make_chat_service(config, seed=derive_seed(config.seed, "judge", name)) for name in names], names
+    return [make_chat_service(config, derive_seed(config.seed, "judge", name)) for name in names], names
 
 
 # ---------------------------------------------------------------------------
@@ -509,25 +509,12 @@ def run_chunk(run_dir: str | Path, config: PipelineConfig) -> StageResult:
 
 
 def run_tree(run_dir: str | Path, config: PipelineConfig) -> StageResult:
-    chat = make_chat_service(config)
+    chat = make_chat_service(config, config.seed)
     embedder = make_embedding_service(config)
 
     def compute(inputs, outputs, _digest):
         chunks = [from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")]
-        tree = build_summary_tree(
-            chunks,
-            chat,
-            embedder,
-            TreeBuildConfig(
-                target_dim=config.target_dim,
-                k_max=config.gmm_k_max,
-                n_restarts=config.gmm_restarts,
-                membership_floor=config.membership_floor,
-                max_levels=config.max_levels,
-                chat_model=config.chat_model,
-            ),
-            seed=derive_seed(config.seed, "tree"),
-        )
+        tree = build_summary_tree(chunks, chat, embedder, config)
         ordered = sorted(tree.nodes.values(), key=lambda n: (n.level, n.node_id))
         snapshot([tree_node_to_record(n) for n in ordered], outputs["tree.jsonl"], schema="tree")
         _write_json(outputs["gmm_report.json"], {"levels": tree.level_reports})
@@ -537,7 +524,7 @@ def run_tree(run_dir: str | Path, config: PipelineConfig) -> StageResult:
 
 
 def run_extract(run_dir: str | Path, config: PipelineConfig) -> StageResult:
-    chat = make_chat_service(config)
+    chat = make_chat_service(config, config.seed)
 
     def compute(inputs, outputs, _digest):
         chunks = [from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")]
@@ -585,9 +572,7 @@ def run_shatter(run_dir: str | Path, config: PipelineConfig) -> StageResult:
             "k_threshold": "inf" if config.k_threshold is None else config.k_threshold,
             "stoplist_id": stoplist_id,
             "original": topology_report(graph).to_record(),
-            "shattered": topology_report(view).to_record()
-            if view.present_ids()
-            else {"node_count": 0},
+            "shattered": topology_report(view).to_record(),
         }
         _write_json(outputs["topology_report.json"], report)
         pruned = [e for e in view.entities.values() if e.is_pruned]
@@ -622,7 +607,7 @@ def run_mine(run_dir: str | Path, config: PipelineConfig) -> StageResult:
 
 
 def run_synthesize(run_dir: str | Path, config: PipelineConfig) -> StageResult:
-    chat = make_chat_service(config)
+    chat = make_chat_service(config, config.seed)
 
     def compute(inputs, outputs, _digest):
         annotated, _unit = graph_from_records(load(inputs["graph.jsonl"], "graph"))
@@ -631,17 +616,7 @@ def run_synthesize(run_dir: str | Path, config: PipelineConfig) -> StageResult:
         chunks = [from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")]
         sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
         items, discards = synthesize_dataset(
-            chains,
-            view,
-            {c.chunk_id: c for c in chunks},
-            SentenceStore(sentences),
-            chat,
-            master_seed=config.seed,
-            n_options=config.n_options,
-            language=config.language,
-            difficulty=config.difficulty,
-            model_name=config.chat_model,
-            temperature=config.synthesis_temperature,
+            chains, view, {c.chunk_id: c for c in chunks}, SentenceStore(sentences), chat, config
         )
         snapshot([to_record(i) for i in items], outputs["dataset.jsonl"], schema="dataset")
         snapshot(
@@ -731,16 +706,7 @@ def run_retrieve(run_dir: str | Path, config: PipelineConfig) -> StageResult:
         if not items:
             raise ValidationError("dataset is empty; nothing to evaluate")
         index = CorpusIndex([from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")])
-        retrieval = RetrievalConfig(
-            coarse_pool_size=config.coarse_pool,
-            rerank_keep=config.rerank_keep,
-            context_size=config.context_k,
-        )
-        reranker = TokenOverlapReranker() if config.use_reranker else None
-        records = [
-            build_rag_context(item, index, embedder, retrieval, seed=config.seed, reranker=reranker).to_record()
-            for item in items
-        ]
+        records = [build_rag_context(item, index, embedder, config).to_record() for item in items]
         snapshot(records, outputs["rag_contexts.jsonl"], schema="rag_contexts")
         return {"contexts": len(records)}
 
@@ -758,7 +724,7 @@ def run_evaluate(
     if mode == "rag":
         run_retrieve(run_dir, config)
 
-    def compute(inputs, outputs, _digest):
+    def compute(inputs, outputs, digest):
         items = _load_items(inputs["dataset.jsonl"])
         if not items:
             raise ValidationError("dataset is empty; nothing to evaluate")
@@ -773,15 +739,16 @@ def run_evaluate(
                 golden_texts[context.qa_id] = context.documents[context.golden_position]
 
         [(out_name, out_path)] = outputs.items()
-        # Opened before the read: it drops a torn last record.
-        writer = IncrementalWriter(out_path, schema="outcomes")
+        # Opened before the read: it drops a torn last record, and the
+        # outcomes of a run under another key.
+        writer = IncrementalWriter(out_path, schema="outcomes", key_digest=digest)
         done = {r["qa_id"] for r in load(out_path, "outcomes")}
         if done:
             logger.info("resuming %s: %d outcomes already recorded", out_name, len(done))
         if model.startswith("mock:"):
             chat = ChatService(MockEvalTransport(model, items, config.seed, golden_texts))
         else:
-            chat = make_chat_service(config)
+            chat = make_chat_service(config, config.seed)
         outcomes = evaluate_dataset(
             items,
             chat,

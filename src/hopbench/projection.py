@@ -16,7 +16,7 @@ POWER_ITERATIONS = 100
 MAX_PAIRS = 2000
 
 
-def reduce_dimensions(vectors: list[EmbeddingVector], target_dim: int, seed: int = 0) -> np.ndarray:
+def reduce_dimensions(vectors: list[EmbeddingVector], target_dim: int, seed: int) -> np.ndarray:
     """Project embedding vectors to ``target_dim`` by PCA via orthogonal
     iteration with a seeded start and a fixed sign rule: (N, target_dim)."""
     if len(vectors) < 2:
@@ -41,7 +41,7 @@ def reduce_dimensions(vectors: list[EmbeddingVector], target_dim: int, seed: int
     return centered @ basis
 
 
-def distance_rank_correlation(vectors: list[EmbeddingVector], points: np.ndarray, seed: int = 0) -> float:
+def distance_rank_correlation(vectors: list[EmbeddingVector], points: np.ndarray, seed: int) -> float:
     """Spearman correlation of pairwise distances before vs. after projection.
 
     Reported as a projection-quality diagnostic; pairs are subsampled with a

@@ -1,4 +1,5 @@
-"""Prompt templates used by the pipeline stages.
+"""Prompt templates used by the pipeline stages, and the parser of the
+JSON replies they ask for.
 
 Templates are frozen and versioned: evaluation accuracy is only comparable
 across runs that used the same prompt version, so the version string is
@@ -8,6 +9,8 @@ its sentinel line, so changes here must be mirrored there.
 
 from __future__ import annotations
 
+import json
+import re
 from importlib import resources
 
 EVAL_PROMPT_VERSION = "mcq-v1"
@@ -133,3 +136,24 @@ def render_adjudication_prompt(question: str, options: list[str], answer_index: 
         answer=letters[answer_index],
         rationale=rationale,
     )
+
+
+# The outermost JSON object or array in a reply that wraps it in prose.
+_OUTERMOST = {dict: re.compile(r"\{.*\}", re.DOTALL), list: re.compile(r"\[.*\]", re.DOTALL)}
+
+
+def parse_json_reply(text: str, kind: type[dict] | type[list]) -> dict | list | None:
+    """The JSON object (``kind`` dict) or array (``kind`` list) of a model
+    reply: the whole reply when it parses, else its outermost braces or
+    brackets. None when that is not valid JSON of ``kind``."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        match = _OUTERMOST[kind].search(text)
+        if match is None:
+            return None
+        try:
+            value = json.loads(match.group(0))
+        except json.JSONDecodeError:
+            return None
+    return value if isinstance(value, kind) else None

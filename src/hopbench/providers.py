@@ -231,7 +231,7 @@ class HttpChatTransport:
     def __init__(
         self,
         base_url: str,
-        api_key_env: str = "HOPBENCH_API_KEY",
+        api_key_env: str,
         timeout: float = 60.0,
         sleep: Callable[[float], None] = time.sleep,
     ):
@@ -266,7 +266,7 @@ class HttpEmbeddingTransport:
         self,
         base_url: str,
         model_name: str,
-        api_key_env: str = "HOPBENCH_API_KEY",
+        api_key_env: str,
         timeout: float = 60.0,
         sleep: Callable[[float], None] = time.sleep,
     ):
@@ -354,7 +354,7 @@ class MockChatTransport:
     built-in handlers with scripted (substring, response) pairs.
     """
 
-    def __init__(self, seed: int = 0, scripted: Sequence[tuple[str, str]] = ()):
+    def __init__(self, seed: int, scripted: Sequence[tuple[str, str]] = ()):
         self.seed = seed
         self.scripted = list(scripted)
         self.provider_id = f"mock-chat:s{seed}"
@@ -488,7 +488,7 @@ class MockEmbeddingTransport:
     share vocabulary land near each other. Repeatable across processes.
     """
 
-    def __init__(self, dimension: int = 32, seed: int = 0):
+    def __init__(self, dimension: int, seed: int):
         if dimension < 2:
             raise ValidationError("mock embedding dimension must be >= 2")
         self.dimension = dimension

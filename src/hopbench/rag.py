@@ -19,29 +19,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import PipelineConfig
 from .corpus import Chunk
 from .errors import StageError, ValidationError
 from .providers import EmbeddingService
 from .seeding import derive_seed
 from .synthesis import QAItem
 from .textstats import tokenize
-
-DEFAULT_COARSE_POOL = 50
-DEFAULT_RERANK_KEEP = 15
-DEFAULT_CONTEXT_SIZE = 5
-
-
-@dataclass(frozen=True)
-class RetrievalConfig:
-    coarse_pool_size: int = DEFAULT_COARSE_POOL
-    rerank_keep: int = DEFAULT_RERANK_KEEP
-    context_size: int = DEFAULT_CONTEXT_SIZE
-
-    def __post_init__(self):
-        if self.context_size < 1:
-            raise ValidationError("context_size must be >= 1")
-        if self.rerank_keep < 1 or self.coarse_pool_size < 1:
-            raise ValidationError("retrieval pool sizes must be >= 1")
 
 
 @dataclass
@@ -74,16 +58,15 @@ class RagContext:
         )
 
 
-class TokenOverlapReranker:
-    """Offline reranker: scores passages by query-token overlap."""
-
-    def scores(self, query: str, passages: Sequence[str]) -> list[float]:
-        query_tokens = set(tokenize(query))
-        out = []
-        for passage in passages:
-            tokens = set(tokenize(passage))
-            out.append(len(query_tokens & tokens) / (len(query_tokens) or 1))
-        return out
+def token_overlap_scores(query: str, passages: Sequence[str], language: str) -> list[float]:
+    """The offline reranker: the share of the query's tokens, in ``language``,
+    that each passage holds."""
+    query_tokens = set(tokenize(query, language))
+    out = []
+    for passage in passages:
+        tokens = set(tokenize(passage, language))
+        out.append(len(query_tokens & tokens) / (len(query_tokens) or 1))
+    return out
 
 
 class CorpusIndex:
@@ -127,16 +110,17 @@ def build_rag_context(
     item: QAItem,
     index: CorpusIndex,
     embedder: EmbeddingService,
-    config: RetrievalConfig = RetrievalConfig(),
-    seed: int = 0,
-    reranker: TokenOverlapReranker | None = None,
+    config: PipelineConfig,
 ) -> RagContext:
-    """Assemble the k-document context with the golden paragraph embedded.
+    """Assemble the ``context_k``-document context with the golden paragraph
+    embedded.
 
     The golden paragraph is the hop-2 evidence chunk (it states the masked
     bridge and the target). The remaining k-1 slots take the highest-ranked
-    non-golden passages; the insertion position is seeded-uniform."""
-    k = config.context_size
+    non-golden passages of the ``coarse_pool`` best by cosine, reranked by
+    token overlap in the item's language when ``use_reranker`` is set and cut
+    to ``rerank_keep``; the insertion position is seeded-uniform."""
+    k = config.context_k
     if len(index) < k:
         raise ValidationError(f"corpus has {len(index)} chunks, fewer than context size {k}")
 
@@ -146,9 +130,9 @@ def build_rag_context(
         raise StageError(f"{item.qa_id}: golden paragraph {golden_anchor['chunk_id']} unresolvable")
 
     query_vector = embedder.embed_texts([item.question])[0].as_array()
-    candidates = index.rank(query_vector, config.coarse_pool_size)
-    if reranker is not None:
-        scores = reranker.scores(item.question, [c.text for c in candidates])
+    candidates = index.rank(query_vector, config.coarse_pool)
+    if config.use_reranker:
+        scores = token_overlap_scores(item.question, [c.text for c in candidates], item.language)
         ranked = [c for _, c in sorted(zip(scores, candidates), key=lambda t: -t[0])]
     else:
         ranked = candidates
@@ -164,7 +148,7 @@ def build_rag_context(
         distractors.extend(extras)
     passages = distractors[: k - 1]
 
-    rng = random.Random(derive_seed(seed, "golden-position", item.qa_id))
+    rng = random.Random(derive_seed(config.seed, "golden-position", item.qa_id))
     golden_position = rng.randrange(k)
     passages.insert(golden_position, golden_chunk)
 

@@ -8,15 +8,14 @@ source, shuffled by a per-item seed."""
 
 from __future__ import annotations
 
-import json
 import logging
-import re
 from dataclasses import dataclass, field
 
 import random
 
 from . import prompts
 from .chains import ReasoningChain
+from .config import PipelineConfig
 from .corpus import Chunk, SentenceStore, normalize_for_match
 from .errors import ItemDiscardedError, ProviderError, ValidationError
 from .kg import KnowledgeGraph
@@ -29,8 +28,6 @@ logger = logging.getLogger(__name__)
 GENERATION_RETRIES = 2  # regeneration attempts after the first try
 FILLER_MIN_DISTANCE = 3
 PROMPT_VERSION = "vignette-v1"
-
-_OBJECT = re.compile(r"\{.*\}", re.DOTALL)
 
 
 @dataclass
@@ -72,22 +69,6 @@ def verify_masking(item: QAItem) -> list[str]:
         if normalize_for_match(surface) in question:
             violations.append(surface)
     return violations
-
-
-def parse_json_object(text: str) -> dict | None:
-    try:
-        value = json.loads(text)
-        return value if isinstance(value, dict) else None
-    except json.JSONDecodeError:
-        pass
-    match = _OBJECT.search(text)
-    if match:
-        try:
-            value = json.loads(match.group(0))
-            return value if isinstance(value, dict) else None
-        except json.JSONDecodeError:
-            return None
-    return None
 
 
 def _anchor_record(kind: str, chunk_id: str, span: tuple[int, int], page: int) -> dict:
@@ -136,16 +117,14 @@ def synthesize_item(
     sentence_store: SentenceStore,
     chat: ChatService,
     qa_id: str,
-    n_options: int = 4,
-    language: str = "EN",
-    rng_seed: int = 0,
-    difficulty: str = "hard",
-    model_name: str = "default",
-    temperature: float = 0.7,
+    config: PipelineConfig,
+    rng_seed: int,
     far_by_source: dict[str, list[str]] | None = None,
 ) -> QAItem:
-    """Synthesize one masked multiple-choice item from a completed chain;
-    ``far_by_source`` is passed on to ``select_fillers``."""
+    """Synthesize one masked multiple-choice item from a completed chain,
+    seeded by ``rng_seed``, with the synthesis settings and ``language`` of
+    ``config``; ``far_by_source`` is passed on to ``select_fillers``."""
+    n_options = config.n_options
     if n_options < 3:
         raise ValidationError("n_options must be >= 3 (target, hard negative, filler)")
     if not chain.complete:
@@ -195,8 +174,8 @@ def synthesize_item(
         attempts = attempt + 1
         request = ChatRequest.user(
             prompt,
-            temperature=temperature,
-            model_name=model_name,
+            temperature=config.synthesis_temperature,
+            model_name=config.chat_model,
             seed=derive_seed(rng_seed, f"attempt{attempt}"),
         )
         try:
@@ -206,14 +185,14 @@ def synthesize_item(
                 f"chain {chain.key}: provider failure during synthesis: {exc}",
                 reason="provider_error",
             ) from exc
-        payload = parse_json_object(response)
+        payload = prompts.parse_json_reply(response, dict)
         if payload is None or "question" not in payload or "rationale" not in payload:
             last_violations = ["<unparseable generation>"]
             continue
         item = QAItem(
             qa_id=qa_id,
-            language=language,
-            difficulty=difficulty,
+            language=config.language,
+            difficulty=config.difficulty,
             clinical_task="unadjudicated",
             question=str(payload["question"]).strip(),
             options=options,
@@ -227,8 +206,8 @@ def synthesize_item(
             ],
             chain_ref=chain.key,
             generation_metadata={
-                "model": model_name,
-                "temperature": temperature,
+                "model": config.chat_model,
+                "temperature": config.synthesis_temperature,
                 "seed": rng_seed,
                 "prompt_version": PROMPT_VERSION,
                 "attempts": attempts,
@@ -259,36 +238,19 @@ def synthesize_dataset(
     chunk_store: dict[str, Chunk],
     sentence_store: SentenceStore,
     chat: ChatService,
-    master_seed: int = 0,
-    n_options: int = 4,
-    language: str = "EN",
-    difficulty: str = "hard",
-    model_name: str = "default",
-    temperature: float = 0.7,
+    config: PipelineConfig,
 ) -> tuple[list[QAItem], list[Discard]]:
-    """Synthesize items for every completed chain; discards carry reasons."""
+    """Synthesize items for every completed chain, each seeded from
+    ``config.seed`` and its chain key; discards carry reasons."""
     items: list[QAItem] = []
     discards: list[Discard] = []
     far_by_source: dict[str, list[str]] = {}  # chains share sources; the graph is fixed here
     for index, chain in enumerate(chains):
         qa_id = f"qa{index:05d}"
+        rng_seed = derive_seed(config.seed, "synthesize", chain.key)
         try:
             items.append(
-                synthesize_item(
-                    chain,
-                    graph,
-                    chunk_store,
-                    sentence_store,
-                    chat,
-                    qa_id=qa_id,
-                    n_options=n_options,
-                    language=language,
-                    rng_seed=derive_seed(master_seed, "synthesize", chain.key),
-                    difficulty=difficulty,
-                    model_name=model_name,
-                    temperature=temperature,
-                    far_by_source=far_by_source,
-                )
+                synthesize_item(chain, graph, chunk_store, sentence_store, chat, qa_id, config, rng_seed, far_by_source)
             )
         except ItemDiscardedError as exc:
             discards.append(Discard(chain_key=chain.key, reason=exc.reason, detail=str(exc)))

@@ -24,7 +24,7 @@ _EN_TOKEN = re.compile(r"[a-z0-9]+")
 _CJK = re.compile(r"[一-鿿]")
 
 
-def tokenize(text: str, language: str = "EN") -> list[str]:
+def tokenize(text: str, language: str) -> list[str]:
     lowered = text.lower()
     if language.upper() == "ZH":
         return [ch for ch in lowered if not ch.isspace()]

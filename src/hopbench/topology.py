@@ -117,9 +117,12 @@ def _distance_sum(adjacency: csr_matrix) -> int:
 
 
 def topology_report(graph: KnowledgeGraph) -> TopologyReport:
+    """Counts, components and the average shortest path of the present
+    nodes; a view with no present node has the zero report."""
     present = graph.present_ids()
+    pruned_count = sum(1 for e in graph.entities.values() if e.is_pruned)
     if not present:
-        raise ValidationError("topology report of an empty graph")
+        return TopologyReport(0, len(graph.edges), 0, None, pruned_count=pruned_count)
     adjacency = _present_adjacency(graph, present)
     component_count, labels = csgraph.connected_components(adjacency, directed=False)
     sizes = np.bincount(labels, minlength=component_count)
@@ -139,7 +142,7 @@ def topology_report(graph: KnowledgeGraph) -> TopologyReport:
         largest_component_size=size,
         average_shortest_path=asp,
         component_count=int(component_count),
-        pruned_count=sum(1 for e in graph.entities.values() if e.is_pruned),
+        pruned_count=pruned_count,
     )
 
 
@@ -165,17 +168,5 @@ def shatter_sweep(graph: KnowledgeGraph, ks: list[float | None], stoplist: set[s
     for k in ks:
         view = shatter(graph, k, stoplist=stoplist, stoplist_id=stoplist_id)
         result.k_values.append(k)
-        if view.present_ids():
-            result.reports.append(topology_report(view))
-        else:
-            result.reports.append(
-                TopologyReport(
-                    node_count=0,
-                    edge_count=0,
-                    largest_component_size=0,
-                    average_shortest_path=None,
-                    component_count=0,
-                    pruned_count=len(view.entities),
-                )
-            )
+        result.reports.append(topology_report(view))
     return result

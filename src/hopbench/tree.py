@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import prompts
+from .config import PipelineConfig
 from .corpus import Chunk
 from .errors import ProviderError, StageError, ValidationError
 from .gmm import search_cluster_count, soft_assign
@@ -88,26 +89,18 @@ def soft_members(gamma, ids: list[str], membership_floor: float) -> dict[int, di
     return members
 
 
-@dataclass(frozen=True)
-class TreeBuildConfig:
-    target_dim: int = 10
-    k_max: int = 50
-    n_restarts: int = 4
-    membership_floor: float = 0.10
-    max_levels: int = 4
-    chat_model: str = "default"
-
-
 def build_summary_tree(
     chunks: list[Chunk],
     chat: ChatService,
     embedder: EmbeddingService,
-    config: TreeBuildConfig = TreeBuildConfig(),
-    seed: int = 0,
+    config: PipelineConfig,
 ) -> SummaryTree:
-    """Build the hierarchy bottom-up from chunks; one chunk needs no calls."""
+    """Build the hierarchy bottom-up from chunks; one chunk needs no calls.
+    Reads the hierarchy settings, ``chat_model`` and the tree seed derived
+    from ``config.seed``."""
     if not chunks:
         raise ValidationError("cannot build a tree from zero chunks")
+    seed = derive_seed(config.seed, "tree")
 
     tree = SummaryTree()
     for chunk in chunks:
@@ -131,9 +124,9 @@ def build_summary_tree(
             matrix = np.stack([v.as_array() for v in vectors])
             rank_corr = 1.0
 
-        k_max = min(config.k_max, len(current) - 1)
+        k_max = min(config.gmm_k_max, len(current) - 1)
         search = search_cluster_count(
-            matrix, K_max=k_max, seed=level_seed, n_restarts=config.n_restarts
+            matrix, K_max=k_max, seed=level_seed, n_restarts=config.gmm_restarts
         )
         assignment = soft_assign(search.best, matrix)
         members_by_cluster = soft_members(assignment.gamma, ids, config.membership_floor)

@@ -24,13 +24,14 @@ from conftest import entity_id_by_name, make_graph, random_digraph
 from hopbench import pipeline
 from hopbench.align import damerau_levenshtein
 from hopbench.chains import mine_chains, sample_hard_negative
+from hopbench.config import PipelineConfig
 from hopbench.corpus import Chunk, Sentence, SentenceStore
 from hopbench.errors import ItemDiscardedError, NoHardNegativeError
 from hopbench.evaluation import EvalOutcome, MockEvalTransport, behavioral_report, evaluate_dataset
 from hopbench.gmm import fit_gmm_em, search_cluster_count
 from hopbench.kg import KnowledgeGraph, shatter
 from hopbench.providers import ChatService, EmbeddingService, EmbeddingVector, MockChatTransport, MockEmbeddingTransport
-from hopbench.rag import CorpusIndex, RetrievalConfig, build_rag_context
+from hopbench.rag import CorpusIndex, build_rag_context
 from hopbench.seeding import derive_seed
 from hopbench.synthesis import QAItem, synthesize_item, verify_masking
 from hopbench.textstats import bleu1, rouge1_f1, tokenize
@@ -236,7 +237,7 @@ def synthesize_thousand():
     graph, chunk_store, sentence_store = layered_graph()
     chat = ChatService(MockChatTransport(seed=0))
     completed = []
-    for chain in mine_chains(graph):
+    for chain in mine_chains(graph, None):
         try:
             completed.append(sample_hard_negative(chain, graph, derive_seed(99, "sib", chain.key)))
         except NoHardNegativeError:
@@ -254,7 +255,8 @@ def synthesize_thousand():
                 chunk_store,
                 sentence_store,
                 chat,
-                qa_id=f"qa{index:05d}",
+                f"qa{index:05d}",
+                PipelineConfig(),
                 rng_seed=derive_seed(99, "acc7", str(index)),
             )
             retained.append((item, chain))
@@ -393,7 +395,7 @@ def test_acceptance_11_overlap_metric_oracle():
         ("w x y z", "w x y q", 3 / 4, 3 / 4),
     ]
     for candidate, reference, expected_rouge, expected_bleu in cases:
-        c, r = tokenize(candidate), tokenize(reference)
+        c, r = tokenize(candidate, "EN"), tokenize(reference, "EN")
         assert rouge1_f1(c, r) == pytest.approx(expected_rouge, abs=1e-12), (candidate, reference)
         assert bleu1(c, r) == pytest.approx(expected_bleu, abs=1e-12), (candidate, reference)
     report_pass(11, f"ROUGE-1 and BLEU-1 exact on all {len(cases)} hand-computed pairs")
@@ -415,9 +417,9 @@ def test_acceptance_12_rag_context_contract():
         for i, (text, vector) in enumerate(zip(texts, vectors))
     ]
     index = CorpusIndex(chunks)
-    config = RetrievalConfig(coarse_pool_size=20, rerank_keep=10, context_size=5)
+    config = PipelineConfig(coarse_pool=20, rerank_keep=10, context_k=5, seed=777)
 
-    position_counts = [0] * config.context_size
+    position_counts = [0] * config.context_k
     for i in range(500):
         golden_id = f"c{i % 40:03d}"
         item = QAItem(
@@ -437,9 +439,9 @@ def test_acceptance_12_rag_context_contract():
             ],
             chain_ref="k",
         )
-        context = build_rag_context(item, index, embedder, config, seed=777)
+        context = build_rag_context(item, index, embedder, config)
         golden_text = index.chunk(golden_id).text
-        assert len(context.documents) == config.context_size
+        assert len(context.documents) == config.context_k
         assert context.documents.count(golden_text) == 1
         assert context.documents[context.golden_position] == golden_text
         position_counts[context.golden_position] += 1

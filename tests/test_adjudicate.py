@@ -28,7 +28,7 @@ def item() -> QAItem:
 
 
 def scripted_member(payload: str) -> ChatService:
-    return ChatService(MockChatTransport(scripted=[("adjudicator", payload)]))
+    return ChatService(MockChatTransport(seed=0, scripted=[("adjudicator", payload)]))
 
 
 def names(ensemble: list[ChatService]) -> list[str]:

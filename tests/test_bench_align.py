@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import far_apart_surfaces
-from hopbench.align import SurfaceIndex, fuzzy_merge
+from hopbench.align import DEFAULT_THETA, SurfaceIndex, fuzzy_merge
 from hopbench.kg import Evidence, RawTriplet, assemble_graph
 
 pytestmark = pytest.mark.bench
@@ -24,7 +24,7 @@ def rows(surfaces: list[str]) -> list[RawTriplet]:
 @pytest.mark.parametrize("size", [300, 1200])
 def test_assemble_graph(benchmark, size):
     raw = rows(far_apart_surfaces(size))
-    graph, report = benchmark(assemble_graph, raw)
+    graph, report = benchmark(assemble_graph, raw, DEFAULT_THETA, "tree_nodes")
     assert len(graph.entities) == size and report.merged_aliases == 0
 
 

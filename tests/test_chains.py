@@ -13,7 +13,7 @@ from hopbench.kg import shatter
 
 def test_triangle_yields_exactly_one_chain():
     graph = make_graph(["a", "b", "c"], [("a", "r", "b"), ("b", "r", "c"), ("a", "r", "c")])
-    chains = mine_chains(graph)
+    chains = mine_chains(graph, None)
     assert len(chains) == 1
     chain = chains[0]
     names = [graph.entities[x].canonical_name for x in (chain.a, chain.e_bridge, chain.b)]
@@ -22,7 +22,7 @@ def test_triangle_yields_exactly_one_chain():
 
 def test_toy_shattered_graph_contains_published_bridge_chain(diabetes_toy_graph):
     shattered = shatter(diabetes_toy_graph, None, stoplist={"blood"})
-    chains = mine_chains(shattered)
+    chains = mine_chains(shattered, None)
     triples = {
         (
             shattered.entities[c.a].canonical_name,
@@ -51,12 +51,12 @@ def test_mined_chains_match_cubic_oracle_on_random_graphs():
     rng = random.Random(17)
     for _ in range(20):
         graph = random_digraph(rng, max_nodes=15, max_edges=40)
-        mined = {(c.a, c.e_bridge, c.b) for c in mine_chains(graph)}
+        mined = {(c.a, c.e_bridge, c.b) for c in mine_chains(graph, None)}
         assert mined == brute_force_chains(graph)
 
 
 def test_chain_evidence_comes_from_its_edges(diabetes_toy_graph):
-    chains = mine_chains(diabetes_toy_graph)
+    chains = mine_chains(diabetes_toy_graph, None)
     for chain in chains:
         hop1 = [e for e in diabetes_toy_graph.edges if e.head == chain.a and e.tail == chain.e_bridge]
         assert chain.evidence_hop1 in [e.evidence for e in hop1]
@@ -72,7 +72,7 @@ def test_per_source_cap_respected():
 
 
 def test_empty_graph_mines_nothing():
-    assert mine_chains(make_graph([], [])) == []
+    assert mine_chains(make_graph([], []), None) == []
 
 
 # -- hard negatives ------------------------------------------------------------
@@ -84,7 +84,7 @@ def test_published_sibling_branch_selected(sibling_toy_graph):
     bridge = entity_id_by_name(shattered, "AGEs accumulation")
     target = entity_id_by_name(shattered, "Osteoblast suppression")
     chain = next(
-        c for c in mine_chains(shattered) if (c.a, c.e_bridge, c.b) == (diabetes, bridge, target)
+        c for c in mine_chains(shattered, None) if (c.a, c.e_bridge, c.b) == (diabetes, bridge, target)
     )
     completed = sample_hard_negative(chain, shattered, rng_seed=0)
     assert shattered.entities[completed.e_sib].canonical_name == "Sorbitol Accumulation"
@@ -94,7 +94,7 @@ def test_published_sibling_branch_selected(sibling_toy_graph):
 
 def test_source_with_single_branch_has_no_hard_negative():
     graph = make_graph(["a", "b", "c"], [("a", "r", "b"), ("b", "r", "c")])
-    chain = mine_chains(graph)[0]
+    chain = mine_chains(graph, None)[0]
     with pytest.raises(NoHardNegativeError):
         sample_hard_negative(chain, graph, rng_seed=0)
 
@@ -107,7 +107,7 @@ def test_sibling_target_excludes_chain_nodes():
     )
     chain = next(
         c
-        for c in mine_chains(graph)
+        for c in mine_chains(graph, None)
         if graph.entities[c.e_bridge].canonical_name == "b"
         and graph.entities[c.b].canonical_name == "c"
     )
@@ -122,7 +122,7 @@ def test_hard_negative_deterministic_for_fixed_seed():
         edges.append(("a", "r", f"s{i}"))
         edges.append((f"s{i}", "r", f"t{i}"))
     graph = make_graph(names, edges)
-    chain = next(c for c in mine_chains(graph) if graph.entities[c.b].canonical_name == "c")
+    chain = next(c for c in mine_chains(graph, None) if graph.entities[c.b].canonical_name == "c")
     picks = {(sample_hard_negative(chain, graph, rng_seed=42).e_sib) for _ in range(5)}
     assert len(picks) == 1
     different = sample_hard_negative(chain, graph, rng_seed=43)
@@ -133,7 +133,7 @@ def test_hard_negative_deterministic_for_fixed_seed():
 
 def test_completing_a_complete_chain_rejected(sibling_toy_graph):
     shattered = shatter(sibling_toy_graph, None, stoplist={"blood"})
-    chain = mine_chains(shattered)[0]
+    chain = mine_chains(shattered, None)[0]
     completed = sample_hard_negative(chain, shattered, rng_seed=1)
     with pytest.raises(ValidationError):
         sample_hard_negative(completed, shattered, rng_seed=1)

@@ -4,11 +4,13 @@ import fcntl
 import json
 import logging
 import os
+import re
 import shutil
 import signal
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import yaml
@@ -61,6 +63,13 @@ def test_unknown_config_key_rejected(tmp_path):
     path.write_text("corpus_paths: []\nmystery_knob: 3\n", encoding="utf-8")
     with pytest.raises(ValidationError):
         load_config(path)
+
+
+def test_readme_configuration_table_names_every_setting():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Configuration", 1)[1].split("\n\n| key |", 1)[1].split("\n\n", 1)[0]
+    named = {name for row in table.splitlines() for name in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert named == set(PipelineConfig.__dataclass_fields__)
 
 
 def test_out_of_range_values_rejected():
@@ -310,28 +319,54 @@ def synthesized_toy_run(run_dir, config) -> None:
         fn(run_dir, config)
 
 
-def test_evaluate_resumes_partial_outcomes(toy_yaml, tmp_path):
+def interrupted_evaluation(run_dir, config, monkeypatch, answered: int):
+    """Run `evaluate` (mock:oracle, zero-shot) until ``answered`` outcomes are
+    written, then stop it as a crash would: no manifest record is left."""
+    from hopbench.evaluation import MockEvalTransport
+
+    real_complete = MockEvalTransport.complete
+    calls = []
+
+    def complete(self, request):
+        if len(calls) == answered:
+            raise KeyboardInterrupt
+        calls.append(request)
+        return real_complete(self, request)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MockEvalTransport, "complete", complete)
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.run_evaluate(run_dir, config, "mock:oracle", "zero_shot")
+    assert "evaluate:mock-oracle:zero_shot" not in json.loads((run_dir / "manifest.json").read_text())["stages"]
+
+
+def test_evaluate_resumes_partial_outcomes(toy_yaml, tmp_path, monkeypatch):
     run_dir = tmp_path / "run"
     config = load_config(toy_yaml)
     synthesized_toy_run(run_dir, config)
-    from hopbench.jsonl import IncrementalWriter, load as jsonl_load
+    from hopbench.jsonl import load as jsonl_load
 
     dataset = jsonl_load(run_dir / "dataset.jsonl", "dataset")
-    first_qa = dataset[0]["qa_id"]
-    writer = IncrementalWriter(run_dir / pipeline.outcomes_name("mock:oracle", "zero_shot"), "outcomes")
-    writer.append(
-        {
-            "model_id": "mock:oracle",
-            "qa_id": first_qa,
-            "mode": "zero_shot",
-            "raw_response": "A",
-            "parsed_choice": 0,
-            "correct": False,
-        }
-    )
+    interrupted_evaluation(run_dir, config, monkeypatch, answered=1)
     result = pipeline.run_evaluate(run_dir, config, "mock:oracle", "zero_shot")
     assert result.stats["resumed_existing"] == 1
     assert result.stats["evaluated"] == len(dataset) - 1
+
+
+def test_an_interrupted_first_evaluation_is_not_resumed_under_other_settings(toy_yaml, tmp_path, monkeypatch):
+    run_dir = tmp_path / "run"
+    config = load_config(toy_yaml)
+    synthesized_toy_run(run_dir, config)
+    from hopbench.jsonl import load as jsonl_load
+
+    interrupted_evaluation(run_dir, config, monkeypatch, answered=1)
+    changed = replace(config, n_options=3)
+    assert pipeline.run_synthesize(run_dir, changed).status == "ok"
+    result = pipeline.run_evaluate(run_dir, changed, "mock:oracle", "zero_shot")
+    dataset = jsonl_load(run_dir / "dataset.jsonl", "dataset")
+    assert result.stats == {"evaluated": len(dataset), "resumed_existing": 0}
+    outcomes = jsonl_load(run_dir / pipeline.outcomes_name("mock:oracle", "zero_shot"), "outcomes")
+    assert all(o["correct"] for o in outcomes)
 
 
 def test_shatter_sweep_appends_to_topology_report(toy_yaml, tmp_path):
@@ -345,7 +380,7 @@ def test_shatter_sweep_appends_to_topology_report(toy_yaml, tmp_path):
     assert [row["k"] for row in report["sweep"]] == ["inf", 4.0, 1.0]
 
 
-def test_evaluate_resumes_over_a_torn_last_outcome(toy_yaml, tmp_path, caplog):
+def test_evaluate_resumes_over_a_torn_last_outcome(toy_yaml, tmp_path, caplog, monkeypatch):
     run_dir = tmp_path / "run"
     config = load_config(toy_yaml)
     synthesized_toy_run(run_dir, config)
@@ -354,23 +389,21 @@ def test_evaluate_resumes_over_a_torn_last_outcome(toy_yaml, tmp_path, caplog):
     dataset = jsonl_load(run_dir / "dataset.jsonl", "dataset")
     assert len(dataset) >= 2
     out_path = run_dir / pipeline.outcomes_name("mock:oracle", "zero_shot")
-    header = json.dumps({"schema": "outcomes", "version": 1}, separators=(",", ":"))
-    lines = [
-        json.dumps(
-            {
-                "model_id": "mock:oracle",
-                "qa_id": record["qa_id"],
-                "mode": "zero_shot",
-                "raw_response": "A",
-                "parsed_choice": 0,
-                "correct": False,
-            },
-            sort_keys=True,
-        )
-        for record in dataset[:2]
-    ]
+    interrupted_evaluation(run_dir, config, monkeypatch, answered=1)
+    line = json.dumps(
+        {
+            "model_id": "mock:oracle",
+            "qa_id": dataset[1]["qa_id"],
+            "mode": "zero_shot",
+            "raw_response": "A",
+            "parsed_choice": 0,
+            "correct": False,
+        },
+        sort_keys=True,
+    )
     # One whole outcome, then half of a second: the write was cut short.
-    out_path.write_text(f"{header}\n{lines[0]}\n{lines[1][: len(lines[1]) // 2]}", encoding="utf-8")
+    with out_path.open("a", encoding="utf-8") as handle:
+        handle.write(line[: len(line) // 2])
     with caplog.at_level(logging.WARNING, logger="hopbench.jsonl"):
         result = pipeline.run_evaluate(run_dir, config, "mock:oracle", "zero_shot")
     assert "incomplete last record" in caplog.text
@@ -385,7 +418,7 @@ def test_evaluate_resumes_over_a_torn_last_outcome(toy_yaml, tmp_path, caplog):
 
 def test_stored_contexts_equal_fresh_ones(toy_yaml, tmp_path):
     from hopbench.jsonl import load as jsonl_load
-    from hopbench.rag import CorpusIndex, RagContext, RetrievalConfig, build_rag_context
+    from hopbench.rag import CorpusIndex, RagContext, build_rag_context
 
     run_dir = tmp_path / "run"
     config = load_config(toy_yaml)
@@ -398,10 +431,9 @@ def test_stored_contexts_equal_fresh_ones(toy_yaml, tmp_path):
     texts = {c.chunk_id: c.text for c in chunks}
     stored = jsonl_load(run_dir / "rag_contexts.jsonl", "rag_contexts")
     assert [r["qa_id"] for r in stored] == [i.qa_id for i in items]
-    retrieval = RetrievalConfig(config.coarse_pool, config.rerank_keep, config.context_k)
     embedder = pipeline.make_embedding_service(config)
     for item, record in zip(items, stored):
-        fresh = build_rag_context(item, index, embedder, retrieval, seed=config.seed)
+        fresh = build_rag_context(item, index, embedder, config)
         context = RagContext.from_record(record, texts)
         assert context.documents == fresh.documents
         assert context.golden_position == fresh.golden_position

@@ -123,7 +123,7 @@ def test_percentile_matches_oracle_on_random_multisets():
 
 def test_identical_embeddings_give_single_chunk():
     n = 5
-    chunks = semantic_chunk(sentences_of(n), [vec(1.0, 0.0)] * n)
+    chunks = semantic_chunk(sentences_of(n), [vec(1.0, 0.0)] * n, 95.0, 64)
     assert len(chunks) == 1
     assert chunks[0].sentence_span == (0, 4)
 
@@ -135,7 +135,7 @@ def test_spec_distance_pattern_breaks_after_third_sentence():
     for d in [0.1, 0.1, 0.9, 0.1]:
         angles.append(angles[-1] + math.acos(1 - d))
     embeddings = [unit_vector_at_angle(a) for a in angles]
-    chunks = semantic_chunk(sentences_of(5), embeddings, percentile=95)
+    chunks = semantic_chunk(sentences_of(5), embeddings, percentile=95, max_sentences=64)
     assert [c.sentence_span for c in chunks] == [(0, 2), (3, 4)]
 
 
@@ -145,22 +145,22 @@ def test_percentile_100_breaks_only_at_maximum():
     for d in distances:
         angles.append(angles[-1] + math.acos(1 - d))
     embeddings = [unit_vector_at_angle(a) for a in angles]
-    chunks = semantic_chunk(sentences_of(5), embeddings, percentile=100)
+    chunks = semantic_chunk(sentences_of(5), embeddings, percentile=100, max_sentences=64)
     assert [c.sentence_span for c in chunks] == [(0, 3), (4, 4)]
 
 
 def test_embedding_count_mismatch_is_validation_error():
     with pytest.raises(ValidationError):
-        semantic_chunk(sentences_of(3), [vec(1.0, 0.0)] * 2)
+        semantic_chunk(sentences_of(3), [vec(1.0, 0.0)] * 2, 95.0, 64)
 
 
 def test_single_sentence_single_chunk():
-    chunks = semantic_chunk(sentences_of(1), [vec(1.0, 0.0)])
+    chunks = semantic_chunk(sentences_of(1), [vec(1.0, 0.0)], 95.0, 64)
     assert len(chunks) == 1
 
 
 def test_max_sentences_forces_breaks():
-    chunks = semantic_chunk(sentences_of(10), [vec(1.0, 0.0)] * 10, max_sentences=4)
+    chunks = semantic_chunk(sentences_of(10), [vec(1.0, 0.0)] * 10, percentile=95.0, max_sentences=4)
     assert [c.sentence_span for c in chunks] == [(0, 3), (4, 7), (8, 9)]
 
 
@@ -178,7 +178,8 @@ def test_partition_property_on_random_documents():
     for _ in range(50):
         n = rng.randint(1, 40)
         sentences = sentences_of(n)
-        chunks = semantic_chunk(sentences, _random_embeddings(rng, n), percentile=rng.choice([50, 90, 95]))
+        embeddings = _random_embeddings(rng, n)
+        chunks = semantic_chunk(sentences, embeddings, percentile=rng.choice([50, 90, 95]), max_sentences=64)
         covered = []
         for chunk in chunks:
             covered.extend(range(chunk.sentence_span[0], chunk.sentence_span[1] + 1))
@@ -192,7 +193,7 @@ def test_threshold_monotonicity():
         embeddings = _random_embeddings(rng, n)
         sentences = sentences_of(n)
         counts = [
-            len(semantic_chunk(sentences, embeddings, percentile=p))
+            len(semantic_chunk(sentences, embeddings, percentile=p, max_sentences=64))
             for p in (50, 75, 90, 95, 100)
         ]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
@@ -203,7 +204,7 @@ def test_chunk_text_matches_sentence_store_resolution():
     n = 12
     sentences = sentences_of(n)
     store = SentenceStore(sentences)
-    chunks = semantic_chunk(sentences, _random_embeddings(rng, n), percentile=75)
+    chunks = semantic_chunk(sentences, _random_embeddings(rng, n), percentile=75, max_sentences=64)
     for chunk in chunks:
         assert chunk.text == store.span_text(chunk.doc_id, chunk.sentence_span)
 
@@ -215,7 +216,7 @@ def test_chunk_embedding_is_renormalized_mean():
     # so sentences 0-1 merge and their chunk embedding is the unit mean.
     angles = [0.0, math.acos(0.8), math.acos(0.8) + math.acos(0.2)]
     embeddings = [unit_vector_at_angle(a) for a in angles]
-    chunks = semantic_chunk(sentences_of(3), embeddings, percentile=100)
+    chunks = semantic_chunk(sentences_of(3), embeddings, percentile=100, max_sentences=64)
     assert [c.sentence_span for c in chunks] == [(0, 1), (2, 2)]
     mean = (np.asarray(embeddings[0].values) + np.asarray(embeddings[1].values)) / 2
     expected = mean / np.linalg.norm(mean)

@@ -87,7 +87,7 @@ def test_parse_option_count_bounds():
 
 def test_oracle_mock_scores_every_item():
     items = [make_item(i) for i in range(10)]
-    chat = ChatService(MockEvalTransport("mock:oracle", items))
+    chat = ChatService(MockEvalTransport("mock:oracle", items, seed=0))
     outcomes = evaluate_dataset(items, chat, model_id="oracle", mode="zero_shot")
     assert all(o.correct for o in outcomes)
     assert behavioral_report("oracle", outcomes, items).hne_rate is None
@@ -95,7 +95,7 @@ def test_oracle_mock_scores_every_item():
 
 def test_adversarial_mock_always_picks_hard_negative():
     items = [make_item(i) for i in range(10)]
-    chat = ChatService(MockEvalTransport("mock:adversarial", items))
+    chat = ChatService(MockEvalTransport("mock:adversarial", items, seed=0))
     outcomes = evaluate_dataset(items, chat, model_id="adv", mode="zero_shot")
     assert not any(o.correct for o in outcomes)
     report = behavioral_report("adv", outcomes, items)
@@ -126,19 +126,19 @@ def test_rag_aware_mocks_recover_only_with_the_golden_passage(behavior):
 
 def test_unknown_mock_model_is_rejected():
     with pytest.raises(ValidationError):
-        MockEvalTransport("mock:random", [make_item(0)])
+        MockEvalTransport("mock:random", [make_item(0)], seed=0)
 
 
 def test_rag_mode_requires_contexts():
     items = [make_item(0)]
-    chat = ChatService(MockEvalTransport("mock:oracle", items))
+    chat = ChatService(MockEvalTransport("mock:oracle", items, seed=0))
     with pytest.raises(ValidationError):
         evaluate_dataset(items, chat, model_id="m", mode="rag")
 
 
 def test_outcome_sink_and_resume_skip():
     items = [make_item(i) for i in range(4)]
-    chat = ChatService(MockEvalTransport("mock:oracle", items))
+    chat = ChatService(MockEvalTransport("mock:oracle", items, seed=0))
     seen: list[str] = []
     outcomes = evaluate_dataset(
         items,
@@ -266,7 +266,7 @@ def test_report_refuses_zero_shot_outcomes_that_do_not_cover_the_dataset(qa_ids,
 
 def test_report_oracle_everything_correct():
     items = [make_item(i) for i in range(8)]
-    chat = ChatService(MockEvalTransport("mock:oracle", items))
+    chat = ChatService(MockEvalTransport("mock:oracle", items, seed=0))
     outcomes = evaluate_dataset(items, chat, model_id="oracle", mode="zero_shot")
     report = behavioral_report("oracle", outcomes, items)
     assert report.total_errors == 0
@@ -277,7 +277,7 @@ def test_report_oracle_everything_correct():
 
 def test_report_adversarial_composition():
     items = [make_item(i) for i in range(100)]
-    chat = ChatService(MockEvalTransport("mock:adversarial", items))
+    chat = ChatService(MockEvalTransport("mock:adversarial", items, seed=0))
     outcomes = evaluate_dataset(items, chat, model_id="adv", mode="zero_shot")
     report = behavioral_report("adv", outcomes, items)
     assert report.total_errors == 100

@@ -6,7 +6,8 @@ import pytest
 
 from hopbench.corpus import Chunk, Sentence, SentenceStore
 from hopbench.errors import ExtractionError
-from hopbench.extract import NodeExtraction, extract_triplets, parse_json_array
+from hopbench.extract import NodeExtraction, extract_triplets
+from hopbench.prompts import parse_json_reply
 from hopbench.providers import ChatService, EmbeddingVector, MockChatTransport
 
 
@@ -32,7 +33,7 @@ def fixture_corpus():
 
 def scripted_chat(payload) -> ChatService:
     response = json.dumps(payload)
-    return ChatService(MockChatTransport(scripted=[("Passages:", response)]))
+    return ChatService(MockChatTransport(seed=0, scripted=[("Passages:", response)]))
 
 
 def test_fixture_triplet_with_valid_span_accepted():
@@ -40,7 +41,7 @@ def test_fixture_triplet_with_valid_span_accepted():
     chat = scripted_chat(
         [{"head": "Diabetes", "relation": "accumulation of", "tail": "AGEs", "chunk_id": "c1", "sentence_index": 0}]
     )
-    accepted = extract_triplets(NodeExtraction("n1"), chunks, chat, store)
+    accepted = extract_triplets(NodeExtraction("n1"), chunks, chat, store, "default", 0)
     assert len(accepted) == 1
     assert accepted[0].head_surface == "Diabetes"
     assert accepted[0].tail_surface == "AGEs"
@@ -55,7 +56,7 @@ def test_triplet_absent_from_cited_sentence_rejected():
         [{"head": "Diabetes", "relation": "causes", "tail": "Melanoma", "chunk_id": "c1", "sentence_index": 0}]
     )
     report = NodeExtraction(node_id="n1")
-    accepted = extract_triplets(report, chunks, chat, store)
+    accepted = extract_triplets(report, chunks, chat, store, "default", 0)
     assert accepted == []
     assert report.rejected == 1
     assert report.rejection_reasons == {"surface_not_in_evidence": 1}
@@ -67,7 +68,7 @@ def test_sentence_index_outside_span_rejected():
         [{"head": "Diabetes", "relation": "causes", "tail": "AGEs", "chunk_id": "c1", "sentence_index": 7}]
     )
     report = NodeExtraction(node_id="n1")
-    assert extract_triplets(report, chunks, chat, store) == []
+    assert extract_triplets(report, chunks, chat, store, "default", 0) == []
     assert report.rejection_reasons == {"sentence_out_of_span": 1}
 
 
@@ -77,7 +78,8 @@ def test_empty_node_returns_empty_without_calls():
             raise AssertionError("no call expected")
 
     _, store = fixture_corpus()
-    assert extract_triplets(NodeExtraction("n1"), [], ChatService(ExplodingTransport()), store) == []
+    chat = ChatService(ExplodingTransport(seed=0))
+    assert extract_triplets(NodeExtraction("n1"), [], chat, store, "default", 0) == []
 
 
 def test_unparseable_output_errors_after_two_reasks():
@@ -90,7 +92,7 @@ def test_unparseable_output_errors_after_two_reasks():
 
     chunks, store = fixture_corpus()
     with pytest.raises(ExtractionError):
-        extract_triplets(NodeExtraction("n1"), chunks, ChatService(GarbageTransport()), store)
+        extract_triplets(NodeExtraction("n1"), chunks, ChatService(GarbageTransport(seed=0)), store, "default", 0)
     assert len(calls) == 3  # first ask plus two re-asks
 
 
@@ -106,16 +108,20 @@ def test_reask_recovers_once_json_appears():
             return "hmm let me think" if len(calls) == 1 else good
 
     chunks, store = fixture_corpus()
-    accepted = extract_triplets(NodeExtraction("n1"), chunks, ChatService(FlakyTransport()), store)
+    accepted = extract_triplets(NodeExtraction("n1"), chunks, ChatService(FlakyTransport(seed=0)), store, "default", 0)
     assert len(accepted) == 1
     assert len(calls) == 2
 
 
 def test_parse_json_array_lenient_extraction():
-    assert parse_json_array('Sure! [{"a": 1}] done') == [{"a": 1}]
-    assert parse_json_array("[1, 2, 3]") == [1, 2, 3]
-    assert parse_json_array('{"not": "array"}') is None
-    assert parse_json_array("nothing here") is None
+    assert parse_json_reply('Sure! [{"a": 1}] done', list) == [{"a": 1}]
+    assert parse_json_reply("[1, 2, 3]", list) == [1, 2, 3]
+    assert parse_json_reply('{"not": "array"}', list) is None
+    assert parse_json_reply("nothing here", list) is None
+    # the same parser reads the JSON objects of synthesis and adjudication
+    assert parse_json_reply('Here: {"a": [1]} ok', dict) == {"a": [1]}
+    assert parse_json_reply("[1, 2]", dict) is None
+    assert parse_json_reply("{broken", dict) is None
 
 
 def test_builtin_mock_extracts_relation_sentences():
@@ -131,7 +137,8 @@ def test_builtin_mock_extracts_relation_sentences():
         page_anchor=1,
         embedding=embedding(),
     )
-    accepted = extract_triplets(NodeExtraction("n1"), [chunk], ChatService(MockChatTransport()), SentenceStore(sentences))
+    chat = ChatService(MockChatTransport(seed=0))
+    accepted = extract_triplets(NodeExtraction("n1"), [chunk], chat, SentenceStore(sentences), "default", 0)
     pairs = {(t.head_surface, t.tail_surface) for t in accepted}
     assert ("Type 2 diabetes", "AGEs accumulation") in pairs
     assert ("AGEs accumulation", "osteoblast suppression") in pairs

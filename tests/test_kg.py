@@ -6,6 +6,7 @@ import pytest
 
 from conftest import entity_id_by_name, far_apart_surfaces, make_graph, random_digraph
 from hopbench import align
+from hopbench.align import DEFAULT_THETA
 from hopbench.errors import ValidationError
 from hopbench.kg import (
     Evidence,
@@ -188,7 +189,7 @@ def raw(head: str, tail: str, node: str = "n0") -> RawTriplet:
 
 def test_assembly_merges_typo_variants_as_aliases():
     graph, report = assemble_graph(
-        [raw("diabetes", "osteoblast"), raw("diabtes", "kidney stones")]
+        [raw("diabetes", "osteoblast"), raw("diabtes", "kidney stones")], DEFAULT_THETA, "tree_nodes"
     )
     diabetes = graph.resolve_surface("diabetes")
     assert graph.resolve_surface("diabtes") == diabetes
@@ -209,13 +210,15 @@ def test_assembly_rules_out_far_surfaces_without_edit_distances(monkeypatch):
 
     monkeypatch.setattr(align, "damerau_levenshtein", counting)
     surfaces = far_apart_surfaces(500)
-    graph, report = assemble_graph([raw(surfaces[i], surfaces[i + 1]) for i in range(0, 500, 2)])
+    graph, report = assemble_graph(
+        [raw(surfaces[i], surfaces[i + 1]) for i in range(0, 500, 2)], DEFAULT_THETA, "tree_nodes"
+    )
     assert len(graph.entities) == 500 and report.merged_aliases == 0
     assert calls < 500
 
 
 def test_assembly_drops_self_loops_after_merge():
-    graph, report = assemble_graph([raw("diabetes", "diabtes")])
+    graph, report = assemble_graph([raw("diabetes", "diabtes")], DEFAULT_THETA, "tree_nodes")
     assert report.dropped_self_loops == 1
     assert len(graph.edges) == 0
 
@@ -227,7 +230,7 @@ def test_alias_closure_after_assembly():
         raw("chronic bronchitis", "mucus hypersecretion", node="n2"),
         raw("chronik bronchitis", "airway obstruction", node="n3"),
     ]
-    graph, _ = assemble_graph(rows)
+    graph, _ = assemble_graph(rows, DEFAULT_THETA, "tree_nodes")
     for row in rows:
         assert graph.resolve_surface(row.head_surface) is not None
         assert graph.resolve_surface(row.tail_surface) is not None
@@ -239,10 +242,10 @@ def test_assembly_frequency_counts_tree_nodes():
         raw("a", "c", node="n1"),
         raw("a", "d", node="n2"),
     ]
-    graph, _ = assemble_graph(rows, counting_unit="tree_nodes")
+    graph, _ = assemble_graph(rows, DEFAULT_THETA, counting_unit="tree_nodes")
     assert graph.entities[graph.resolve_surface("a")].frequency == 2
 
-    graph_mentions, _ = assemble_graph(rows, counting_unit="mentions")
+    graph_mentions, _ = assemble_graph(rows, DEFAULT_THETA, counting_unit="mentions")
     assert graph_mentions.entities[graph_mentions.resolve_surface("a")].frequency == 3
 
 

@@ -124,14 +124,14 @@ def _count_request_hashes(monkeypatch) -> dict[str, int]:
 def test_service_without_a_cache_hashes_no_request(monkeypatch):
     counts = _count_request_hashes(monkeypatch)
     ChatService(MockChatTransport(seed=1)).complete(ChatRequest.user(MCQ_PROMPT))
-    EmbeddingService(MockEmbeddingTransport(dimension=8)).embed_texts(["one text", "another"])
+    EmbeddingService(MockEmbeddingTransport(dimension=8, seed=0)).embed_texts(["one text", "another"])
     assert counts == {"chat": 0, "embed": 0}
 
 
 def test_cached_service_hashes_each_request_once(tmp_path, monkeypatch):
     counts = _count_request_hashes(monkeypatch)
     chat = ChatService(MockChatTransport(seed=1), cache=ResponseCache(tmp_path))
-    embedder = EmbeddingService(MockEmbeddingTransport(dimension=8), cache=ResponseCache(tmp_path))
+    embedder = EmbeddingService(MockEmbeddingTransport(dimension=8, seed=0), cache=ResponseCache(tmp_path))
     request = ChatRequest.user(MCQ_PROMPT)
     assert chat.complete(request) == chat.complete(request)  # a miss, then a hit
     first, second = embedder.embed_texts(["one text"]), embedder.embed_texts(["one text"])
@@ -204,7 +204,7 @@ def test_http_chat_retries_then_raises_transport_error(monkeypatch):
 
     monkeypatch.setattr(requests, "post", failing_post)
     sleeps: list[float] = []
-    transport = HttpChatTransport("http://localhost:9", sleep=sleeps.append)
+    transport = HttpChatTransport("http://localhost:9", "HOPBENCH_API_KEY", sleep=sleeps.append)
     with pytest.raises(TransportError):
         transport.complete(ChatRequest.user("hi"))
     assert len(attempts) == 3
@@ -232,7 +232,7 @@ def test_http_chat_rate_limit_retries_then_succeeds(monkeypatch):
         return FakeResponse(200, {"choices": [{"message": {"content": "pong"}}]})
 
     monkeypatch.setattr(requests, "post", post)
-    transport = HttpChatTransport("http://localhost:9", sleep=lambda _: None)
+    transport = HttpChatTransport("http://localhost:9", "HOPBENCH_API_KEY", sleep=lambda _: None)
     assert transport.complete(ChatRequest.user("ping")) == "pong"
 
 
@@ -247,7 +247,7 @@ def test_http_chat_malformed_json_is_protocol_error(monkeypatch):
             return {"unexpected": "shape"}
 
     monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse())
-    transport = HttpChatTransport("http://localhost:9", sleep=lambda _: None)
+    transport = HttpChatTransport("http://localhost:9", "HOPBENCH_API_KEY", sleep=lambda _: None)
     with pytest.raises(ProtocolError):
         transport.complete(ChatRequest.user("hi"))
 

@@ -3,16 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hopbench.config import PipelineConfig
 from hopbench.corpus import Chunk
 from hopbench.errors import StageError, ValidationError
 from hopbench.providers import EmbeddingService, EmbeddingVector, MockEmbeddingTransport
-from hopbench.rag import (
-    CorpusIndex,
-    RagContext,
-    RetrievalConfig,
-    TokenOverlapReranker,
-    build_rag_context,
-)
+from hopbench.rag import CorpusIndex, RagContext, build_rag_context
 from hopbench.synthesis import QAItem
 
 
@@ -28,10 +23,10 @@ def chunk_of(chunk_id: str, text: str, embedder: EmbeddingService) -> Chunk:
     )
 
 
-def item_with_golden(golden_chunk_id: str, question: str) -> QAItem:
+def item_with_golden(golden_chunk_id: str, question: str, language: str = "EN") -> QAItem:
     return QAItem(
         qa_id="qa1",
-        language="EN",
+        language=language,
         difficulty="hard",
         clinical_task="Clinical Diagnosis",
         question=question,
@@ -73,7 +68,7 @@ def toy_index(embedder) -> CorpusIndex:
 def test_k_one_context_is_exactly_the_golden_paragraph(toy_index, embedder):
     item = item_with_golden("c0", "what does diabetes do to bone?")
     context = build_rag_context(
-        item, toy_index, embedder, RetrievalConfig(coarse_pool_size=5, rerank_keep=3, context_size=1)
+        item, toy_index, embedder, PipelineConfig(coarse_pool=5, rerank_keep=3, context_k=1)
     )
     assert context.documents == [toy_index.chunk("c0").text]
     assert context.golden_position == 0
@@ -81,11 +76,8 @@ def test_k_one_context_is_exactly_the_golden_paragraph(toy_index, embedder):
 
 def test_fixed_seed_fixes_golden_position(toy_index, embedder):
     item = item_with_golden("c0", "what does diabetes do to bone?")
-    config = RetrievalConfig(coarse_pool_size=6, rerank_keep=4, context_size=4)
-    positions = {
-        build_rag_context(item, toy_index, embedder, config, seed=99).golden_position
-        for _ in range(5)
-    }
+    config = PipelineConfig(coarse_pool=6, rerank_keep=4, context_k=4, seed=99)
+    positions = {build_rag_context(item, toy_index, embedder, config).golden_position for _ in range(5)}
     assert len(positions) == 1
 
 
@@ -94,8 +86,8 @@ def test_non_golden_slots_are_top_cosine_neighbors(toy_index, embedder):
     # N=3, k=3 the two non-golden slots must be the best non-golden chunks.
     question = "what does diabetes do to bone?"
     item = item_with_golden("c0", question)
-    config = RetrievalConfig(coarse_pool_size=5, rerank_keep=3, context_size=3)
-    context = build_rag_context(item, toy_index, embedder, config, seed=0)
+    config = PipelineConfig(coarse_pool=5, rerank_keep=3, context_k=3, seed=0)
+    context = build_rag_context(item, toy_index, embedder, config)
 
     query = np.asarray(embedder.embed_texts([question])[0].values)
     scored = []
@@ -112,9 +104,9 @@ def test_non_golden_slots_are_top_cosine_neighbors(toy_index, embedder):
 
 def test_golden_paragraph_appears_exactly_once(toy_index, embedder):
     item = item_with_golden("c0", "diabetes and bone")
-    config = RetrievalConfig(coarse_pool_size=8, rerank_keep=6, context_size=5)
     for seed in range(20):
-        context = build_rag_context(item, toy_index, embedder, config, seed=seed)
+        config = PipelineConfig(coarse_pool=8, rerank_keep=6, context_k=5, seed=seed)
+        context = build_rag_context(item, toy_index, embedder, config)
         golden_text = toy_index.chunk("c0").text
         assert context.documents.count(golden_text) == 1
         assert context.documents[context.golden_position] == golden_text
@@ -125,28 +117,65 @@ def test_corpus_smaller_than_context_rejected(embedder):
     index = CorpusIndex([chunk_of("c0", "only one chunk", embedder)])
     item = item_with_golden("c0", "q")
     with pytest.raises(ValidationError):
-        build_rag_context(item, index, embedder, RetrievalConfig(context_size=2))
+        build_rag_context(item, index, embedder, PipelineConfig(context_k=2))
 
 
 def test_unresolvable_golden_is_stage_error(toy_index, embedder):
     item = item_with_golden("c404", "q")
     with pytest.raises(StageError):
-        build_rag_context(item, toy_index, embedder, RetrievalConfig(context_size=3))
+        build_rag_context(item, toy_index, embedder, PipelineConfig(context_k=3))
 
 
 def test_reranker_can_reorder_candidates(toy_index, embedder):
     item = item_with_golden("c0", "airways bacteria colonize")
-    config = RetrievalConfig(coarse_pool_size=10, rerank_keep=4, context_size=3)
-    context = build_rag_context(
-        item, toy_index, embedder, config, seed=1, reranker=TokenOverlapReranker()
-    )
+    config = PipelineConfig(coarse_pool=10, rerank_keep=4, context_k=3, use_reranker=True, seed=1)
+    context = build_rag_context(item, toy_index, embedder, config)
     non_golden = [d for i, d in enumerate(context.documents) if i != context.golden_position]
     assert "bacteria colonize airways" in non_golden  # highest token overlap
 
 
+def test_reranker_tokenizes_in_the_item_language(embedder):
+    # Cosine ranks the chunk without a shared character first and the one
+    # holding every character of the question last; token overlap, counted
+    # in Chinese characters, reverses them. Counted as English words, a
+    # Chinese text has no tokens and the reranker would keep cosine's order.
+    question = "糖尿病导致肾病"
+    query = np.asarray(embedder.embed_texts([question])[0].values)
+    index = CorpusIndex(
+        [
+            chunk_with_vector("c0", "天气晴朗", -query),
+            chunk_with_vector("c1", "高血压", query),
+            chunk_with_vector("c2", "糖尿病导致肾病变", -query),
+        ]
+    )
+    item = item_with_golden("c0", question, language="ZH")
+
+    def distractor(use_reranker: bool) -> str:
+        config = PipelineConfig(coarse_pool=3, rerank_keep=1, context_k=2, use_reranker=use_reranker)
+        context = build_rag_context(item, index, embedder, config)
+        [chunk_id] = [c for i, c in enumerate(context.chunk_ids) if i != context.golden_position]
+        return chunk_id
+
+    assert distractor(use_reranker=False) == "c1"
+    assert distractor(use_reranker=True) == "c2"
+
+
 def test_retrieval_config_validation():
-    with pytest.raises(ValidationError):
-        RetrievalConfig(context_size=0)
+    # The retrieval settings are checked where they are defined.
+    for settings in ({"context_k": 0}, {"rerank_keep": 0}, {"coarse_pool": 2, "context_k": 3}):
+        with pytest.raises(ValidationError):
+            PipelineConfig(**settings).validate()
+
+
+def chunk_with_vector(chunk_id: str, text: str, vector: np.ndarray) -> Chunk:
+    return Chunk(
+        chunk_id=chunk_id,
+        doc_id="d1",
+        sentence_span=(0, 0),
+        text=text,
+        page_anchor=1,
+        embedding=EmbeddingVector(values=tuple(vector), dimension=len(vector), source_text_hash=""),
+    )
 
 
 def index_of_rows(matrix: np.ndarray) -> CorpusIndex:
@@ -199,7 +228,7 @@ def test_rank_with_a_non_finite_score_falls_back_to_the_full_sort():
 
 def test_context_record_round_trip(toy_index, embedder):
     item = item_with_golden("c0", "diabetes and bone")
-    context = build_rag_context(item, toy_index, embedder, RetrievalConfig(context_size=4), seed=3)
+    context = build_rag_context(item, toy_index, embedder, PipelineConfig(context_k=4, seed=3))
     record = context.to_record()
     assert set(record) == {"qa_id", "chunk_ids", "golden_position"}
     assert context.chunk_ids[context.golden_position] == "c0"

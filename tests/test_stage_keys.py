@@ -80,8 +80,9 @@ class RecordingConfig(PipelineConfig):
         return object.__getattribute__(self, name)
 
 
-def test_each_stage_reads_only_the_fields_in_its_table_row(tmp_path, monkeypatch):
-    config = RecordingConfig(**toy_config(seed=7).to_record())
+def run_recording_reads(run_dir, config: RecordingConfig, monkeypatch) -> dict:
+    """Run every stage under ``config``, asserting that each reads only the
+    fields its `reads` lists; returns each stage's result."""
     config.read, config.recording = set(), False
     real_key = pipeline.stage_key
 
@@ -97,15 +98,33 @@ def test_each_stage_reads_only_the_fields_in_its_table_row(tmp_path, monkeypatch
     runs += [("shatter-sweep", ([None, 4.0],)), ("retrieve", ())]
     runs += [("evaluate", ("mock:uniform", mode)) for mode in ("zero_shot", "rag")]
     runs += [("report", ("mock:uniform",))]
+    results = {}
     for name, args in runs:
         if name == "evaluate":  # contexts are built; a RAG evaluation would re-check them
             monkeypatch.setattr(pipeline, "run_retrieve", lambda *_: None)
         config.read, config.recording = set(), True
-        result = run_stage(tmp_path / "run", config, name, *args)
+        results[name] = result = run_stage(run_dir, config, name, *args)
         config.recording = False
         assert result.status == "ok"
         unlisted = config.read - set(pipeline.STAGES[name].reads) - PROVIDER_ONLY
         assert not unlisted, f"{name} reads {sorted(unlisted)}, which its `reads` does not list"
+    return results
+
+
+def test_each_stage_reads_only_the_fields_in_its_table_row(tmp_path, monkeypatch):
+    run_recording_reads(tmp_path / "run", RecordingConfig(**toy_config(seed=7).to_record()), monkeypatch)
+
+
+def test_the_global_threshold_and_the_reranker_read_only_their_table_rows(tmp_path, monkeypatch):
+    from hopbench import rag
+
+    scored = []
+    real_scores = rag.token_overlap_scores
+    monkeypatch.setattr(rag, "token_overlap_scores", lambda *args: scored.append(args) or real_scores(*args))
+    record = {**toy_config(seed=7).to_record(), "global_threshold": True, "use_reranker": True}
+    results = run_recording_reads(tmp_path / "run", RecordingConfig(**record), monkeypatch)
+    assert results["chunk"].stats["global_threshold"] is not None
+    assert len(scored) == results["retrieve"].stats["contexts"]
 
 
 # -- a changed setting re-runs what reads it --------------------------------------

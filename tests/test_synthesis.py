@@ -7,6 +7,7 @@ import pytest
 from conftest import entity_id_by_name, make_graph
 from hopbench import synthesis
 from hopbench.chains import mine_chains, sample_hard_negative
+from hopbench.config import PipelineConfig
 from hopbench.corpus import Chunk, Sentence, SentenceStore
 from hopbench.errors import ItemDiscardedError, ValidationError
 from hopbench.kg import shatter
@@ -128,7 +129,7 @@ def synthesis_fixture():
     bridge = entity_id_by_name(graph, "AGEs Accumulation")
     target = entity_id_by_name(graph, "Osteoblast Suppression")
     chain = next(
-        c for c in mine_chains(graph) if (c.a, c.e_bridge, c.b) == (diabetes, bridge, target)
+        c for c in mine_chains(graph, None) if (c.a, c.e_bridge, c.b) == (diabetes, bridge, target)
     )
     chain = sample_hard_negative(chain, graph, rng_seed=3)
     return graph, chain, {"c0": chunk}, SentenceStore(sentences)
@@ -137,7 +138,7 @@ def synthesis_fixture():
 def test_mock_synthesis_masks_bridge_and_includes_key_options():
     graph, chain, chunks, store = synthesis_fixture()
     item = synthesize_item(
-        chain, graph, chunks, store, ChatService(MockChatTransport()), qa_id="qa0", rng_seed=11
+        chain, graph, chunks, store, ChatService(MockChatTransport(seed=0)), "qa0", PipelineConfig(), rng_seed=11
     )
     assert "AGEs Accumulation".casefold() not in item.question.casefold()
     assert "Osteoblast Suppression" in item.options
@@ -153,32 +154,32 @@ def test_two_options_rejected():
     graph, chain, chunks, store = synthesis_fixture()
     with pytest.raises(ValidationError):
         synthesize_item(
-            chain, graph, chunks, store, ChatService(MockChatTransport()), qa_id="qa0", n_options=2
+            chain, graph, chunks, store, ChatService(MockChatTransport(seed=0)), "qa0", PipelineConfig(n_options=2), 0
         )
 
 
 def test_incomplete_chain_rejected():
     graph, chain, chunks, store = synthesis_fixture()
-    bare = mine_chains(graph)[0]
+    bare = mine_chains(graph, None)[0]
     with pytest.raises(ValidationError):
-        synthesize_item(bare, graph, chunks, store, ChatService(MockChatTransport()), qa_id="qa0")
+        synthesize_item(bare, graph, chunks, store, ChatService(MockChatTransport(seed=0)), "qa0", PipelineConfig(), 0)
 
 
 def test_same_seed_reproduces_item_exactly():
     graph, chain, chunks, store = synthesis_fixture()
-    chat = ChatService(MockChatTransport())
-    first = synthesize_item(chain, graph, chunks, store, chat, qa_id="qa0", rng_seed=5)
-    second = synthesize_item(chain, graph, chunks, store, chat, qa_id="qa0", rng_seed=5)
+    chat, config = ChatService(MockChatTransport(seed=0)), PipelineConfig()
+    first = synthesize_item(chain, graph, chunks, store, chat, "qa0", config, rng_seed=5)
+    second = synthesize_item(chain, graph, chunks, store, chat, "qa0", config, rng_seed=5)
     assert first.options == second.options
     assert first.question == second.question
-    other = synthesize_item(chain, graph, chunks, store, chat, qa_id="qa0", rng_seed=6)
+    other = synthesize_item(chain, graph, chunks, store, chat, "qa0", config, rng_seed=6)
     assert first.options != other.options or first.question == other.question  # seed moves the shuffle
 
 
 def test_fillers_exclude_chain_and_near_entities():
     graph, chain, chunks, store = synthesis_fixture()
     item = synthesize_item(
-        chain, graph, chunks, store, ChatService(MockChatTransport()), qa_id="qa0", rng_seed=1
+        chain, graph, chunks, store, ChatService(MockChatTransport(seed=0)), "qa0", PipelineConfig(), rng_seed=1
     )
     chain_names = {
         graph.entities[x].canonical_name
@@ -203,11 +204,11 @@ def test_insufficient_fillers_discards_item():
         page_anchor=1,
         embedding=EmbeddingVector(values=(1.0, 0.0), dimension=2, source_text_hash="h"),
     )
-    chain = sample_hard_negative(mine_chains(graph)[0], graph, rng_seed=0)
+    chain = sample_hard_negative(mine_chains(graph, None)[0], graph, rng_seed=0)
     with pytest.raises(ItemDiscardedError) as excinfo:
         synthesize_item(
             chain, graph, {"c0": chunk}, SentenceStore(sentences),
-            ChatService(MockChatTransport()), qa_id="qa0",
+            ChatService(MockChatTransport(seed=0)), "qa0", PipelineConfig(), 0,
         )
     assert excinfo.value.reason == "insufficient_fillers"
 
@@ -224,7 +225,7 @@ def test_masking_violations_retry_then_discard():
 
     with pytest.raises(ItemDiscardedError) as excinfo:
         synthesize_item(
-            chain, graph, chunks, store, ChatService(LeakyTransport()), qa_id="qa0", rng_seed=2
+            chain, graph, chunks, store, ChatService(LeakyTransport(seed=0)), "qa0", PipelineConfig(), rng_seed=2
         )
     assert excinfo.value.reason == "masking_violation"
 
@@ -238,7 +239,7 @@ def test_unparseable_generation_discarded_with_reason():
 
     with pytest.raises(ItemDiscardedError) as excinfo:
         synthesize_item(
-            chain, graph, chunks, store, ChatService(GarbageTransport()), qa_id="qa0", rng_seed=2
+            chain, graph, chunks, store, ChatService(GarbageTransport(seed=0)), "qa0", PipelineConfig(), rng_seed=2
         )
     assert excinfo.value.reason == "unparseable_generation"
 
@@ -246,8 +247,8 @@ def test_unparseable_generation_discarded_with_reason():
 def test_five_option_items_supported():
     graph, chain, chunks, store = synthesis_fixture()
     item = synthesize_item(
-        chain, graph, chunks, store, ChatService(MockChatTransport()),
-        qa_id="qa0", n_options=5, rng_seed=4,
+        chain, graph, chunks, store, ChatService(MockChatTransport(seed=0)),
+        "qa0", PipelineConfig(n_options=5), rng_seed=4,
     )
     assert len(item.options) == 5
     assert len(set(item.options)) == 5
@@ -258,7 +259,7 @@ def test_five_option_items_supported():
 def test_dataset_synthesis_collects_discard_reasons():
     graph, chain, chunks, store = synthesis_fixture()
     items, discards = synthesize_dataset(
-        [chain], graph, chunks, store, ChatService(MockChatTransport()), master_seed=1
+        [chain], graph, chunks, store, ChatService(MockChatTransport(seed=0)), PipelineConfig(seed=1)
     )
     assert len(items) == 1
     assert discards == []
@@ -288,12 +289,13 @@ def test_filler_memo_gives_the_fillers_of_a_fresh_search_per_item(monkeypatch):
         page_anchor=1,
         embedding=EmbeddingVector(values=(1.0, 0.0), dimension=2, source_text_hash="h"),
     )
-    chunks, store, chat = {"c0": chunk}, SentenceStore(sentences), ChatService(MockChatTransport())
+    chunks, store, chat = {"c0": chunk}, SentenceStore(sentences), ChatService(MockChatTransport(seed=0))
 
     searches = []
     bfs_hops = synthesis.bfs_hops
     monkeypatch.setattr(synthesis, "bfs_hops", lambda g, source: searches.append(source) or bfs_hops(g, source))
-    items, discards = synthesize_dataset(chains, graph, chunks, store, chat, master_seed=3)
+    config = PipelineConfig(seed=3)
+    items, discards = synthesize_dataset(chains, graph, chunks, store, chat, config)
     assert not discards and len(items) == len(chains) == 120
     assert sorted(searches) == sorted({c.a for c in chains})
 
@@ -301,7 +303,7 @@ def test_filler_memo_gives_the_fillers_of_a_fresh_search_per_item(monkeypatch):
     fresh = [
         synthesize_item(
             chain, graph, chunks, store, chat,
-            qa_id=f"qa{index:05d}", rng_seed=derive_seed(3, "synthesize", chain.key),
+            f"qa{index:05d}", config, rng_seed=derive_seed(3, "synthesize", chain.key),
         )
         for index, chain in enumerate(chains)
     ]

@@ -8,11 +8,11 @@ from hopbench.textstats import bleu1, rouge1_f1, tokenize
 
 
 def r1(candidate: str, reference: str) -> float:
-    return rouge1_f1(tokenize(candidate), tokenize(reference))
+    return rouge1_f1(tokenize(candidate, "EN"), tokenize(reference, "EN"))
 
 
 def b1(candidate: str, reference: str) -> float:
-    return bleu1(tokenize(candidate), tokenize(reference))
+    return bleu1(tokenize(candidate, "EN"), tokenize(reference, "EN"))
 
 
 def test_identical_texts_score_one():
@@ -72,7 +72,7 @@ def test_zh_tokenization_is_character_unigrams():
 
 
 def test_en_tokenization_lowercases_and_splits_punctuation():
-    assert tokenize("The Fox, quick!") == ["the", "fox", "quick"]
+    assert tokenize("The Fox, quick!", "EN") == ["the", "fox", "quick"]
 
 
 def test_dataset_stats_split_counts_and_bounds():

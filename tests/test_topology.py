@@ -109,9 +109,13 @@ def test_component_decomposition():
     assert [len(c) for c in components] == [3, 2, 1]
 
 
-def test_empty_graph_report_rejected():
-    with pytest.raises(ValidationError):
-        topology_report(make_graph([], []))
+def test_empty_graph_has_the_zero_report():
+    assert topology_report(make_graph([], [])) == TopologyReport(0, 0, 0, None)
+    graph = make_graph(["a", "b"], [("a", "r", "b")])
+    for entity in graph.entities.values():
+        entity.frequency = 5
+    everything_pruned = shatter(graph, 1.0, stoplist=set())
+    assert topology_report(everything_pruned) == TopologyReport(0, 0, 0, None, pruned_count=2)
 
 
 def test_sweep_reports_fragmentation_gracefully():

@@ -10,7 +10,8 @@ from hopbench.providers import (
     MockChatTransport,
     MockEmbeddingTransport,
 )
-from hopbench.tree import SummaryTree, SummaryTreeNode, TreeBuildConfig, build_summary_tree
+from hopbench.config import PipelineConfig
+from hopbench.tree import SummaryTree, SummaryTreeNode, build_summary_tree
 
 # Two clearly separated topic groups: texts within a group share one token
 # bag (word order varies), so group embeddings coincide and the groups sit
@@ -58,13 +59,13 @@ def level_nodes(tree: SummaryTree, level: int) -> list[SummaryTreeNode]:
     return [node for node in tree.nodes.values() if node.level == level]
 
 
-def small_config() -> TreeBuildConfig:
-    return TreeBuildConfig(target_dim=3, k_max=4, n_restarts=2, max_levels=3)
+def small_config(seed: int = 0) -> PipelineConfig:
+    return PipelineConfig(target_dim=3, gmm_k_max=4, gmm_restarts=2, max_levels=3, seed=seed)
 
 
 def test_single_chunk_tree_no_llm_calls():
     embedder = EmbeddingService(MockEmbeddingTransport(dimension=16, seed=0))
-    chat_transport = CountingChat()
+    chat_transport = CountingChat(seed=0)
     chunks = make_chunks(["only one chunk"], embedder)
     tree = build_summary_tree(chunks, ChatService(chat_transport), embedder, small_config())
     assert len(tree.nodes) == 1
@@ -75,9 +76,7 @@ def test_single_chunk_tree_no_llm_calls():
 def test_two_topic_groups_form_two_level1_nodes():
     embedder = EmbeddingService(MockEmbeddingTransport(dimension=32, seed=1))
     chunks = make_chunks(METABOLIC + RESPIRATORY, embedder)
-    tree = build_summary_tree(
-        chunks, ChatService(MockChatTransport()), embedder, small_config(), seed=3
-    )
+    tree = build_summary_tree(chunks, ChatService(MockChatTransport(seed=0)), embedder, small_config(seed=3))
     level1 = level_nodes(tree, 1)
     assert len(level1) == 2
     member_sets = [set(node.member_ids) for node in level1]
@@ -109,8 +108,8 @@ def test_soft_membership_lists_chunk_under_multiple_parents():
     embedder = EmbeddingService(MockEmbeddingTransport(dimension=32, seed=1))
     bridging = "diabetes glucose harms airway breathing mucus bone"
     chunks = make_chunks(METABOLIC + RESPIRATORY + [bridging], embedder)
-    config = TreeBuildConfig(target_dim=3, k_max=3, n_restarts=2, max_levels=2, membership_floor=0.05)
-    tree = build_summary_tree(chunks, ChatService(MockChatTransport()), embedder, config, seed=5)
+    config = PipelineConfig(target_dim=3, gmm_k_max=3, gmm_restarts=2, max_levels=2, membership_floor=0.05, seed=5)
+    tree = build_summary_tree(chunks, ChatService(MockChatTransport(seed=0)), embedder, config)
     level1 = level_nodes(tree, 1)
     parent_count = sum(1 for node in level1 if "c008" in node.member_ids)
     total_weight = sum(node.member_ids.get("c008", 0.0) for node in level1)
@@ -138,9 +137,7 @@ def test_tree_validation_rejects_overweight_children():
 def test_leaf_ids_resolve_through_levels():
     embedder = EmbeddingService(MockEmbeddingTransport(dimension=32, seed=1))
     chunks = make_chunks(METABOLIC + RESPIRATORY, embedder)
-    tree = build_summary_tree(
-        chunks, ChatService(MockChatTransport()), embedder, small_config(), seed=3
-    )
+    tree = build_summary_tree(chunks, ChatService(MockChatTransport(seed=0)), embedder, small_config(seed=3))
     top = level_nodes(tree, tree.max_level())
     covered = set()
     for node in top:
@@ -151,7 +148,7 @@ def test_leaf_ids_resolve_through_levels():
 def test_empty_chunk_list_rejected():
     embedder = EmbeddingService(MockEmbeddingTransport(dimension=16, seed=0))
     with pytest.raises(ValidationError):
-        build_summary_tree([], ChatService(MockChatTransport()), embedder, small_config())
+        build_summary_tree([], ChatService(MockChatTransport(seed=0)), embedder, small_config())
 
 
 def test_provider_failure_carries_partial_tree():
@@ -164,14 +161,14 @@ def test_provider_failure_carries_partial_tree():
     embedder = EmbeddingService(MockEmbeddingTransport(dimension=32, seed=1))
     chunks = make_chunks(METABOLIC + RESPIRATORY, embedder)
     with pytest.raises(StageError):
-        build_summary_tree(chunks, ChatService(FailingChat()), embedder, small_config(), seed=3)
+        build_summary_tree(chunks, ChatService(FailingChat(seed=0)), embedder, small_config(seed=3))
 
 
 def test_builds_are_deterministic():
     embedder = EmbeddingService(MockEmbeddingTransport(dimension=32, seed=1))
     chunks = make_chunks(METABOLIC + RESPIRATORY, embedder)
-    first = build_summary_tree(chunks, ChatService(MockChatTransport()), embedder, small_config(), seed=3)
-    second = build_summary_tree(chunks, ChatService(MockChatTransport()), embedder, small_config(), seed=3)
+    first = build_summary_tree(chunks, ChatService(MockChatTransport(seed=0)), embedder, small_config(seed=3))
+    second = build_summary_tree(chunks, ChatService(MockChatTransport(seed=0)), embedder, small_config(seed=3))
     assert {n.node_id for n in first.nodes.values()} == {n.node_id for n in second.nodes.values()}
     for node_id, node in first.nodes.items():
         assert second.nodes[node_id].member_ids == node.member_ids
