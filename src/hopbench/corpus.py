@@ -16,8 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .providers import EmbeddingVector
-from .seeding import stable_text_digest
 
 PAGE_BREAK = re.compile(r"\f|^\s*=== *page *break *===\s*$", flags=re.IGNORECASE | re.MULTILINE)
 
@@ -64,7 +62,7 @@ class Chunk:
     sentence_span: tuple[int, int]
     text: str
     page_anchor: int
-    embedding: EmbeddingVector
+    embedding: tuple[float, ...]
 
 
 def clean_text(raw: str) -> str:
@@ -142,32 +140,28 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(1.0 - np.dot(a, b) / denom)
 
 
-def consecutive_distances(embeddings: list[EmbeddingVector]) -> list[float]:
-    arrays = [e.as_array() for e in embeddings]
-    return [cosine_distance(arrays[i], arrays[i + 1]) for i in range(len(arrays) - 1)]
+def consecutive_distances(embeddings: np.ndarray) -> list[float]:
+    """Cosine distance between each row of an (n, d) matrix and the next."""
+    return [cosine_distance(embeddings[i], embeddings[i + 1]) for i in range(len(embeddings) - 1)]
 
 
-def _mean_embedding(members: list[EmbeddingVector]) -> EmbeddingVector:
-    stacked = np.stack([m.as_array() for m in members])
-    mean = stacked.mean(axis=0)
+def _mean_embedding(members: np.ndarray) -> tuple[float, ...]:
+    mean = members.mean(axis=0)
     norm = np.linalg.norm(mean)
     if norm > 1e-12:
         mean = mean / norm
-    return EmbeddingVector(
-        values=tuple(float(v) for v in mean),
-        dimension=members[0].dimension,
-        source_text_hash=stable_text_digest("+".join(m.source_text_hash for m in members)),
-    )
+    return tuple(float(v) for v in mean)
 
 
 def semantic_chunk(
     sentences: list[Sentence],
-    embeddings: list[EmbeddingVector],
+    embeddings: np.ndarray,
     percentile: float,
     max_sentences: int,
     threshold: float | None = None,
 ) -> list[Chunk]:
-    """Partition one document's sentences into contiguous chunks.
+    """Partition one document's sentences into contiguous chunks; row i of
+    the ``embeddings`` matrix embeds ``sentences[i]``.
 
     A boundary goes after sentence i iff the cosine distance to sentence i+1
     reaches the nearest-rank percentile of the document's distance multiset

@@ -51,11 +51,6 @@ class GaussianMixture:
 
 
 @dataclass
-class SoftAssignment:
-    gamma: np.ndarray  # (N, K), rows sum to 1
-
-
-@dataclass
 class ClusterSearch:
     k_star: int
     best: GaussianMixture
@@ -165,8 +160,9 @@ def _regularize(covariances: np.ndarray, covariance_type: str) -> np.ndarray:
     return covariances + COVARIANCE_REGULARIZATION
 
 
-def fit_gmm_em(points, K: int, seed: int) -> tuple[GaussianMixture, SoftAssignment]:
-    """Fit a K-component mixture; returns the model and its responsibilities.
+def fit_gmm_em(points, K: int, seed: int) -> tuple[GaussianMixture, np.ndarray]:
+    """Fit a K-component mixture; returns the model and its (N, K)
+    responsibilities, whose rows sum to 1.
     Covariances are full up to ``FULL_COVARIANCE_MAX_DIM`` dimensions and
     diagonal above.
 
@@ -241,18 +237,19 @@ def fit_gmm_em(points, K: int, seed: int) -> tuple[GaussianMixture, SoftAssignme
         converged=converged,
         seed=seed,
     )
-    return model, SoftAssignment(gamma=gamma)
+    return model, gamma
 
 
-def soft_assign(model: GaussianMixture, points) -> SoftAssignment:
-    """Posterior responsibilities of the model's components for new points."""
+def soft_assign(model: GaussianMixture, points) -> np.ndarray:
+    """Posterior (N, K) responsibilities of the model's components for new
+    points."""
     x = _as_matrix(points)
     if x.shape[1] != model.means.shape[1]:
         raise ValidationError(
             f"point dimension {x.shape[1]} does not match model dimension {model.means.shape[1]}"
         )
     gamma, _ = _e_step(x, model.weights, model.means, model.covariances, model.covariance_type)
-    return SoftAssignment(gamma=gamma)
+    return gamma
 
 
 def search_cluster_count(points, K_max: int, seed: int, n_restarts: int) -> ClusterSearch:

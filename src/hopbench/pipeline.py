@@ -513,7 +513,7 @@ def run_tree(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     embedder = make_embedding_service(config)
 
     def compute(inputs, outputs, _digest):
-        chunks = [from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")]
+        chunks = _load_chunks(inputs["chunks.jsonl"])
         tree = build_summary_tree(chunks, chat, embedder, config)
         ordered = sorted(tree.nodes.values(), key=lambda n: (n.level, n.node_id))
         snapshot([tree_node_to_record(n) for n in ordered], outputs["tree.jsonl"], schema="tree")
@@ -527,7 +527,7 @@ def run_extract(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     chat = make_chat_service(config, config.seed)
 
     def compute(inputs, outputs, _digest):
-        chunks = [from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")]
+        chunks = _load_chunks(inputs["chunks.jsonl"])
         sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
         tree = SummaryTree()
         for record in load(inputs["tree.jsonl"], "tree"):
@@ -613,7 +613,7 @@ def run_synthesize(run_dir: str | Path, config: PipelineConfig) -> StageResult:
         annotated, _unit = graph_from_records(load(inputs["graph.jsonl"], "graph"))
         view = shattered_from_flags(annotated)
         chains = [from_record(ReasoningChain, r) for r in load(inputs["chains.jsonl"], "chains")]
-        chunks = [from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")]
+        chunks = _load_chunks(inputs["chunks.jsonl"])
         sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
         items, discards = synthesize_dataset(
             chains, view, {c.chunk_id: c for c in chunks}, SentenceStore(sentences), chat, config
@@ -634,6 +634,21 @@ def run_synthesize(run_dir: str | Path, config: PipelineConfig) -> StageResult:
 
 def _load_items(path: Path) -> list[QAItem]:
     return [from_record(QAItem, r) for r in load(path, "dataset")]
+
+
+def _load_chunks(path: Path) -> list[Chunk]:
+    """Refuses an ``embedding`` that is not a list of numbers: older files
+    hold an object there under the same ``chunk`` key, so only deleting the
+    file makes ``chunk`` write it anew."""
+    records = load(path, "chunks")
+    for record in records:
+        embedding = record.get("embedding")
+        if not isinstance(embedding, list) or not all(isinstance(v, (int, float)) for v in embedding):
+            raise ValidationError(
+                f"{path}: chunk {record.get('chunk_id')}: embedding is not a list of numbers, as in files "
+                f"written by older versions; delete {path.name} and re-run `hopbench chunk`"
+            )
+    return [from_record(Chunk, r) for r in records]
 
 
 def run_adjudicate(run_dir: str | Path, config: PipelineConfig) -> StageResult:
@@ -664,7 +679,7 @@ def run_stats(run_dir: str | Path, config: PipelineConfig) -> StageResult:
 
     def compute(inputs, outputs, digest):
         items = _load_items(inputs["dataset.jsonl"])
-        chunks = [from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")]
+        chunks = _load_chunks(inputs["chunks.jsonl"])
         sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
         adjudications = None
         if "adjudications.jsonl" in inputs:
@@ -705,7 +720,7 @@ def run_retrieve(run_dir: str | Path, config: PipelineConfig) -> StageResult:
         items = _load_items(inputs["dataset.jsonl"])
         if not items:
             raise ValidationError("dataset is empty; nothing to evaluate")
-        index = CorpusIndex([from_record(Chunk, r) for r in load(inputs["chunks.jsonl"], "chunks")])
+        index = CorpusIndex(_load_chunks(inputs["chunks.jsonl"]))
         records = [build_rag_context(item, index, embedder, config).to_record() for item in items]
         snapshot(records, outputs["rag_contexts.jsonl"], schema="rag_contexts")
         return {"contexts": len(records)}

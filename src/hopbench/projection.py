@@ -10,20 +10,19 @@ import numpy as np
 from scipy import stats
 
 from .errors import ValidationError
-from .providers import EmbeddingVector
 
 POWER_ITERATIONS = 100
 MAX_PAIRS = 2000
 
 
-def reduce_dimensions(vectors: list[EmbeddingVector], target_dim: int, seed: int) -> np.ndarray:
-    """Project embedding vectors to ``target_dim`` by PCA via orthogonal
-    iteration with a seeded start and a fixed sign rule: (N, target_dim)."""
-    if len(vectors) < 2:
+def reduce_dimensions(matrix: np.ndarray, target_dim: int, seed: int) -> np.ndarray:
+    """Project the rows of an (N, d) embedding matrix to ``target_dim`` by
+    PCA via orthogonal iteration with a seeded start and a fixed sign rule:
+    (N, target_dim)."""
+    if len(matrix) < 2:
         raise ValidationError("reduce_dimensions needs at least 2 vectors")
     if target_dim < 1:
         raise ValidationError("target_dim must be >= 1")
-    matrix = np.stack([v.as_array() for v in vectors])
     d = matrix.shape[1]
     if target_dim >= d:
         raise ValidationError(f"target_dim {target_dim} must be < source dimension {d}")
@@ -41,18 +40,18 @@ def reduce_dimensions(vectors: list[EmbeddingVector], target_dim: int, seed: int
     return centered @ basis
 
 
-def distance_rank_correlation(vectors: list[EmbeddingVector], points: np.ndarray, seed: int) -> float:
-    """Spearman correlation of pairwise distances before vs. after projection.
+def distance_rank_correlation(source: np.ndarray, points: np.ndarray, seed: int) -> float:
+    """Spearman correlation of pairwise distances between the rows of
+    ``source`` before vs. after projection to ``points``.
 
     Reported as a projection-quality diagnostic; pairs are subsampled with a
     seeded RNG when there are more than ``MAX_PAIRS``.
     """
-    if len(vectors) != len(points):
+    if len(source) != len(points):
         raise ValidationError("vectors and points must align")
-    n = len(vectors)
+    n = len(source)
     if n < 3:
         return 1.0
-    source = np.stack([v.as_array() for v in vectors])
     target = np.asarray(points, dtype=np.float64)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if len(pairs) > MAX_PAIRS:

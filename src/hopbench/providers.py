@@ -7,6 +7,7 @@ offline (the answering models of ``evaluate --model mock:<behavior>`` are
 are the one path from a stage to a transport. Without a cache they call the
 transport directly; with a ``ResponseCache`` they hash the request, and a
 repeated request is answered byte-identically from the cache.
+``EmbeddingService.embed_texts`` returns one float64 matrix, a row per text.
 """
 
 from __future__ import annotations
@@ -89,16 +90,6 @@ class ChatRequest:
             model_name=self.model_name,
             seed=None if self.seed is None else self.seed + 1,
         )
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: tuple[float, ...]
-    dimension: int
-    source_text_hash: str
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
 
 
 def canonical_json(obj) -> str:
@@ -526,6 +517,9 @@ class MockEmbeddingTransport:
 
 # ---------------------------------------------------------------------------
 # Services (validation + caching on top of a transport)
+#
+# ``ChatService.complete`` returns the reply text; ``EmbeddingService.embed_texts``
+# returns an (n, d) float64 array whose row i embeds text i.
 # ---------------------------------------------------------------------------
 
 
@@ -554,11 +548,7 @@ class EmbeddingService:
         self.transport = transport
         self.cache = cache
 
-    @property
-    def provider_id(self) -> str:
-        return self.transport.provider_id
-
-    def embed_texts(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
             raise ValidationError("embed_texts requires a non-empty batch")
         for i, text in enumerate(texts):
@@ -578,15 +568,7 @@ class EmbeddingService:
         dimensions = {len(row) for row in rows}
         if len(dimensions) != 1:
             raise ProviderFaultError(f"embedding batch mixed dimensions: {sorted(dimensions)}")
-        dimension = dimensions.pop()
-        return [
-            EmbeddingVector(
-                values=tuple(float(v) for v in row),
-                dimension=dimension,
-                source_text_hash=stable_text_digest(text),
-            )
-            for text, row in zip(texts, rows)
-        ]
+        return np.asarray(rows, dtype=np.float64)
 
 
 def parallel_map(fn, items: Sequence, max_workers: int = 1) -> list:

@@ -70,13 +70,13 @@ def token_overlap_scores(query: str, passages: Sequence[str], language: str) -> 
 
 
 class CorpusIndex:
-    """Chunk embeddings stacked for cosine ranking."""
+    """The chunks' embedding matrix, rows normalized, for cosine ranking."""
 
     def __init__(self, chunks: list[Chunk]):
         if not chunks:
             raise ValidationError("corpus index needs at least one chunk")
         self.chunks = list(chunks)
-        matrix = np.stack([c.embedding.as_array() for c in chunks])
+        matrix = np.asarray([c.embedding for c in chunks], dtype=np.float64)
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         self._matrix = matrix / norms
@@ -129,7 +129,7 @@ def build_rag_context(
     if golden_chunk is None:
         raise StageError(f"{item.qa_id}: golden paragraph {golden_anchor['chunk_id']} unresolvable")
 
-    query_vector = embedder.embed_texts([item.question])[0].as_array()
+    query_vector = embedder.embed_texts([item.question])[0]
     candidates = index.rank(query_vector, config.coarse_pool)
     if config.use_reranker:
         scores = token_overlap_scores(item.question, [c.text for c in candidates], item.language)

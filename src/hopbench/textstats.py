@@ -164,8 +164,8 @@ def compute_overlap_stats(
         task = judged.get("clinical_task", item.clinical_task)
         task_counts[task] = task_counts.get(task, 0) + 1
 
-        answer_vec = option_vectors[2 * index].as_array()
-        negative_vec = option_vectors[2 * index + 1].as_array()
+        answer_vec = option_vectors[2 * index]
+        negative_vec = option_vectors[2 * index + 1]
 
         measurements = {
             "question_length": len(question_tokens)

@@ -19,7 +19,7 @@ from .corpus import Chunk
 from .errors import ProviderError, StageError, ValidationError
 from .gmm import search_cluster_count, soft_assign
 from .projection import distance_rank_correlation, reduce_dimensions
-from .providers import ChatRequest, ChatService, EmbeddingService, EmbeddingVector
+from .providers import ChatRequest, ChatService, EmbeddingService
 from .seeding import derive_seed
 
 MAX_MEMBER_CHARS = 2000  # of each member text in a summary prompt
@@ -107,34 +107,33 @@ def build_summary_tree(
         tree.add(SummaryTreeNode(node_id=chunk.chunk_id, level=0, member_ids={}, summary_text=""))
 
     texts = {chunk.chunk_id: chunk.text for chunk in chunks}
-    current: list[tuple[str, EmbeddingVector]] = [(c.chunk_id, c.embedding) for c in chunks]
+    # The current level's node ids and their (n, d) embedding matrix.
+    ids = [c.chunk_id for c in chunks]
+    embeddings = np.asarray([c.embedding for c in chunks], dtype=np.float64)
 
     for level in range(1, config.max_levels + 1):
-        if len(current) <= 2:
+        if len(ids) <= 2:
             break
-        ids = [node_id for node_id, _ in current]
-        vectors = [vec for _, vec in current]
-        source_dim = vectors[0].dimension
-        target_dim = min(config.target_dim, source_dim - 1, len(current) - 1)
+        target_dim = min(config.target_dim, embeddings.shape[1] - 1, len(ids) - 1)
         level_seed = derive_seed(seed, f"tree-level{level}")
         if target_dim >= 1:
-            matrix = reduce_dimensions(vectors, target_dim, seed=level_seed)
-            rank_corr = distance_rank_correlation(vectors, matrix, seed=level_seed)
+            matrix = reduce_dimensions(embeddings, target_dim, seed=level_seed)
+            rank_corr = distance_rank_correlation(embeddings, matrix, seed=level_seed)
         else:
-            matrix = np.stack([v.as_array() for v in vectors])
+            matrix = embeddings
             rank_corr = 1.0
 
-        k_max = min(config.gmm_k_max, len(current) - 1)
+        k_max = min(config.gmm_k_max, len(ids) - 1)
         search = search_cluster_count(
             matrix, K_max=k_max, seed=level_seed, n_restarts=config.gmm_restarts
         )
-        assignment = soft_assign(search.best, matrix)
-        members_by_cluster = soft_members(assignment.gamma, ids, config.membership_floor)
+        gamma = soft_assign(search.best, matrix)
+        members_by_cluster = soft_members(gamma, ids, config.membership_floor)
 
         tree.level_reports.append(
             {
                 "level": level,
-                "n_points": len(current),
+                "n_points": len(ids),
                 "k_star": search.k_star,
                 "projector_target_dim": int(target_dim),
                 "distance_rank_correlation": round(float(rank_corr), 6),
@@ -148,7 +147,6 @@ def build_summary_tree(
             }
         )
 
-        next_level: list[tuple[str, EmbeddingVector]] = []
         summaries: list[str] = []
         new_nodes: list[SummaryTreeNode] = []
         for k in range(search.k_star):
@@ -179,12 +177,11 @@ def build_summary_tree(
             )
             summaries.append(summary)
 
-        embedded = embedder.embed_texts(summaries)
-        for node, vector in zip(new_nodes, embedded):
+        for node in new_nodes:
             tree.add(node)
             texts[node.node_id] = node.summary_text
-            next_level.append((node.node_id, vector))
-        current = next_level
+        ids = [node.node_id for node in new_nodes]
+        embeddings = embedder.embed_texts(summaries)
 
     tree.validate()
     return tree

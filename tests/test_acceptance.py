@@ -30,7 +30,7 @@ from hopbench.errors import ItemDiscardedError, NoHardNegativeError
 from hopbench.evaluation import EvalOutcome, MockEvalTransport, behavioral_report, evaluate_dataset
 from hopbench.gmm import fit_gmm_em, search_cluster_count
 from hopbench.kg import KnowledgeGraph, shatter
-from hopbench.providers import ChatService, EmbeddingService, EmbeddingVector, MockChatTransport, MockEmbeddingTransport
+from hopbench.providers import ChatService, EmbeddingService, MockChatTransport, MockEmbeddingTransport
 from hopbench.rag import CorpusIndex, build_rag_context
 from hopbench.seeding import derive_seed
 from hopbench.synthesis import QAItem, synthesize_item, verify_masking
@@ -228,7 +228,7 @@ def layered_graph() -> tuple[KnowledgeGraph, dict[str, Chunk], SentenceStore]:
         sentence_span=(0, 0),
         text=sentence.text,
         page_anchor=1,
-        embedding=EmbeddingVector(values=(1.0, 0.0), dimension=2, source_text_hash="h"),
+        embedding=(1.0, 0.0),
     )
     return graph, {"c0": chunk}, SentenceStore([sentence])
 

@@ -306,6 +306,28 @@ def test_manifest_records_matching_digests(toy_yaml, tmp_path):
     assert recorded == on_disk
 
 
+def test_chunks_with_an_embedding_object_are_refused(toy_yaml, tmp_path):
+    # Older versions stored each embedding as an object (its dimension, a text
+    # hash and the values); decoded as a tuple it would become the key strings.
+    run_dir = tmp_path / "run"
+    base = ["--config", str(toy_yaml), "--run-dir", str(run_dir)]
+    for command in ("ingest", "chunk"):
+        assert invoke(base + [command]).exit_code == 0
+    chunks = run_dir / "chunks.jsonl"
+    header, *lines = chunks.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        values = record["embedding"]
+        record["embedding"] = {"dimension": len(values), "values": values}
+    chunks.write_text("\n".join([header] + [json.dumps(r) for r in records]) + "\n", encoding="utf-8")
+    result = invoke(base + ["tree"])
+    assert result.exit_code == 2
+    assert "chunks.jsonl" in result.output and "re-run `hopbench chunk`" in result.output
+    chunks.unlink()
+    assert invoke(base + ["chunk"]).exit_code == 0
+    assert invoke(base + ["tree"]).exit_code == 0
+
+
 def synthesized_toy_run(run_dir, config) -> None:
     for fn in (
         pipeline.run_ingest,

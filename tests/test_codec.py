@@ -19,7 +19,6 @@ from hopbench.evaluation import EvalOutcome
 from hopbench.jsonl import load, snapshot
 from hopbench.kg import Evidence
 from hopbench.manifest import RunManifest, StageRecord
-from hopbench.providers import EmbeddingVector
 from hopbench.synthesis import QAItem
 from hopbench.tree import SummaryTreeNode
 
@@ -31,8 +30,8 @@ LINES = {
     ),
     "chunks": (
         Chunk,
-        '{"chunk_id":"toy_circulatory-c0000","doc_id":"toy_circulatory","embedding":{"dimension":2,'
-        '"source_text_hash":"97dee169","values":[-0.28135035736392294,0.10569562276844179]},'
+        '{"chunk_id":"toy_circulatory-c0000","doc_id":"toy_circulatory",'
+        '"embedding":[-0.28135035736392294,0.10569562276844179],'
         '"page_anchor":1,"sentence_span":[0,3],"text":"Chronic hypertension strains the heart."}',
     ),
     "tree": (
@@ -122,7 +121,7 @@ def test_graph_records_decode_then_encode_to_the_same_bytes(tmp_path):
 def test_nested_fields_decode_to_their_types():
     chunk = from_record(Chunk, json.loads(LINES["chunks"][1]))
     assert chunk.sentence_span == (0, 3)
-    assert chunk.embedding == EmbeddingVector((-0.28135035736392294, 0.10569562276844179), 2, "97dee169")
+    assert chunk.embedding == (-0.28135035736392294, 0.10569562276844179)
     chain = from_record(ReasoningChain, json.loads(LINES["chains"][1]))
     assert chain.evidence_sibling == Evidence("toy_metabolic-c0001", (9, 9), 2)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,15 +18,15 @@ from hopbench.corpus import (
     split_sentences,
 )
 from hopbench.errors import ValidationError
-from hopbench.providers import EmbeddingVector
 
 
-def vec(*values: float) -> EmbeddingVector:
-    return EmbeddingVector(values=tuple(values), dimension=len(values), source_text_hash="h")
+def same_rows(n: int) -> np.ndarray:
+    return np.tile([1.0, 0.0], (n, 1))
 
 
-def unit_vector_at_angle(theta: float) -> EmbeddingVector:
-    return vec(math.cos(theta), math.sin(theta))
+def at_angles(angles: list[float]) -> np.ndarray:
+    """One 2-d unit row per angle."""
+    return np.array([[math.cos(theta), math.sin(theta)] for theta in angles])
 
 
 def sentences_of(n: int, doc_id: str = "d1") -> list[Sentence]:
@@ -123,7 +124,7 @@ def test_percentile_matches_oracle_on_random_multisets():
 
 def test_identical_embeddings_give_single_chunk():
     n = 5
-    chunks = semantic_chunk(sentences_of(n), [vec(1.0, 0.0)] * n, 95.0, 64)
+    chunks = semantic_chunk(sentences_of(n), same_rows(n), 95.0, 64)
     assert len(chunks) == 1
     assert chunks[0].sentence_span == (0, 4)
 
@@ -134,7 +135,7 @@ def test_spec_distance_pattern_breaks_after_third_sentence():
     angles = [0.0]
     for d in [0.1, 0.1, 0.9, 0.1]:
         angles.append(angles[-1] + math.acos(1 - d))
-    embeddings = [unit_vector_at_angle(a) for a in angles]
+    embeddings = at_angles(angles)
     chunks = semantic_chunk(sentences_of(5), embeddings, percentile=95, max_sentences=64)
     assert [c.sentence_span for c in chunks] == [(0, 2), (3, 4)]
 
@@ -144,33 +145,33 @@ def test_percentile_100_breaks_only_at_maximum():
     angles = [0.0]
     for d in distances:
         angles.append(angles[-1] + math.acos(1 - d))
-    embeddings = [unit_vector_at_angle(a) for a in angles]
+    embeddings = at_angles(angles)
     chunks = semantic_chunk(sentences_of(5), embeddings, percentile=100, max_sentences=64)
     assert [c.sentence_span for c in chunks] == [(0, 3), (4, 4)]
 
 
 def test_embedding_count_mismatch_is_validation_error():
     with pytest.raises(ValidationError):
-        semantic_chunk(sentences_of(3), [vec(1.0, 0.0)] * 2, 95.0, 64)
+        semantic_chunk(sentences_of(3), same_rows(2), 95.0, 64)
 
 
 def test_single_sentence_single_chunk():
-    chunks = semantic_chunk(sentences_of(1), [vec(1.0, 0.0)], 95.0, 64)
+    chunks = semantic_chunk(sentences_of(1), same_rows(1), 95.0, 64)
     assert len(chunks) == 1
 
 
 def test_max_sentences_forces_breaks():
-    chunks = semantic_chunk(sentences_of(10), [vec(1.0, 0.0)] * 10, percentile=95.0, max_sentences=4)
+    chunks = semantic_chunk(sentences_of(10), same_rows(10), percentile=95.0, max_sentences=4)
     assert [c.sentence_span for c in chunks] == [(0, 3), (4, 7), (8, 9)]
 
 
-def _random_embeddings(rng: random.Random, n: int) -> list[EmbeddingVector]:
-    out = []
+def _random_embeddings(rng: random.Random, n: int) -> np.ndarray:
+    angles = []
     angle = 0.0
     for _ in range(n):
         angle += rng.random()
-        out.append(unit_vector_at_angle(angle))
-    return out
+        angles.append(angle)
+    return at_angles(angles)
 
 
 def test_partition_property_on_random_documents():
@@ -210,17 +211,15 @@ def test_chunk_text_matches_sentence_store_resolution():
 
 
 def test_chunk_embedding_is_renormalized_mean():
-    import numpy as np
-
     # Distances [0.2, 0.8]: the P100 boundary falls only after sentence 1,
     # so sentences 0-1 merge and their chunk embedding is the unit mean.
     angles = [0.0, math.acos(0.8), math.acos(0.8) + math.acos(0.2)]
-    embeddings = [unit_vector_at_angle(a) for a in angles]
+    embeddings = at_angles(angles)
     chunks = semantic_chunk(sentences_of(3), embeddings, percentile=100, max_sentences=64)
     assert [c.sentence_span for c in chunks] == [(0, 1), (2, 2)]
-    mean = (np.asarray(embeddings[0].values) + np.asarray(embeddings[1].values)) / 2
+    mean = (embeddings[0] + embeddings[1]) / 2
     expected = mean / np.linalg.norm(mean)
-    assert np.allclose(np.asarray(chunks[0].embedding.values), expected)
+    assert np.allclose(np.asarray(chunks[0].embedding), expected)
 
 
 def test_document_page_numbers_must_increase():

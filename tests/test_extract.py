@@ -8,11 +8,7 @@ from hopbench.corpus import Chunk, Sentence, SentenceStore
 from hopbench.errors import ExtractionError
 from hopbench.extract import NodeExtraction, extract_triplets
 from hopbench.prompts import parse_json_reply
-from hopbench.providers import ChatService, EmbeddingVector, MockChatTransport
-
-
-def embedding() -> EmbeddingVector:
-    return EmbeddingVector(values=(1.0, 0.0), dimension=2, source_text_hash="h")
+from hopbench.providers import ChatService, MockChatTransport
 
 
 def fixture_corpus():
@@ -26,7 +22,7 @@ def fixture_corpus():
         sentence_span=(0, 1),
         text="Diabetes accumulation of AGEs. Unrelated filler sentence.",
         page_anchor=1,
-        embedding=embedding(),
+        embedding=(1.0, 0.0),
     )
     return [chunk], SentenceStore(sentences)
 
@@ -135,7 +131,7 @@ def test_builtin_mock_extracts_relation_sentences():
         sentence_span=(0, 1),
         text=" ".join(s.text for s in sentences),
         page_anchor=1,
-        embedding=embedding(),
+        embedding=(1.0, 0.0),
     )
     chat = ChatService(MockChatTransport(seed=0))
     accepted = extract_triplets(NodeExtraction("n1"), [chunk], chat, SentenceStore(sentences), "default", 0)

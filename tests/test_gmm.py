@@ -36,10 +36,10 @@ def test_bic_formula_direct_evaluation():
 
 def test_identical_points_single_component():
     x = np.tile([2.0, -1.0], (20, 1))
-    model, assignment = fit_gmm_em(x, K=1, seed=0)
+    model, gamma = fit_gmm_em(x, K=1, seed=0)
     assert np.allclose(model.means[0], [2.0, -1.0])
     assert np.allclose(model.covariances[0], COVARIANCE_REGULARIZATION * np.eye(2))
-    assert np.allclose(assignment.gamma, 1.0)
+    assert np.allclose(gamma, 1.0)
 
 
 def test_two_separated_blobs_recovered():
@@ -47,11 +47,11 @@ def test_two_separated_blobs_recovered():
     x = two_blobs(rng)
     centroid_a = x[:100].mean(axis=0)
     centroid_b = x[100:].mean(axis=0)
-    model, assignment = fit_gmm_em(x, K=2, seed=1)
+    model, gamma = fit_gmm_em(x, K=2, seed=1)
     means = sorted(model.means.tolist())
     expected = sorted([centroid_a.tolist(), centroid_b.tolist()])
     assert np.allclose(means, expected, atol=1e-3)
-    assert (assignment.gamma.max(axis=1) > 0.99).all()
+    assert (gamma.max(axis=1) > 0.99).all()
 
 
 def test_iteration_trace_monotone_on_random_data():
@@ -66,9 +66,9 @@ def test_iteration_trace_monotone_on_random_data():
 def test_responsibilities_normalized():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((50, 2))
-    _, assignment = fit_gmm_em(x, K=4, seed=7)
-    assert np.allclose(assignment.gamma.sum(axis=1), 1.0, atol=1e-9)
-    assert ((assignment.gamma >= 0) & (assignment.gamma <= 1)).all()
+    _, gamma = fit_gmm_em(x, K=4, seed=7)
+    assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-9)
+    assert ((gamma >= 0) & (gamma <= 1)).all()
 
 
 def test_weights_simplex_and_covariance_floor():
@@ -132,7 +132,7 @@ def test_search_records_full_bic_curve():
 def test_soft_assign_single_component_all_ones():
     x = np.random.default_rng(0).standard_normal((10, 2))
     model, _ = fit_gmm_em(x, K=1, seed=0)
-    gamma = soft_assign(model, x).gamma
+    gamma = soft_assign(model, x)
     assert np.allclose(gamma, 1.0)
 
 
@@ -150,7 +150,7 @@ def test_soft_assign_point_at_far_component_mean():
         converged=True,
         seed=0,
     )
-    gamma = soft_assign(model, np.array([[0.0, 0.0]])).gamma
+    gamma = soft_assign(model, np.array([[0.0, 0.0]]))
     assert gamma[0, 0] > 0.99
 
 
@@ -168,7 +168,7 @@ def test_soft_assign_equidistant_symmetric_split():
         converged=True,
         seed=0,
     )
-    gamma = soft_assign(model, np.array([[0.0, 5.0]])).gamma
+    gamma = soft_assign(model, np.array([[0.0, 5.0]]))
     assert gamma[0, 0] == pytest.approx(0.5, abs=1e-9)
     assert gamma[0, 1] == pytest.approx(0.5, abs=1e-9)
 

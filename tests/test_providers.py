@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hopbench import prompts, providers
-from hopbench.errors import ProtocolError, TransportError, ValidationError
+from hopbench.errors import ProtocolError, ProviderFaultError, TransportError, ValidationError
 from hopbench.providers import (
     ChatMessage,
     ChatRequest,
@@ -135,7 +135,7 @@ def test_cached_service_hashes_each_request_once(tmp_path, monkeypatch):
     request = ChatRequest.user(MCQ_PROMPT)
     assert chat.complete(request) == chat.complete(request)  # a miss, then a hit
     first, second = embedder.embed_texts(["one text"]), embedder.embed_texts(["one text"])
-    assert first == second
+    assert np.array_equal(first, second)
     assert counts == {"chat": 2, "embed": 2}
 
 
@@ -172,17 +172,16 @@ def test_mock_embeddings_unit_norm_and_vocab_similarity():
 def test_embed_texts_identical_inputs_identical_vectors():
     service = EmbeddingService(MockEmbeddingTransport(dimension=16, seed=2))
     vectors = service.embed_texts(["a", "a"])
-    assert vectors[0].values == vectors[1].values
-    assert vectors[0].dimension == 16
+    assert vectors.shape == (2, 16) and vectors.dtype == np.float64
+    assert np.array_equal(vectors[0], vectors[1])
 
 
 def test_embed_texts_batch_matches_single_calls():
     service = EmbeddingService(MockEmbeddingTransport(dimension=16, seed=2))
     texts = ["first text", "second text", "third text"]
     batch = service.embed_texts(texts)
-    singles = [service.embed_texts([t])[0] for t in texts]
-    assert [v.values for v in batch] == [v.values for v in singles]
-    assert [v.source_text_hash for v in batch] == [v.source_text_hash for v in singles]
+    singles = np.stack([service.embed_texts([t])[0] for t in texts])
+    assert np.array_equal(batch, singles)
 
 
 def test_embed_texts_validation_errors():
@@ -191,6 +190,17 @@ def test_embed_texts_validation_errors():
         service.embed_texts([])
     with pytest.raises(ValidationError):
         service.embed_texts(["fine", "   "])
+
+
+def test_embed_texts_refuses_a_batch_of_mixed_dimensions():
+    class Ragged:
+        provider_id = "ragged"
+
+        def embed(self, texts):
+            return [[1.0, 0.0], [1.0, 0.0, 0.0]]
+
+    with pytest.raises(ProviderFaultError, match="mixed dimensions"):
+        EmbeddingService(Ragged()).embed_texts(["one", "two"])
 
 
 def test_http_chat_retries_then_raises_transport_error(monkeypatch):

@@ -6,20 +6,19 @@ import pytest
 from hopbench.config import PipelineConfig
 from hopbench.corpus import Chunk
 from hopbench.errors import StageError, ValidationError
-from hopbench.providers import EmbeddingService, EmbeddingVector, MockEmbeddingTransport
+from hopbench.providers import EmbeddingService, MockEmbeddingTransport
 from hopbench.rag import CorpusIndex, RagContext, build_rag_context
 from hopbench.synthesis import QAItem
 
 
 def chunk_of(chunk_id: str, text: str, embedder: EmbeddingService) -> Chunk:
-    vector = embedder.embed_texts([text])[0]
     return Chunk(
         chunk_id=chunk_id,
         doc_id="d1",
         sentence_span=(0, 0),
         text=text,
         page_anchor=1,
-        embedding=vector,
+        embedding=tuple(embedder.embed_texts([text])[0]),
     )
 
 
@@ -89,10 +88,10 @@ def test_non_golden_slots_are_top_cosine_neighbors(toy_index, embedder):
     config = PipelineConfig(coarse_pool=5, rerank_keep=3, context_k=3, seed=0)
     context = build_rag_context(item, toy_index, embedder, config)
 
-    query = np.asarray(embedder.embed_texts([question])[0].values)
+    query = embedder.embed_texts([question])[0]
     scored = []
     for chunk in toy_index.chunks:
-        vector = np.asarray(chunk.embedding.values)
+        vector = np.asarray(chunk.embedding)
         score = float(np.dot(query, vector) / (np.linalg.norm(query) * np.linalg.norm(vector)))
         scored.append((score, chunk.chunk_id, chunk.text))
     scored.sort(reverse=True)
@@ -140,7 +139,7 @@ def test_reranker_tokenizes_in_the_item_language(embedder):
     # in Chinese characters, reverses them. Counted as English words, a
     # Chinese text has no tokens and the reranker would keep cosine's order.
     question = "糖尿病导致肾病"
-    query = np.asarray(embedder.embed_texts([question])[0].values)
+    query = embedder.embed_texts([question])[0]
     index = CorpusIndex(
         [
             chunk_with_vector("c0", "天气晴朗", -query),
@@ -174,7 +173,7 @@ def chunk_with_vector(chunk_id: str, text: str, vector: np.ndarray) -> Chunk:
         sentence_span=(0, 0),
         text=text,
         page_anchor=1,
-        embedding=EmbeddingVector(values=tuple(vector), dimension=len(vector), source_text_hash=""),
+        embedding=tuple(vector),
     )
 
 
@@ -187,7 +186,7 @@ def index_of_rows(matrix: np.ndarray) -> CorpusIndex:
                 sentence_span=(0, 0),
                 text=f"chunk {i}",
                 page_anchor=1,
-                embedding=EmbeddingVector(values=tuple(row), dimension=len(row), source_text_hash=""),
+                embedding=tuple(row),
             )
             for i, row in enumerate(matrix)
         ]

@@ -11,7 +11,7 @@ from hopbench.config import PipelineConfig
 from hopbench.corpus import Chunk, Sentence, SentenceStore
 from hopbench.errors import ItemDiscardedError, ValidationError
 from hopbench.kg import shatter
-from hopbench.providers import ChatService, EmbeddingVector, MockChatTransport
+from hopbench.providers import ChatService, MockChatTransport
 from hopbench.seeding import derive_seed
 from hopbench.synthesis import QAItem, synthesize_dataset, synthesize_item, verify_masking
 
@@ -123,7 +123,7 @@ def synthesis_fixture():
         sentence_span=(0, 1),
         text=" ".join(s.text for s in sentences),
         page_anchor=1,
-        embedding=EmbeddingVector(values=(1.0, 0.0), dimension=2, source_text_hash="h"),
+        embedding=(1.0, 0.0),
     )
     diabetes = entity_id_by_name(graph, "Type 2 Diabetes")
     bridge = entity_id_by_name(graph, "AGEs Accumulation")
@@ -202,7 +202,7 @@ def test_insufficient_fillers_discards_item():
         sentence_span=(0, 1),
         text="a r b. b r c.",
         page_anchor=1,
-        embedding=EmbeddingVector(values=(1.0, 0.0), dimension=2, source_text_hash="h"),
+        embedding=(1.0, 0.0),
     )
     chain = sample_hard_negative(mine_chains(graph, None)[0], graph, rng_seed=0)
     with pytest.raises(ItemDiscardedError) as excinfo:
@@ -287,7 +287,7 @@ def test_filler_memo_gives_the_fillers_of_a_fresh_search_per_item(monkeypatch):
         sentence_span=(0, 0),
         text=sentences[0].text,
         page_anchor=1,
-        embedding=EmbeddingVector(values=(1.0, 0.0), dimension=2, source_text_hash="h"),
+        embedding=(1.0, 0.0),
     )
     chunks, store, chat = {"c0": chunk}, SentenceStore(sentences), ChatService(MockChatTransport(seed=0))
 

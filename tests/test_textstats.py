@@ -77,7 +77,7 @@ def test_en_tokenization_lowercases_and_splits_punctuation():
 
 def test_dataset_stats_split_counts_and_bounds():
     from hopbench.corpus import Chunk, Sentence, SentenceStore
-    from hopbench.providers import EmbeddingService, EmbeddingVector, MockEmbeddingTransport
+    from hopbench.providers import EmbeddingService, MockEmbeddingTransport
     from hopbench.synthesis import QAItem
     from hopbench.textstats import compute_overlap_stats
 
@@ -88,7 +88,7 @@ def test_dataset_stats_split_counts_and_bounds():
         sentence_span=(0, 0),
         text=sentences[0].text,
         page_anchor=1,
-        embedding=EmbeddingVector(values=(1.0, 0.0), dimension=2, source_text_hash="h"),
+        embedding=(1.0, 0.0),
     )
 
     def item(i: int, difficulty: str, golden: str) -> QAItem:
