@@ -1,6 +1,6 @@
 """Two-hop chain mining and topology-driven hard-negative sampling.
 
-A chain is a directed path A -> bridge -> B in the shattered view. The hard
+A chain is a directed path A -> bridge -> B over present entities. The hard
 negative comes from a sibling branch of the same source: pick another
 outgoing edge A -> sibling and one of its downstream targets B' that is none
 of the chain's own nodes, so the distractor is structurally plausible."""

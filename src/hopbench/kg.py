@@ -1,13 +1,17 @@
-"""Frequency-indexed entity/edge store with an original and a shattered view.
+"""Frequency-indexed entity/edge store whose prune flags shatter it.
 
-The shattered view prunes entities whose node frequency exceeds the threshold
-k (or that match the stop-entity list) and drops every incident edge, severing
-generic-hub shortcuts while the original view stays available for ablation.
+``shatter`` flags the entities whose node frequency exceeds the threshold k
+(or that match the stop-entity list). A graph keeps every edge it was given;
+traversal sees only present edges, both of whose endpoints are unflagged, so
+a pruned hub cuts every path through it.
 
 Edges are kept in insertion order with one per-head index for directed
 traversal (chain mining) and one undirected adjacency index for distances:
-the sorted neighbour list of every node, built from the edge list on first
-use and dropped by ``add_edge``, the only way an edge enters a graph.
+the sorted neighbour list of every node. Both are built from the present
+edges on first use and dropped by ``add_edge``, the only way an edge is
+added to an existing graph (``copy`` starts its clone with no index). So
+flags are set before the first traversal: ``shatter`` sets them on a fresh
+copy, ``graph_from_records`` at decode.
 """
 
 from __future__ import annotations
@@ -65,20 +69,12 @@ class Triplet:
 class KnowledgeGraph:
     """Entity and edge store with adjacency and surface indexes."""
 
-    def __init__(
-        self,
-        view: str = "original",
-        k_threshold: float | None = None,
-        stoplist_id: str = "",
-    ):
-        if view not in ("original", "shattered"):
-            raise ValidationError(f"unknown graph view: {view!r}")
-        self.view = view
+    def __init__(self, k_threshold: float | None = None, stoplist_id: str = ""):
         self.k_threshold = k_threshold  # None means unbounded
         self.stoplist_id = stoplist_id
         self.entities: dict[str, Entity] = {}
         self.edges: list[Triplet] = []
-        self._out: dict[str, list[int]] = {}
+        self._out: dict[str, list[Triplet]] | None = None  # built on demand
         self._neighbors: dict[str, tuple[str, ...]] | None = None  # built on demand
         self._surface_index: dict[str, str] = {}
 
@@ -124,23 +120,28 @@ class KnowledgeGraph:
     # -- edges --------------------------------------------------------------
 
     def add_edge(self, triplet: Triplet) -> None:
-        """Attach an edge; every edge mutation goes through here, so this is
-        the one place the adjacency index is invalidated."""
+        """Attach an edge; every edge added to an existing graph goes through
+        here, so this is the one place the adjacency indexes are invalidated."""
         self.require(triplet.head)
         self.require(triplet.tail)
-        self._out.setdefault(triplet.head, []).append(len(self.edges))
         self.edges.append(triplet)
-        self._neighbors = None
+        self._out = self._neighbors = None
 
     def out_edges(self, entity_id: str) -> list[Triplet]:
-        return [self.edges[i] for i in self._out.get(entity_id, [])]
+        """Present edges leaving ``entity_id``, in insertion order (none for
+        a pruned entity). The list is the index's own: do not mutate it."""
+        if self._out is None:
+            self._out = {}
+            for edge in self.present_edges():
+                self._out.setdefault(edge.head, []).append(edge)
+        return self._out.get(entity_id, [])
 
     def undirected_neighbors(self, entity_id: str) -> tuple[str, ...]:
-        """Sorted ids joined to ``entity_id`` by an edge in either direction,
-        pruned or not (callers filter on ``present``)."""
+        """Sorted ids joined to ``entity_id`` by a present edge in either
+        direction; never a pruned entity."""
         if self._neighbors is None:
             adjacency: dict[str, set[str]] = {}
-            for edge in self.edges:
+            for edge in self.present_edges():
                 adjacency.setdefault(edge.head, set()).add(edge.tail)
                 adjacency.setdefault(edge.tail, set()).add(edge.head)
             self._neighbors = {node: tuple(sorted(ids)) for node, ids in adjacency.items()}
@@ -148,22 +149,18 @@ class KnowledgeGraph:
 
     # -- snapshots ----------------------------------------------------------
 
-    def copy(self, view: str | None = None, edges: list[Triplet] | None = None) -> "KnowledgeGraph":
-        """Independent copy of the entities; ``edges`` (default: all of this
-        graph's) are attached in order."""
-        clone = KnowledgeGraph(
-            view=view or self.view, k_threshold=self.k_threshold, stoplist_id=self.stoplist_id
-        )
+    def copy(self) -> "KnowledgeGraph":
+        """Independent copy of the entities and their flags, with every edge."""
+        clone = KnowledgeGraph(k_threshold=self.k_threshold, stoplist_id=self.stoplist_id)
         for entity_id in sorted(self.entities):
             entity = self.entities[entity_id]
             clone.entities[entity_id] = replace(entity, aliases=set(entity.aliases))
         clone._surface_index = dict(self._surface_index)
-        for edge in self.edges if edges is None else edges:
-            clone.add_edge(edge)
+        clone.edges = list(self.edges)
         return clone
 
     def present_edges(self) -> list[Triplet]:
-        """Edges whose endpoints are both present in this view."""
+        """Edges whose endpoints are both present (not pruned)."""
         return [e for e in self.edges if self.present(e.head) and self.present(e.tail)]
 
 
@@ -216,15 +213,15 @@ def shatter(
     stoplist: set[str] | None = None,
     stoplist_id: str = "",
 ) -> KnowledgeGraph:
-    """Return the shattered view: entities over the frequency threshold or on
-    the stoplist are marked pruned and lose every incident edge. The original
-    graph is left untouched."""
+    """Return a shattered copy: entities over the frequency threshold or on
+    the stoplist are flagged pruned, so traversal drops every incident edge.
+    The copy keeps every edge; the original graph is left untouched."""
     stoplist = stoplist or set()
     threshold = math.inf if k is None else float(k)
     if threshold <= 0:
         raise ValidationError("k threshold must be positive")
 
-    shattered = graph.copy(view="shattered", edges=[])
+    shattered = graph.copy()
     shattered.k_threshold = k
     shattered.stoplist_id = stoplist_id
     for entity in shattered.entities.values():
@@ -236,9 +233,6 @@ def shatter(
             reason = "over_k"
         entity.is_pruned = reason is not None
         entity.prune_reason = reason
-    for edge in graph.edges:
-        if shattered.present(edge.head) and shattered.present(edge.tail):
-            shattered.add_edge(edge)
     return shattered
 
 
@@ -271,7 +265,7 @@ def assemble_graph(
     every surface that ever appeared resolves to some entity afterwards. One
     ``SurfaceIndex`` grows with the graph's canonical names and aliases.
     """
-    graph = KnowledgeGraph(view="original")
+    graph = KnowledgeGraph()
     report = AssemblyReport()
     index = SurfaceIndex()
 

@@ -25,6 +25,8 @@ from functools import cache
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .adjudicate import adjudicate_quality
 from .chains import ReasoningChain, mine_chains, sample_hard_negative
 from .codec import from_record, to_record
@@ -145,7 +147,7 @@ STAGES = {
             ("k_threshold", "stoplist_path"),
             ("graph_raw.jsonl",),
             ("graph.jsonl", "topology_report.json"),
-            "Prune hub entities and write both graph views.",
+            "Flag hub entities as pruned and write the graph with its flags.",
         ),
         Stage(
             "shatter-sweep",
@@ -264,7 +266,7 @@ def tree_node_to_record(node: SummaryTreeNode) -> dict:
 def graph_to_records(graph: KnowledgeGraph, frequency_unit: str) -> list[dict]:
     meta = {
         "kind": "meta",
-        "view": graph.view,
+        "view": "original",  # no reader; kept so graph files stay byte-identical
         "k_threshold": graph.k_threshold,
         "stoplist_id": graph.stoplist_id,
         "frequency_unit": frequency_unit,
@@ -276,16 +278,13 @@ def graph_to_records(graph: KnowledgeGraph, frequency_unit: str) -> list[dict]:
 
 
 def graph_from_records(records: list[dict]) -> tuple[KnowledgeGraph, str]:
-    """Rebuild a graph (entities keep their ids and prune flags; all stored
-    edges are attached). Returns (graph, frequency_unit)."""
+    """Rebuild a graph (entities keep their ids and prune flags, so traversal
+    skips the pruned ones; all stored edges are attached). Returns (graph,
+    frequency_unit)."""
     meta = records[0]
     if meta.get("kind") != "meta":
         raise ValidationError("graph snapshot must start with a meta record")
-    graph = KnowledgeGraph(
-        view=meta.get("view", "original"),
-        k_threshold=meta.get("k_threshold"),
-        stoplist_id=meta.get("stoplist_id", ""),
-    )
+    graph = KnowledgeGraph(k_threshold=meta.get("k_threshold"), stoplist_id=meta.get("stoplist_id", ""))
     for record in records[1:]:
         if record["kind"] == "entity":
             entity = from_record(Entity, record)
@@ -295,11 +294,6 @@ def graph_from_records(records: list[dict]) -> tuple[KnowledgeGraph, str]:
         elif record["kind"] == "edge":
             graph.add_edge(from_record(Triplet, record))
     return graph, meta.get("frequency_unit", "tree_nodes")
-
-
-def shattered_from_flags(annotated: KnowledgeGraph) -> KnowledgeGraph:
-    """Materialize the shattered view from stored prune flags."""
-    return annotated.copy(view="shattered", edges=annotated.present_edges())
 
 
 # ---------------------------------------------------------------------------
@@ -561,26 +555,21 @@ def run_shatter(run_dir: str | Path, config: PipelineConfig) -> StageResult:
         graph, frequency_unit = graph_from_records(load(inputs["graph_raw.jsonl"], "graph"))
         stop_terms, stoplist_id = _stoplist(config)
         apply_frequencies(graph, frequency_unit)
-        view = shatter(graph, config.k_threshold, stoplist=stop_terms, stoplist_id=stoplist_id)
-        # Persist prune flags alongside the full original edge set so both
-        # views can be materialized from one file.
-        annotated = view.copy(view=graph.view, edges=graph.edges)
-        snapshot(
-            graph_to_records(annotated, frequency_unit), outputs["graph.jsonl"], schema="graph"
-        )
+        shattered = shatter(graph, config.k_threshold, stoplist=stop_terms, stoplist_id=stoplist_id)
+        snapshot(graph_to_records(shattered, frequency_unit), outputs["graph.jsonl"], schema="graph")
         report = {
             "k_threshold": "inf" if config.k_threshold is None else config.k_threshold,
             "stoplist_id": stoplist_id,
             "original": topology_report(graph).to_record(),
-            "shattered": topology_report(view).to_record(),
+            "shattered": topology_report(shattered).to_record(),
         }
         _write_json(outputs["topology_report.json"], report)
-        pruned = [e for e in view.entities.values() if e.is_pruned]
+        pruned = [e for e in shattered.entities.values() if e.is_pruned]
         return {
             "pruned": len(pruned),
             "pruned_over_k": sum(1 for e in pruned if e.prune_reason == "over_k"),
             "pruned_stoplist": sum(1 for e in pruned if e.prune_reason == "stoplist"),
-            "edges_kept": len(view.edges),
+            "edges_kept": len(shattered.present_edges()),
         }
 
     return _stage(run_dir, config, "shatter", compute)
@@ -588,15 +577,14 @@ def run_shatter(run_dir: str | Path, config: PipelineConfig) -> StageResult:
 
 def run_mine(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     def compute(inputs, outputs, _digest):
-        annotated, _unit = graph_from_records(load(inputs["graph.jsonl"], "graph"))
-        view = shattered_from_flags(annotated)
-        mined = mine_chains(view, config.per_source_cap)
+        graph, _unit = graph_from_records(load(inputs["graph.jsonl"], "graph"))
+        mined = mine_chains(graph, config.per_source_cap)
         completed: list[ReasoningChain] = []
         no_sibling = 0
         for chain in mined:
             try:
                 completed.append(
-                    sample_hard_negative(chain, view, derive_seed(config.seed, "sibling", chain.key))
+                    sample_hard_negative(chain, graph, derive_seed(config.seed, "sibling", chain.key))
                 )
             except NoHardNegativeError:
                 no_sibling += 1
@@ -610,13 +598,12 @@ def run_synthesize(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     chat = make_chat_service(config, config.seed)
 
     def compute(inputs, outputs, _digest):
-        annotated, _unit = graph_from_records(load(inputs["graph.jsonl"], "graph"))
-        view = shattered_from_flags(annotated)
+        graph, _unit = graph_from_records(load(inputs["graph.jsonl"], "graph"))
         chains = [from_record(ReasoningChain, r) for r in load(inputs["chains.jsonl"], "chains")]
         chunks = _load_chunks(inputs["chunks.jsonl"])
         sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
         items, discards = synthesize_dataset(
-            chains, view, {c.chunk_id: c for c in chunks}, SentenceStore(sentences), chat, config
+            chains, graph, {c.chunk_id: c for c in chunks}, SentenceStore(sentences), chat, config
         )
         snapshot([to_record(i) for i in items], outputs["dataset.jsonl"], schema="dataset")
         snapshot(
@@ -710,6 +697,11 @@ def outcomes_name(model: str, mode: str) -> str:
     return STAGES["evaluate"].outputs[0].format(model=sanitize_model_id(model), mode=mode)
 
 
+# Questions per embedding request in ``retrieve``: under the 2,048 inputs an
+# OpenAI-compatible embeddings endpoint accepts in one request.
+QUESTION_BATCH = 1024
+
+
 def run_retrieve(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     """Build every item's RAG context once per run. Contexts do not depend on
     the model, so each model's RAG evaluation reads them from
@@ -721,7 +713,13 @@ def run_retrieve(run_dir: str | Path, config: PipelineConfig) -> StageResult:
         if not items:
             raise ValidationError("dataset is empty; nothing to evaluate")
         index = CorpusIndex(_load_chunks(inputs["chunks.jsonl"]))
-        records = [build_rag_context(item, index, embedder, config).to_record() for item in items]
+        questions = [item.question for item in items]
+        vectors = np.concatenate(
+            [embedder.embed_texts(questions[i : i + QUESTION_BATCH]) for i in range(0, len(questions), QUESTION_BATCH)]
+        )
+        records = [
+            build_rag_context(item, index, vector, config).to_record() for item, vector in zip(items, vectors)
+        ]
         snapshot(records, outputs["rag_contexts.jsonl"], schema="rag_contexts")
         return {"contexts": len(records)}
 

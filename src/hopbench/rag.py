@@ -22,7 +22,6 @@ import numpy as np
 from .config import PipelineConfig
 from .corpus import Chunk
 from .errors import StageError, ValidationError
-from .providers import EmbeddingService
 from .seeding import derive_seed
 from .synthesis import QAItem
 from .textstats import tokenize
@@ -109,11 +108,11 @@ class CorpusIndex:
 def build_rag_context(
     item: QAItem,
     index: CorpusIndex,
-    embedder: EmbeddingService,
+    query_vector: np.ndarray,
     config: PipelineConfig,
 ) -> RagContext:
     """Assemble the ``context_k``-document context with the golden paragraph
-    embedded.
+    embedded; ``query_vector`` embeds the item's question.
 
     The golden paragraph is the hop-2 evidence chunk (it states the masked
     bridge and the target). The remaining k-1 slots take the highest-ranked
@@ -129,7 +128,6 @@ def build_rag_context(
     if golden_chunk is None:
         raise StageError(f"{item.qa_id}: golden paragraph {golden_anchor['chunk_id']} unresolvable")
 
-    query_vector = embedder.embed_texts([item.question])[0]
     candidates = index.rank(query_vector, config.coarse_pool)
     if config.use_reranker:
         scores = token_overlap_scores(item.question, [c.text for c in candidates], item.language)

@@ -84,7 +84,7 @@ def select_fillers(
 ) -> list[str]:
     """Entity ids at undirected distance >= FILLER_MIN_DISTANCE from the
     source (unreachable counts as far). None of the chain's own nodes is
-    that far in the view it was mined from: the bridge and the sibling are
+    that far in the graph it was mined from: the bridge and the sibling are
     one hop from the source, the target and the hard negative two at most.
 
     ``far_by_source`` memoises the far ids of each source, in

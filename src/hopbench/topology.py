@@ -1,11 +1,11 @@
-"""Shortest-path and connectivity analytics over a graph view.
+"""Shortest-path and connectivity analytics over a graph's present nodes.
 
 Distances and components use the undirected skeleton (chain mining elsewhere
 stays directed); the average shortest path is taken over ordered pairs of
 distinct nodes inside the largest connected component, and the report records
 that pair basis explicitly.
 
-``topology_report`` builds one sparse adjacency matrix per view over its
+``topology_report`` builds one sparse adjacency matrix over a graph's
 present nodes and hands components and all-pairs hop distances to
 ``scipy.sparse.csgraph``. ``bfs_hops`` walks the graph's own adjacency index
 for single-source distances (filler selection); it and
@@ -23,7 +23,7 @@ from scipy.sparse import csgraph, csr_matrix
 
 from . import codec
 from .errors import ValidationError
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, Triplet, shatter
 
 # Elements of the float64 distance block one batch of sources may fill
 # (8 MiB), so the all-pairs distances cost O(batch * n) memory.
@@ -52,7 +52,7 @@ def _require_present(graph: KnowledgeGraph, entity_id: str) -> None:
     if entity is None:
         raise ValidationError(f"unknown entity id {entity_id!r}")
     if entity.is_pruned:
-        raise ValidationError(f"entity {entity_id!r} is pruned in the {graph.view} view")
+        raise ValidationError(f"entity {entity_id!r} is pruned")
 
 
 def bfs_hops(graph: KnowledgeGraph, source: str) -> dict[str, int]:
@@ -63,7 +63,7 @@ def bfs_hops(graph: KnowledgeGraph, source: str) -> dict[str, int]:
     while queue:
         node = queue.popleft()
         for neighbor in graph.undirected_neighbors(node):
-            if neighbor not in distances and graph.present(neighbor):
+            if neighbor not in distances:
                 distances[neighbor] = distances[node] + 1
                 queue.append(neighbor)
     return distances
@@ -92,11 +92,10 @@ def connected_components(graph: KnowledgeGraph) -> list[list[str]]:
     return components
 
 
-def _present_adjacency(graph: KnowledgeGraph, present: list[str]) -> csr_matrix:
-    """Undirected adjacency over present nodes, in ``present`` order; edges
-    touching a pruned entity are left out, as ``bfs_hops`` never crosses them."""
+def _present_adjacency(present: list[str], edges: list[Triplet]) -> csr_matrix:
+    """Undirected adjacency of the present ``edges`` over the present nodes,
+    in ``present`` order."""
     index = {entity_id: i for i, entity_id in enumerate(present)}
-    edges = graph.present_edges()
     rows = np.fromiter((index[e.head] for e in edges), dtype=np.int64, count=len(edges))
     cols = np.fromiter((index[e.tail] for e in edges), dtype=np.int64, count=len(edges))
     n = len(present)
@@ -118,12 +117,13 @@ def _distance_sum(adjacency: csr_matrix) -> int:
 
 def topology_report(graph: KnowledgeGraph) -> TopologyReport:
     """Counts, components and the average shortest path of the present
-    nodes; a view with no present node has the zero report."""
+    nodes and edges; a graph with no present node has the zero report."""
     present = graph.present_ids()
+    edges = graph.present_edges()
     pruned_count = sum(1 for e in graph.entities.values() if e.is_pruned)
     if not present:
-        return TopologyReport(0, len(graph.edges), 0, None, pruned_count=pruned_count)
-    adjacency = _present_adjacency(graph, present)
+        return TopologyReport(0, len(edges), 0, None, pruned_count=pruned_count)
+    adjacency = _present_adjacency(present, edges)
     component_count, labels = csgraph.connected_components(adjacency, directed=False)
     sizes = np.bincount(labels, minlength=component_count)
     # The first node of each label is its smallest id, since present is
@@ -138,7 +138,7 @@ def topology_report(graph: KnowledgeGraph) -> TopologyReport:
         asp = total / (size * (size - 1))
     return TopologyReport(
         node_count=len(present),
-        edge_count=len(graph.edges),
+        edge_count=len(edges),
         largest_component_size=size,
         average_shortest_path=asp,
         component_count=int(component_count),
@@ -162,11 +162,8 @@ class SweepResult:
 
 def shatter_sweep(graph: KnowledgeGraph, ks: list[float | None], stoplist: set[str] | None = None, stoplist_id: str = "") -> SweepResult:
     """Topology reports for a sequence of frequency thresholds (None = off)."""
-    from .kg import shatter  # local import keeps module load acyclic
-
     result = SweepResult()
     for k in ks:
-        view = shatter(graph, k, stoplist=stoplist, stoplist_id=stoplist_id)
         result.k_values.append(k)
-        result.reports.append(topology_report(view))
+        result.reports.append(topology_report(shatter(graph, k, stoplist=stoplist, stoplist_id=stoplist_id)))
     return result

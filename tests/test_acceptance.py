@@ -439,7 +439,7 @@ def test_acceptance_12_rag_context_contract():
             ],
             chain_ref="k",
         )
-        context = build_rag_context(item, index, embedder, config)
+        context = build_rag_context(item, index, embedder.embed_texts([item.question])[0], config)
         golden_text = index.chunk(golden_id).text
         assert len(context.documents) == config.context_k
         assert context.documents.count(golden_text) == 1

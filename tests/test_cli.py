@@ -453,13 +453,46 @@ def test_stored_contexts_equal_fresh_ones(toy_yaml, tmp_path):
     texts = {c.chunk_id: c.text for c in chunks}
     stored = jsonl_load(run_dir / "rag_contexts.jsonl", "rag_contexts")
     assert [r["qa_id"] for r in stored] == [i.qa_id for i in items]
-    embedder = pipeline.make_embedding_service(config)
-    for item, record in zip(items, stored):
-        fresh = build_rag_context(item, index, embedder, config)
+    vectors = pipeline.make_embedding_service(config).embed_texts([i.question for i in items])
+    for item, record, vector in zip(items, stored, vectors):
+        fresh = build_rag_context(item, index, vector, config)
         context = RagContext.from_record(record, texts)
         assert context.documents == fresh.documents
         assert context.golden_position == fresh.golden_position
     assert pipeline.run_retrieve(run_dir, config).status == "skipped"
+
+
+def test_retrieval_embeds_questions_in_fixed_size_slices(toy_yaml, tmp_path, monkeypatch):
+    from hopbench.jsonl import load as jsonl_load
+    from hopbench.providers import EmbeddingService
+
+    run_dir = tmp_path / "run"
+    config = load_config(toy_yaml)
+    synthesized_toy_run(run_dir, config)
+    batches = []
+    real_embed = EmbeddingService.embed_texts
+
+    def embed_texts(self, texts):
+        batches.append(list(texts))
+        return real_embed(self, texts)
+
+    monkeypatch.setattr(EmbeddingService, "embed_texts", embed_texts)
+    assert pipeline.run_retrieve(run_dir, config).status == "ok"
+    questions = [r["question"] for r in jsonl_load(run_dir / "dataset.jsonl", "dataset")]
+    assert 2 < len(questions) <= pipeline.QUESTION_BATCH
+    assert batches == [questions]
+    contexts = (run_dir / "rag_contexts.jsonl").read_bytes()
+
+    # A dataset larger than a slice takes ceil(len / slice) requests, in
+    # order, and retrieves the same contexts.
+    batches.clear()
+    monkeypatch.setattr(pipeline, "QUESTION_BATCH", 2)
+    (run_dir / "rag_contexts.jsonl").unlink()
+    assert pipeline.run_retrieve(run_dir, config).status == "ok"
+    assert len(batches) == -(-len(questions) // 2)
+    assert all(len(batch) <= 2 for batch in batches)
+    assert [q for batch in batches for q in batch] == questions
+    assert (run_dir / "rag_contexts.jsonl").read_bytes() == contexts
 
 
 def test_second_model_reuses_the_run_contexts(toy_yaml, tmp_path, monkeypatch):

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import entity_id_by_name, far_apart_surfaces, make_graph, random_digraph
 from hopbench import align
 from hopbench.align import DEFAULT_THETA
-from hopbench.errors import ValidationError
+from hopbench.chains import mine_chains, sample_hard_negative
+from hopbench.errors import NoHardNegativeError, ValidationError
 from hopbench.kg import (
     Evidence,
+    KnowledgeGraph,
     RawTriplet,
     Triplet,
     apply_frequencies,
@@ -18,7 +21,7 @@ from hopbench.kg import (
     load_stoplist,
     shatter,
 )
-from hopbench.topology import shortest_path_hops
+from hopbench.topology import bfs_hops, shortest_path_hops
 
 
 def evidence() -> Evidence:
@@ -98,8 +101,9 @@ def test_pruning_blood_hub_stretches_shortest_path(diabetes_toy_graph):
     blood = entity_id_by_name(graph, "Blood")
     assert shattered.entities[blood].is_pruned
     assert shattered.entities[blood].prune_reason == "stoplist"
-    for edge in shattered.edges:
+    for edge in shattered.present_edges():
         assert blood not in (edge.head, edge.tail)
+    assert shattered.edges == graph.edges
 
 
 def test_adjacency_index_follows_add_edge(diabetes_toy_graph):
@@ -115,14 +119,14 @@ def test_adjacency_index_follows_add_edge(diabetes_toy_graph):
 
 def test_unbounded_k_with_empty_stoplist_is_identity(diabetes_toy_graph):
     shattered = shatter(diabetes_toy_graph, None, stoplist=set())
-    assert len(shattered.edges) == len(diabetes_toy_graph.edges)
+    assert shattered.present_edges() == diabetes_toy_graph.edges
     assert not any(e.is_pruned for e in shattered.entities.values())
-    assert shattered.view == "shattered"
 
 
 def test_stoplist_entry_matching_nothing_is_vacuous(diabetes_toy_graph):
     shattered = shatter(diabetes_toy_graph, None, stoplist={"unobtainium"})
-    assert len(shattered.edges) == len(diabetes_toy_graph.edges)
+    assert not any(e.is_pruned for e in shattered.entities.values())
+    assert shattered.present_edges() == diabetes_toy_graph.edges
 
 
 def test_original_graph_untouched_by_shatter(diabetes_toy_graph):
@@ -130,6 +134,47 @@ def test_original_graph_untouched_by_shatter(diabetes_toy_graph):
     shatter(diabetes_toy_graph, 1, stoplist={"blood"})
     assert len(diabetes_toy_graph.edges) == edges_before
     assert not any(e.is_pruned for e in diabetes_toy_graph.entities.values())
+
+
+def present_edges_only(graph: KnowledgeGraph) -> KnowledgeGraph:
+    """The flagged graph rebuilt edge by edge from its present edges alone."""
+    rebuilt = KnowledgeGraph()
+    for entity_id, entity in sorted(graph.entities.items()):
+        rebuilt.entities[entity_id] = replace(entity, aliases=set(entity.aliases))
+    for edge in graph.present_edges():
+        rebuilt.add_edge(edge)
+    return rebuilt
+
+
+def test_traversal_of_a_flagged_graph_never_reaches_a_pruned_entity():
+    rng = random.Random(17)
+    crossing = completed = 0
+    for _ in range(60):
+        graph = random_digraph(rng, max_nodes=30, max_edges=90)
+        pruned = set(rng.sample(sorted(graph.entities), rng.randint(0, len(graph.entities) - 1)))
+        for entity_id in pruned:
+            graph.entities[entity_id].is_pruned = True
+            graph.entities[entity_id].prune_reason = "over_k"
+        crossing += len(graph.present_edges()) < len(graph.edges)
+        reference = present_edges_only(graph)
+
+        chains = mine_chains(graph, None)
+        assert chains == mine_chains(reference, None)
+        for i, mined in enumerate(chains):
+            try:
+                chain = sample_hard_negative(mined, graph, i)
+            except NoHardNegativeError:
+                with pytest.raises(NoHardNegativeError):
+                    sample_hard_negative(mined, reference, i)
+                continue
+            assert chain == sample_hard_negative(mined, reference, i)
+            assert pruned.isdisjoint({chain.a, chain.e_bridge, chain.b, chain.e_sib, chain.b_prime})
+            completed += 1
+        for source in graph.present_ids():
+            distances = bfs_hops(graph, source)
+            assert distances == bfs_hops(reference, source)
+            assert pruned.isdisjoint(distances)
+    assert crossing and completed
 
 
 def test_prune_set_is_exactly_over_k_union_stoplist():

@@ -22,6 +22,10 @@ def chunk_of(chunk_id: str, text: str, embedder: EmbeddingService) -> Chunk:
     )
 
 
+def question_vector(item: QAItem, embedder: EmbeddingService) -> np.ndarray:
+    return embedder.embed_texts([item.question])[0]
+
+
 def item_with_golden(golden_chunk_id: str, question: str, language: str = "EN") -> QAItem:
     return QAItem(
         qa_id="qa1",
@@ -67,7 +71,7 @@ def toy_index(embedder) -> CorpusIndex:
 def test_k_one_context_is_exactly_the_golden_paragraph(toy_index, embedder):
     item = item_with_golden("c0", "what does diabetes do to bone?")
     context = build_rag_context(
-        item, toy_index, embedder, PipelineConfig(coarse_pool=5, rerank_keep=3, context_k=1)
+        item, toy_index, question_vector(item, embedder), PipelineConfig(coarse_pool=5, rerank_keep=3, context_k=1)
     )
     assert context.documents == [toy_index.chunk("c0").text]
     assert context.golden_position == 0
@@ -76,7 +80,8 @@ def test_k_one_context_is_exactly_the_golden_paragraph(toy_index, embedder):
 def test_fixed_seed_fixes_golden_position(toy_index, embedder):
     item = item_with_golden("c0", "what does diabetes do to bone?")
     config = PipelineConfig(coarse_pool=6, rerank_keep=4, context_k=4, seed=99)
-    positions = {build_rag_context(item, toy_index, embedder, config).golden_position for _ in range(5)}
+    query = question_vector(item, embedder)
+    positions = {build_rag_context(item, toy_index, query, config).golden_position for _ in range(5)}
     assert len(positions) == 1
 
 
@@ -86,7 +91,7 @@ def test_non_golden_slots_are_top_cosine_neighbors(toy_index, embedder):
     question = "what does diabetes do to bone?"
     item = item_with_golden("c0", question)
     config = PipelineConfig(coarse_pool=5, rerank_keep=3, context_k=3, seed=0)
-    context = build_rag_context(item, toy_index, embedder, config)
+    context = build_rag_context(item, toy_index, question_vector(item, embedder), config)
 
     query = embedder.embed_texts([question])[0]
     scored = []
@@ -105,7 +110,7 @@ def test_golden_paragraph_appears_exactly_once(toy_index, embedder):
     item = item_with_golden("c0", "diabetes and bone")
     for seed in range(20):
         config = PipelineConfig(coarse_pool=8, rerank_keep=6, context_k=5, seed=seed)
-        context = build_rag_context(item, toy_index, embedder, config)
+        context = build_rag_context(item, toy_index, question_vector(item, embedder), config)
         golden_text = toy_index.chunk("c0").text
         assert context.documents.count(golden_text) == 1
         assert context.documents[context.golden_position] == golden_text
@@ -116,19 +121,19 @@ def test_corpus_smaller_than_context_rejected(embedder):
     index = CorpusIndex([chunk_of("c0", "only one chunk", embedder)])
     item = item_with_golden("c0", "q")
     with pytest.raises(ValidationError):
-        build_rag_context(item, index, embedder, PipelineConfig(context_k=2))
+        build_rag_context(item, index, question_vector(item, embedder), PipelineConfig(context_k=2))
 
 
 def test_unresolvable_golden_is_stage_error(toy_index, embedder):
     item = item_with_golden("c404", "q")
     with pytest.raises(StageError):
-        build_rag_context(item, toy_index, embedder, PipelineConfig(context_k=3))
+        build_rag_context(item, toy_index, question_vector(item, embedder), PipelineConfig(context_k=3))
 
 
 def test_reranker_can_reorder_candidates(toy_index, embedder):
     item = item_with_golden("c0", "airways bacteria colonize")
     config = PipelineConfig(coarse_pool=10, rerank_keep=4, context_k=3, use_reranker=True, seed=1)
-    context = build_rag_context(item, toy_index, embedder, config)
+    context = build_rag_context(item, toy_index, question_vector(item, embedder), config)
     non_golden = [d for i, d in enumerate(context.documents) if i != context.golden_position]
     assert "bacteria colonize airways" in non_golden  # highest token overlap
 
@@ -151,7 +156,7 @@ def test_reranker_tokenizes_in_the_item_language(embedder):
 
     def distractor(use_reranker: bool) -> str:
         config = PipelineConfig(coarse_pool=3, rerank_keep=1, context_k=2, use_reranker=use_reranker)
-        context = build_rag_context(item, index, embedder, config)
+        context = build_rag_context(item, index, question_vector(item, embedder), config)
         [chunk_id] = [c for i, c in enumerate(context.chunk_ids) if i != context.golden_position]
         return chunk_id
 
@@ -227,7 +232,7 @@ def test_rank_with_a_non_finite_score_falls_back_to_the_full_sort():
 
 def test_context_record_round_trip(toy_index, embedder):
     item = item_with_golden("c0", "diabetes and bone")
-    context = build_rag_context(item, toy_index, embedder, PipelineConfig(context_k=4, seed=3))
+    context = build_rag_context(item, toy_index, question_vector(item, embedder), PipelineConfig(context_k=4, seed=3))
     record = context.to_record()
     assert set(record) == {"qa_id", "chunk_ids", "golden_position"}
     assert context.chunk_ids[context.golden_position] == "c0"

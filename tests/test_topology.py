@@ -132,7 +132,8 @@ def test_sweep_reports_fragmentation_gracefully():
 
 def reference_topology_report(graph) -> TopologyReport:
     """The report by one BFS per node over the undirected skeleton, present
-    nodes only: the algorithm topology_report ran before it used csgraph."""
+    nodes and edges only: the algorithm topology_report ran before it used
+    csgraph."""
     adjacency: dict[str, set[str]] = {}
     for edge in graph.edges:
         adjacency.setdefault(edge.head, set()).add(edge.tail)
@@ -169,7 +170,7 @@ def reference_topology_report(graph) -> TopologyReport:
         asp = total / count
     return TopologyReport(
         node_count=len(present),
-        edge_count=len(graph.edges),
+        edge_count=len(graph.present_edges()),
         largest_component_size=len(largest),
         average_shortest_path=asp,
         component_count=len(components),
