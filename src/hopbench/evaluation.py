@@ -310,7 +310,7 @@ class MockEvalTransport:
         self._by_block = {prompts.options_block(item.options): item for item in items}
 
     def complete(self, request: ChatRequest) -> str:
-        prompt = "\n".join(m.content for m in request.messages)
+        prompt = "\n".join(request.messages)
         # The evaluation prompt sandwiches the options block between the
         # "Options:" header and the answer instruction.
         _, _, tail = prompt.partition("Options:\n")

@@ -25,8 +25,6 @@ from functools import cache
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from .adjudicate import adjudicate_quality
 from .chains import ReasoningChain, mine_chains, sample_hard_negative
 from .codec import from_record, to_record
@@ -697,11 +695,6 @@ def outcomes_name(model: str, mode: str) -> str:
     return STAGES["evaluate"].outputs[0].format(model=sanitize_model_id(model), mode=mode)
 
 
-# Questions per embedding request in ``retrieve``: under the 2,048 inputs an
-# OpenAI-compatible embeddings endpoint accepts in one request.
-QUESTION_BATCH = 1024
-
-
 def run_retrieve(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     """Build every item's RAG context once per run. Contexts do not depend on
     the model, so each model's RAG evaluation reads them from
@@ -713,10 +706,7 @@ def run_retrieve(run_dir: str | Path, config: PipelineConfig) -> StageResult:
         if not items:
             raise ValidationError("dataset is empty; nothing to evaluate")
         index = CorpusIndex(_load_chunks(inputs["chunks.jsonl"]))
-        questions = [item.question for item in items]
-        vectors = np.concatenate(
-            [embedder.embed_texts(questions[i : i + QUESTION_BATCH]) for i in range(0, len(questions), QUESTION_BATCH)]
-        )
+        vectors = embedder.embed_texts([item.question for item in items])
         records = [
             build_rag_context(item, index, vector, config).to_record() for item, vector in zip(items, vectors)
         ]

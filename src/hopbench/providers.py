@@ -5,9 +5,11 @@ embedding endpoint, and deterministic mocks that make the whole pipeline run
 offline (the answering models of ``evaluate --model mock:<behavior>`` are
 ``evaluation.MockEvalTransport``). ``ChatService`` and ``EmbeddingService``
 are the one path from a stage to a transport. Without a cache they call the
-transport directly; with a ``ResponseCache`` they hash the request, and a
-repeated request is answered byte-identically from the cache.
-``EmbeddingService.embed_texts`` returns one float64 matrix, a row per text.
+transport directly; with a ``ResponseCache`` they hash the request together
+with the transport's ``provider_id``, and a repeated request to the same
+provider is answered byte-identically from the cache.
+``EmbeddingService.embed_texts`` sends at most ``EMBED_BATCH`` texts per
+request and returns one float64 matrix, a row per text.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import tempfile
 import time
 import unicodedata
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
@@ -42,6 +44,11 @@ logger = logging.getLogger(__name__)
 RETRYABLE_STATUSES = (429, 500, 502, 503, 504)
 MAX_ATTEMPTS = 3
 BACKOFF_INITIAL = 1.0
+HTTP_TIMEOUT_S = 60.0
+MAX_OUTPUT_TOKENS = 1024
+# Texts per embedding request: under the 2,048 inputs an OpenAI-compatible
+# embeddings endpoint accepts in one request.
+EMBED_BATCH = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -50,46 +57,28 @@ BACKOFF_INITIAL = 1.0
 
 
 @dataclass(frozen=True)
-class ChatMessage:
-    role: str
-    content: str
-
-
-@dataclass(frozen=True)
 class ChatRequest:
-    """One chat-completion call. temperature=0 requests deterministic decoding."""
+    """One chat-completion call: its user turns, in order.
+    temperature=0 requests deterministic decoding."""
 
-    messages: tuple[ChatMessage, ...]
+    messages: tuple[str, ...]
     temperature: float = 0.0
-    max_output_tokens: int = 1024
     model_name: str = "default"
     seed: int | None = None
 
     def __post_init__(self):
         if not self.messages:
             raise ValidationError("chat request needs at least one message")
-        for message in self.messages:
-            if not message.role:
-                raise ValidationError("chat message role must be non-empty")
         if self.temperature < 0:
             raise ValidationError("temperature must be >= 0")
-        if self.max_output_tokens <= 0:
-            raise ValidationError("max_output_tokens must be positive")
 
     @staticmethod
     def user(content: str, **kwargs) -> "ChatRequest":
-        return ChatRequest(messages=(ChatMessage("user", content),), **kwargs)
+        return ChatRequest(messages=(content,), **kwargs)
 
     def with_reask(self, note: str) -> "ChatRequest":
-        """Append a corrective user message (used for JSON re-asks)."""
-        extra = ChatMessage("user", note)
-        return ChatRequest(
-            messages=(*self.messages, extra),
-            temperature=self.temperature,
-            max_output_tokens=self.max_output_tokens,
-            model_name=self.model_name,
-            seed=None if self.seed is None else self.seed + 1,
-        )
+        """Append a corrective user turn (used for JSON re-asks)."""
+        return replace(self, messages=(*self.messages, note), seed=None if self.seed is None else self.seed + 1)
 
 
 def canonical_json(obj) -> str:
@@ -97,21 +86,9 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def chat_request_hash(request: ChatRequest) -> str:
-    payload = {
-        "kind": "chat",
-        "model": request.model_name,
-        "temperature": request.temperature,
-        "max_output_tokens": request.max_output_tokens,
-        "seed": request.seed,
-        "messages": [[m.role, m.content] for m in request.messages],
-    }
-    return stable_text_digest(canonical_json(payload))
-
-
-def embed_request_hash(model_name: str, texts: Sequence[str]) -> str:
-    payload = {"kind": "embed", "model": model_name, "texts": list(texts)}
-    return stable_text_digest(canonical_json(payload))
+def request_hash(provider_id: str, body: dict) -> str:
+    """Cache key of one request: the provider it goes to and what it asks."""
+    return stable_text_digest(canonical_json({"provider": provider_id, **body}))
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +124,8 @@ class ResponseCache:
             logger.warning("ignoring unreadable cache entry %s: %s", path, exc)
             return None
 
-    def put(self, request_hash: str, payload: bytes, provider_id: str) -> None:
-        record = {
-            "request_hash": request_hash,
-            "payload": payload.decode("utf-8"),
-            "created_at": time.time(),
-            "provider_id": provider_id,
-        }
+    def put(self, request_hash: str, payload: bytes) -> None:
+        record = {"payload": payload.decode("utf-8")}
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{request_hash}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -181,13 +153,13 @@ class EmbeddingTransport(Protocol):
     def embed(self, texts: Sequence[str]) -> list[list[float]]: ...
 
 
-def _retrying_post(url: str, payload: dict, headers: dict, timeout: float, sleep: Callable[[float], None]) -> dict:
+def _retrying_post(url: str, payload: dict, headers: dict, sleep: Callable[[float], None]) -> dict:
     """POST with bounded retries: transport faults and rate limits only."""
     delay = BACKOFF_INITIAL
     last_error: Exception | None = None
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
-            response = requests.post(url, json=payload, headers=headers, timeout=timeout)
+            response = requests.post(url, json=payload, headers=headers, timeout=HTTP_TIMEOUT_S)
         except requests.RequestException as exc:
             last_error = exc
             logger.warning("transport failure on %s (attempt %d/%d): %s", url, attempt, MAX_ATTEMPTS, exc)
@@ -219,31 +191,22 @@ def _headers(api_key_env: str) -> dict:
 class HttpChatTransport:
     """JSON chat-completion endpoint (OpenAI-compatible wire shape)."""
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key_env: str,
-        timeout: float = 60.0,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
+    def __init__(self, base_url: str, api_key_env: str, sleep: Callable[[float], None] = time.sleep):
         self.base_url = base_url.rstrip("/")
         self.api_key_env = api_key_env
-        self.timeout = timeout
         self.sleep = sleep
         self.provider_id = f"http-chat:{self.base_url}"
 
     def complete(self, request: ChatRequest) -> str:
         payload = {
             "model": request.model_name,
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+            "messages": [{"role": "user", "content": message} for message in request.messages],
             "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
+            "max_tokens": MAX_OUTPUT_TOKENS,
         }
         if request.seed is not None:
             payload["seed"] = request.seed
-        data = _retrying_post(
-            f"{self.base_url}/chat/completions", payload, _headers(self.api_key_env), self.timeout, self.sleep
-        )
+        data = _retrying_post(f"{self.base_url}/chat/completions", payload, _headers(self.api_key_env), self.sleep)
         try:
             return data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -253,24 +216,16 @@ class HttpChatTransport:
 class HttpEmbeddingTransport:
     """JSON embedding endpoint (OpenAI-compatible wire shape)."""
 
-    def __init__(
-        self,
-        base_url: str,
-        model_name: str,
-        api_key_env: str,
-        timeout: float = 60.0,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
+    def __init__(self, base_url: str, model_name: str, api_key_env: str, sleep: Callable[[float], None] = time.sleep):
         self.base_url = base_url.rstrip("/")
         self.model_name = model_name
         self.api_key_env = api_key_env
-        self.timeout = timeout
         self.sleep = sleep
         self.provider_id = f"http-embed:{self.base_url}:{model_name}"
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         payload = {"model": self.model_name, "input": list(texts)}
-        data = _retrying_post(f"{self.base_url}/embeddings", payload, _headers(self.api_key_env), self.timeout, self.sleep)
+        data = _retrying_post(f"{self.base_url}/embeddings", payload, _headers(self.api_key_env), self.sleep)
         try:
             rows = sorted(data["data"], key=lambda row: row["index"])
             return [list(map(float, row["embedding"])) for row in rows]
@@ -341,20 +296,15 @@ class MockChatTransport:
 
     Recognizes each pipeline prompt by its sentinel line and expands a
     deterministic response from the prompt content and request seed, so full
-    runs are reproducible with no network. Test fixtures can pre-empt the
-    built-in handlers with scripted (substring, response) pairs.
+    runs are reproducible with no network.
     """
 
-    def __init__(self, seed: int, scripted: Sequence[tuple[str, str]] = ()):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.scripted = list(scripted)
         self.provider_id = f"mock-chat:s{seed}"
 
     def complete(self, request: ChatRequest) -> str:
-        text = "\n".join(m.content for m in request.messages)
-        for needle, response in self.scripted:
-            if needle in text:
-                return response
+        text = "\n".join(request.messages)
         if prompts.TRIPLET_SENTINEL in text:
             return self._extract_triplets(text)
         if prompts.SUMMARY_SENTINEL in text:
@@ -365,7 +315,7 @@ class MockChatTransport:
             return self._adjudicate(text)
         if prompts.ANSWER_INSTRUCTION in text:
             return self._answer_mcq(text)
-        return f"mock-response:{chat_request_hash(request)[:16]}"
+        return f"mock-response:{request_hash(self.provider_id, asdict(request))[:16]}"
 
     # -- handlers ----------------------------------------------------------
 
@@ -533,16 +483,17 @@ class ChatService:
     def complete(self, request: ChatRequest) -> str:
         if self.cache is None:
             return self.transport.complete(request)
-        request_hash = chat_request_hash(request)
-        payload = self.cache.get(request_hash)
+        key = request_hash(self.transport.provider_id, asdict(request))
+        payload = self.cache.get(key)
         if payload is None:
             payload = self.transport.complete(request).encode("utf-8")
-            self.cache.put(request_hash, payload, self.transport.provider_id)
+            self.cache.put(key, payload)
         return payload.decode("utf-8")
 
 
 class EmbeddingService:
-    """Validated, optionally cached batch embedding."""
+    """Validated, optionally cached batch embedding, ``EMBED_BATCH`` texts per
+    request and per cache entry."""
 
     def __init__(self, transport: EmbeddingTransport, cache: ResponseCache | None = None):
         self.transport = transport
@@ -554,21 +505,27 @@ class EmbeddingService:
         for i, text in enumerate(texts):
             if not text.strip():
                 raise ValidationError(f"embed_texts: text {i} is empty after trim")
-        if self.cache is None:
-            rows = self.transport.embed(texts)
-        else:
-            request_hash = embed_request_hash(self.transport.provider_id, texts)
-            payload = self.cache.get(request_hash)
-            if payload is None:
-                payload = json.dumps(self.transport.embed(texts)).encode("utf-8")
-                self.cache.put(request_hash, payload, self.transport.provider_id)
-            rows = json.loads(payload)
-        if len(rows) != len(texts):
-            raise ProviderFaultError(f"embedding batch returned {len(rows)} vectors for {len(texts)} texts")
+        rows: list[list[float]] = []
+        for start in range(0, len(texts), EMBED_BATCH):
+            rows.extend(self._embed_slice(texts[start : start + EMBED_BATCH]))
         dimensions = {len(row) for row in rows}
         if len(dimensions) != 1:
             raise ProviderFaultError(f"embedding batch mixed dimensions: {sorted(dimensions)}")
         return np.asarray(rows, dtype=np.float64)
+
+    def _embed_slice(self, texts: Sequence[str]) -> list[list[float]]:
+        if self.cache is None:
+            rows = self.transport.embed(texts)
+        else:
+            key = request_hash(self.transport.provider_id, {"texts": list(texts)})
+            payload = self.cache.get(key)
+            if payload is None:
+                payload = json.dumps(self.transport.embed(texts)).encode("utf-8")
+                self.cache.put(key, payload)
+            rows = json.loads(payload)
+        if len(rows) != len(texts):
+            raise ProviderFaultError(f"embedding batch returned {len(rows)} vectors for {len(texts)} texts")
+        return rows
 
 
 def parallel_map(fn, items: Sequence, max_workers: int = 1) -> list:

@@ -21,7 +21,6 @@ from .providers import EmbeddingService
 from .synthesis import QAItem
 
 _EN_TOKEN = re.compile(r"[a-z0-9]+")
-_CJK = re.compile(r"[一-鿿]")
 
 
 def tokenize(text: str, language: str) -> list[str]:

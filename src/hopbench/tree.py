@@ -16,7 +16,7 @@ import numpy as np
 from . import prompts
 from .config import PipelineConfig
 from .corpus import Chunk
-from .errors import ProviderError, StageError, ValidationError
+from .errors import ValidationError
 from .gmm import search_cluster_count, soft_assign
 from .projection import distance_rank_correlation, reduce_dimensions
 from .providers import ChatRequest, ChatService, EmbeddingService
@@ -162,10 +162,7 @@ def build_summary_tree(
                 model_name=config.chat_model,
                 seed=derive_seed(seed, f"summary-{node_id}"),
             )
-            try:
-                summary = chat.complete(request).strip()
-            except ProviderError as exc:
-                raise StageError(f"summary generation failed at level {level} cluster {k}: {exc}") from exc
+            summary = chat.complete(request).strip()
             new_nodes.append(
                 SummaryTreeNode(
                     node_id=node_id,

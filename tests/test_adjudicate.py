@@ -27,8 +27,20 @@ def item() -> QAItem:
     )
 
 
+class ScriptedTransport:
+    """A chat transport that answers every request with one reply."""
+
+    provider_id = "scripted"
+
+    def __init__(self, reply: str):
+        self.reply = reply
+
+    def complete(self, request):
+        return self.reply
+
+
 def scripted_member(payload: str) -> ChatService:
-    return ChatService(MockChatTransport(seed=0, scripted=[("adjudicator", payload)]))
+    return ChatService(ScriptedTransport(payload))
 
 
 def names(ensemble: list[ChatService]) -> list[str]:

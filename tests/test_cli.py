@@ -462,37 +462,81 @@ def test_stored_contexts_equal_fresh_ones(toy_yaml, tmp_path):
     assert pipeline.run_retrieve(run_dir, config).status == "skipped"
 
 
+def recorded_embedding_requests(monkeypatch) -> list[list[str]]:
+    """The texts of each request the mock embedding transport receives."""
+    from hopbench.providers import MockEmbeddingTransport
+
+    requests = []
+    real_embed = MockEmbeddingTransport.embed
+
+    def embed(self, texts):
+        requests.append(list(texts))
+        return real_embed(self, texts)
+
+    monkeypatch.setattr(MockEmbeddingTransport, "embed", embed)
+    return requests
+
+
 def test_retrieval_embeds_questions_in_fixed_size_slices(toy_yaml, tmp_path, monkeypatch):
+    from hopbench import providers
     from hopbench.jsonl import load as jsonl_load
-    from hopbench.providers import EmbeddingService
 
     run_dir = tmp_path / "run"
     config = load_config(toy_yaml)
     synthesized_toy_run(run_dir, config)
-    batches = []
-    real_embed = EmbeddingService.embed_texts
-
-    def embed_texts(self, texts):
-        batches.append(list(texts))
-        return real_embed(self, texts)
-
-    monkeypatch.setattr(EmbeddingService, "embed_texts", embed_texts)
+    requests = recorded_embedding_requests(monkeypatch)
     assert pipeline.run_retrieve(run_dir, config).status == "ok"
     questions = [r["question"] for r in jsonl_load(run_dir / "dataset.jsonl", "dataset")]
-    assert 2 < len(questions) <= pipeline.QUESTION_BATCH
-    assert batches == [questions]
+    assert 2 < len(questions) <= providers.EMBED_BATCH
+    assert requests == [questions]
     contexts = (run_dir / "rag_contexts.jsonl").read_bytes()
 
     # A dataset larger than a slice takes ceil(len / slice) requests, in
     # order, and retrieves the same contexts.
-    batches.clear()
-    monkeypatch.setattr(pipeline, "QUESTION_BATCH", 2)
+    requests.clear()
+    monkeypatch.setattr(providers, "EMBED_BATCH", 2)
     (run_dir / "rag_contexts.jsonl").unlink()
     assert pipeline.run_retrieve(run_dir, config).status == "ok"
-    assert len(batches) == -(-len(questions) // 2)
-    assert all(len(batch) <= 2 for batch in batches)
-    assert [q for batch in batches for q in batch] == questions
+    assert len(requests) == -(-len(questions) // 2)
+    assert all(len(request) <= 2 for request in requests)
+    assert [q for request in requests for q in request] == questions
     assert (run_dir / "rag_contexts.jsonl").read_bytes() == contexts
+
+
+def test_stats_and_retrieval_send_no_embedding_request_over_the_slice_size(toy_yaml, tmp_path, monkeypatch):
+    from hopbench import providers
+
+    run_dir = tmp_path / "run"
+    config = load_config(toy_yaml)
+    synthesized_toy_run(run_dir, config)
+    outputs = {"stats_report.json": pipeline.run_stats, "rag_contexts.jsonl": pipeline.run_retrieve}
+    for run in outputs.values():
+        assert run(run_dir, config).status == "ok"
+    whole = {name: (run_dir / name).read_bytes() for name in outputs}
+
+    requests = recorded_embedding_requests(monkeypatch)
+    monkeypatch.setattr(providers, "EMBED_BATCH", 2)
+    for name, run in outputs.items():
+        (run_dir / name).unlink()
+        assert run(run_dir, config).status == "ok"
+        assert (run_dir / name).read_bytes() == whole[name]
+    assert requests and max(len(request) for request in requests) == 2
+
+
+def test_provider_failure_in_tree_exits_4(toy_yaml, tmp_path, monkeypatch):
+    from hopbench.errors import TransportError
+    from hopbench.providers import MockChatTransport
+
+    def endpoint_down(self, request):
+        raise TransportError("endpoint down")
+
+    base = ["--config", str(toy_yaml), "--run-dir", str(tmp_path / "run")]
+    for command in ("ingest", "chunk"):
+        assert invoke(base + [command]).exit_code == 0
+    monkeypatch.setattr(MockChatTransport, "complete", endpoint_down)
+    result = invoke(base + ["tree"])
+    assert result.exit_code == 4
+    assert "endpoint down" in result.output
 
 
 def test_second_model_reuses_the_run_contexts(toy_yaml, tmp_path, monkeypatch):

@@ -27,9 +27,23 @@ def fixture_corpus():
     return [chunk], SentenceStore(sentences)
 
 
+class ScriptedTransport:
+    """A chat transport that answers the n-th request with the n-th reply,
+    the last reply repeating, and records each request."""
+
+    provider_id = "scripted"
+
+    def __init__(self, *replies: str):
+        self.replies = replies
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return self.replies[min(len(self.requests), len(self.replies)) - 1]
+
+
 def scripted_chat(payload) -> ChatService:
-    response = json.dumps(payload)
-    return ChatService(MockChatTransport(seed=0, scripted=[("Passages:", response)]))
+    return ChatService(ScriptedTransport(json.dumps(payload)))
 
 
 def test_fixture_triplet_with_valid_span_accepted():
@@ -69,44 +83,30 @@ def test_sentence_index_outside_span_rejected():
 
 
 def test_empty_node_returns_empty_without_calls():
-    class ExplodingTransport(MockChatTransport):
-        def complete(self, request):
-            raise AssertionError("no call expected")
-
     _, store = fixture_corpus()
-    chat = ChatService(ExplodingTransport(seed=0))
-    assert extract_triplets(NodeExtraction("n1"), [], chat, store, "default", 0) == []
+    transport = ScriptedTransport("[]")
+    assert extract_triplets(NodeExtraction("n1"), [], ChatService(transport), store, "default", 0) == []
+    assert transport.requests == []
 
 
 def test_unparseable_output_errors_after_two_reasks():
-    calls = []
-
-    class GarbageTransport(MockChatTransport):
-        def complete(self, request):
-            calls.append(1)
-            return "not json at all"
-
+    transport = ScriptedTransport("not json at all")
     chunks, store = fixture_corpus()
     with pytest.raises(ExtractionError):
-        extract_triplets(NodeExtraction("n1"), chunks, ChatService(GarbageTransport(seed=0)), store, "default", 0)
-    assert len(calls) == 3  # first ask plus two re-asks
+        extract_triplets(NodeExtraction("n1"), chunks, ChatService(transport), store, "default", 0)
+    # the first ask plus two re-asks, each appending a user turn
+    assert [len(request.messages) for request in transport.requests] == [1, 2, 3]
 
 
 def test_reask_recovers_once_json_appears():
-    calls = []
     good = json.dumps(
         [{"head": "Diabetes", "relation": "accumulation of", "tail": "AGEs", "chunk_id": "c1", "sentence_index": 0}]
     )
-
-    class FlakyTransport(MockChatTransport):
-        def complete(self, request):
-            calls.append(1)
-            return "hmm let me think" if len(calls) == 1 else good
-
+    transport = ScriptedTransport("hmm let me think", good)
     chunks, store = fixture_corpus()
-    accepted = extract_triplets(NodeExtraction("n1"), chunks, ChatService(FlakyTransport(seed=0)), store, "default", 0)
+    accepted = extract_triplets(NodeExtraction("n1"), chunks, ChatService(transport), store, "default", 0)
     assert len(accepted) == 1
-    assert len(calls) == 2
+    assert len(transport.requests) == 2
 
 
 def test_parse_json_array_lenient_extraction():

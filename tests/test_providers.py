@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from hopbench import prompts, providers
 from hopbench.errors import ProtocolError, ProviderFaultError, TransportError, ValidationError
 from hopbench.providers import (
-    ChatMessage,
     ChatRequest,
     ChatService,
     EmbeddingService,
@@ -17,8 +17,8 @@ from hopbench.providers import (
     MockChatTransport,
     MockEmbeddingTransport,
     ResponseCache,
-    chat_request_hash,
     parallel_map,
+    request_hash,
 )
 
 
@@ -27,19 +27,56 @@ def test_chat_request_rejects_empty_messages():
         ChatRequest(messages=())
 
 
-def test_chat_request_rejects_blank_role():
-    with pytest.raises(ValidationError):
-        ChatRequest(messages=(ChatMessage("", "hi"),))
+def test_reask_appends_a_user_turn_and_advances_the_seed():
+    request = ChatRequest.user("first", seed=4).with_reask("second")
+    assert request.messages == ("first", "second")
+    assert request.seed == 5
 
 
 def test_request_hash_stable_and_sensitive():
+    def key(request, provider_id="p1"):
+        return request_hash(provider_id, asdict(request))
+
     a = ChatRequest.user("hello", model_name="m1", temperature=0.0)
     b = ChatRequest.user("hello", model_name="m1", temperature=0.0)
     c = ChatRequest.user("hello", model_name="m2", temperature=0.0)
     d = ChatRequest.user("hello", model_name="m1", temperature=0.5)
-    assert chat_request_hash(a) == chat_request_hash(b)
-    assert chat_request_hash(a) != chat_request_hash(c)  # model in the key
-    assert chat_request_hash(a) != chat_request_hash(d)  # temperature too
+    assert key(a) == key(b)
+    assert key(a) != key(c)  # model in the key
+    assert key(a) != key(d)  # temperature too
+    assert key(a) != key(a, "p2")  # and the provider
+    assert key(a) != key(a.with_reask("again"))  # every turn
+
+
+class ConstantChat:
+    def __init__(self, provider_id: str, reply: str):
+        self.provider_id, self.reply = provider_id, reply
+
+    def complete(self, request):
+        return self.reply
+
+
+class ConstantEmbedding:
+    def __init__(self, provider_id: str, value: float):
+        self.provider_id, self.value = provider_id, value
+
+    def embed(self, texts):
+        return [[self.value, 1.0] for _ in texts]
+
+
+def test_providers_sharing_a_cache_each_get_their_own_reply(tmp_path):
+    cache = ResponseCache(tmp_path)
+    request = ChatRequest.user("Which letter?")
+    mock = ChatService(ConstantChat("mock-chat:s1", "A"), cache=cache)
+    http = ChatService(ConstantChat("http-chat:http://example", "B"), cache=cache)
+    assert mock.complete(request) == "A"
+    assert http.complete(request) == "B"
+    assert mock.complete(request) == "A"  # both replies are cached, each under its provider
+    first = EmbeddingService(ConstantEmbedding("mock-embed:d2:s0", 0.0), cache=cache)
+    second = EmbeddingService(ConstantEmbedding("http-embed:http://example:m", 2.0), cache=cache)
+    assert first.embed_texts(["text"]).tolist() == [[0.0, 1.0]]
+    assert second.embed_texts(["text"]).tolist() == [[2.0, 1.0]]
+    assert len(list(tmp_path.glob("*.json"))) == 4
 
 
 def test_cache_round_trip_byte_identical(tmp_path):
@@ -72,11 +109,11 @@ def test_cache_put_survives_a_concurrent_writer_of_the_same_entry(tmp_path, monk
 
     def other_writer_in_between(src, dst):
         monkeypatch.setattr(providers.os, "replace", replace)
-        second.put("h", b"second", "p")
+        second.put("h", b"second")
         replace(src, dst)
 
     monkeypatch.setattr(providers.os, "replace", other_writer_in_between)
-    first.put("h", b"first", "p")
+    first.put("h", b"first")
     assert first.get("h") == b"first"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json"]
 
@@ -106,18 +143,15 @@ MCQ_PROMPT = prompts.render_eval_prompt("Which finding?", ["first", "second"])
 
 
 def _count_request_hashes(monkeypatch) -> dict[str, int]:
-    counts = {"chat": 0, "embed": 0}
-    chat_hash, embed_hash = providers.chat_request_hash, providers.embed_request_hash
+    """Hashes computed, per provider."""
+    counts: dict[str, int] = {}
+    real_hash = providers.request_hash
 
-    def counted(kind, hash_fn):
-        def wrapper(*args):
-            counts[kind] += 1
-            return hash_fn(*args)
+    def counted(provider_id, body):
+        counts[provider_id] = counts.get(provider_id, 0) + 1
+        return real_hash(provider_id, body)
 
-        return wrapper
-
-    monkeypatch.setattr(providers, "chat_request_hash", counted("chat", chat_hash))
-    monkeypatch.setattr(providers, "embed_request_hash", counted("embed", embed_hash))
+    monkeypatch.setattr(providers, "request_hash", counted)
     return counts
 
 
@@ -125,7 +159,7 @@ def test_service_without_a_cache_hashes_no_request(monkeypatch):
     counts = _count_request_hashes(monkeypatch)
     ChatService(MockChatTransport(seed=1)).complete(ChatRequest.user(MCQ_PROMPT))
     EmbeddingService(MockEmbeddingTransport(dimension=8, seed=0)).embed_texts(["one text", "another"])
-    assert counts == {"chat": 0, "embed": 0}
+    assert counts == {}
 
 
 def test_cached_service_hashes_each_request_once(tmp_path, monkeypatch):
@@ -136,7 +170,7 @@ def test_cached_service_hashes_each_request_once(tmp_path, monkeypatch):
     assert chat.complete(request) == chat.complete(request)  # a miss, then a hit
     first, second = embedder.embed_texts(["one text"]), embedder.embed_texts(["one text"])
     assert np.array_equal(first, second)
-    assert counts == {"chat": 2, "embed": 2}
+    assert counts == {"mock-chat:s1": 2, "mock-embed:d8:s0": 2}
 
 
 def test_mock_response_keyed_by_request_hash():
@@ -146,7 +180,7 @@ def test_mock_response_keyed_by_request_hash():
     second = transport.complete(request)
     assert first == second
     assert first.startswith("mock-response:")
-    assert chat_request_hash(request)[:16] in first
+    assert request_hash(transport.provider_id, asdict(request))[:16] in first
 
 
 def test_mock_embeddings_pure_function_of_text_and_seed():
@@ -184,6 +218,22 @@ def test_embed_texts_batch_matches_single_calls():
     assert np.array_equal(batch, singles)
 
 
+def test_embed_texts_sends_slices_of_at_most_embed_batch_texts(monkeypatch, tmp_path):
+    class Recording(MockEmbeddingTransport):
+        def embed(self, texts):
+            requests.append(list(texts))
+            return super().embed(texts)
+
+    texts = [f"text number {i}" for i in range(5)]
+    whole = EmbeddingService(MockEmbeddingTransport(dimension=8, seed=0)).embed_texts(texts)
+    monkeypatch.setattr(providers, "EMBED_BATCH", 2)
+    for cache in (None, ResponseCache(tmp_path)):
+        requests: list[list[str]] = []
+        assert np.array_equal(EmbeddingService(Recording(dimension=8, seed=0), cache=cache).embed_texts(texts), whole)
+        assert requests == [texts[0:2], texts[2:4], texts[4:5]]
+    assert len(list(tmp_path.glob("*.json"))) == 3  # one cache entry per slice
+
+
 def test_embed_texts_validation_errors():
     service = EmbeddingService(MockEmbeddingTransport(dimension=16, seed=2))
     with pytest.raises(ValidationError):
@@ -192,13 +242,16 @@ def test_embed_texts_validation_errors():
         service.embed_texts(["fine", "   "])
 
 
-def test_embed_texts_refuses_a_batch_of_mixed_dimensions():
+def test_embed_texts_refuses_a_batch_of_mixed_dimensions(monkeypatch):
     class Ragged:
         provider_id = "ragged"
 
         def embed(self, texts):
-            return [[1.0, 0.0], [1.0, 0.0, 0.0]]
+            return [[1.0, 0.0] if text == "one" else [1.0, 0.0, 0.0] for text in texts]
 
+    with pytest.raises(ProviderFaultError, match="mixed dimensions"):
+        EmbeddingService(Ragged()).embed_texts(["one", "two"])
+    monkeypatch.setattr(providers, "EMBED_BATCH", 1)  # each slice is uniform, the call is not
     with pytest.raises(ProviderFaultError, match="mixed dimensions"):
         EmbeddingService(Ragged()).embed_texts(["one", "two"])
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from hopbench.corpus import Chunk
-from hopbench.errors import StageError, ValidationError
+from hopbench.errors import ValidationError
 from hopbench.providers import (
     ChatService,
     EmbeddingService,
@@ -151,7 +151,7 @@ def test_empty_chunk_list_rejected():
         build_summary_tree([], ChatService(MockChatTransport(seed=0)), embedder, small_config())
 
 
-def test_provider_failure_carries_partial_tree():
+def test_provider_failure_raises_the_transport_error():
     from hopbench.errors import TransportError
 
     class FailingChat(MockChatTransport):
@@ -160,7 +160,7 @@ def test_provider_failure_carries_partial_tree():
 
     embedder = EmbeddingService(MockEmbeddingTransport(dimension=32, seed=1))
     chunks = make_chunks(METABOLIC + RESPIRATORY, embedder)
-    with pytest.raises(StageError):
+    with pytest.raises(TransportError, match="summary endpoint down"):
         build_summary_tree(chunks, ChatService(FailingChat(seed=0)), embedder, small_config(seed=3))
 
 
