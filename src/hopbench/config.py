@@ -9,6 +9,8 @@ seeds via the derivation rule in ``seeding``."""
 from __future__ import annotations
 
 import math
+import types
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -120,21 +122,39 @@ class PipelineConfig:
         return record
 
 
-_KNOWN_KEYS = set(PipelineConfig.__dataclass_fields__)
+_FIELDS = PipelineConfig.__dataclass_fields__
+_FIELD_TYPES = typing.get_type_hints(PipelineConfig)
+
+
+def _conforms(value, tp) -> bool:
+    """Whether a YAML value has the annotated type ``tp``; an int is also
+    a float, and a bool is only a bool."""
+    args = typing.get_args(tp)
+    if isinstance(tp, types.UnionType):
+        return any(_conforms(value, arg) for arg in args)
+    if typing.get_origin(tp) is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Read and validate the YAML config; unknown keys are rejected."""
+    """Read and validate the YAML config; unknown keys and values of the
+    wrong type are rejected."""
     raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: config must be a mapping")
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - set(_FIELDS)
     if unknown:
         raise ValidationError(f"{path}: unknown config keys: {sorted(unknown)}")
     if "k_threshold" in raw and raw["k_threshold"] in ("inf", "null", None):
         raw["k_threshold"] = None
+    for key, value in raw.items():
+        if not _conforms(value, _FIELD_TYPES[key]):
+            raise ValidationError(f"{path}: {key} must be of type {_FIELDS[key].type}, got {value!r}")
     config = PipelineConfig(**raw)
     config.validate()
     return config

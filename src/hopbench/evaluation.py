@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from . import prompts
@@ -134,67 +134,51 @@ class SplitMetrics:
     unparseable: int = 0
     hard_negative_picks: int = 0
     recovered: int = 0
-    rag_total: int = 0
-
-    @property
-    def accuracy(self) -> float | None:
-        return self.correct / self.total if self.total else None
 
     @property
     def hne(self) -> float | None:
         return self.hard_negative_picks / self.errors if self.errors else None
 
-    @property
-    def r3(self) -> float | None:
-        if not self.rag_total or not self.errors:
-            return None
-        return self.recovered / self.errors
+
+def _rounded(rate: float | None) -> float | None:
+    return None if rate is None else round(rate, 4)
 
 
 @dataclass
 class BehavioralReport:
+    """A model's zero-shot counts, overall and per split; the record and the
+    table derive every rate from them. The recovery rate is defined only
+    ``with_rag``, when RAG outcomes were given."""
+
     model_id: str
-    total_errors: int
-    hne_rate: float | None
-    hne_picks: int
-    r3_rate: float | None
-    recovered_count: int
-    unparseable_count: int
-    accuracy_by_split: dict[str, float | None]
-    splits: dict[str, SplitMetrics] = field(default_factory=dict)
-    prompt_version: str = prompts.EVAL_PROMPT_VERSION
+    overall: SplitMetrics
+    splits: dict[str, SplitMetrics]
+    with_rag: bool
+
+    def r3(self, split: SplitMetrics) -> float | None:
+        return split.recovered / split.errors if self.with_rag and split.errors else None
 
     @staticmethod
     def _fmt(rate: float | None) -> str:
         return "—" if rate is None else f"{100 * rate:.2f}%"
 
     def to_record(self) -> dict:
+        overall = self.overall
         return {
             "model_id": self.model_id,
-            "prompt_version": self.prompt_version,
+            "prompt_version": prompts.EVAL_PROMPT_VERSION,
             "prompt_template": prompts.EVAL_TEMPLATE,
-            "total_zero_shot_errors": self.total_errors,
-            "hne_rate": None if self.hne_rate is None else round(self.hne_rate, 4),
-            "hne_picks": self.hne_picks,
-            "r3_rate": None if self.r3_rate is None else round(self.r3_rate, 4),
-            "recovered_count": self.recovered_count,
-            "unparseable_count": self.unparseable_count,
-            "accuracy_by_split": {
-                key: None if value is None else round(value, 4)
-                for key, value in sorted(self.accuracy_by_split.items())
-            },
+            "total_zero_shot_errors": overall.errors,
+            "hne_rate": _rounded(overall.hne),
+            "hne_picks": overall.hard_negative_picks,
+            "r3_rate": _rounded(self.r3(overall)),
+            "recovered_count": overall.recovered,
+            "unparseable_count": overall.unparseable,
+            # A split holds at least one item.
+            "accuracy_by_split": {key: round(s.correct / s.total, 4) for key, s in self.splits.items()},
             "splits": {
-                key: {
-                    "total": s.total,
-                    "correct": s.correct,
-                    "errors": s.errors,
-                    "unparseable": s.unparseable,
-                    "hard_negative_picks": s.hard_negative_picks,
-                    "recovered": s.recovered,
-                    "hne_rate": None if s.hne is None else round(s.hne, 4),
-                    "r3_rate": None if s.r3 is None else round(s.r3, 4),
-                }
-                for key, s in sorted(self.splits.items())
+                key: {**asdict(s), "hne_rate": _rounded(s.hne), "r3_rate": _rounded(self.r3(s))}
+                for key, s in self.splits.items()
             },
         }
 
@@ -202,8 +186,8 @@ class BehavioralReport:
         """Render the headline row layout: errors, HNE, recovery."""
         header = f"{'Model':<24} {'Total Zero-Shot Errors':>22} {'HNE Rate':>10} {'R3 Rate':>10}"
         row = (
-            f"{self.model_id:<24} {self.total_errors:>22d} "
-            f"{self._fmt(self.hne_rate):>10} {self._fmt(self.r3_rate):>10}"
+            f"{self.model_id:<24} {self.overall.errors:>22d} "
+            f"{self._fmt(self.overall.hne):>10} {self._fmt(self.r3(self.overall)):>10}"
         )
         return f"{header}\n{row}"
 
@@ -227,12 +211,10 @@ def behavioral_report(
     splits: dict[str, SplitMetrics] = {}
     overall = SplitMetrics()
     rag_correct = {o.qa_id for o in (rag_outcomes or []) if o.correct}
-    rag_seen = {o.qa_id for o in (rag_outcomes or [])}
 
     for outcome in zero_outcomes:
         item = by_id[outcome.qa_id]
-        key = f"{item.language}|{item.difficulty}"
-        for bucket in (splits.setdefault(key, SplitMetrics()), overall):
+        for bucket in (splits.setdefault(item.split, SplitMetrics()), overall):
             bucket.total += 1
             if outcome.correct:
                 bucket.correct += 1
@@ -244,20 +226,8 @@ def behavioral_report(
                     bucket.recovered += 1
             if outcome.parsed_choice is None:
                 bucket.unparseable += 1
-            if outcome.qa_id in rag_seen:
-                bucket.rag_total += 1
 
-    return BehavioralReport(
-        model_id=model_id,
-        total_errors=overall.errors,
-        hne_rate=overall.hne,
-        hne_picks=overall.hard_negative_picks,
-        r3_rate=overall.r3 if rag_outcomes else None,
-        recovered_count=overall.recovered,
-        unparseable_count=overall.unparseable,
-        accuracy_by_split={key: s.accuracy for key, s in splits.items()},
-        splits=splits,
-    )
+    return BehavioralReport(model_id, overall, splits, with_rag=bool(rag_outcomes))
 
 
 def _check_coverage(mode: str, outcomes: Sequence[EvalOutcome], by_id: dict[str, QAItem]) -> None:

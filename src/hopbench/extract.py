@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import prompts
 from .corpus import Chunk, SentenceStore, normalize_for_match
-from .errors import ExtractionError, ProviderError
+from .errors import ExtractionError
 from .kg import Evidence, RawTriplet
 from .providers import ChatRequest, ChatService
 from .seeding import derive_seed
@@ -69,11 +69,7 @@ def extract_triplets(
     )
     rows = None
     for attempt in range(1 + MAX_REASKS):
-        try:
-            response = chat.complete(request)
-        except ProviderError as exc:
-            raise ExtractionError(f"provider failure extracting node {node_id}: {exc}") from exc
-        rows = prompts.parse_json_reply(response, list)
+        rows = prompts.parse_json_reply(chat.complete(request), list)
         if rows is not None:
             break
         request = request.with_reask("Return ONLY the JSON array, with no surrounding text.")
@@ -136,7 +132,8 @@ def extract_tree(
     model_name: str,
     seed: int,
 ) -> tuple[list[RawTriplet], list[NodeExtraction], list[str]]:
-    """Run extraction over every tree node; failed nodes are skipped.
+    """Run extraction over every tree node; a node whose reply stays
+    unparseable is skipped, and a provider failure ends the run.
 
     Returns (raw triplets, per-node reports, failed node ids). Entities that
     recur across many hierarchical nodes thereby accumulate frequency, which

@@ -671,17 +671,16 @@ def run_stats(run_dir: str | Path, config: PipelineConfig) -> StageResult:
             adjudications = {
                 r["qa_id"]: r for r in load(inputs["adjudications.jsonl"], "adjudications")
             }
-        stats = compute_overlap_stats(
+        payload = compute_overlap_stats(
             items,
             {c.chunk_id: c for c in chunks},
             SentenceStore(sentences),
             embedder,
             adjudications=adjudications,
         )
-        payload = stats.to_record()
         payload["config_digest"] = digest
         _write_json(outputs["stats_report.json"], payload)
-        return {"total": stats.total, "excluded": stats.excluded}
+        return {"total": payload["total_qa_pairs"], "excluded": payload["excluded_items"]}
 
     has_adjudications = (Path(run_dir) / "adjudications.jsonl").exists()
     return _stage(run_dir, config, "stats", compute, optional=has_adjudications)
@@ -784,7 +783,7 @@ def run_report(run_dir: str | Path, config: PipelineConfig, model: str) -> Stage
         [report_path] = outputs.values()
         _write_json(report_path, payload)
         print(report.table())
-        return {"total_errors": report.total_errors, "unparseable": report.unparseable_count}
+        return {"total_errors": report.overall.errors, "unparseable": report.overall.unparseable}
 
     has_rag = (Path(run_dir) / rag_name).exists()
     return _stage(run_dir, config, "report", compute, optional=has_rag, model=sanitize_model_id(model))
@@ -795,13 +794,14 @@ def run_shatter_sweep(run_dir: str | Path, config: PipelineConfig, ks: list[floa
         graph, frequency_unit = graph_from_records(load(inputs["graph_raw.jsonl"], "graph"))
         apply_frequencies(graph, frequency_unit)
         stop_terms, stoplist_id = _stoplist(config)
-        sweep = shatter_sweep(graph, ks, stoplist=stop_terms, stoplist_id=stoplist_id)
+        reports = shatter_sweep(graph, ks, stoplist=stop_terms, stoplist_id=stoplist_id)
+        labels = ["inf" if k is None else k for k in ks]
         report_path = outputs["topology_report.json"]
         payload = {}
         if report_path.exists():
             payload = json.loads(report_path.read_text(encoding="utf-8"))
-        payload["sweep"] = sweep.to_record()
+        payload["sweep"] = [{"k": k, **report.to_record()} for k, report in zip(labels, reports)]
         _write_json(report_path, payload)
-        return {"k_values": ["inf" if k is None else k for k in ks]}
+        return {"k_values": labels}
 
     return _stage(run_dir, config, "shatter-sweep", compute, args={"ks": ks})

@@ -53,6 +53,11 @@ class QAItem:
         if self.answer_index == self.hard_negative_index:
             raise ValidationError(f"{self.qa_id}: answer and hard negative coincide")
 
+    @property
+    def split(self) -> str:
+        """The report split the item counts in: its language and difficulty."""
+        return f"{self.language}|{self.difficulty}"
+
     def masked_surfaces(self) -> list[str]:
         return [self.masked_entity["canonical"], *self.masked_entity.get("aliases", [])]
 

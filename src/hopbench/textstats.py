@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,55 +62,33 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return max(0.0, float(np.dot(a, b) / denominator))
 
 
-@dataclass
-class SplitStats:
-    count: int = 0
-    question_length: float = 0.0
-    explanation_length: float = 0.0
-    distractor_similarity: float = 0.0
-    rouge1_content_a: float = 0.0
-    rouge1_content_b: float = 0.0
-    bleu1_evidence: float = 0.0
-    clarity: float | None = None
-    validity: float | None = None
-    difficulty: float | None = None
-
-
-@dataclass
-class DatasetStats:
-    total: int
-    excluded: int
-    split_stats: dict[str, SplitStats]
-    overall: SplitStats
-    task_counts: dict[str, int] = field(default_factory=dict)
-
-    def to_record(self) -> dict:
-        def row(stats: SplitStats) -> dict:
-            record = {
-                "count": stats.count,
-                "avg_question_length": round(stats.question_length, 3),
-                "avg_explanation_length": round(stats.explanation_length, 3),
-                "avg_distractor_similarity_cosine": round(stats.distractor_similarity, 3),
-                "lexical_overlap_vs_content_a_rouge1": round(stats.rouge1_content_a, 3),
-                "lexical_overlap_vs_content_b_rouge1": round(stats.rouge1_content_b, 3),
-                "lexical_overlap_vs_evidence_bleu1": round(stats.bleu1_evidence, 3),
-            }
-            for name in ("clarity", "validity", "difficulty"):
-                value = getattr(stats, name)
-                record[f"ensemble_judged_{name}"] = None if value is None else round(value, 2)
-            return record
-
-        return {
-            "total_qa_pairs": self.total,
-            "excluded_items": self.excluded,
-            "splits": {key: row(stats) for key, stats in sorted(self.split_stats.items())},
-            "overall": row(self.overall),
-            "task_counts": dict(sorted(self.task_counts.items())),
-        }
+# The report's name of each item measure; the judged scores are None for an
+# item no ensemble judged.
+_MEASURES = (
+    "avg_question_length",
+    "avg_explanation_length",
+    "avg_distractor_similarity_cosine",
+    "lexical_overlap_vs_content_a_rouge1",
+    "lexical_overlap_vs_content_b_rouge1",
+    "lexical_overlap_vs_evidence_bleu1",
+)
+_JUDGED = ("ensemble_judged_clarity", "ensemble_judged_validity", "ensemble_judged_difficulty")
 
 
 def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
+
+
+def _split_row(measures: list[dict]) -> dict:
+    """A split's report row: its item count, the mean of each measure, and
+    the mean of each judged score over the judged items (None if none is)."""
+    row: dict = {"count": len(measures)}
+    for name in _MEASURES:
+        row[name] = round(_mean([m[name] for m in measures]), 3)
+    for name in _JUDGED:
+        scored = [m[name] for m in measures if m[name] is not None]
+        row[name] = round(_mean(scored), 2) if scored else None
+    return row
 
 
 def compute_overlap_stats(
@@ -120,8 +97,8 @@ def compute_overlap_stats(
     sentence_store: SentenceStore,
     embedder: EmbeddingService,
     adjudications: dict[str, dict] | None = None,
-) -> DatasetStats:
-    """Aggregate per-split and overall statistics for a synthesized dataset.
+) -> dict:
+    """The stats report of a synthesized dataset: per-split and overall rows.
 
     Items whose evidence anchors no longer resolve are excluded and counted.
     Adjudication scores, when supplied per qa_id, contribute the judged
@@ -166,46 +143,27 @@ def compute_overlap_stats(
         answer_vec = option_vectors[2 * index]
         negative_vec = option_vectors[2 * index + 1]
 
-        measurements = {
-            "question_length": len(question_tokens)
+        measures = {
+            "avg_question_length": len(question_tokens)
             if item.language.upper() != "ZH"
             else len([c for c in item.question if not c.isspace()]),
-            "explanation_length": len(rationale_tokens)
+            "avg_explanation_length": len(rationale_tokens)
             if item.language.upper() != "ZH"
             else len([c for c in item.rationale if not c.isspace()]),
-            "distractor_similarity": cosine_similarity(answer_vec, negative_vec),
-            "rouge1_content_a": rouge1_f1(question_tokens, tokenize(content_a, item.language)),
-            "rouge1_content_b": rouge1_f1(question_tokens, tokenize(content_b, item.language)),
-            "bleu1_evidence": bleu1(rationale_tokens, evidence_tokens),
-            "clarity": judged.get("clarity"),
-            "validity": judged.get("validity"),
-            "difficulty": judged.get("difficulty"),
+            "avg_distractor_similarity_cosine": cosine_similarity(answer_vec, negative_vec),
+            "lexical_overlap_vs_content_a_rouge1": rouge1_f1(question_tokens, tokenize(content_a, item.language)),
+            "lexical_overlap_vs_content_b_rouge1": rouge1_f1(question_tokens, tokenize(content_b, item.language)),
+            "lexical_overlap_vs_evidence_bleu1": bleu1(rationale_tokens, evidence_tokens),
+            "ensemble_judged_clarity": judged.get("clarity"),
+            "ensemble_judged_validity": judged.get("validity"),
+            "ensemble_judged_difficulty": judged.get("difficulty"),
         }
-        split_key = f"{item.language}|{item.difficulty}"
-        per_split.setdefault(split_key, []).append(measurements)
+        per_split.setdefault(item.split, []).append(measures)
 
-    def aggregate(rows: list[dict]) -> SplitStats:
-        stats = SplitStats(count=len(rows))
-        for name in (
-            "question_length",
-            "explanation_length",
-            "distractor_similarity",
-            "rouge1_content_a",
-            "rouge1_content_b",
-            "bleu1_evidence",
-        ):
-            setattr(stats, name, _mean([row[name] for row in rows]))
-        for name in ("clarity", "validity", "difficulty"):
-            scored = [row[name] for row in rows if row[name] is not None]
-            setattr(stats, name, _mean(scored) if scored else None)
-        return stats
-
-    split_stats = {key: aggregate(rows) for key, rows in per_split.items()}
-    all_rows = [row for rows in per_split.values() for row in rows]
-    return DatasetStats(
-        total=len(items),
-        excluded=excluded,
-        split_stats=split_stats,
-        overall=aggregate(all_rows),
-        task_counts=task_counts,
-    )
+    return {
+        "total_qa_pairs": len(items),
+        "excluded_items": excluded,
+        "splits": {key: _split_row(rows) for key, rows in per_split.items()},
+        "overall": _split_row([row for rows in per_split.values() for row in rows]),
+        "task_counts": dict(sorted(task_counts.items())),
+    }

@@ -16,7 +16,7 @@ tested against.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
@@ -146,24 +146,8 @@ def topology_report(graph: KnowledgeGraph) -> TopologyReport:
     )
 
 
-@dataclass
-class SweepResult:
-    k_values: list[float | None] = field(default_factory=list)
-    reports: list[TopologyReport] = field(default_factory=list)
-
-    def to_record(self) -> list[dict]:
-        rows = []
-        for k, report in zip(self.k_values, self.reports):
-            row = {"k": "inf" if k is None else k}
-            row.update(report.to_record())
-            rows.append(row)
-        return rows
-
-
-def shatter_sweep(graph: KnowledgeGraph, ks: list[float | None], stoplist: set[str] | None = None, stoplist_id: str = "") -> SweepResult:
-    """Topology reports for a sequence of frequency thresholds (None = off)."""
-    result = SweepResult()
-    for k in ks:
-        result.k_values.append(k)
-        result.reports.append(topology_report(shatter(graph, k, stoplist=stoplist, stoplist_id=stoplist_id)))
-    return result
+def shatter_sweep(
+    graph: KnowledgeGraph, ks: list[float | None], stoplist: set[str] | None = None, stoplist_id: str = ""
+) -> list[TopologyReport]:
+    """The topology report at each frequency threshold of ``ks`` (None = off), in order."""
+    return [topology_report(shatter(graph, k, stoplist=stoplist, stoplist_id=stoplist_id)) for k in ks]

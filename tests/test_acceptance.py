@@ -123,8 +123,8 @@ def test_acceptance_03_asp_ablation_shape():
 
     ks: list[float | None] = [None, 200.0, 50.0, 10.0, 2.0]
     sweep = shatter_sweep(graph, ks)
-    sizes = [r.largest_component_size for r in sweep.reports]
-    asps = [r.average_shortest_path for r in sweep.reports]
+    sizes = [r.largest_component_size for r in sweep]
+    asps = [r.average_shortest_path for r in sweep]
 
     initial = sizes[0]
     stable = [i for i, size in enumerate(sizes) if size >= initial - 1]  # hub removal drops one node
@@ -328,8 +328,8 @@ def test_acceptance_09_metric_arithmetic_vs_published_rows():
             for i, item in enumerate(items)
         ]
         report = behavioral_report("m", outcomes, items)
-        assert (report.total_errors, report.hne_picks) == (errors, picks)
-        return report.hne_rate
+        assert (report.overall.errors, report.overall.hard_negative_picks) == (errors, picks)
+        return report.overall.hne
 
     assert hne_of(66, 35) == pytest.approx(0.5303, abs=0.005)
 
@@ -341,8 +341,8 @@ def test_acceptance_09_metric_arithmetic_vs_published_rows():
             zero.append(EvalOutcome("m", item.qa_id, "zero_shot", "", 0, zero_correct))
             rag.append(EvalOutcome("m", item.qa_id, "rag", "", 0, zero_correct or i < recovered))
         report = behavioral_report("m", zero, items, rag_outcomes=rag)
-        assert (report.total_errors, report.recovered_count) == (errors, recovered)
-        return report.r3_rate
+        assert (report.overall.errors, report.overall.recovered) == (errors, recovered)
+        return report.r3(report.overall)
 
     assert r3_of(56, 39) == pytest.approx(0.6964, abs=0.005)
     assert r3_of(685, 50) == pytest.approx(0.0730, abs=0.005)
@@ -375,7 +375,7 @@ def test_acceptance_10_hne_random_baseline():
     chat = ChatService(MockEvalTransport("mock:uniform", items, seed=3))
     outcomes = evaluate_dataset(items, chat, model_id="uniform", mode="zero_shot")
     report = behavioral_report("uniform", outcomes, items)
-    rate, errors = report.hne_rate, report.total_errors
+    rate, errors = report.overall.hne, report.overall.errors
     assert errors >= 10000
     assert rate == pytest.approx(1 / 3, abs=0.03)
     report_pass(10, f"uniform-wrong baseline HNE {100 * rate:.2f}% over {errors} errors (33.3 ± 3)")

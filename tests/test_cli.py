@@ -65,6 +65,20 @@ def test_unknown_config_key_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "line", ["k_threshold: fifty", "n_options: four", "use_reranker: 1", "adjudication_ensemble: [1]", "seed: true"]
+)
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, line):
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"corpus_paths: []\n{line}\n", encoding="utf-8")
+    key = line.split(":")[0]
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: {key} must be of type"):
+        load_config(path)
+    result = invoke(["--config", str(path), "--run-dir", str(tmp_path / "run"), "ingest"])
+    assert result.exit_code == 2
+    assert key in result.output
+
+
 def test_readme_configuration_table_names_every_setting():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("## Configuration", 1)[1].split("\n\n| key |", 1)[1].split("\n\n", 1)[0]
@@ -399,7 +413,16 @@ def test_shatter_sweep_appends_to_topology_report(toy_yaml, tmp_path):
     pipeline.run_shatter_sweep(run_dir, config, [None, 4.0, 1.0])
     report = json.loads((run_dir / "topology_report.json").read_text(encoding="utf-8"))
     assert "original" in report and "shattered" in report
-    assert [row["k"] for row in report["sweep"]] == ["inf", 4.0, 1.0]
+    # The stoplist prunes 2 entities at every k; k = 1 prunes all 26.
+    basis = "ordered pairs of distinct nodes in the largest undirected component"
+    assert report["sweep"] == [
+        {"k": "inf", "node_count": 24, "edge_count": 54, "largest_component_size": 7,
+         "average_shortest_path": 2.666667, "path_basis": basis, "component_count": 6, "pruned_count": 2},
+        {"k": 4.0, "node_count": 18, "edge_count": 27, "largest_component_size": 4,
+         "average_shortest_path": 1.666667, "path_basis": basis, "component_count": 9, "pruned_count": 8},
+        {"k": 1.0, "node_count": 0, "edge_count": 0, "largest_component_size": 0,
+         "average_shortest_path": None, "path_basis": basis, "component_count": 0, "pruned_count": 26},
+    ]
 
 
 def test_evaluate_resumes_over_a_torn_last_outcome(toy_yaml, tmp_path, caplog, monkeypatch):
@@ -533,10 +556,18 @@ def test_provider_failure_in_tree_exits_4(toy_yaml, tmp_path, monkeypatch):
     base = ["--config", str(toy_yaml), "--run-dir", str(tmp_path / "run")]
     for command in ("ingest", "chunk"):
         assert invoke(base + [command]).exit_code == 0
-    monkeypatch.setattr(MockChatTransport, "complete", endpoint_down)
-    result = invoke(base + ["tree"])
+    with monkeypatch.context() as patch:
+        patch.setattr(MockChatTransport, "complete", endpoint_down)
+        result = invoke(base + ["tree"])
     assert result.exit_code == 4
     assert "endpoint down" in result.output
+    # An outage during extraction is not a node that failed to parse.
+    assert invoke(base + ["tree"]).exit_code == 0
+    monkeypatch.setattr(MockChatTransport, "complete", endpoint_down)
+    result = invoke(base + ["extract"])
+    assert result.exit_code == 4
+    assert "endpoint down" in result.output
+    assert not (tmp_path / "run" / "graph_raw.jsonl").exists()
 
 
 def test_second_model_reuses_the_run_contexts(toy_yaml, tmp_path, monkeypatch):

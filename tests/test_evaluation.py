@@ -90,7 +90,7 @@ def test_oracle_mock_scores_every_item():
     chat = ChatService(MockEvalTransport("mock:oracle", items, seed=0))
     outcomes = evaluate_dataset(items, chat, model_id="oracle", mode="zero_shot")
     assert all(o.correct for o in outcomes)
-    assert behavioral_report("oracle", outcomes, items).hne_rate is None
+    assert behavioral_report("oracle", outcomes, items).overall.hne is None
 
 
 def test_adversarial_mock_always_picks_hard_negative():
@@ -99,8 +99,8 @@ def test_adversarial_mock_always_picks_hard_negative():
     outcomes = evaluate_dataset(items, chat, model_id="adv", mode="zero_shot")
     assert not any(o.correct for o in outcomes)
     report = behavioral_report("adv", outcomes, items)
-    assert report.total_errors == 10
-    assert report.hne_rate == 1.0
+    assert report.overall.errors == 10
+    assert report.overall.hne == 1.0
 
 
 @pytest.mark.parametrize("behavior", ["uniform", "hash"])
@@ -171,10 +171,10 @@ def test_hne_integer_consistency_with_published_rows():
             )
             outcomes.append(outcome(item.qa_id, False, wrong_other))
     report = behavioral_report("m", outcomes, items)
-    assert report.total_errors == 66
-    assert report.hne_picks == 35
-    assert report.hne_rate * 100 == pytest.approx(53.03, abs=0.5)
-    assert report.hne_rate == pytest.approx(35 / 66)
+    assert report.overall.errors == 66
+    assert report.overall.hard_negative_picks == 35
+    assert report.overall.hne * 100 == pytest.approx(53.03, abs=0.5)
+    assert report.overall.hne == pytest.approx(35 / 66)
 
 
 def test_unparseable_counts_as_error_never_as_pick():
@@ -184,9 +184,9 @@ def test_unparseable_counts_as_error_never_as_pick():
         outcome("qa0001", False, make_item(1).hard_negative_index),
     ]
     report = behavioral_report("m", outcomes, items)
-    assert report.total_errors == 2
-    assert report.unparseable_count == 1
-    assert report.hne_rate == pytest.approx(0.5)
+    assert report.overall.errors == 2
+    assert report.overall.unparseable == 1
+    assert report.overall.hne == pytest.approx(0.5)
 
 
 def test_hne_rejects_rag_outcomes():
@@ -204,8 +204,8 @@ def test_r3_integer_consistency_with_published_rows():
             zero.append(outcome(item.qa_id, correct_zero, 0))
             rag.append(outcome(item.qa_id, correct_zero or i < recovered, 0, mode="rag"))
         report = behavioral_report("m", zero, items, rag_outcomes=rag)
-        assert report.recovered_count == recovered
-        return report.r3_rate
+        assert report.overall.recovered == recovered
+        return report.r3(report.overall)
 
     assert r3_of(56, 39) * 100 == pytest.approx(69.64, abs=0.5)
     assert r3_of(685, 50) * 100 == pytest.approx(7.30, abs=0.5)
@@ -216,7 +216,7 @@ def test_r3_zero_when_rag_recovers_nothing():
     zero = [outcome("qa0001", False, 0)]
     rag = [outcome("qa0001", False, 0, mode="rag")]
     report = behavioral_report("m", zero, items, rag_outcomes=rag)
-    assert (report.r3_rate, report.recovered_count) == (0.0, 0)
+    assert (report.r3(report.overall), report.overall.recovered) == (0.0, 0)
 
 
 def test_r3_requires_matching_qa_sets():
@@ -231,7 +231,7 @@ def test_r3_undefined_without_zero_shot_errors():
     report = behavioral_report(
         "m", [outcome("qa0001", True, 0)], items, rag_outcomes=[outcome("qa0001", True, 0, mode="rag")]
     )
-    assert report.r3_rate is None
+    assert report.r3(report.overall) is None
     assert "—" in report.table()
 
 
@@ -269,10 +269,10 @@ def test_report_oracle_everything_correct():
     chat = ChatService(MockEvalTransport("mock:oracle", items, seed=0))
     outcomes = evaluate_dataset(items, chat, model_id="oracle", mode="zero_shot")
     report = behavioral_report("oracle", outcomes, items)
-    assert report.total_errors == 0
-    assert report.hne_rate is None  # undefined, rendered as an em dash
+    assert report.overall.errors == 0
+    assert report.overall.hne is None  # undefined, rendered as an em dash
     assert "—" in report.table()
-    assert report.accuracy_by_split == {"EN|hard": 1.0}
+    assert report.to_record()["accuracy_by_split"] == {"EN|hard": 1.0}
 
 
 def test_report_adversarial_composition():
@@ -280,9 +280,9 @@ def test_report_adversarial_composition():
     chat = ChatService(MockEvalTransport("mock:adversarial", items, seed=0))
     outcomes = evaluate_dataset(items, chat, model_id="adv", mode="zero_shot")
     report = behavioral_report("adv", outcomes, items)
-    assert report.total_errors == 100
-    assert report.hne_rate == 1.0
-    assert report.accuracy_by_split == {"EN|hard": 0.0}
+    assert report.overall.errors == 100
+    assert report.overall.hne == 1.0
+    assert report.to_record()["accuracy_by_split"] == {"EN|hard": 0.0}
 
 
 def test_report_rates_recomputable_from_stored_counts():
@@ -314,5 +314,50 @@ def test_report_splits_accumulate_by_language_and_difficulty():
         outcome("qa0002", False, None),
     ]
     report = behavioral_report("m", outcomes, items)
-    assert set(report.accuracy_by_split) == {"EN|easy", "EN|hard", "ZH|hard"}
-    assert report.unparseable_count == 1
+    assert set(report.splits) == {"EN|easy", "EN|hard", "ZH|hard"}
+    assert report.overall.unparseable == 1
+
+
+def test_report_record_and_table_pin_every_field():
+    # Two EN|easy items answered right, and four ZH|hard items answered
+    # zero-shot with the hard negative, an unparseable reply, another wrong
+    # option and the answer; RAG recovers the first two failures. EN|easy
+    # has no errors, so both of its rates are undefined; without RAG
+    # outcomes every recovery rate is.
+    items = [make_item(0, "EN", "easy"), make_item(1, "EN", "easy")]
+    items += [make_item(i, "ZH", "hard") for i in range(2, 6)]
+    zero = [
+        outcome("qa0000", True, items[0].answer_index),
+        outcome("qa0001", True, items[1].answer_index),
+        outcome("qa0002", False, items[2].hard_negative_index),
+        outcome("qa0003", False, None),
+        outcome("qa0004", False, (items[4].answer_index + 2) % 4),
+        outcome("qa0005", True, items[5].answer_index),
+    ]
+    rag = [outcome(item.qa_id, True, item.answer_index, mode="rag") for item in items]
+    rag[4] = outcome("qa0004", False, items[4].hard_negative_index, mode="rag")
+    easy = {"total": 2, "correct": 2, "errors": 0, "unparseable": 0, "hard_negative_picks": 0, "recovered": 0}
+    hard = {"total": 4, "correct": 1, "errors": 3, "unparseable": 1, "hard_negative_picks": 1}
+    header = "Model                    Total Zero-Shot Errors   HNE Rate    R3 Rate"
+    for rag_outcomes, recovered, r3, row in (
+        (rag, 2, 0.6667, "m                                             3     33.33%     66.67%"),
+        (None, 0, None, "m                                             3     33.33%          —"),
+    ):
+        report = behavioral_report("m", zero, items, rag_outcomes=rag_outcomes)
+        assert report.to_record() == {
+            "model_id": "m",
+            "prompt_version": "mcq-v1",
+            "prompt_template": prompts.EVAL_TEMPLATE,
+            "total_zero_shot_errors": 3,
+            "hne_rate": 0.3333,
+            "hne_picks": 1,
+            "r3_rate": r3,
+            "recovered_count": recovered,
+            "unparseable_count": 1,
+            "accuracy_by_split": {"EN|easy": 1.0, "ZH|hard": 0.25},
+            "splits": {
+                "EN|easy": {**easy, "hne_rate": None, "r3_rate": None},
+                "ZH|hard": {**hard, "recovered": recovered, "hne_rate": 0.3333, "r3_rate": r3},
+            },
+        }
+        assert report.table() == f"{header}\n{row}"

@@ -111,16 +111,15 @@ def test_dataset_stats_split_counts_and_bounds():
         )
 
     items = [item(0, "easy", "c0"), item(1, "hard", "c0"), item(2, "hard", "missing")]
-    stats = compute_overlap_stats(
+    record = compute_overlap_stats(
         items,
         {"c0": chunk},
         SentenceStore(sentences),
         EmbeddingService(MockEmbeddingTransport(dimension=8, seed=0)),
     )
-    assert stats.total == 3
-    assert stats.excluded == 1  # the unresolvable anchor
-    assert sum(s.count for s in stats.split_stats.values()) + stats.excluded == stats.total
-    record = stats.to_record()
+    assert record["total_qa_pairs"] == 3
+    assert record["excluded_items"] == 1  # the unresolvable anchor
+    assert sum(s["count"] for s in record["splits"].values()) + record["excluded_items"] == record["total_qa_pairs"]
     for row in [record["overall"], *record["splits"].values()]:
         for key in (
             "avg_distractor_similarity_cosine",
@@ -129,3 +128,106 @@ def test_dataset_stats_split_counts_and_bounds():
             "lexical_overlap_vs_evidence_bleu1",
         ):
             assert 0.0 <= row[key] <= 1.0
+
+
+def test_stats_record_pins_every_field():
+    # Two judged EN|easy items, two unjudged ZH|hard items and a third ZH
+    # item whose anchor is gone: the unjudged split has no judged means, the
+    # overall ones are over the judged items only, and the third ZH item is
+    # excluded.
+    from hopbench.corpus import Chunk, Sentence, SentenceStore
+    from hopbench.providers import EmbeddingService, MockEmbeddingTransport
+    from hopbench.synthesis import QAItem
+    from hopbench.textstats import compute_overlap_stats
+
+    sentences = [
+        Sentence("en", 1, 0, "Diabetes drives glucose stress in bone."),
+        Sentence("en", 1, 1, "Glucose stress weakens the bone matrix."),
+        Sentence("zh", 1, 0, "糖尿病导致血糖升高。"),
+        Sentence("zh", 2, 1, "血糖升高损伤肾脏。"),
+    ]
+    chunks = [
+        Chunk(chunk_id=f"c-{doc}", doc_id=doc, sentence_span=(0, 1), text="", page_anchor=1, embedding=(1.0, 0.0))
+        for doc in ("en", "zh")
+    ]
+
+    def item(i: int, language: str, difficulty: str, question: str, rationale: str, chunk_id: str) -> QAItem:
+        return QAItem(
+            qa_id=f"qa{i}",
+            language=language,
+            difficulty=difficulty,
+            clinical_task="Clinical Diagnosis",
+            question=question,
+            options=["bone loss", "nerve damage", "renal decline", "stroke"],
+            answer_index=i % 4,
+            hard_negative_index=(i + 1) % 4,
+            masked_entity={"canonical": "m", "aliases": []},
+            rationale=rationale,
+            evidence_anchors=[
+                {"hop": "hop1", "chunk_id": chunk_id, "sentence_span": [0, 0], "page_anchor": 1},
+                {"hop": "hop2", "chunk_id": chunk_id, "sentence_span": [1, 1], "page_anchor": 1},
+            ],
+            chain_ref="k",
+        )
+
+    items = [
+        item(0, "EN", "easy", "Which bone change follows the glucose stress?", "glucose stress weakens bone", "c-en"),
+        item(1, "EN", "easy", "What does diabetes drive in bone?", "diabetes drives glucose stress", "c-en"),
+        item(2, "ZH", "hard", "血糖升高会损伤哪个器官？", "血糖升高损伤肾脏", "c-zh"),
+        item(3, "ZH", "hard", "糖尿病导致什么？", "糖尿病导致血糖升高", "c-zh"),
+        item(4, "ZH", "hard", "哪一个？", "无", "missing"),
+    ]
+    adjudications = {
+        "qa0": {"clarity": 4, "validity": 5, "difficulty": 2, "clinical_task": "Prognosis"},
+        "qa1": {"clarity": 3, "validity": 4, "difficulty": 3},
+    }
+    record = compute_overlap_stats(
+        items,
+        {chunk.chunk_id: chunk for chunk in chunks},
+        SentenceStore(sentences),
+        EmbeddingService(MockEmbeddingTransport(dimension=8, seed=0)),
+        adjudications=adjudications,
+    )
+    assert record == {
+        "total_qa_pairs": 5,
+        "excluded_items": 1,
+        "splits": {
+            "EN|easy": {
+                "count": 2,
+                "avg_question_length": 6.5,
+                "avg_explanation_length": 4.0,
+                "avg_distractor_similarity_cosine": 0.263,
+                "lexical_overlap_vs_content_a_rouge1": 0.481,
+                "lexical_overlap_vs_content_b_rouge1": 0.391,
+                "lexical_overlap_vs_evidence_bleu1": 0.135,
+                "ensemble_judged_clarity": 3.5,
+                "ensemble_judged_validity": 4.5,
+                "ensemble_judged_difficulty": 2.5,
+            },
+            "ZH|hard": {
+                "count": 2,
+                "avg_question_length": 10.0,
+                "avg_explanation_length": 8.5,
+                "avg_distractor_similarity_cosine": 0.527,
+                "lexical_overlap_vs_content_a_rouge1": 0.46,
+                "lexical_overlap_vs_content_b_rouge1": 0.345,
+                "lexical_overlap_vs_evidence_bleu1": 0.291,
+                "ensemble_judged_clarity": None,
+                "ensemble_judged_validity": None,
+                "ensemble_judged_difficulty": None,
+            },
+        },
+        "overall": {
+            "count": 4,
+            "avg_question_length": 8.25,
+            "avg_explanation_length": 6.25,
+            "avg_distractor_similarity_cosine": 0.395,
+            "lexical_overlap_vs_content_a_rouge1": 0.47,
+            "lexical_overlap_vs_content_b_rouge1": 0.368,
+            "lexical_overlap_vs_evidence_bleu1": 0.213,
+            "ensemble_judged_clarity": 3.5,
+            "ensemble_judged_validity": 4.5,
+            "ensemble_judged_difficulty": 2.5,
+        },
+        "task_counts": {"Clinical Diagnosis": 3, "Prognosis": 1},
+    }

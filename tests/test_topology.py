@@ -123,8 +123,8 @@ def test_sweep_reports_fragmentation_gracefully():
     for entity in graph.entities.values():
         entity.frequency = 5
     sweep = shatter_sweep(graph, [None, 1.0])
-    assert sweep.reports[0].node_count == 2
-    assert sweep.reports[1].node_count == 0  # everything pruned at k=1
+    assert sweep[0].node_count == 2
+    assert sweep[1].node_count == 0  # everything pruned at k=1
 
 
 # -- csgraph report against the all-sources BFS ----------------------------------
