@@ -77,7 +77,7 @@ class PipelineConfig:
             raise ValidationError("chunk_percentile must be in (0, 100]")
         if self.max_sentences_per_chunk < 1:
             raise ValidationError("max_sentences_per_chunk must be >= 1")
-        if self.k_threshold is not None and self.k_threshold < 1:
+        if self.k_threshold is not None and not self.k_threshold >= 1:  # NaN fails too
             raise ValidationError("k_threshold must be >= 1 (or inf)")
         if self.frequency_unit not in ("tree_nodes", "mentions"):
             raise ValidationError("frequency_unit must be tree_nodes or mentions")
@@ -113,7 +113,9 @@ class PipelineConfig:
             raise ValidationError("max_parallel must be >= 1")
         if not self.adjudication_ensemble:
             raise ValidationError("adjudication_ensemble must name at least one member")
-        self.theta_schedule()  # validates the step shape
+        if any(len(step) != 2 for step in self.theta_steps):
+            raise ValidationError("theta_steps must be a list of [limit, tolerance] pairs")
+        self.theta_schedule()  # validates the step order
 
     def to_record(self) -> dict:
         record = asdict(self)

@@ -7,8 +7,10 @@ and its arguments. A stage runs again when its key, its inputs or its
 outputs changed, and is a no-op otherwise; it refuses to run over an upstream
 stage recorded under other settings. Artifacts carry no timestamps, so
 identical configs and seeds reproduce byte-identical files. ``STAGES`` lists
-every stage with the settings and files it reads and the files it writes;
-records round-trip through ``codec``."""
+every stage with the settings and files it reads and the files it writes.
+``ARTIFACTS`` is the one place where a JSONL file's schema and decoded type
+live: a stage gets its inputs decoded from ``read(name)``, and records
+round-trip through ``codec``."""
 
 from __future__ import annotations
 
@@ -19,11 +21,12 @@ import logging
 import os
 import re
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .adjudicate import adjudicate_quality
 from .chains import ReasoningChain, mine_chains, sample_hard_negative
@@ -211,10 +214,15 @@ STAGES = {
 }
 
 
+def _matches(name: str, pattern: str) -> bool:
+    """Whether ``name`` is ``pattern`` with its ``{model}`` and ``{mode}`` filled in."""
+    return fnmatch.fnmatchcase(name, re.sub(r"\{\w+\}", "*", pattern))
+
+
 def producer(artifact: str) -> str:
     """The first stage in table order that lists ``artifact`` as an output."""
     for stage in STAGES.values():
-        if any(fnmatch.fnmatchcase(artifact, re.sub(r"\{\w+\}", "*", name)) for name in stage.outputs):
+        if any(_matches(artifact, name) for name in stage.outputs):
             return stage.name
     raise KeyError(f"no stage writes {artifact}")
 
@@ -244,13 +252,9 @@ def make_embedding_service(config: PipelineConfig) -> EmbeddingService:
     )
 
 
-def make_adjudication_ensemble(config: PipelineConfig) -> tuple[list[ChatService], list[str]]:
-    names = list(config.adjudication_ensemble)
-    return [make_chat_service(config, derive_seed(config.seed, "judge", name)) for name in names], names
-
-
 # ---------------------------------------------------------------------------
-# Records: the codec for round trips, explicit projections for the rest
+# Records: the codec for round trips, explicit projections for the rest, and
+# the schema and decoded form of each JSONL artifact
 # ---------------------------------------------------------------------------
 
 # Public names for writing artifacts from outside the package (perfbench/).
@@ -292,6 +296,78 @@ def graph_from_records(records: list[dict]) -> tuple[KnowledgeGraph, str]:
         elif record["kind"] == "edge":
             graph.add_edge(from_record(Triplet, record))
     return graph, meta.get("frequency_unit", "tree_nodes")
+
+
+def _chunks(records: list[dict]) -> list[Chunk]:
+    """Refuses an ``embedding`` that is not a list of numbers: older files
+    hold an object there under the same ``chunk`` key, so only deleting the
+    file makes ``chunk`` write it anew."""
+    for record in records:
+        embedding = record.get("embedding")
+        if not isinstance(embedding, list) or not all(isinstance(v, (int, float)) for v in embedding):
+            raise ValidationError(
+                f"chunks.jsonl: chunk {record.get('chunk_id')}: embedding is not a list of numbers, as in "
+                "files written by older versions; delete chunks.jsonl and re-run `hopbench chunk`"
+            )
+    return [from_record(Chunk, r) for r in records]
+
+
+def _tree(records: list[dict]) -> SummaryTree:
+    tree = SummaryTree()
+    for record in records:
+        tree.add(from_record(SummaryTreeNode, record))
+    tree.validate()
+    return tree
+
+
+def _each(cls) -> Callable[[list[dict]], list]:
+    return lambda records: [from_record(cls, r) for r in records]
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """A JSONL file: the schema its header names and what its records decode to."""
+
+    schema: str
+    decode: Callable[[list[dict]], object] = list
+
+
+GRAPH = Artifact("graph", graph_from_records)  # decodes to (graph, frequency_unit)
+
+# Every JSONL file that ``STAGES`` names, by name or by pattern.
+ARTIFACTS = {
+    "documents.jsonl": Artifact("documents"),
+    "sentences.jsonl": Artifact("sentences", lambda records: SentenceStore(_each(Sentence)(records))),
+    "chunks.jsonl": Artifact("chunks", _chunks),
+    "tree.jsonl": Artifact("tree", _tree),
+    "graph_raw.jsonl": GRAPH,
+    "graph.jsonl": GRAPH,
+    "chains.jsonl": Artifact("chains", _each(ReasoningChain)),
+    "dataset.jsonl": Artifact("dataset", _each(QAItem)),
+    "discards.jsonl": Artifact("discards"),
+    "adjudications.jsonl": Artifact("adjudications", lambda records: {r["qa_id"]: r for r in records}),
+    "rag_contexts.jsonl": Artifact("rag_contexts"),  # `evaluate` resolves them against the chunk texts
+    "outcomes_{model}_{mode}.jsonl": Artifact("outcomes", _each(EvalOutcome)),
+}
+
+
+def artifact(name: str) -> Artifact:
+    """The ``ARTIFACTS`` entry for the file ``name``."""
+    for pattern, entry in ARTIFACTS.items():
+        if _matches(name, pattern):
+            return entry
+    raise KeyError(f"no artifact named {name}")
+
+
+def read_artifact(path: Path):
+    """The file at ``path``, decoded by its ``ARTIFACTS`` entry. ``load`` is looked
+    up at each call, so a wrapper put on the module's ``load`` sees every read."""
+    entry = artifact(path.name)
+    return entry.decode(load(path, entry.schema))
+
+
+def write_artifact(records: Iterable[dict], path: Path) -> None:
+    snapshot(records, path, schema=artifact(path.name).schema)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +460,7 @@ def _stage(
     run_dir: str | Path,
     config: PipelineConfig,
     name: str,
-    compute: Callable[[dict[str, Path], dict[str, Path], str], dict],
+    compute: Callable[[Callable[[str], object], dict[str, Path], str], dict],
     optional: bool = False,
     args: dict | None = None,
     **params: str,
@@ -393,7 +469,9 @@ def _stage(
     unchanged since it last ran. ``params`` fill the ``{model}`` and
     ``{mode}`` names and name the stage's record (``evaluate:<model>:<mode>``);
     they and ``args`` enter the key. ``optional`` adds the stage's optional
-    inputs. ``compute`` gets the inputs, the outputs and the key's digest."""
+    inputs. ``compute`` gets ``read``, the outputs and the key's digest;
+    ``read(name)`` decodes the input ``name`` when called, and raises
+    ``KeyError`` for a name that is not one of the stage's inputs."""
     stage = STAGES[name]
     record_name = ":".join([name, *params.values()])
     input_names = [n.format(**params) for n in stage.inputs + (stage.optional if optional else ())]
@@ -416,7 +494,7 @@ def _stage(
                 path.unlink(missing_ok=True)
 
         started = time.time()
-        stats = compute(inputs, outputs, stable_text_digest(canonical_json(key)))
+        stats = compute(lambda n: read_artifact(inputs[n]), outputs, stable_text_digest(canonical_json(key)))
         manifest.record_stage(record_name, key, inputs, outputs, started, stats=stats)
         manifest.save(run_dir)
         return StageResult(stage=record_name, status="ok", stats=stats)
@@ -435,7 +513,7 @@ def run_ingest(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     if not config.corpus_paths:
         raise ValidationError("config.corpus_paths is empty")
 
-    def compute(_inputs, outputs, _digest):
+    def compute(_read, outputs, _digest):
         documents: list[Document] = []
         sentences: list[Sentence] = []
         for path in config.corpus_paths:
@@ -445,20 +523,9 @@ def run_ingest(run_dir: str | Path, config: PipelineConfig) -> StageResult:
         doc_ids = [d.doc_id for d in documents]
         if len(set(doc_ids)) != len(doc_ids):
             raise ValidationError(f"duplicate doc ids in corpus: {doc_ids}")
-        snapshot(
-            [
-                {
-                    "doc_id": d.doc_id,
-                    "language": d.language,
-                    "source_path": d.source_path,
-                    "pages": [p.page_number for p in d.pages],
-                }
-                for d in documents
-            ],
-            outputs["documents.jsonl"],
-            schema="documents",
-        )
-        snapshot([to_record(s) for s in sentences], outputs["sentences.jsonl"], schema="sentences")
+        records = [{**to_record(d), "pages": [p.page_number for p in d.pages]} for d in documents]
+        write_artifact(records, outputs["documents.jsonl"])
+        write_artifact([to_record(s) for s in sentences], outputs["sentences.jsonl"])
         return {"documents": len(documents), "sentences": len(sentences)}
 
     return _stage(run_dir, config, "ingest", compute)
@@ -467,34 +534,28 @@ def run_ingest(run_dir: str | Path, config: PipelineConfig) -> StageResult:
 def run_chunk(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     embedder = make_embedding_service(config)
 
-    def compute(inputs, outputs, _digest):
-        sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
+    def compute(read, outputs, _digest):
         by_doc: dict[str, list[Sentence]] = {}
-        for sentence in sentences:
+        for sentence in read("sentences.jsonl").sentences:
             by_doc.setdefault(sentence.doc_id, []).append(sentence)
-        embeddings_by_doc = {
-            doc_id: embedder.embed_texts([s.text for s in doc_sentences])
-            for doc_id, doc_sentences in sorted(by_doc.items())
-        }
+        docs = [doc_sentences for _, doc_sentences in sorted(by_doc.items())]
+        embeddings = [embedder.embed_texts([s.text for s in doc_sentences]) for doc_sentences in docs]
         global_tau = None
         if config.global_threshold:
-            all_distances = []
-            for doc_id, doc_sentences in sorted(by_doc.items()):
-                all_distances.extend(consecutive_distances(embeddings_by_doc[doc_id]))
-            if all_distances:
-                global_tau = nearest_rank_percentile(all_distances, config.chunk_percentile)
+            distances = [d for matrix in embeddings for d in consecutive_distances(matrix)]
+            global_tau = nearest_rank_percentile(distances, config.chunk_percentile) if distances else None
         chunks: list[Chunk] = []
-        for doc_id, doc_sentences in sorted(by_doc.items()):
+        for doc_sentences, matrix in zip(docs, embeddings):
             chunks.extend(
                 semantic_chunk(
                     doc_sentences,
-                    embeddings_by_doc[doc_id],
+                    matrix,
                     percentile=config.chunk_percentile,
                     max_sentences=config.max_sentences_per_chunk,
                     threshold=global_tau,
                 )
             )
-        snapshot([to_record(c) for c in chunks], outputs["chunks.jsonl"], schema="chunks")
+        write_artifact([to_record(c) for c in chunks], outputs["chunks.jsonl"])
         return {"chunks": len(chunks), "global_threshold": global_tau}
 
     return _stage(run_dir, config, "chunk", compute)
@@ -504,11 +565,10 @@ def run_tree(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     chat = make_chat_service(config, config.seed)
     embedder = make_embedding_service(config)
 
-    def compute(inputs, outputs, _digest):
-        chunks = _load_chunks(inputs["chunks.jsonl"])
-        tree = build_summary_tree(chunks, chat, embedder, config)
+    def compute(read, outputs, _digest):
+        tree = build_summary_tree(read("chunks.jsonl"), chat, embedder, config)
         ordered = sorted(tree.nodes.values(), key=lambda n: (n.level, n.node_id))
-        snapshot([tree_node_to_record(n) for n in ordered], outputs["tree.jsonl"], schema="tree")
+        write_artifact([tree_node_to_record(n) for n in ordered], outputs["tree.jsonl"])
         _write_json(outputs["gmm_report.json"], {"levels": tree.level_reports})
         return {"nodes": len(tree.nodes), "levels": tree.max_level()}
 
@@ -518,26 +578,16 @@ def run_tree(run_dir: str | Path, config: PipelineConfig) -> StageResult:
 def run_extract(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     chat = make_chat_service(config, config.seed)
 
-    def compute(inputs, outputs, _digest):
-        chunks = _load_chunks(inputs["chunks.jsonl"])
-        sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
-        tree = SummaryTree()
-        for record in load(inputs["tree.jsonl"], "tree"):
-            tree.add(from_record(SummaryTreeNode, record))
-        tree.validate()
+    def compute(read, outputs, _digest):
+        chunks, sentences = read("chunks.jsonl"), read("sentences.jsonl")
         raw, reports, failed = extract_tree(
-            tree, chunks, chat, SentenceStore(sentences), model_name=config.chat_model, seed=config.seed
+            read("tree.jsonl"), chunks, chat, sentences, model_name=config.chat_model, seed=config.seed
         )
-        graph, assembly = assemble_graph(
-            raw, config.theta_schedule(), counting_unit=config.frequency_unit
-        )
-        snapshot(
-            graph_to_records(graph, config.frequency_unit), outputs["graph_raw.jsonl"], schema="graph"
-        )
-        rejected = sum(r.rejected for r in reports)
+        graph, assembly = assemble_graph(raw, config.theta_schedule(), counting_unit=config.frequency_unit)
+        write_artifact(graph_to_records(graph, config.frequency_unit), outputs["graph_raw.jsonl"])
         return {
             "raw_triplets": len(raw),
-            "rejected_triplets": rejected,
+            "rejected_triplets": sum(r.rejected for r in reports),
             "failed_nodes": failed,
             "entities": len(graph.entities),
             "edges": len(graph.edges),
@@ -549,12 +599,12 @@ def run_extract(run_dir: str | Path, config: PipelineConfig) -> StageResult:
 
 
 def run_shatter(run_dir: str | Path, config: PipelineConfig) -> StageResult:
-    def compute(inputs, outputs, _digest):
-        graph, frequency_unit = graph_from_records(load(inputs["graph_raw.jsonl"], "graph"))
+    def compute(read, outputs, _digest):
+        graph, frequency_unit = read("graph_raw.jsonl")
         stop_terms, stoplist_id = _stoplist(config)
         apply_frequencies(graph, frequency_unit)
         shattered = shatter(graph, config.k_threshold, stoplist=stop_terms, stoplist_id=stoplist_id)
-        snapshot(graph_to_records(shattered, frequency_unit), outputs["graph.jsonl"], schema="graph")
+        write_artifact(graph_to_records(shattered, frequency_unit), outputs["graph.jsonl"])
         report = {
             "k_threshold": "inf" if config.k_threshold is None else config.k_threshold,
             "stoplist_id": stoplist_id,
@@ -574,19 +624,17 @@ def run_shatter(run_dir: str | Path, config: PipelineConfig) -> StageResult:
 
 
 def run_mine(run_dir: str | Path, config: PipelineConfig) -> StageResult:
-    def compute(inputs, outputs, _digest):
-        graph, _unit = graph_from_records(load(inputs["graph.jsonl"], "graph"))
+    def compute(read, outputs, _digest):
+        graph, _unit = read("graph.jsonl")
         mined = mine_chains(graph, config.per_source_cap)
         completed: list[ReasoningChain] = []
         no_sibling = 0
         for chain in mined:
             try:
-                completed.append(
-                    sample_hard_negative(chain, graph, derive_seed(config.seed, "sibling", chain.key))
-                )
+                completed.append(sample_hard_negative(chain, graph, derive_seed(config.seed, "sibling", chain.key)))
             except NoHardNegativeError:
                 no_sibling += 1
-        snapshot([to_record(c) for c in completed], outputs["chains.jsonl"], schema="chains")
+        write_artifact([to_record(c) for c in completed], outputs["chains.jsonl"])
         return {"mined": len(mined), "completed": len(completed), "no_sibling": no_sibling}
 
     return _stage(run_dir, config, "mine", compute)
@@ -595,52 +643,27 @@ def run_mine(run_dir: str | Path, config: PipelineConfig) -> StageResult:
 def run_synthesize(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     chat = make_chat_service(config, config.seed)
 
-    def compute(inputs, outputs, _digest):
-        graph, _unit = graph_from_records(load(inputs["graph.jsonl"], "graph"))
-        chains = [from_record(ReasoningChain, r) for r in load(inputs["chains.jsonl"], "chains")]
-        chunks = _load_chunks(inputs["chunks.jsonl"])
-        sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
-        items, discards = synthesize_dataset(
-            chains, graph, {c.chunk_id: c for c in chunks}, SentenceStore(sentences), chat, config
-        )
-        snapshot([to_record(i) for i in items], outputs["dataset.jsonl"], schema="dataset")
-        snapshot(
+    def compute(read, outputs, _digest):
+        (graph, _unit), chains = read("graph.jsonl"), read("chains.jsonl")
+        chunks = {c.chunk_id: c for c in read("chunks.jsonl")}
+        items, discards = synthesize_dataset(chains, graph, chunks, read("sentences.jsonl"), chat, config)
+        write_artifact([to_record(i) for i in items], outputs["dataset.jsonl"])
+        write_artifact(
             [{"chain_ref": d.chain_key, "reason": d.reason, "detail": d.detail} for d in discards],
             outputs["discards.jsonl"],
-            schema="discards",
         )
-        reasons: dict[str, int] = {}
-        for discard in discards:
-            reasons[discard.reason] = reasons.get(discard.reason, 0) + 1
+        reasons = dict(Counter(d.reason for d in discards))
         return {"items": len(items), "discards": len(discards), "discard_reasons": reasons}
 
     return _stage(run_dir, config, "synthesize", compute)
 
 
-def _load_items(path: Path) -> list[QAItem]:
-    return [from_record(QAItem, r) for r in load(path, "dataset")]
-
-
-def _load_chunks(path: Path) -> list[Chunk]:
-    """Refuses an ``embedding`` that is not a list of numbers: older files
-    hold an object there under the same ``chunk`` key, so only deleting the
-    file makes ``chunk`` write it anew."""
-    records = load(path, "chunks")
-    for record in records:
-        embedding = record.get("embedding")
-        if not isinstance(embedding, list) or not all(isinstance(v, (int, float)) for v in embedding):
-            raise ValidationError(
-                f"{path}: chunk {record.get('chunk_id')}: embedding is not a list of numbers, as in files "
-                f"written by older versions; delete {path.name} and re-run `hopbench chunk`"
-            )
-    return [from_record(Chunk, r) for r in records]
-
-
 def run_adjudicate(run_dir: str | Path, config: PipelineConfig) -> StageResult:
-    ensemble, names = make_adjudication_ensemble(config)
+    names = list(config.adjudication_ensemble)
+    ensemble = [make_chat_service(config, derive_seed(config.seed, "judge", name)) for name in names]
 
-    def compute(inputs, outputs, _digest):
-        items = _load_items(inputs["dataset.jsonl"])
+    def compute(read, outputs, _digest):
+        items = read("dataset.jsonl")
 
         def judge(item: QAItem):
             try:
@@ -651,7 +674,7 @@ def run_adjudicate(run_dir: str | Path, config: PipelineConfig) -> StageResult:
 
         verdicts = parallel_map(judge, items, max_workers=config.max_parallel)
         records = [to_record(v) for v in verdicts if v is not None]
-        snapshot(records, outputs["adjudications.jsonl"], schema="adjudications")
+        write_artifact(records, outputs["adjudications.jsonl"])
         return {"scored": len(records), "unscored": len(items) - len(records)}
 
     return _stage(run_dir, config, "adjudicate", compute)
@@ -661,28 +684,18 @@ def run_stats(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     from .textstats import compute_overlap_stats
 
     embedder = make_embedding_service(config)
+    has_adjudications = (Path(run_dir) / "adjudications.jsonl").exists()
 
-    def compute(inputs, outputs, digest):
-        items = _load_items(inputs["dataset.jsonl"])
-        chunks = _load_chunks(inputs["chunks.jsonl"])
-        sentences = [from_record(Sentence, r) for r in load(inputs["sentences.jsonl"], "sentences")]
-        adjudications = None
-        if "adjudications.jsonl" in inputs:
-            adjudications = {
-                r["qa_id"]: r for r in load(inputs["adjudications.jsonl"], "adjudications")
-            }
-        payload = compute_overlap_stats(
-            items,
-            {c.chunk_id: c for c in chunks},
-            SentenceStore(sentences),
-            embedder,
-            adjudications=adjudications,
-        )
+    def compute(read, outputs, digest):
+        items = read("dataset.jsonl")
+        chunks = {c.chunk_id: c for c in read("chunks.jsonl")}
+        sentences = read("sentences.jsonl")
+        adjudications = read("adjudications.jsonl") if has_adjudications else None
+        payload = compute_overlap_stats(items, chunks, sentences, embedder, adjudications=adjudications)
         payload["config_digest"] = digest
         _write_json(outputs["stats_report.json"], payload)
         return {"total": payload["total_qa_pairs"], "excluded": payload["excluded_items"]}
 
-    has_adjudications = (Path(run_dir) / "adjudications.jsonl").exists()
     return _stage(run_dir, config, "stats", compute, optional=has_adjudications)
 
 
@@ -700,51 +713,44 @@ def run_retrieve(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     ``rag_contexts.jsonl`` (chunk ids in prompt order, golden position)."""
     embedder = make_embedding_service(config)
 
-    def compute(inputs, outputs, _digest):
-        items = _load_items(inputs["dataset.jsonl"])
+    def compute(read, outputs, _digest):
+        items = read("dataset.jsonl")
         if not items:
             raise ValidationError("dataset is empty; nothing to evaluate")
-        index = CorpusIndex(_load_chunks(inputs["chunks.jsonl"]))
+        index = CorpusIndex(read("chunks.jsonl"))
         vectors = embedder.embed_texts([item.question for item in items])
         records = [
             build_rag_context(item, index, vector, config).to_record() for item, vector in zip(items, vectors)
         ]
-        snapshot(records, outputs["rag_contexts.jsonl"], schema="rag_contexts")
+        write_artifact(records, outputs["rag_contexts.jsonl"])
         return {"contexts": len(records)}
 
     return _stage(run_dir, config, "retrieve", compute)
 
 
-def run_evaluate(
-    run_dir: str | Path,
-    config: PipelineConfig,
-    model: str,
-    mode: str = "zero_shot",
-) -> StageResult:
+def run_evaluate(run_dir: str | Path, config: PipelineConfig, model: str, mode: str = "zero_shot") -> StageResult:
     if mode not in ("zero_shot", "rag"):
         raise ValidationError(f"unknown evaluation mode: {mode!r}")
     if mode == "rag":
         run_retrieve(run_dir, config)
 
-    def compute(inputs, outputs, digest):
-        items = _load_items(inputs["dataset.jsonl"])
+    def compute(read, outputs, digest):
+        items = read("dataset.jsonl")
         if not items:
             raise ValidationError("dataset is empty; nothing to evaluate")
         contexts: dict[str, RagContext] | None = None
         golden_texts: dict[str, str] = {}
         if mode == "rag":
-            texts = {r["chunk_id"]: r["text"] for r in load(inputs["chunks.jsonl"], "chunks")}
-            contexts = {}
-            for record in load(inputs["rag_contexts.jsonl"], "rag_contexts"):
-                context = RagContext.from_record(record, texts)
-                contexts[context.qa_id] = context
-                golden_texts[context.qa_id] = context.documents[context.golden_position]
+            texts = {c.chunk_id: c.text for c in read("chunks.jsonl")}
+            contexts = {r["qa_id"]: RagContext.from_record(r, texts) for r in read("rag_contexts.jsonl")}
+            golden_texts = {qa_id: c.documents[c.golden_position] for qa_id, c in contexts.items()}
 
         [(out_name, out_path)] = outputs.items()
         # Opened before the read: it drops a torn last record, and the
         # outcomes of a run under another key.
-        writer = IncrementalWriter(out_path, schema="outcomes", key_digest=digest)
-        done = {r["qa_id"] for r in load(out_path, "outcomes")}
+        schema = artifact(out_name).schema
+        writer = IncrementalWriter(out_path, schema=schema, key_digest=digest)
+        done = {r["qa_id"] for r in load(out_path, schema)}
         if done:
             logger.info("resuming %s: %d outcomes already recorded", out_name, len(done))
         if model.startswith("mock:"):
@@ -752,13 +758,8 @@ def run_evaluate(
         else:
             chat = make_chat_service(config, config.seed)
         outcomes = evaluate_dataset(
-            items,
-            chat,
-            model_id=model,
-            mode=mode,
-            contexts=contexts,
-            outcome_sink=lambda o: writer.append(to_record(o)),
-            skip_qa_ids=done,
+            items, chat, model_id=model, mode=mode, contexts=contexts,
+            outcome_sink=lambda o: writer.append(to_record(o)), skip_qa_ids=done,
         )
         return {"evaluated": len(outcomes), "resumed_existing": len(done)}
 
@@ -770,14 +771,11 @@ def run_evaluate(
 def run_report(run_dir: str | Path, config: PipelineConfig, model: str) -> StageResult:
     zero_name = outcomes_name(model, "zero_shot")
     rag_name = outcomes_name(model, "rag")
+    has_rag = (Path(run_dir) / rag_name).exists()
 
-    def compute(inputs, outputs, digest):
-        items = _load_items(inputs["dataset.jsonl"])
-        zero = [from_record(EvalOutcome, r) for r in load(inputs[zero_name], "outcomes")]
-        rag = None
-        if rag_name in inputs:
-            rag = [from_record(EvalOutcome, r) for r in load(inputs[rag_name], "outcomes")]
-        report = behavioral_report(model, zero, items, rag_outcomes=rag)
+    def compute(read, outputs, digest):
+        items, zero = read("dataset.jsonl"), read(zero_name)
+        report = behavioral_report(model, zero, items, rag_outcomes=read(rag_name) if has_rag else None)
         payload = report.to_record()
         payload["config_digest"] = digest
         [report_path] = outputs.values()
@@ -785,13 +783,12 @@ def run_report(run_dir: str | Path, config: PipelineConfig, model: str) -> Stage
         print(report.table())
         return {"total_errors": report.overall.errors, "unparseable": report.overall.unparseable}
 
-    has_rag = (Path(run_dir) / rag_name).exists()
     return _stage(run_dir, config, "report", compute, optional=has_rag, model=sanitize_model_id(model))
 
 
 def run_shatter_sweep(run_dir: str | Path, config: PipelineConfig, ks: list[float | None]) -> StageResult:
-    def compute(inputs, outputs, _digest):
-        graph, frequency_unit = graph_from_records(load(inputs["graph_raw.jsonl"], "graph"))
+    def compute(read, outputs, _digest):
+        graph, frequency_unit = read("graph_raw.jsonl")
         apply_frequencies(graph, frequency_unit)
         stop_terms, stoplist_id = _stoplist(config)
         reports = shatter_sweep(graph, ks, stoplist=stop_terms, stoplist_id=stoplist_id)

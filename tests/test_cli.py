@@ -86,7 +86,7 @@ def test_readme_configuration_table_names_every_setting():
     assert named == set(PipelineConfig.__dataclass_fields__)
 
 
-def test_out_of_range_values_rejected():
+def test_out_of_range_values_rejected(tmp_path):
     config = PipelineConfig(chunk_percentile=0)
     with pytest.raises(ValidationError):
         config.validate()
@@ -96,6 +96,16 @@ def test_out_of_range_values_rejected():
     config = PipelineConfig(provider_mode="http")  # missing endpoints
     with pytest.raises(ValidationError):
         config.validate()
+    # Of the right type, but a step that is not a pair and a threshold that is not a number.
+    for line in ("theta_steps: [[1, 2, 3]]", "k_threshold: .nan"):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"corpus_paths: []\n{line}\n", encoding="utf-8")
+        key = line.split(":")[0]
+        with pytest.raises(ValidationError, match=key):
+            load_config(path)
+        result = invoke(["--config", str(path), "--run-dir", str(tmp_path / "run"), "ingest"])
+        assert result.exit_code == 2
+        assert key in result.output
 
 
 def test_inf_threshold_parses_to_none(tmp_path):

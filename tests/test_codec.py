@@ -1,8 +1,10 @@
-"""The dataclass record codec against literal artifact lines.
+"""The dataclass record codec and the artifact decoders against literal
+artifact lines.
 
-Each line below is in the form the pipeline writes. Decoding it and encoding
-the result must give the same bytes, and keys left out of older or hand-made
-records must decode to the field defaults."""
+Each line below is in the form the pipeline writes. Decoding it through its
+``pipeline.ARTIFACTS`` entry and encoding the result as its stage does must
+give the same bytes, and keys left out of older or hand-made records must
+decode to the field defaults."""
 
 from __future__ import annotations
 
@@ -14,58 +16,60 @@ from hopbench import pipeline
 from hopbench.adjudicate import Adjudication
 from hopbench.chains import ReasoningChain
 from hopbench.codec import from_record, to_record
-from hopbench.corpus import Chunk, Sentence
+from hopbench.corpus import Chunk
 from hopbench.evaluation import EvalOutcome
-from hopbench.jsonl import load, snapshot
+from hopbench.jsonl import snapshot
 from hopbench.kg import Evidence
 from hopbench.manifest import RunManifest, StageRecord
 from hopbench.synthesis import QAItem
 from hopbench.tree import SummaryTreeNode
 
 LINES = {
+    "documents": '{"doc_id":"toy_metabolic","language":"EN","pages":[1,2],"source_path":"toy_metabolic.txt"}',
     "sentences": (
-        Sentence,
         '{"doc_id":"toy_metabolic","page_number":1,"sentence_index":0,'
-        '"text":"Clinical overview of metabolic bone disease."}',
+        '"text":"Clinical overview of metabolic bone disease."}'
     ),
     "chunks": (
-        Chunk,
         '{"chunk_id":"toy_circulatory-c0000","doc_id":"toy_circulatory",'
         '"embedding":[-0.28135035736392294,0.10569562276844179],'
-        '"page_anchor":1,"sentence_span":[0,3],"text":"Chronic hypertension strains the heart."}',
+        '"page_anchor":1,"sentence_span":[0,3],"text":"Chronic hypertension strains the heart."}'
     ),
     "tree": (
-        SummaryTreeNode,
         '{"cluster_model_ref":"L1-gmm-K2","level":1,"member_ids":{"toy_a-c0000":0.5,'
-        '"toy_b-c0001":0.123456789},"node_id":"L1-n000","summary_text":"Hypertension and the heart."}',
+        '"toy_b-c0001":0.123456789},"node_id":"L1-n000","summary_text":"Hypertension and the heart."}'
     ),
     "chains": (
-        ReasoningChain,
         '{"a":"e00009","b":"e00011","b_prime":"e00015","e_bridge":"e00010","e_sib":"e00014",'
         '"evidence_hop1":{"chunk_id":"toy_metabolic-c0000","page_anchor":1,"sentence_span":[1,1]},'
         '"evidence_hop2":{"chunk_id":"toy_metabolic-c0000","page_anchor":1,"sentence_span":[2,2]},'
         '"evidence_sibling":{"chunk_id":"toy_metabolic-c0001","page_anchor":2,"sentence_span":[9,9]},'
-        '"relation_hop1":"causes","relation_hop2":"triggers","relation_sibling":"damages"}',
+        '"relation_hop1":"causes","relation_hop2":"triggers","relation_sibling":"damages"}'
     ),
     "dataset": (
-        QAItem,
         '{"answer_index":2,"chain_ref":"e00009>e00010>e00011","clinical_task":"unadjudicated",'
         '"difficulty":"hard","evidence_anchors":[{"chunk_id":"toy_metabolic-c0000","hop":"hop1",'
         '"page_anchor":1,"sentence_span":[1,1]}],"generation_metadata":{"attempts":1,"model":"default",'
         '"seed":13596717972768120383,"temperature":0.7},"hard_negative_index":1,"language":"EN",'
         '"masked_entity":{"aliases":[],"canonical":"AGEs accumulation"},'
         '"options":["Chronic bronchitis","schwann cells","osteoblast suppression","早产"],'
-        '"qa_id":"qa00000","question":"Which finding follows?","rationale":"Two hops."}',
+        '"qa_id":"qa00000","question":"Which finding follows?","rationale":"Two hops."}'
     ),
-    "outcomes": (
-        EvalOutcome,
-        '{"correct":false,"mode":"zero_shot","model_id":"mock:hash","parsed_choice":null,'
-        '"qa_id":"qa00003","raw_response":"I cannot tell."}',
+    "discards": (
+        '{"chain_ref":"e00009>e00010>e00011","detail":"no answer option left after masking",'
+        '"reason":"insufficient_fillers"}'
     ),
     "adjudications": (
-        Adjudication,
         '{"clarity":4.0,"clinical_task":"Clinical Treatment","difficulty":3.0,"members_responded":3,'
-        '"qa_id":"qa00000","reasoning_type":"Multi-hop","validity":4.67}',
+        '"qa_id":"qa00000","reasoning_type":"Multi-hop","validity":4.67}'
+    ),
+    "rag_contexts": (
+        '{"chunk_ids":["toy_metabolic-c0000","toy_respiratory-c0001","toy_respiratory-c0000"],'
+        '"golden_position":0,"qa_id":"qa00000"}'
+    ),
+    "outcomes": (
+        '{"correct":false,"mode":"zero_shot","model_id":"mock:hash","parsed_choice":null,'
+        '"qa_id":"qa00003","raw_response":"I cannot tell."}'
     ),
 }
 
@@ -90,39 +94,64 @@ STAGE_RECORD = {
 }
 
 
-def _file(tmp_path, schema: str, lines: list[str]):
-    path = tmp_path / f"{schema}.jsonl"
-    header = json.dumps({"schema": schema, "version": 1}, separators=(",", ":"))
+# The level-0 nodes that the tree line's members name: a tree decodes only whole.
+TREE_LEAVES = [
+    '{"cluster_model_ref":null,"level":0,"member_ids":{},"node_id":"toy_a-c0000","summary_text":""}',
+    '{"cluster_model_ref":null,"level":0,"member_ids":{},"node_id":"toy_b-c0001","summary_text":""}',
+]
+
+# The records that a decoded artifact gives back, as its stage writes them;
+# the others decode to a list of dataclasses.
+ENCODE = {
+    "documents": list,
+    "sentences": lambda store: [to_record(s) for s in store.sentences],
+    "tree": lambda tree: [pipeline.tree_node_to_record(n) for n in tree.nodes.values()],
+    "discards": list,
+    "adjudications": lambda by_qa_id: [to_record(from_record(Adjudication, r)) for r in by_qa_id.values()],
+    "rag_contexts": list,
+}
+
+
+def _file(tmp_path, name: str, lines: list[str]):
+    """``lines`` under the header of the schema that ``ARTIFACTS`` gives ``name``."""
+    path = tmp_path / name
+    header = json.dumps({"schema": pipeline.artifact(name).schema, "version": 1}, separators=(",", ":"))
     path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
     return path
 
 
-@pytest.mark.parametrize("schema", sorted(LINES))
+# One file per artifact in the table but the graphs, which have their own test.
+NAMES = {entry.schema: name for name, entry in pipeline.ARTIFACTS.items() if entry.schema != "graph"}
+
+
+@pytest.mark.parametrize("schema", sorted(NAMES))
 def test_decode_then_encode_gives_the_same_bytes(tmp_path, schema):
-    cls, line = LINES[schema]
-    source = _file(tmp_path, schema, [line])
-    encode = pipeline.tree_node_to_record if cls is SummaryTreeNode else to_record
-    objects = [from_record(cls, record) for record in load(source, schema)]
-    assert all(type(obj) is cls for obj in objects)
-    written = snapshot([encode(obj) for obj in objects], tmp_path / "out.jsonl", schema=schema)
+    lines = [*TREE_LEAVES, LINES[schema]] if schema == "tree" else [LINES[schema]]
+    source = _file(tmp_path, NAMES[schema].format(model="mock-hash", mode="zero_shot"), lines)
+    decoded = pipeline.read_artifact(source)
+    records = ENCODE.get(schema, lambda objects: [to_record(o) for o in objects])(decoded)
+    written = snapshot(records, tmp_path / "out.jsonl", schema=schema)
     assert written.read_bytes() == source.read_bytes()
 
 
 def test_graph_records_decode_then_encode_to_the_same_bytes(tmp_path):
-    source = _file(tmp_path, "graph", GRAPH_LINES)
-    graph, unit = pipeline.graph_from_records(load(source, "graph"))
-    assert graph.entities["e00000"].aliases == {"T2D", "type II diabetes"}
-    assert graph.edges[0].evidence == Evidence("toy_metabolic-c0000", (1, 2), 1)
-    assert graph.resolve_surface("t2d") == "e00000"
-    written = snapshot(pipeline.graph_to_records(graph, unit), tmp_path / "out.jsonl", schema="graph")
-    assert written.read_bytes() == source.read_bytes()
+    names = [name for name, entry in pipeline.ARTIFACTS.items() if entry.schema == "graph"]
+    assert names == ["graph_raw.jsonl", "graph.jsonl"]
+    for name in names:
+        source = _file(tmp_path, name, GRAPH_LINES)
+        graph, unit = pipeline.read_artifact(source)
+        assert graph.entities["e00000"].aliases == {"T2D", "type II diabetes"}
+        assert graph.edges[0].evidence == Evidence("toy_metabolic-c0000", (1, 2), 1)
+        assert graph.resolve_surface("t2d") == "e00000"
+        written = snapshot(pipeline.graph_to_records(graph, unit), tmp_path / "out.jsonl", schema="graph")
+        assert written.read_bytes() == source.read_bytes()
 
 
 def test_nested_fields_decode_to_their_types():
-    chunk = from_record(Chunk, json.loads(LINES["chunks"][1]))
+    chunk = from_record(Chunk, json.loads(LINES["chunks"]))
     assert chunk.sentence_span == (0, 3)
     assert chunk.embedding == (-0.28135035736392294, 0.10569562276844179)
-    chain = from_record(ReasoningChain, json.loads(LINES["chains"][1]))
+    chain = from_record(ReasoningChain, json.loads(LINES["chains"]))
     assert chain.evidence_sibling == Evidence("toy_metabolic-c0001", (9, 9), 2)
 
 
@@ -145,18 +174,18 @@ def test_left_out_optional_keys_decode_to_the_defaults():
     assert graph.entities["e00001"].prune_reason is None
     assert graph.edges[0].source_node_id == ""
 
-    chain = json.loads(LINES["chains"][1])
+    chain = json.loads(LINES["chains"])
     for key in ("e_sib", "b_prime", "relation_sibling", "evidence_sibling"):
         del chain[key]
     decoded = from_record(ReasoningChain, chain)
     assert (decoded.e_sib, decoded.b_prime, decoded.relation_sibling, decoded.evidence_sibling) == (None,) * 4
     assert not decoded.complete
 
-    node = json.loads(LINES["tree"][1])
+    node = json.loads(LINES["tree"])
     del node["cluster_model_ref"]
     assert from_record(SummaryTreeNode, node).cluster_model_ref is None
 
-    item = json.loads(LINES["dataset"][1])
+    item = json.loads(LINES["dataset"])
     del item["generation_metadata"]
     assert from_record(QAItem, item).generation_metadata == {}
 
@@ -165,7 +194,7 @@ def test_left_out_optional_keys_decode_to_the_defaults():
 
 
 def test_a_missing_required_key_is_refused():
-    record = json.loads(LINES["outcomes"][1])
+    record = json.loads(LINES["outcomes"])
     del record["qa_id"]
     with pytest.raises(KeyError):
         from_record(EvalOutcome, record)

@@ -1,7 +1,8 @@
-"""When a stage runs: each stage is keyed on the settings that it and every
-stage upstream of it read (``Stage.reads``), so a changed setting re-runs
-exactly the stages that read it, and a stage refuses to run over an upstream
-stage that was recorded under other settings."""
+"""When a stage runs and what it reads: each stage is keyed on the settings
+that it and every stage upstream of it read (``Stage.reads``), so a changed
+setting re-runs exactly the stages that read it, and a stage refuses to run
+over an upstream stage that was recorded under other settings. A stage reads
+the files its row names, each through its ``ARTIFACTS`` entry."""
 
 from __future__ import annotations
 
@@ -82,9 +83,12 @@ class RecordingConfig(PipelineConfig):
 
 def run_recording_reads(run_dir, config: RecordingConfig, monkeypatch) -> dict:
     """Run every stage under ``config``, asserting that each reads only the
-    fields its `reads` lists; returns each stage's result."""
+    fields its `reads` lists and exactly the files its row declares (with
+    its optional inputs where they apply); returns each stage's result."""
     config.read, config.recording = set(), False
-    real_key = pipeline.stage_key
+    real_key, real_read = pipeline.stage_key, pipeline.read_artifact
+    files: list[str] = []
+    monkeypatch.setattr(pipeline, "read_artifact", lambda path: files.append(path.name) or real_read(path))
 
     def unrecorded_key(config, *args):
         config.recording = False
@@ -103,11 +107,18 @@ def run_recording_reads(run_dir, config: RecordingConfig, monkeypatch) -> dict:
         if name == "evaluate":  # contexts are built; a RAG evaluation would re-check them
             monkeypatch.setattr(pipeline, "run_retrieve", lambda *_: None)
         config.read, config.recording = set(), True
+        files.clear()
         results[name] = result = run_stage(run_dir, config, name, *args)
         config.recording = False
         assert result.status == "ok"
-        unlisted = config.read - set(pipeline.STAGES[name].reads) - PROVIDER_ONLY
+        stage = pipeline.STAGES[name]
+        unlisted = config.read - set(stage.reads) - PROVIDER_ONLY
         assert not unlisted, f"{name} reads {sorted(unlisted)}, which its `reads` does not list"
+        # This run has adjudications and RAG outcomes, so `stats` and `report` read theirs.
+        declared = stage.inputs + (stage.optional if name in ("stats", "report") or "rag" in args else ())
+        mode = args[1] if name == "evaluate" else None
+        expected = sorted(n.format(model="mock-uniform", mode=mode) for n in declared)
+        assert sorted(files) == expected, f"{name} read {sorted(files)}, where its row declares {expected}"
     return results
 
 
@@ -125,6 +136,42 @@ def test_the_global_threshold_and_the_reranker_read_only_their_table_rows(tmp_pa
     results = run_recording_reads(tmp_path / "run", RecordingConfig(**record), monkeypatch)
     assert results["chunk"].stats["global_threshold"] is not None
     assert len(scored) == results["retrieve"].stats["contexts"]
+
+
+def test_a_stage_decodes_its_declared_inputs_only_and_only_when_it_runs(copied_run, monkeypatch):
+    config, run_dir = copied_run
+
+    def refuse(path, _schema):
+        raise AssertionError(f"a stage with nothing to do parsed {path}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "load", refuse)
+        full_run(run_dir, config)  # every stage is a no-op
+
+    def compute(read, _outputs, _digest):
+        graph, _unit = read("graph.jsonl")
+        assert graph.entities
+        read("chains.jsonl")  # the stage's output, not one of its inputs
+
+    with pytest.raises(KeyError, match="chains.jsonl"):
+        pipeline._stage(run_dir, config, "mine", compute, args={"probe": True})
+
+
+def test_every_jsonl_file_has_one_artifact_entry_whose_schema_its_header_names(finished_run):
+    _config, run_dir = finished_run
+    named = {n for stage in pipeline.STAGES.values() for n in stage.inputs + stage.optional + stage.outputs}
+    named = {n for n in named if n.endswith(".jsonl")}
+    for name in named:
+        entries = [pattern for pattern in pipeline.ARTIFACTS if pipeline._matches(name, pattern)]
+        assert len(entries) == 1, f"{name} matches {entries} in ARTIFACTS"
+    assert set(pipeline.ARTIFACTS) <= named, "ARTIFACTS names a file that no stage reads or writes"
+
+    files = sorted(run_dir.glob("*.jsonl"))
+    for pattern in pipeline.ARTIFACTS:
+        assert any(pipeline._matches(path.name, pattern) for path in files), f"the run wrote no {pattern}"
+    for path in files:
+        header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        assert header["schema"] == pipeline.artifact(path.name).schema, path.name
 
 
 # -- a changed setting re-runs what reads it --------------------------------------
