@@ -2,9 +2,10 @@
 
 The config is a flat YAML mapping. Each stage is keyed on the fields it and
 its upstream stages read (``pipeline.Stage.reads``), and every report embeds
-the digest of its stage's key, so any artifact can be traced to the settings
-that produced it. The master seed fully determines all stage and per-item
-seeds via the derivation rule in ``seeding``."""
+the digest of its stage's key and input files, so any report can be traced
+to the settings and the data that produced it. The master seed fully
+determines all stage and per-item seeds via the derivation rule in
+``seeding``."""
 
 from __future__ import annotations
 

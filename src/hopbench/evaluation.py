@@ -82,13 +82,13 @@ def evaluate_dataset(
     mode: str = "zero_shot",
     contexts: dict[str, RagContext] | None = None,
     outcome_sink: Callable[[EvalOutcome], None] | None = None,
-    skip_qa_ids: set[str] | None = None,
 ) -> list[EvalOutcome]:
     """Evaluate every item with the frozen prompt at temperature 0.
 
     RAG mode requires a context per item. Outcomes stream to ``outcome_sink``
-    as they are produced so interrupted runs can resume via ``skip_qa_ids``.
-    Provider failures become unparseable outcomes and the run continues."""
+    as they are produced, so an interrupted run keeps them; a resumed run
+    passes only the items it has not answered. Provider failures become
+    unparseable outcomes and the run continues."""
     if mode not in ("zero_shot", "rag"):
         raise ValidationError(f"unknown evaluation mode: {mode!r}")
     if mode == "rag":
@@ -99,10 +99,7 @@ def evaluate_dataset(
             raise ValidationError(f"rag contexts missing for {len(missing)} items (e.g. {missing[:3]})")
 
     outcomes: list[EvalOutcome] = []
-    skip = skip_qa_ids or set()
     for item in items:
-        if item.qa_id in skip:
-            continue
         docs = contexts[item.qa_id].documents if mode == "rag" else None
         prompt = prompts.render_eval_prompt(item.question, item.options, docs)
         request = ChatRequest.user(prompt, temperature=0.0, model_name=model_id)

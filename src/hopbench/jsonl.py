@@ -71,23 +71,24 @@ def load(path: str | Path, schema: str) -> list[dict]:
 class IncrementalWriter:
     """Append-mode JSONL writer for resumable stages (evaluation outcomes).
 
-    The header names the digest of the key the records are written under.
-    Appends flush per record so an interrupted run keeps everything written
-    so far, and a run under the same key resumes them. Opening a file whose
-    last line has no newline (a write cut short) truncates that incomplete
-    record, as a write-ahead log does on recovery; a file whose header names
-    another key, or none, is started afresh."""
+    The header names the digest of the stage run the records are written
+    under: its settings and the digests of its input files. Appends flush per
+    record so an interrupted run keeps everything written so far, and a run
+    under the same digest resumes them. Opening a file whose last line has no
+    newline (a write cut short) truncates that incomplete record, as a
+    write-ahead log does on recovery; a file whose header names another
+    digest, or none, is started afresh."""
 
-    def __init__(self, path: str | Path, schema: str, key_digest: str):
+    def __init__(self, path: str | Path, schema: str, run_digest: str):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        header = _dumps({"schema": schema, "version": SCHEMA_VERSION, "key_digest": key_digest}) + "\n"
+        header = _dumps({"schema": schema, "version": SCHEMA_VERSION, "run_digest": run_digest}) + "\n"
         if self.path.exists():
             _drop_torn_tail(self.path)
             with self.path.open("r", encoding="utf-8") as handle:
                 if handle.readline() == header:
                     return
-            logger.info("%s: no records under this key; starting afresh", self.path)
+            logger.info("%s: no records under this run digest; starting afresh", self.path)
         self.path.write_text(header, encoding="utf-8")
 
     def append(self, record: dict) -> None:

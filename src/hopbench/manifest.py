@@ -60,7 +60,7 @@ class RunManifest:
         self,
         stage: str,
         key: dict,
-        inputs: dict[str, Path],
+        input_digests: dict[str, str],
         outputs: dict[str, Path],
         started_at: float,
         stats: dict | None = None,
@@ -68,8 +68,8 @@ class RunManifest:
         record = StageRecord(
             stage=stage,
             key=key,
-            inputs={name: file_digest(path) for name, path in sorted(inputs.items())},
-            outputs={name: file_digest(path) for name, path in sorted(outputs.items())},
+            inputs=input_digests,
+            outputs={name: file_digest(path) for name, path in outputs.items()},
             started_at=started_at,
             finished_at=time.time(),
             stats=stats or {},
@@ -77,21 +77,14 @@ class RunManifest:
         self.stages.pop(stage, None)  # the latest run goes last
         self.stages[stage] = record
 
-    def changes(self, stage: str, key: dict, inputs: dict[str, Path], outputs: dict[str, Path]) -> set[str] | None:
-        """What changed since this stage last ran, out of "key", "inputs" and
-        "outputs" (a missing output counts); None when it never ran. Files are
-        digested only under an unchanged key."""
+    def unchanged(self, stage: str, key: dict, input_digests: dict[str, str], outputs: dict[str, Path]) -> bool:
+        """Whether this stage last ran under ``key`` over inputs of these
+        digests and its outputs are as it left them. Outputs are digested
+        only when the key and inputs match; a missing output is a change."""
         record = self.stages.get(stage)
-        if record is None:
-            return None
-        if record.key != key:
-            return {"key"}
-        changed = set()
-        if {name: file_digest(path) for name, path in sorted(inputs.items())} != record.inputs:
-            changed.add("inputs")
+        if record is None or record.key != key or record.inputs != input_digests:
+            return False
         try:
-            if {name: file_digest(path) for name, path in sorted(outputs.items())} != record.outputs:
-                changed.add("outputs")
+            return {name: file_digest(path) for name, path in outputs.items()} == record.outputs
         except FileNotFoundError:
-            changed.add("outputs")
-        return changed
+            return False

@@ -3,14 +3,16 @@
 Each stage validates its upstream artifacts (by presence and manifest
 digest), computes, writes outputs atomically, and records itself in the run
 manifest under its key: the settings it and every stage upstream of it read,
-and its arguments. A stage runs again when its key, its inputs or its
-outputs changed, and is a no-op otherwise; it refuses to run over an upstream
-stage recorded under other settings. Artifacts carry no timestamps, so
-identical configs and seeds reproduce byte-identical files. ``STAGES`` lists
-every stage with the settings and files it reads and the files it writes.
-``ARTIFACTS`` is the one place where a JSONL file's schema and decoded type
-live: a stage gets its inputs decoded from ``read(name)``, and records
-round-trip through ``codec``."""
+and its arguments. A stage run is named by one digest, of its key and of its
+input files' digests: the no-op check, the resume of evaluation outcomes and
+each report's ``config_digest`` all read it. A stage runs again when that
+digest or its outputs changed, and is a no-op otherwise; it refuses to run
+over an upstream stage recorded under other settings. Artifacts carry no
+timestamps, so identical configs and seeds reproduce byte-identical files.
+``STAGES`` lists every stage with the settings and files it reads and the
+files it writes. ``ARTIFACTS`` is the one place where a JSONL file's schema
+and decoded type live: a stage gets its inputs decoded from ``read(name)``,
+and records round-trip through ``codec``."""
 
 from __future__ import annotations
 
@@ -57,7 +59,6 @@ from .kg import (
     Entity,
     KnowledgeGraph,
     Triplet,
-    apply_frequencies,
     assemble_graph,
     load_stoplist,
     shatter,
@@ -92,9 +93,7 @@ class Stage:
     ``inputs`` and ``outputs`` are run-directory artifacts; ``{model}`` and
     ``{mode}`` in a name stand for the evaluated model and mode. ``optional``
     inputs are read by some runs only (``adjudications.jsonl`` once it
-    exists, the retrieval artifacts in RAG mode). A stage that ``resumes``
-    appends to its outputs and resumes them after an interruption; a run
-    under another key or on other inputs starts them afresh."""
+    exists, the retrieval artifacts in RAG mode)."""
 
     name: str
     reads: tuple[str, ...]
@@ -102,7 +101,6 @@ class Stage:
     outputs: tuple[str, ...]
     help: str
     optional: tuple[str, ...] = ()
-    resumes: bool = False
 
 
 # What a chat and an embedding service read. Three fields are in no stage's
@@ -145,7 +143,7 @@ STAGES = {
         ),
         Stage(
             "shatter",
-            ("k_threshold", "stoplist_path"),
+            ("k_threshold", "stoplist_path", "frequency_unit"),
             ("graph_raw.jsonl",),
             ("graph.jsonl", "topology_report.json"),
             "Flag hub entities as pruned and write the graph with its flags.",
@@ -200,7 +198,6 @@ STAGES = {
             ("outcomes_{model}_{mode}.jsonl",),
             "Run multiple-choice evaluation and persist outcomes incrementally.",
             optional=("chunks.jsonl", "rag_contexts.jsonl"),
-            resumes=True,
         ),
         Stage(
             "report",
@@ -279,10 +276,9 @@ def graph_to_records(graph: KnowledgeGraph, frequency_unit: str) -> list[dict]:
     return records
 
 
-def graph_from_records(records: list[dict]) -> tuple[KnowledgeGraph, str]:
-    """Rebuild a graph (entities keep their ids and prune flags, so traversal
-    skips the pruned ones; all stored edges are attached). Returns (graph,
-    frequency_unit)."""
+def graph_from_records(records: list[dict]) -> KnowledgeGraph:
+    """Rebuild a graph (entities keep their ids, frequencies and prune flags,
+    so traversal skips the pruned ones; all stored edges are attached)."""
     meta = records[0]
     if meta.get("kind") != "meta":
         raise ValidationError("graph snapshot must start with a meta record")
@@ -295,7 +291,7 @@ def graph_from_records(records: list[dict]) -> tuple[KnowledgeGraph, str]:
                 graph._surface_index.setdefault(normalize_for_match(surface), entity.entity_id)
         elif record["kind"] == "edge":
             graph.add_edge(from_record(Triplet, record))
-    return graph, meta.get("frequency_unit", "tree_nodes")
+    return graph
 
 
 def _chunks(records: list[dict]) -> list[Chunk]:
@@ -332,7 +328,7 @@ class Artifact:
     decode: Callable[[list[dict]], object] = list
 
 
-GRAPH = Artifact("graph", graph_from_records)  # decodes to (graph, frequency_unit)
+GRAPH = Artifact("graph", graph_from_records)
 
 # Every JSONL file that ``STAGES`` names, by name or by pattern.
 ARTIFACTS = {
@@ -465,13 +461,15 @@ def _stage(
     args: dict | None = None,
     **params: str,
 ) -> StageResult:
-    """Run the table stage ``name`` unless its key, inputs and outputs are
-    unchanged since it last ran. ``params`` fill the ``{model}`` and
-    ``{mode}`` names and name the stage's record (``evaluate:<model>:<mode>``);
-    they and ``args`` enter the key. ``optional`` adds the stage's optional
-    inputs. ``compute`` gets ``read``, the outputs and the key's digest;
-    ``read(name)`` decodes the input ``name`` when called, and raises
-    ``KeyError`` for a name that is not one of the stage's inputs."""
+    """Run the table stage ``name`` unless it last ran under the same key over
+    input files of the same digests and its outputs are as it left them.
+    ``params`` fill the ``{model}`` and ``{mode}`` names and name the stage's
+    record (``evaluate:<model>:<mode>``); they and ``args`` enter the key.
+    ``optional`` adds the stage's optional inputs. Each input is digested
+    once. ``compute`` gets ``read``, the outputs and the run's digest (of the
+    key and the input digests); ``read(name)`` decodes the input ``name``
+    when called, and raises ``KeyError`` for a name that is not one of the
+    stage's inputs."""
     stage = STAGES[name]
     record_name = ":".join([name, *params.values()])
     input_names = [n.format(**params) for n in stage.inputs + (stage.optional if optional else ())]
@@ -483,19 +481,17 @@ def _stage(
         for n, path in inputs.items():
             if not path.exists():
                 raise DependencyError(f"missing {n}; run `hopbench {producer(n)}` first")
+        input_digests = {n: file_digest(path) for n, path in inputs.items()}
         outputs = {n.format(**params): run_dir / n.format(**params) for n in stage.outputs}
-        changes = manifest.changes(record_name, key, inputs, outputs)
-        if changes == set():
+        if manifest.unchanged(record_name, key, input_digests, outputs):
             logger.info("%s: key, inputs and outputs unchanged; no-op", record_name)
             return StageResult(stage=record_name, status="skipped", stats={})
         _check_upstream(manifest, input_names, key)
-        if stage.resumes and changes is not None and changes & {"key", "inputs"}:
-            for path in outputs.values():  # left by a run under other settings or inputs
-                path.unlink(missing_ok=True)
 
         started = time.time()
-        stats = compute(lambda n: read_artifact(inputs[n]), outputs, stable_text_digest(canonical_json(key)))
-        manifest.record_stage(record_name, key, inputs, outputs, started, stats=stats)
+        digest = stable_text_digest(canonical_json({"key": key, "inputs": input_digests}))
+        stats = compute(lambda n: read_artifact(inputs[n]), outputs, digest)
+        manifest.record_stage(record_name, key, input_digests, outputs, started, stats=stats)
         manifest.save(run_dir)
         return StageResult(stage=record_name, status="ok", stats=stats)
 
@@ -600,11 +596,10 @@ def run_extract(run_dir: str | Path, config: PipelineConfig) -> StageResult:
 
 def run_shatter(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     def compute(read, outputs, _digest):
-        graph, frequency_unit = read("graph_raw.jsonl")
+        graph = read("graph_raw.jsonl")
         stop_terms, stoplist_id = _stoplist(config)
-        apply_frequencies(graph, frequency_unit)
         shattered = shatter(graph, config.k_threshold, stoplist=stop_terms, stoplist_id=stoplist_id)
-        write_artifact(graph_to_records(shattered, frequency_unit), outputs["graph.jsonl"])
+        write_artifact(graph_to_records(shattered, config.frequency_unit), outputs["graph.jsonl"])
         report = {
             "k_threshold": "inf" if config.k_threshold is None else config.k_threshold,
             "stoplist_id": stoplist_id,
@@ -625,7 +620,7 @@ def run_shatter(run_dir: str | Path, config: PipelineConfig) -> StageResult:
 
 def run_mine(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     def compute(read, outputs, _digest):
-        graph, _unit = read("graph.jsonl")
+        graph = read("graph.jsonl")
         mined = mine_chains(graph, config.per_source_cap)
         completed: list[ReasoningChain] = []
         no_sibling = 0
@@ -644,7 +639,7 @@ def run_synthesize(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     chat = make_chat_service(config, config.seed)
 
     def compute(read, outputs, _digest):
-        (graph, _unit), chains = read("graph.jsonl"), read("chains.jsonl")
+        graph, chains = read("graph.jsonl"), read("chains.jsonl")
         chunks = {c.chunk_id: c for c in read("chunks.jsonl")}
         items, discards = synthesize_dataset(chains, graph, chunks, read("sentences.jsonl"), chat, config)
         write_artifact([to_record(i) for i in items], outputs["dataset.jsonl"])
@@ -747,9 +742,9 @@ def run_evaluate(run_dir: str | Path, config: PipelineConfig, model: str, mode: 
 
         [(out_name, out_path)] = outputs.items()
         # Opened before the read: it drops a torn last record, and the
-        # outcomes of a run under another key.
+        # outcomes of a run under another digest.
         schema = artifact(out_name).schema
-        writer = IncrementalWriter(out_path, schema=schema, key_digest=digest)
+        writer = IncrementalWriter(out_path, schema=schema, run_digest=digest)
         done = {r["qa_id"] for r in load(out_path, schema)}
         if done:
             logger.info("resuming %s: %d outcomes already recorded", out_name, len(done))
@@ -758,8 +753,8 @@ def run_evaluate(run_dir: str | Path, config: PipelineConfig, model: str, mode: 
         else:
             chat = make_chat_service(config, config.seed)
         outcomes = evaluate_dataset(
-            items, chat, model_id=model, mode=mode, contexts=contexts,
-            outcome_sink=lambda o: writer.append(to_record(o)), skip_qa_ids=done,
+            [item for item in items if item.qa_id not in done], chat, model_id=model, mode=mode,
+            contexts=contexts, outcome_sink=lambda o: writer.append(to_record(o)),
         )
         return {"evaluated": len(outcomes), "resumed_existing": len(done)}
 
@@ -788,8 +783,7 @@ def run_report(run_dir: str | Path, config: PipelineConfig, model: str) -> Stage
 
 def run_shatter_sweep(run_dir: str | Path, config: PipelineConfig, ks: list[float | None]) -> StageResult:
     def compute(read, outputs, _digest):
-        graph, frequency_unit = read("graph_raw.jsonl")
-        apply_frequencies(graph, frequency_unit)
+        graph = read("graph_raw.jsonl")
         stop_terms, stoplist_id = _stoplist(config)
         reports = shatter_sweep(graph, ks, stoplist=stop_terms, stoplist_id=stoplist_id)
         labels = ["inf" if k is None else k for k in ks]

@@ -47,17 +47,14 @@ class TopologyReport:
         return {**codec.to_record(self), "average_shortest_path": None if path is None else round(path, 6)}
 
 
-def _require_present(graph: KnowledgeGraph, entity_id: str) -> None:
-    entity = graph.entities.get(entity_id)
-    if entity is None:
-        raise ValidationError(f"unknown entity id {entity_id!r}")
-    if entity.is_pruned:
-        raise ValidationError(f"entity {entity_id!r} is pruned")
-
-
 def bfs_hops(graph: KnowledgeGraph, source: str) -> dict[str, int]:
-    """Undirected hop distances from a source to every reachable present node."""
-    _require_present(graph, source)
+    """Undirected hop distances from a present source to every reachable
+    present node; an unknown or pruned source is refused."""
+    entity = graph.entities.get(source)
+    if entity is None:
+        raise ValidationError(f"unknown entity id {source!r}")
+    if entity.is_pruned:
+        raise ValidationError(f"entity {source!r} is pruned")
     distances = {source: 0}
     queue = deque([source])
     while queue:
@@ -67,15 +64,6 @@ def bfs_hops(graph: KnowledgeGraph, source: str) -> dict[str, int]:
                 distances[neighbor] = distances[node] + 1
                 queue.append(neighbor)
     return distances
-
-
-def shortest_path_hops(graph: KnowledgeGraph, u: str, v: str) -> int | None:
-    """Undirected hop count between two present nodes; None when unreachable."""
-    _require_present(graph, u)
-    _require_present(graph, v)
-    if u == v:
-        return 0
-    return bfs_hops(graph, u).get(v)
 
 
 def connected_components(graph: KnowledgeGraph) -> list[list[str]]:

@@ -35,7 +35,7 @@ from hopbench.rag import CorpusIndex, build_rag_context
 from hopbench.seeding import derive_seed
 from hopbench.synthesis import QAItem, synthesize_item, verify_masking
 from hopbench.textstats import bleu1, rouge1_f1, tokenize
-from hopbench.topology import shatter_sweep, shortest_path_hops
+from hopbench.topology import bfs_hops, shatter_sweep
 from hopbench.toydata import toy_config
 
 
@@ -82,8 +82,6 @@ def test_acceptance_01_shattering_monotonicity():
         kept_edges = [(e.head, e.tail) for e in view.edges]
         kept_nodes = set(view.present_ids())
 
-        from hopbench.topology import bfs_hops
-
         for source in sorted(kept_nodes):
             oracle_original = oracle_distances(all_edges, all_nodes, source)
             oracle_shattered = oracle_distances(kept_edges, kept_nodes, source)
@@ -105,9 +103,9 @@ def test_acceptance_01_shattering_monotonicity():
 def test_acceptance_02_toy_graph_reproduction(diabetes_toy_graph):
     diabetes = entity_id_by_name(diabetes_toy_graph, "Type 2 Diabetes")
     fracture = entity_id_by_name(diabetes_toy_graph, "Fracture risk")
-    assert shortest_path_hops(diabetes_toy_graph, diabetes, fracture) == 2
+    assert bfs_hops(diabetes_toy_graph, diabetes).get(fracture) == 2
     shattered = shatter(diabetes_toy_graph, None, stoplist={"blood"})
-    assert shortest_path_hops(shattered, diabetes, fracture) == 4
+    assert bfs_hops(shattered, diabetes).get(fracture) == 4
     report_pass(2, "hub pruning stretches the toy path from 2 to 4 hops exactly")
 
 

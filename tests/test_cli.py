@@ -367,9 +367,15 @@ def synthesized_toy_run(run_dir, config) -> None:
 
 def interrupted_evaluation(run_dir, config, monkeypatch, answered: int):
     """Run `evaluate` (mock:oracle, zero-shot) until ``answered`` outcomes are
-    written, then stop it as a crash would: no manifest record is left."""
+    written, then stop it as a crash would: the manifest keeps the record it
+    held for the stage, if any."""
     from hopbench.evaluation import MockEvalTransport
 
+    def records():
+        stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+        return [r for r in stages if r["stage"] == "evaluate:mock-oracle:zero_shot"]
+
+    before = records()
     real_complete = MockEvalTransport.complete
     calls = []
 
@@ -383,7 +389,49 @@ def interrupted_evaluation(run_dir, config, monkeypatch, answered: int):
         patch.setattr(MockEvalTransport, "complete", complete)
         with pytest.raises(KeyboardInterrupt):
             pipeline.run_evaluate(run_dir, config, "mock:oracle", "zero_shot")
-    assert "evaluate:mock-oracle:zero_shot" not in json.loads((run_dir / "manifest.json").read_text())["stages"]
+    assert records() == before
+
+
+def resynthesized_with_reworded_questions(run_dir, config, monkeypatch) -> list[dict]:
+    """Delete `dataset.jsonl` and synthesize it again under the same settings
+    from a provider that words every question differently, as a sampling
+    HTTP model may. Returns the new items."""
+    from hopbench.jsonl import load as jsonl_load
+    from hopbench.providers import MockChatTransport
+
+    real_vignette = MockChatTransport._vignette
+
+    def vignette(self, text, seed):
+        reply = json.loads(real_vignette(self, text, seed))
+        reply["question"] = "On review, " + reply["question"]
+        return json.dumps(reply, ensure_ascii=False)
+
+    old = jsonl_load(run_dir / "dataset.jsonl", "dataset")
+    (run_dir / "dataset.jsonl").unlink()
+    with monkeypatch.context() as patch:
+        patch.setattr(MockChatTransport, "_vignette", vignette)
+        assert pipeline.run_synthesize(run_dir, config).status == "ok"
+    items = jsonl_load(run_dir / "dataset.jsonl", "dataset")
+    assert [i["qa_id"] for i in items] == [i["qa_id"] for i in old]
+    assert all(i["question"].startswith("On review, ") for i in items)
+    return items
+
+
+def evaluated_prompts(run_dir, config, monkeypatch):
+    """Run `evaluate` (mock:oracle, zero-shot); return its result and the
+    prompts it sent."""
+    from hopbench.evaluation import MockEvalTransport
+
+    real_complete = MockEvalTransport.complete
+    prompts = []
+
+    def complete(self, request):
+        prompts.append("\n".join(request.messages))
+        return real_complete(self, request)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MockEvalTransport, "complete", complete)
+        return pipeline.run_evaluate(run_dir, config, "mock:oracle", "zero_shot"), prompts
 
 
 def test_evaluate_resumes_partial_outcomes(toy_yaml, tmp_path, monkeypatch):
@@ -412,6 +460,43 @@ def test_an_interrupted_first_evaluation_is_not_resumed_under_other_settings(toy
     dataset = jsonl_load(run_dir / "dataset.jsonl", "dataset")
     assert result.stats == {"evaluated": len(dataset), "resumed_existing": 0}
     outcomes = jsonl_load(run_dir / pipeline.outcomes_name("mock:oracle", "zero_shot"), "outcomes")
+    assert all(o["correct"] for o in outcomes)
+
+
+def test_an_interrupted_evaluation_is_not_resumed_on_a_resynthesized_dataset(toy_yaml, tmp_path, monkeypatch):
+    # Same settings, other questions: the outcome answered before the
+    # dataset changed is not carried over.
+    from hopbench.jsonl import load as jsonl_load
+
+    run_dir = tmp_path / "run"
+    config = load_config(toy_yaml)
+    synthesized_toy_run(run_dir, config)
+    interrupted_evaluation(run_dir, config, monkeypatch, answered=1)
+    items = resynthesized_with_reworded_questions(run_dir, config, monkeypatch)
+    result, prompts = evaluated_prompts(run_dir, config, monkeypatch)
+    assert result.stats == {"evaluated": len(items), "resumed_existing": 0}
+    assert len(prompts) == len(items) and all("On review, " in prompt for prompt in prompts)
+    outcomes = jsonl_load(run_dir / pipeline.outcomes_name("mock:oracle", "zero_shot"), "outcomes")
+    assert sorted(o["qa_id"] for o in outcomes) == sorted(i["qa_id"] for i in items)
+
+
+def test_an_interrupted_evaluation_of_a_changed_dataset_is_resumed(toy_yaml, tmp_path, monkeypatch):
+    # A finished evaluation, then a new dataset whose evaluation is cut
+    # short: the next run keeps the outcomes already written over it.
+    from hopbench.jsonl import load as jsonl_load
+
+    run_dir = tmp_path / "run"
+    config = load_config(toy_yaml)
+    synthesized_toy_run(run_dir, config)
+    assert pipeline.run_evaluate(run_dir, config, "mock:oracle", "zero_shot").status == "ok"
+    items = resynthesized_with_reworded_questions(run_dir, config, monkeypatch)
+    assert len(items) >= 3
+    interrupted_evaluation(run_dir, config, monkeypatch, answered=2)
+    result, prompts = evaluated_prompts(run_dir, config, monkeypatch)
+    assert result.stats == {"evaluated": len(items) - 2, "resumed_existing": 2}
+    assert len(prompts) == len(items) - 2 and all("On review, " in prompt for prompt in prompts)
+    outcomes = jsonl_load(run_dir / pipeline.outcomes_name("mock:oracle", "zero_shot"), "outcomes")
+    assert sorted(o["qa_id"] for o in outcomes) == sorted(i["qa_id"] for i in items)
     assert all(o["correct"] for o in outcomes)
 
 

@@ -139,11 +139,11 @@ def test_graph_records_decode_then_encode_to_the_same_bytes(tmp_path):
     assert names == ["graph_raw.jsonl", "graph.jsonl"]
     for name in names:
         source = _file(tmp_path, name, GRAPH_LINES)
-        graph, unit = pipeline.read_artifact(source)
+        graph = pipeline.read_artifact(source)
         assert graph.entities["e00000"].aliases == {"T2D", "type II diabetes"}
         assert graph.edges[0].evidence == Evidence("toy_metabolic-c0000", (1, 2), 1)
         assert graph.resolve_surface("t2d") == "e00000"
-        written = snapshot(pipeline.graph_to_records(graph, unit), tmp_path / "out.jsonl", schema="graph")
+        written = snapshot(pipeline.graph_to_records(graph, "tree_nodes"), tmp_path / "out.jsonl", schema="graph")
         assert written.read_bytes() == source.read_bytes()
 
 
@@ -168,7 +168,7 @@ def test_stage_record_round_trip_through_the_manifest(tmp_path):
 def test_left_out_optional_keys_decode_to_the_defaults():
     entity_line, edge_line = json.loads(GRAPH_LINES[2]), json.loads(GRAPH_LINES[3])
     del entity_line["prune_reason"], edge_line["source_node_id"]
-    graph, _unit = pipeline.graph_from_records(
+    graph = pipeline.graph_from_records(
         [json.loads(GRAPH_LINES[0]), json.loads(GRAPH_LINES[1]), entity_line, edge_line]
     )
     assert graph.entities["e00001"].prune_reason is None

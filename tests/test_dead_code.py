@@ -28,7 +28,6 @@ ALLOWED = {
     "run_tree": "the CLI registers `hopbench tree` through getattr(pipeline, 'run_' + stage name)",
     "run_extract": "the CLI registers `hopbench extract` through getattr(pipeline, 'run_' + stage name)",
     "write_toy_config": "a click command: its decorator registers `hopbench write-toy-config`",
-    "shortest_path_hops": "kept as the public two-node hop query over a graph view; the topology tests use it",
 }
 
 

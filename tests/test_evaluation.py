@@ -137,19 +137,20 @@ def test_rag_mode_requires_contexts():
 
 
 def test_outcome_sink_and_resume_skip():
+    # A resumed run passes the items it has not answered: the sink sees
+    # those, in dataset order.
     items = [make_item(i) for i in range(4)]
     chat = ChatService(MockEvalTransport("mock:oracle", items, seed=0))
     seen: list[str] = []
     outcomes = evaluate_dataset(
-        items,
+        [item for item in items if item.qa_id != "qa0001"],
         chat,
         model_id="m",
         mode="zero_shot",
         outcome_sink=lambda o: seen.append(o.qa_id),
-        skip_qa_ids={"qa0001"},
     )
     assert seen == ["qa0000", "qa0002", "qa0003"]
-    assert len(outcomes) == 3
+    assert [o.qa_id for o in outcomes] == seen
 
 
 # -- behavioral metrics -----------------------------------------------------------

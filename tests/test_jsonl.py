@@ -65,24 +65,24 @@ def test_serialization_is_byte_stable(tmp_path):
 
 def test_incremental_writer_appends_and_resumes(tmp_path):
     path = tmp_path / "outcomes.jsonl"
-    writer = IncrementalWriter(path, schema="outcomes", key_digest="k1")
+    writer = IncrementalWriter(path, schema="outcomes", run_digest="k1")
     writer.append({"qa_id": "qa1"})
     writer.append({"qa_id": "qa2"})
-    # a new writer on the same path, under the same key, keeps existing rows
-    again = IncrementalWriter(path, schema="outcomes", key_digest="k1")
+    # a new writer on the same path, under the same digest, keeps existing rows
+    again = IncrementalWriter(path, schema="outcomes", run_digest="k1")
     again.append({"qa_id": "qa3"})
     assert [r["qa_id"] for r in load(path, "outcomes")] == ["qa1", "qa2", "qa3"]
 
 
 def test_incremental_writer_starts_afresh_under_another_key_or_none(tmp_path):
     path = tmp_path / "outcomes.jsonl"
-    IncrementalWriter(path, schema="outcomes", key_digest="k1").append({"qa_id": "qa1"})
-    IncrementalWriter(path, schema="outcomes", key_digest="k2").append({"qa_id": "qa2"})
+    IncrementalWriter(path, schema="outcomes", run_digest="k1").append({"qa_id": "qa1"})
+    IncrementalWriter(path, schema="outcomes", run_digest="k2").append({"qa_id": "qa2"})
     assert [r["qa_id"] for r in load(path, "outcomes")] == ["qa2"]
     assert path.read_text(encoding="utf-8").splitlines()[0] == (
-        '{"key_digest":"k2","schema":"outcomes","version":1}'
+        '{"run_digest":"k2","schema":"outcomes","version":1}'
     )
-    # a header without a key, as an older writer left it
+    # a header without a digest, as an older writer left it
     path.write_text('{"schema":"outcomes","version":1}\n{"qa_id":"qa1"}\n', encoding="utf-8")
-    IncrementalWriter(path, schema="outcomes", key_digest="k2")
+    IncrementalWriter(path, schema="outcomes", run_digest="k2")
     assert load(path, "outcomes") == []

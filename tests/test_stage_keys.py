@@ -149,7 +149,7 @@ def test_a_stage_decodes_its_declared_inputs_only_and_only_when_it_runs(copied_r
         full_run(run_dir, config)  # every stage is a no-op
 
     def compute(read, _outputs, _digest):
-        graph, _unit = read("graph.jsonl")
+        graph = read("graph.jsonl")
         assert graph.entities
         read("chains.jsonl")  # the stage's output, not one of its inputs
 

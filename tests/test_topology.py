@@ -12,8 +12,8 @@ from hopbench.kg import Evidence, KnowledgeGraph, Triplet, shatter
 from hopbench.topology import (
     TopologyReport,
     connected_components,
+    bfs_hops,
     shatter_sweep,
-    shortest_path_hops,
     topology_report,
 )
 
@@ -44,29 +44,29 @@ def brute_force_distance(graph, u: str, v: str) -> int | None:
 
 def test_distance_to_self_is_zero(diabetes_toy_graph):
     node = entity_id_by_name(diabetes_toy_graph, "Blood")
-    assert shortest_path_hops(diabetes_toy_graph, node, node) == 0
+    assert bfs_hops(diabetes_toy_graph, node)[node] == 0
 
 
 def test_toy_graph_distances_before_and_after_shatter(diabetes_toy_graph):
     diabetes = entity_id_by_name(diabetes_toy_graph, "Type 2 Diabetes")
     fracture = entity_id_by_name(diabetes_toy_graph, "Fracture risk")
-    assert shortest_path_hops(diabetes_toy_graph, diabetes, fracture) == 2
+    assert bfs_hops(diabetes_toy_graph, diabetes).get(fracture) == 2
     shattered = shatter(diabetes_toy_graph, None, stoplist={"blood"})
-    assert shortest_path_hops(shattered, diabetes, fracture) == 4
+    assert bfs_hops(shattered, diabetes).get(fracture) == 4
 
 
 def test_unknown_node_rejected(diabetes_toy_graph):
-    node = entity_id_by_name(diabetes_toy_graph, "Blood")
-    with pytest.raises(ValidationError):
-        shortest_path_hops(diabetes_toy_graph, node, "e99999")
+    with pytest.raises(ValidationError, match="unknown entity id"):
+        bfs_hops(diabetes_toy_graph, "e99999")
 
 
 def test_pruned_node_not_present_in_shattered_view(diabetes_toy_graph):
     shattered = shatter(diabetes_toy_graph, None, stoplist={"blood"})
     blood = entity_id_by_name(diabetes_toy_graph, "Blood")
     other = entity_id_by_name(diabetes_toy_graph, "Fracture risk")
-    with pytest.raises(ValidationError):
-        shortest_path_hops(shattered, blood, other)
+    with pytest.raises(ValidationError, match="is pruned"):
+        bfs_hops(shattered, blood)
+    assert blood not in bfs_hops(shattered, other)
 
 
 def test_bfs_matches_enumeration_oracle_on_random_graphs():
@@ -75,7 +75,7 @@ def test_bfs_matches_enumeration_oracle_on_random_graphs():
         graph = random_digraph(rng, max_nodes=12, max_edges=30)
         ids = sorted(graph.entities)
         for u, v in itertools.islice(itertools.combinations(ids, 2), 40):
-            assert shortest_path_hops(graph, u, v) == brute_force_distance(graph, u, v)
+            assert bfs_hops(graph, u).get(v) == brute_force_distance(graph, u, v)
 
 
 def test_path_graph_average_shortest_path():
