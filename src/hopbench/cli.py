@@ -54,19 +54,30 @@ def main(ctx: click.Context, config_path, run_dir, verbose: bool):
     ctx.obj.update(config_path=config_path, run_dir=run_dir)
 
 
+# Repeating --model or --mode runs the stage for each in one process, which
+# decodes the inputs every model shares once (see `pipeline._stage`).
 @main.command(help=pipeline.STAGES["evaluate"].help)
-@click.option("--model", required=True, help=f"Chat model name, or mock:{{{','.join(MOCK_EVAL_BEHAVIORS)}}}.")
-@click.option("--mode", type=click.Choice(["zero_shot", "rag"]), default="zero_shot")
+@click.option(
+    "--model", "models", required=True, multiple=True,
+    help=f"Chat model name, or mock:{{{','.join(MOCK_EVAL_BEHAVIORS)}}}; repeatable.",
+)
+@click.option(
+    "--mode", "modes", type=click.Choice(["zero_shot", "rag"]), multiple=True, default=["zero_shot"],
+    help="Repeatable; zero_shot by default.",
+)
 @click.pass_context
-def evaluate(ctx, model: str, mode: str):
-    _run(ctx, pipeline.run_evaluate, model, mode)
+def evaluate(ctx, models: tuple[str, ...], modes: tuple[str, ...]):
+    for model in models:
+        for mode in modes:
+            _run(ctx, pipeline.run_evaluate, model, mode)
 
 
 @main.command(help=pipeline.STAGES["report"].help)
-@click.option("--model", required=True)
+@click.option("--model", "models", required=True, multiple=True, help="Chat model name; repeatable.")
 @click.pass_context
-def report(ctx, model: str):
-    _run(ctx, pipeline.run_report, model)
+def report(ctx, models: tuple[str, ...]):
+    for model in models:
+        _run(ctx, pipeline.run_report, model)
 
 
 def _parse_ks(_ctx, _param, spec: str) -> list[float | None]:

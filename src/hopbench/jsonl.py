@@ -37,45 +37,47 @@ def snapshot(records: Iterable[dict], path: str | Path, schema: str) -> Path:
 
 
 def load(path: str | Path, schema: str) -> list[dict]:
-    """Read records back, enforcing the schema header; malformed lines raise
-    with their line number."""
+    """Read records back, enforcing the schema header on line 1; blank lines
+    after it are skipped, and malformed lines raise with their line number."""
     path = Path(path)
     if not path.exists():
         raise SnapshotError(f"snapshot not found: {path}")
-    records: list[dict] = []
     with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
+        first = handle.readline().strip()
+        header = _parse(path, 1, first) if first else None
+        if not isinstance(header, dict) or "schema" not in header:
+            raise MigrationError(f"{path}: missing schema header line")
+        if header["schema"] != schema:
+            raise MigrationError(f"{path}: schema {header['schema']!r} where {schema!r} expected")
+        if header.get("version") != SCHEMA_VERSION:
+            raise MigrationError(
+                f"{path}: schema version {header.get('version')} (reader supports {SCHEMA_VERSION})"
+            )
+        records: list[dict] = []
+        for line_number, line in enumerate(handle, start=2):
             stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise SnapshotError(f"{path}: malformed JSON at line {line_number}: {exc.msg}") from exc
-            if line_number == 1:
-                if not isinstance(record, dict) or "schema" not in record:
-                    raise MigrationError(f"{path}: missing schema header line")
-                if record["schema"] != schema:
-                    raise MigrationError(
-                        f"{path}: schema {record['schema']!r} where {schema!r} expected"
-                    )
-                if record.get("version") != SCHEMA_VERSION:
-                    raise MigrationError(
-                        f"{path}: schema version {record.get('version')} (reader supports {SCHEMA_VERSION})"
-                    )
-                continue
-            records.append(record)
+            if stripped:
+                records.append(_parse(path, line_number, stripped))
     return records
 
 
+def _parse(path: Path, line_number: int, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SnapshotError(f"{path}: malformed JSON at line {line_number}: {exc.msg}") from exc
+
+
 class IncrementalWriter:
-    """Append-mode JSONL writer for resumable stages (evaluation outcomes).
+    """Append-mode JSONL writer for resumable stages (evaluation outcomes), a
+    context manager that holds one open handle until it is closed.
 
     The header names the digest of the stage run the records are written
-    under: its settings and the digests of its input files. Appends flush per
-    record so an interrupted run keeps everything written so far, and a run
-    under the same digest resumes them. Opening a file whose last line has no
-    newline (a write cut short) truncates that incomplete record, as a
+    under: its settings and the digests of its input files. The header and
+    each appended record are flushed at once, so a reader sees them while the
+    writer is open and an interrupted run keeps everything written so far;
+    a run under the same digest resumes them. Opening a file whose last line
+    has no newline (a write cut short) truncates that incomplete record, as a
     write-ahead log does on recovery; a file whose header names another
     digest, or none, is started afresh."""
 
@@ -83,18 +85,30 @@ class IncrementalWriter:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         header = _dumps({"schema": schema, "version": SCHEMA_VERSION, "run_digest": run_digest}) + "\n"
+        resume = False
         if self.path.exists():
             _drop_torn_tail(self.path)
             with self.path.open("r", encoding="utf-8") as handle:
-                if handle.readline() == header:
-                    return
-            logger.info("%s: no records under this run digest; starting afresh", self.path)
-        self.path.write_text(header, encoding="utf-8")
+                resume = handle.readline() == header
+            if not resume:
+                logger.info("%s: no records under this run digest; starting afresh", self.path)
+        self._handle = self.path.open("a" if resume else "w", encoding="utf-8")
+        if not resume:
+            self._handle.write(header)
+            self._handle.flush()
 
     def append(self, record: dict) -> None:
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(_dumps(record) + "\n")
-            handle.flush()
+        self._handle.write(_dumps(record) + "\n")
+        self._handle.flush()
+
+    def close(self) -> None:
+        self._handle.close()
+
+    def __enter__(self) -> IncrementalWriter:
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
 
 def _drop_torn_tail(path: Path) -> None:

@@ -12,10 +12,12 @@ timestamps, so identical configs and seeds reproduce byte-identical files.
 ``STAGES`` lists every stage with the settings and files it reads and the
 files it writes. ``ARTIFACTS`` is the one place where a JSONL file's schema
 and decoded type live: a stage gets its inputs decoded from ``read(name)``,
-and records round-trip through ``codec``."""
+and records round-trip through ``codec``. Within one process, the per-model
+stages reuse the shared inputs they already decoded, by file digest."""
 
 from __future__ import annotations
 
+import atexit
 import fcntl
 import fnmatch
 import json
@@ -356,8 +358,8 @@ def artifact(name: str) -> Artifact:
 
 
 def read_artifact(path: Path):
-    """The file at ``path``, decoded by its ``ARTIFACTS`` entry. ``load`` is looked
-    up at each call, so a wrapper put on the module's ``load`` sees every read."""
+    """The file at ``path``, decoded afresh by its ``ARTIFACTS`` entry (``_stage``'s
+    ``read`` memoises). ``load`` is looked up at each call, so a wrapper sees every read."""
     entry = artifact(path.name)
     return entry.decode(load(path, entry.schema))
 
@@ -452,6 +454,11 @@ def _check_upstream(manifest: RunManifest, input_names: list[str], key: dict) ->
         )
 
 
+_decoded: dict[str, tuple[Path, str, object]] = {}  # name -> (path, digest, decoded); see `_stage`
+# Freed before interpreter teardown, whose collections would walk it (0.25 s per stage).
+atexit.register(_decoded.clear)
+
+
 def _stage(
     run_dir: str | Path,
     config: PipelineConfig,
@@ -469,7 +476,13 @@ def _stage(
     once. ``compute`` gets ``read``, the outputs and the run's digest (of the
     key and the input digests); ``read(name)`` decodes the input ``name``
     when called, and raises ``KeyError`` for a name that is not one of the
-    stage's inputs."""
+    stage's inputs.
+
+    Within one process, ``read`` serves an input from the ``_decoded`` memo if
+    its path and digest match; per-model stages store the inputs all models
+    share for the stages after them, and a computing stage first drops other
+    run directories' entries and those its row omits. Computes must not
+    mutate what ``read`` returns."""
     stage = STAGES[name]
     record_name = ":".join([name, *params.values()])
     input_names = [n.format(**params) for n in stage.inputs + (stage.optional if optional else ())]
@@ -490,7 +503,22 @@ def _stage(
 
         started = time.time()
         digest = stable_text_digest(canonical_json({"key": key, "inputs": input_digests}))
-        stats = compute(lambda n: read_artifact(inputs[n]), outputs, digest)
+        row = stage.inputs + stage.optional
+        for n in [n for n, entry in _decoded.items() if n not in row or entry[0] != run_dir / n]:
+            del _decoded[n]
+        per_model = any("{model}" in n for n in stage.outputs)
+
+        def read(n: str):
+            source = inputs[n], input_digests[n]  # a `KeyError` for an undeclared name
+            entry = _decoded.pop(n, None)  # a stale copy goes before the file is decoded again
+            hit = entry is not None and entry[:2] == source
+            if not hit:
+                entry = (*source, read_artifact(inputs[n]))
+            if hit or per_model and n in row:  # a row name with no `{model}`: every model reads it alike
+                _decoded[n] = entry
+            return entry[2]
+
+        stats = compute(read, outputs, digest)
         manifest.record_stage(record_name, key, input_digests, outputs, started, stats=stats)
         manifest.save(run_dir)
         return StageResult(stage=record_name, status="ok", stats=stats)
@@ -744,18 +772,18 @@ def run_evaluate(run_dir: str | Path, config: PipelineConfig, model: str, mode: 
         # Opened before the read: it drops a torn last record, and the
         # outcomes of a run under another digest.
         schema = artifact(out_name).schema
-        writer = IncrementalWriter(out_path, schema=schema, run_digest=digest)
-        done = {r["qa_id"] for r in load(out_path, schema)}
-        if done:
-            logger.info("resuming %s: %d outcomes already recorded", out_name, len(done))
-        if model.startswith("mock:"):
-            chat = ChatService(MockEvalTransport(model, items, config.seed, golden_texts))
-        else:
-            chat = make_chat_service(config, config.seed)
-        outcomes = evaluate_dataset(
-            [item for item in items if item.qa_id not in done], chat, model_id=model, mode=mode,
-            contexts=contexts, outcome_sink=lambda o: writer.append(to_record(o)),
-        )
+        with IncrementalWriter(out_path, schema=schema, run_digest=digest) as writer:
+            done = {r["qa_id"] for r in load(out_path, schema)}
+            if done:
+                logger.info("resuming %s: %d outcomes already recorded", out_name, len(done))
+            if model.startswith("mock:"):
+                chat = ChatService(MockEvalTransport(model, items, config.seed, golden_texts))
+            else:
+                chat = make_chat_service(config, config.seed)
+            outcomes = evaluate_dataset(
+                [item for item in items if item.qa_id not in done], chat, model_id=model, mode=mode,
+                contexts=contexts, outcome_sink=lambda o: writer.append(to_record(o)),
+            )
         return {"evaluated": len(outcomes), "resumed_existing": len(done)}
 
     return _stage(

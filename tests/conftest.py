@@ -5,7 +5,16 @@ import random
 import numpy as np
 import pytest
 
+from hopbench import pipeline
 from hopbench.kg import Evidence, KnowledgeGraph, Triplet
+
+
+@pytest.fixture(autouse=True)
+def no_decodes_shared_across_tests():
+    """Each test starts and ends with no decoded inputs held by `pipeline._stage`."""
+    pipeline._decoded.clear()
+    yield
+    pipeline._decoded.clear()
 
 
 def make_graph(names: list[str], edge_names: list[tuple[str, str, str]]) -> KnowledgeGraph:

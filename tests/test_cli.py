@@ -500,6 +500,54 @@ def test_an_interrupted_evaluation_of_a_changed_dataset_is_resumed(toy_yaml, tmp
     assert all(o["correct"] for o in outcomes)
 
 
+def test_evaluate_after_a_resynthesis_in_the_same_process_answers_the_new_questions(
+    toy_yaml, tmp_path, monkeypatch
+):
+    run_dir = tmp_path / "run"
+    config = load_config(toy_yaml)
+    synthesized_toy_run(run_dir, config)
+    assert pipeline.run_evaluate(run_dir, config, "mock:oracle", "zero_shot").status == "ok"
+    stale = pipeline._decoded["dataset.jsonl"]
+    items = resynthesized_with_reworded_questions(run_dir, config, monkeypatch)
+    assert "dataset.jsonl" not in pipeline._decoded  # `synthesize` does not read it
+    # Even with the old decode still held, its digest no longer matches the file.
+    monkeypatch.setitem(pipeline._decoded, "dataset.jsonl", stale)
+    result, prompts = evaluated_prompts(run_dir, config, monkeypatch)
+    assert result.stats == {"evaluated": len(items), "resumed_existing": 0}
+    assert len(prompts) == len(items) and all("On review, " in prompt for prompt in prompts)
+    assert pipeline._decoded["dataset.jsonl"][2] == [from_record(QAItem, i) for i in items]
+
+
+def test_repeated_models_and_modes_run_in_one_process_and_decode_the_dataset_once(
+    toy_yaml, tmp_path, monkeypatch
+):
+    config = load_config(toy_yaml)
+    synthesized_toy_run(tmp_path / "one", config)
+    shutil.copytree(tmp_path / "one", tmp_path / "each")
+    models, modes = ("mock:oracle", "mock:hash"), ("zero_shot", "rag")
+    for model in models:
+        for mode in modes:
+            base = ["--config", str(toy_yaml), "--run-dir", str(tmp_path / "each")]
+            assert invoke(base + ["evaluate", "--model", model, "--mode", mode]).exit_code == 0
+            pipeline._decoded.clear()  # as if each command were its own process
+        assert invoke(base + ["report", "--model", model]).exit_code == 0
+        pipeline._decoded.clear()
+    real_read, decoded = pipeline.read_artifact, []
+    monkeypatch.setattr(pipeline, "read_artifact", lambda path: decoded.append(path.name) or real_read(path))
+    base = ["--config", str(toy_yaml), "--run-dir", str(tmp_path / "one")]
+    result = invoke(
+        base + ["evaluate", "--model", models[0], "--model", models[1], "--mode", "zero_shot", "--mode", "rag"]
+    )
+    assert result.exit_code == 0
+    assert [line.split(":")[1:3] for line in result.output.splitlines()] == [
+        [pipeline.sanitize_model_id(m), mode] for m in models for mode in modes
+    ]
+    assert invoke(base + ["report", "--model", models[0], "--model", models[1]]).exit_code == 0
+    assert decoded.count("dataset.jsonl") == 1  # `retrieve`, the other evaluations and the reports reuse it
+    for path in sorted((tmp_path / "each").glob("*_mock-*")):
+        assert (tmp_path / "one" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_shatter_sweep_appends_to_topology_report(toy_yaml, tmp_path):
     run_dir = tmp_path / "run"
     config = load_config(toy_yaml)

@@ -63,26 +63,60 @@ def test_serialization_is_byte_stable(tmp_path):
     assert first == second
 
 
+def test_header_must_be_the_first_line(tmp_path):
+    path = tmp_path / "b.jsonl"
+    # a blank first line does not let a foreign header through as a record
+    path.write_text('\n{"schema":"other","version":9}\n{"a":1}\n', encoding="utf-8")
+    with pytest.raises(MigrationError, match="missing schema header line"):
+        load(path, "dataset")
+
+
+def test_empty_file_has_no_header(tmp_path):
+    path = tmp_path / "e.jsonl"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(MigrationError, match="missing schema header line"):
+        load(path, "dataset")
+
+
+def test_blank_lines_after_the_header_are_skipped(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"schema":"s","version":1}\n\n{"a":1}\n\n', encoding="utf-8")
+    assert load(path, "s") == [{"a": 1}]
+
+
 def test_incremental_writer_appends_and_resumes(tmp_path):
     path = tmp_path / "outcomes.jsonl"
-    writer = IncrementalWriter(path, schema="outcomes", run_digest="k1")
-    writer.append({"qa_id": "qa1"})
-    writer.append({"qa_id": "qa2"})
+    with IncrementalWriter(path, schema="outcomes", run_digest="k1") as writer:
+        writer.append({"qa_id": "qa1"})
+        writer.append({"qa_id": "qa2"})
     # a new writer on the same path, under the same digest, keeps existing rows
-    again = IncrementalWriter(path, schema="outcomes", run_digest="k1")
-    again.append({"qa_id": "qa3"})
+    with IncrementalWriter(path, schema="outcomes", run_digest="k1") as again:
+        again.append({"qa_id": "qa3"})
     assert [r["qa_id"] for r in load(path, "outcomes")] == ["qa1", "qa2", "qa3"]
+
+
+def test_incremental_writer_records_are_readable_while_it_is_open(tmp_path):
+    # each record is flushed as it is appended: an interrupted run keeps them
+    path = tmp_path / "outcomes.jsonl"
+    with IncrementalWriter(path, schema="outcomes", run_digest="k1") as writer:
+        assert load(path, "outcomes") == []
+        for n in range(1, 4):
+            writer.append({"qa_id": f"qa{n}"})
+            assert [r["qa_id"] for r in load(path, "outcomes")] == [f"qa{i}" for i in range(1, n + 1)]
 
 
 def test_incremental_writer_starts_afresh_under_another_key_or_none(tmp_path):
     path = tmp_path / "outcomes.jsonl"
-    IncrementalWriter(path, schema="outcomes", run_digest="k1").append({"qa_id": "qa1"})
-    IncrementalWriter(path, schema="outcomes", run_digest="k2").append({"qa_id": "qa2"})
+    with IncrementalWriter(path, schema="outcomes", run_digest="k1") as writer:
+        writer.append({"qa_id": "qa1"})
+    with IncrementalWriter(path, schema="outcomes", run_digest="k2") as writer:
+        writer.append({"qa_id": "qa2"})
     assert [r["qa_id"] for r in load(path, "outcomes")] == ["qa2"]
     assert path.read_text(encoding="utf-8").splitlines()[0] == (
         '{"run_digest":"k2","schema":"outcomes","version":1}'
     )
     # a header without a digest, as an older writer left it
     path.write_text('{"schema":"outcomes","version":1}\n{"qa_id":"qa1"}\n', encoding="utf-8")
-    IncrementalWriter(path, schema="outcomes", run_digest="k2")
+    with IncrementalWriter(path, schema="outcomes", run_digest="k2"):
+        pass
     assert load(path, "outcomes") == []

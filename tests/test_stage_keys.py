@@ -83,12 +83,20 @@ class RecordingConfig(PipelineConfig):
 
 def run_recording_reads(run_dir, config: RecordingConfig, monkeypatch) -> dict:
     """Run every stage under ``config``, asserting that each reads only the
-    fields its `reads` lists and exactly the files its row declares (with
-    its optional inputs where they apply); returns each stage's result."""
+    fields its `reads` lists and asks `read` for exactly the files its row
+    declares (with its optional inputs where they apply), whether `read`
+    decodes them or serves them memoised; returns each stage's result."""
     config.read, config.recording = set(), False
-    real_key, real_read = pipeline.stage_key, pipeline.read_artifact
+    real_key, real_stage = pipeline.stage_key, pipeline._stage
     files: list[str] = []
-    monkeypatch.setattr(pipeline, "read_artifact", lambda path: files.append(path.name) or real_read(path))
+
+    def recording_stage(run_dir, config, name, compute, *args, **kwargs):
+        def recorded(read, *rest):
+            return compute(lambda n: files.append(n) or read(n), *rest)
+
+        return real_stage(run_dir, config, name, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_stage", recording_stage)
 
     def unrecorded_key(config, *args):
         config.recording = False
@@ -155,6 +163,72 @@ def test_a_stage_decodes_its_declared_inputs_only_and_only_when_it_runs(copied_r
 
     with pytest.raises(KeyError, match="chains.jsonl"):
         pipeline._stage(run_dir, config, "mine", compute, args={"probe": True})
+
+
+# -- decoded inputs shared by the per-model stages -------------------------------
+
+
+def fresh_decodes_of_the_memo() -> dict:
+    return {n: pipeline.read_artifact(path) for n, (path, _digest, _decoded) in pipeline._decoded.items()}
+
+
+def test_evaluations_and_reports_leave_the_shared_decodes_as_their_files_read(copied_run):
+    config, run_dir = copied_run
+    models = ("mock:oracle", "mock:hash")
+    contexts = run_dir / "rag_contexts.jsonl"
+    for model in models:
+        for mode in ("zero_shot", "rag"):
+            if mode == "rag":
+                # `retrieve` then builds its index over the memoised dataset
+                # (and, for the second model, the memoised chunks)
+                contexts.unlink()
+            assert pipeline.run_evaluate(run_dir, config, model, mode).status == "ok"
+            assert contexts.exists()
+    assert set(pipeline._decoded) == {"dataset.jsonl", "chunks.jsonl", "rag_contexts.jsonl"}
+    memo = {n: decoded for n, (_path, _digest, decoded) in pipeline._decoded.items()}
+    assert memo == fresh_decodes_of_the_memo()
+    for model in models:
+        assert pipeline.run_report(run_dir, config, model).status == "ok"
+    # a report reads neither chunks nor contexts: they are dropped, the dataset kept
+    assert set(pipeline._decoded) == {"dataset.jsonl"}
+    assert pipeline._decoded["dataset.jsonl"][2] is memo["dataset.jsonl"]
+    assert memo["dataset.jsonl"] == fresh_decodes_of_the_memo()["dataset.jsonl"]
+
+
+def test_shattering_and_the_sweep_leave_the_decoded_raw_graph_as_its_file_reads(copied_run, monkeypatch):
+    config, run_dir = copied_run
+    real_read = pipeline.read_artifact
+    graphs = []
+    monkeypatch.setattr(pipeline, "read_artifact", lambda path: graphs.append(real_read(path)) or graphs[-1])
+    (run_dir / "graph.jsonl").unlink()
+    assert pipeline.run_shatter(run_dir, config).status == "ok"
+    assert pipeline.run_shatter_sweep(run_dir, config, [None, 4.0, 2.0]).status == "ok"
+    assert len(graphs) == 2
+    fresh = pipeline.graph_to_records(real_read(run_dir / "graph_raw.jsonl"), config.frequency_unit)
+    for graph in graphs:
+        assert pipeline.graph_to_records(graph, config.frequency_unit) == fresh
+
+
+def test_a_stage_in_another_run_directory_drops_the_first_directorys_decodes(copied_run, tmp_path):
+    config, run_dir = copied_run
+    for mode in ("zero_shot", "rag"):
+        assert pipeline.run_evaluate(run_dir, config, "mock:oracle", mode).status == "ok"
+    assert {path.parent for path, _digest, _decoded in pipeline._decoded.values()} == {run_dir}
+    second = tmp_path / "second"
+    shutil.copytree(run_dir, second)
+    assert pipeline.run_evaluate(second, config, "mock:hash", "zero_shot").status == "ok"
+    assert {n: path for n, (path, _digest, _decoded) in pipeline._decoded.items()} == {
+        "dataset.jsonl": second / "dataset.jsonl"
+    }
+
+
+def test_the_build_stages_hold_no_decodes(copied_run, tmp_path):
+    config, run_dir = copied_run
+    assert pipeline.run_evaluate(run_dir, config, "mock:oracle", "zero_shot").status == "ok"
+    assert pipeline._decoded
+    for name in BUILD:
+        assert run_stage(tmp_path / "build", config, name).status == "ok"
+        assert pipeline._decoded == {}, f"{name} left {sorted(pipeline._decoded)} decoded"
 
 
 def test_every_jsonl_file_has_one_artifact_entry_whose_schema_its_header_names(finished_run):
