@@ -454,6 +454,21 @@ def _check_upstream(manifest: RunManifest, input_names: list[str], key: dict) ->
         )
 
 
+def _kept(stage: Stage) -> frozenset[str]:
+    """The inputs a run of ``stage`` stores in the ``_decoded`` memo: those
+    every model's stages read alike (no ``{model}`` in the name), when the
+    stage is a per-model one or only per-model stages read its outputs. So
+    ``retrieve`` hands the dataset and chunks to the RAG ``evaluate``, while
+    ``adjudicate`` and ``stats`` store nothing."""
+    per_model = [s for s in STAGES.values() if any("{model}" in n for n in s.outputs)]
+    shared = {n for s in per_model for n in s.inputs + s.optional if "{model}" not in n}
+    readers = [s for s in STAGES.values() if set(stage.outputs) & set(s.inputs + s.optional)]
+    if stage in per_model or readers and all(s in per_model for s in readers):
+        return frozenset(shared.intersection(stage.inputs + stage.optional))
+    return frozenset()
+
+
+_KEPT = {name: _kept(stage) for name, stage in STAGES.items()}
 _decoded: dict[str, tuple[Path, str, object]] = {}  # name -> (path, digest, decoded); see `_stage`
 # Freed before interpreter teardown, whose collections would walk it (0.25 s per stage).
 atexit.register(_decoded.clear)
@@ -479,10 +494,10 @@ def _stage(
     stage's inputs.
 
     Within one process, ``read`` serves an input from the ``_decoded`` memo if
-    its path and digest match; per-model stages store the inputs all models
-    share for the stages after them, and a computing stage first drops other
-    run directories' entries and those its row omits. Computes must not
-    mutate what ``read`` returns."""
+    its path and digest match; the stage stores its ``_KEPT`` inputs for the
+    stages after it, and a computing stage first drops other run directories'
+    entries and those its row omits. Computes must not mutate what ``read``
+    returns."""
     stage = STAGES[name]
     record_name = ":".join([name, *params.values()])
     input_names = [n.format(**params) for n in stage.inputs + (stage.optional if optional else ())]
@@ -506,7 +521,6 @@ def _stage(
         row = stage.inputs + stage.optional
         for n in [n for n, entry in _decoded.items() if n not in row or entry[0] != run_dir / n]:
             del _decoded[n]
-        per_model = any("{model}" in n for n in stage.outputs)
 
         def read(n: str):
             source = inputs[n], input_digests[n]  # a `KeyError` for an undeclared name
@@ -514,7 +528,7 @@ def _stage(
             hit = entry is not None and entry[:2] == source
             if not hit:
                 entry = (*source, read_artifact(inputs[n]))
-            if hit or per_model and n in row:  # a row name with no `{model}`: every model reads it alike
+            if hit or n in _KEPT[name]:
                 _decoded[n] = entry
             return entry[2]
 

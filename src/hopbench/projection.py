@@ -1,13 +1,16 @@
 """Deterministic dimensionality reduction.
 
 PCA computed by seeded orthogonal (power) iteration, so identical inputs and
-seed give identical projections on any platform.
+seed give identical projections on any platform. The distance rank
+correlation that grades a projection is Spearman's rho computed in numpy with
+the arithmetic of ``scipy.stats.spearmanr`` (average ranks for ties, then
+``np.corrcoef``), so it equals scipy's value bit for bit without importing
+``scipy.stats``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from .errors import ValidationError
 
@@ -40,12 +43,37 @@ def reduce_dimensions(matrix: np.ndarray, target_dim: int, seed: int) -> np.ndar
     return centered @ basis
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, ties given the mean of their ranks (the
+    ``"average"`` method of ``scipy.stats.rankdata``)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(np.append(starts, len(values)))
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def spearman(a: np.ndarray, b: np.ndarray) -> float:
+    """Spearman's rho of two equal-length samples, as ``spearmanr`` computes
+    it: the Pearson correlation of their average ranks, element ``[1, 0]`` of
+    ``np.corrcoef`` (``[0, 1]`` can differ in the last bit). NaN when a
+    sample is constant or holds a NaN."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if (a == a[0]).all() or (b == b[0]).all() or np.isnan(a).any() or np.isnan(b).any():
+        return float("nan")
+    ranks = np.column_stack([_average_ranks(a), _average_ranks(b)])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
 def distance_rank_correlation(source: np.ndarray, points: np.ndarray, seed: int) -> float:
     """Spearman correlation of pairwise distances between the rows of
     ``source`` before vs. after projection to ``points``.
 
     Reported as a projection-quality diagnostic; pairs are subsampled with a
-    seeded RNG when there are more than ``MAX_PAIRS``.
+    seeded RNG when there are more than ``MAX_PAIRS``. 1.0 for fewer than
+    three rows and when either side's distances are all equal.
     """
     if len(source) != len(points):
         raise ValidationError("vectors and points must align")
@@ -60,6 +88,5 @@ def distance_rank_correlation(source: np.ndarray, points: np.ndarray, seed: int)
         pairs = [pairs[int(c)] for c in chosen]
     d_source = [float(np.linalg.norm(source[i] - source[j])) for i, j in pairs]
     d_target = [float(np.linalg.norm(target[i] - target[j])) for i, j in pairs]
-    result = stats.spearmanr(d_source, d_target)
-    coefficient = float(result.statistic)
+    coefficient = spearman(np.array(d_source), np.array(d_target))
     return coefficient if np.isfinite(coefficient) else 1.0

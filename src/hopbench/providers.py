@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from .errors import (
     ProtocolError,
@@ -155,6 +154,8 @@ class EmbeddingTransport(Protocol):
 
 def _retrying_post(url: str, payload: dict, headers: dict, sleep: Callable[[float], None]) -> dict:
     """POST with bounded retries: transport faults and rate limits only."""
+    import requests  # imported on the first HTTP call: no other path needs it
+
     delay = BACKOFF_INITIAL
     last_error: Exception | None = None
     for attempt in range(1, MAX_ATTEMPTS + 1):

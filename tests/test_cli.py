@@ -544,6 +544,7 @@ def test_repeated_models_and_modes_run_in_one_process_and_decode_the_dataset_onc
     ]
     assert invoke(base + ["report", "--model", models[0], "--model", models[1]]).exit_code == 0
     assert decoded.count("dataset.jsonl") == 1  # `retrieve`, the other evaluations and the reports reuse it
+    assert decoded.count("chunks.jsonl") == 1  # `retrieve` hands it to the RAG evaluations
     for path in sorted((tmp_path / "each").glob("*_mock-*")):
         assert (tmp_path / "one" / path.name).read_bytes() == path.read_bytes(), path.name
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hopbench.errors import ValidationError
-from hopbench.projection import distance_rank_correlation, reduce_dimensions
+from hopbench.projection import MAX_PAIRS, distance_rank_correlation, reduce_dimensions, spearman
 
 
 def test_identical_inputs_project_identically():
@@ -75,3 +77,79 @@ def test_projector_validates_target_dim():
     matrix = np.random.default_rng(0).standard_normal((5, 4))
     with pytest.raises(ValidationError):
         reduce_dimensions(matrix, target_dim=0, seed=0)
+
+
+# -- Spearman's rho against scipy, bit for bit ----------------------------------
+
+
+def scipy_spearman(a, b) -> float:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", stats.ConstantInputWarning)
+        return float(stats.spearmanr(a, b).statistic)
+
+
+def scipy_distance_rank_correlation(source, points, seed) -> float:
+    """The reference: the same pairs and distances, ranked by ``scipy.stats``."""
+    n = len(source)
+    if n < 3:
+        return 1.0
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if len(pairs) > MAX_PAIRS:
+        chosen = np.random.default_rng(seed).choice(len(pairs), size=MAX_PAIRS, replace=False)
+        pairs = [pairs[int(c)] for c in chosen]
+    d_source = [float(np.linalg.norm(source[i] - source[j])) for i, j in pairs]
+    d_target = [float(np.linalg.norm(points[i] - points[j])) for i, j in pairs]
+    coefficient = scipy_spearman(d_source, d_target)
+    return coefficient if np.isfinite(coefficient) else 1.0
+
+
+def same_float(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_spearman_is_scipys_bit_for_bit(ties):
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(2, 200))
+        if ties:
+            a, b = rng.integers(0, 6, n).astype(float), rng.integers(0, 6, n).astype(float)
+        else:
+            a, b = rng.standard_normal(n), rng.standard_normal(n)
+        expected = scipy_spearman(a, b)
+        got = spearman(a, b)
+        assert same_float(got, expected) or np.isnan(got) and np.isnan(expected), (n, got, expected)
+
+
+def test_spearman_is_nan_where_scipys_is():
+    for a, b in ([[1.0], [2.0]], [[3.0, 3.0, 3.0], [1.0, 2.0, 3.0]], [[1.0, np.nan, 3.0], [1.0, 2.0, 3.0]]):
+        assert np.isnan(spearman(a, b)) and np.isnan(scipy_spearman(a, b))
+
+
+@pytest.mark.parametrize("n", [30, 63, 64, 90])  # 435 and 1,953 pairs; 2,016 and 4,005 are subsampled
+@pytest.mark.parametrize("ties", [False, True])
+def test_distance_rank_correlation_is_scipys_bit_for_bit(n, ties):
+    rng = np.random.default_rng(n)
+    for seed in range(3):
+        if ties:  # integer grid points: many pairs at equal distances on both sides
+            source = rng.integers(0, 4, (n, 5)).astype(float)
+            points = source[:, :2] + rng.integers(0, 2, (n, 2))
+        else:
+            source = rng.standard_normal((n, 8))
+            points = reduce_dimensions(source, target_dim=2, seed=seed)
+        expected = scipy_distance_rank_correlation(source, points, seed)
+        assert same_float(distance_rank_correlation(source, points, seed), expected)
+
+
+def test_distance_rank_correlation_is_one_for_few_rows_and_constant_distances():
+    rng = np.random.default_rng(2)
+    for n in (0, 1, 2):
+        source = rng.standard_normal((n, 4))
+        assert distance_rank_correlation(source, source[:, :2], seed=0) == 1.0
+    same_rows = np.ones((5, 4))
+    assert distance_rank_correlation(same_rows, rng.standard_normal((5, 2)), seed=0) == 1.0
+    assert scipy_distance_rank_correlation(same_rows, rng.standard_normal((5, 2)), seed=0) == 1.0
+    # the rows of the identity are all sqrt(2) apart
+    points = rng.standard_normal((3, 1))
+    assert distance_rank_correlation(np.eye(3), points, seed=0) == 1.0
+    assert scipy_distance_rank_correlation(np.eye(3), points, seed=0) == 1.0
