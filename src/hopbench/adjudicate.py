@@ -2,20 +2,19 @@
 
 Each ensemble member receives the fixed adjudication prompt and must return
 strict JSON (one re-ask, then lenient brace extraction). Numeric scores are
-the arithmetic mean over responding members; the task label is a majority
-vote with ties broken by provider order."""
+the arithmetic mean over the members whose reply parses; the task label is a
+majority vote with ties broken by provider order. A member whose reply does
+not parse is left out of the vote; a provider failure is not such a reply,
+and propagates."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from . import prompts
-from .errors import AdjudicationError, ProviderError, ValidationError
+from .errors import AdjudicationError, ValidationError
 from .providers import ChatRequest, ChatService
 from .synthesis import QAItem
-
-logger = logging.getLogger(__name__)
 
 SCORE_FIELDS = ("clarity_score", "validity_score", "difficulty_score")
 
@@ -34,11 +33,7 @@ class Adjudication:
 def _ask_member(service: ChatService, prompt: str, model_name: str) -> dict | None:
     request = ChatRequest.user(prompt, temperature=0.0, model_name=model_name)
     for _ in range(2):  # one re-ask on parse failure
-        try:
-            response = service.complete(request)
-        except ProviderError as exc:
-            logger.warning("adjudication member failed: %s", exc)
-            return None
+        response = service.complete(request)
         payload = prompts.parse_json_reply(response, dict)
         if payload is not None and all(f in payload for f in SCORE_FIELDS):
             return payload
@@ -63,7 +58,7 @@ def adjudicate_quality(
     model_names: list[str],
 ) -> Adjudication:
     """Score one item with the ensemble, one model name per member; raises
-    when every member fails."""
+    ``AdjudicationError`` when no member's reply parses."""
     if not ensemble:
         raise ValidationError("adjudication ensemble must be non-empty")
     if len(model_names) != len(ensemble):

@@ -81,12 +81,13 @@ def report(ctx, models: tuple[str, ...]):
 
 
 def _parse_ks(_ctx, _param, spec: str) -> list[float | None]:
-    """Comma-separated thresholds; "inf", "none" or an empty token is None
-    (no threshold). A token that is not a number is a usage error."""
+    """Comma-separated thresholds; "none", an empty token or any spelling of
+    positive infinity ("inf", "infinity", "1e999") is None (no threshold). A
+    token that is not a number is a usage error."""
     ks: list[float | None] = []
     for token in spec.split(","):
         token = token.strip().lower()
-        if token in ("inf", "none", ""):
+        if token in ("none", ""):
             ks.append(None)
             continue
         try:
@@ -95,7 +96,7 @@ def _parse_ks(_ctx, _param, spec: str) -> list[float | None]:
                 raise ValueError(token)
         except ValueError:
             raise click.BadParameter(f"{token!r} is not a number") from None
-        ks.append(k)
+        ks.append(None if k == math.inf else k)
     return ks
 
 

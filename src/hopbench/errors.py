@@ -25,7 +25,9 @@ class DependencyError(HopbenchError):
 
 
 class ProviderError(HopbenchError):
-    """Base class for chat/embedding provider failures."""
+    """Base class for chat/embedding provider failures. No stage handles one:
+    it ends the stage, which records nothing, and the CLI exits with
+    ``EXIT_PROVIDER``."""
 
     exit_code = EXIT_PROVIDER
 

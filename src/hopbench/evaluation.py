@@ -9,20 +9,17 @@ golden evidence is supplied."""
 
 from __future__ import annotations
 
-import logging
 import random
 import re
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from . import prompts
-from .errors import ProviderError, ValidationError
+from .errors import ValidationError
 from .providers import ChatRequest, ChatService, MockChatTransport
 from .rag import RagContext
 from .seeding import derive_seed
 from .synthesis import QAItem
-
-logger = logging.getLogger(__name__)
 
 UNPARSEABLE = None
 
@@ -87,8 +84,9 @@ def evaluate_dataset(
 
     RAG mode requires a context per item. Outcomes stream to ``outcome_sink``
     as they are produced, so an interrupted run keeps them; a resumed run
-    passes only the items it has not answered. Provider failures become
-    unparseable outcomes and the run continues."""
+    passes only the items it has not answered. A provider failure is not an
+    answer: it propagates and ends the run, and the outcomes streamed before
+    it are kept for the resume."""
     if mode not in ("zero_shot", "rag"):
         raise ValidationError(f"unknown evaluation mode: {mode!r}")
     if mode == "rag":
@@ -103,11 +101,7 @@ def evaluate_dataset(
         docs = contexts[item.qa_id].documents if mode == "rag" else None
         prompt = prompts.render_eval_prompt(item.question, item.options, docs)
         request = ChatRequest.user(prompt, temperature=0.0, model_name=model_id)
-        try:
-            response = chat.complete(request)
-        except ProviderError as exc:
-            logger.warning("provider failure on %s: %s", item.qa_id, exc)
-            response = f"[provider-error] {exc}"
+        response = chat.complete(request)
         choice = parse_choice(response, len(item.options))
         outcome = EvalOutcome(
             model_id=model_id,

@@ -2,15 +2,17 @@
 
 Every artifact file starts with a header line naming its schema and version;
 records follow one JSON object per line with sorted keys, so identical data
-always serializes to identical bytes. Writes are atomic (temp + rename)."""
+always serializes to identical bytes. Writes are atomic (temp + rename), as
+are those of the JSON reports and the run manifest."""
 
 from __future__ import annotations
 
 import json
 import logging
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 from .errors import MigrationError, SnapshotError
 
@@ -19,21 +21,36 @@ logger = logging.getLogger(__name__)
 SCHEMA_VERSION = 1  # of every artifact's header; a reader refuses any other
 
 
-def _dumps(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+def canonical_json(obj) -> str:
+    """Sorted keys, no whitespace, UTF-8 kept: equal data gives equal text.
+    Every JSONL line, request hash and stage-run digest is written by it."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """A handle on ``<path>.tmp``, renamed over ``path`` once written in full."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", encoding="utf-8") as handle:
+        yield handle
+    os.replace(tmp, path)
 
 
 def snapshot(records: Iterable[dict], path: str | Path, schema: str) -> Path:
     """Write records under a schema header; an empty list gives a header-only file."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(_dumps({"schema": schema, "version": SCHEMA_VERSION}) + "\n")
+    with _replacing(path) as handle:
+        handle.write(canonical_json({"schema": schema, "version": SCHEMA_VERSION}) + "\n")
         for record in records:
-            handle.write(_dumps(record) + "\n")
-    os.replace(tmp, path)
+            handle.write(canonical_json(record) + "\n")
     return path
+
+
+def write_json(path: Path, payload: dict) -> None:
+    """Write one indented JSON document (a report, the manifest) atomically."""
+    with _replacing(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def load(path: str | Path, schema: str) -> list[dict]:
@@ -84,7 +101,7 @@ class IncrementalWriter:
     def __init__(self, path: str | Path, schema: str, run_digest: str):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        header = _dumps({"schema": schema, "version": SCHEMA_VERSION, "run_digest": run_digest}) + "\n"
+        header = canonical_json({"schema": schema, "version": SCHEMA_VERSION, "run_digest": run_digest}) + "\n"
         resume = False
         if self.path.exists():
             _drop_torn_tail(self.path)
@@ -98,7 +115,7 @@ class IncrementalWriter:
             self._handle.flush()
 
     def append(self, record: dict) -> None:
-        self._handle.write(_dumps(record) + "\n")
+        self._handle.write(canonical_json(record) + "\n")
         self._handle.flush()
 
     def close(self) -> None:

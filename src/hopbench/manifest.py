@@ -8,12 +8,12 @@ stages detectable, and each artifact traceable to its producers."""
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .codec import from_record, to_record
+from .jsonl import write_json
 from .seeding import stable_digest
 
 MANIFEST_NAME = "manifest.json"
@@ -51,10 +51,7 @@ class RunManifest:
 
     def save(self, run_dir: str | Path) -> None:
         path = Path(run_dir) / MANIFEST_NAME
-        payload = {"stages": [to_record(record) for record in self.stages.values()]}
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
+        write_json(path, {"stages": [to_record(record) for record in self.stages.values()]})
 
     def record_stage(
         self,

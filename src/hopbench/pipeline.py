@@ -22,7 +22,6 @@ import fcntl
 import fnmatch
 import json
 import logging
-import os
 import re
 import time
 from collections import Counter
@@ -56,7 +55,7 @@ from .errors import (
 )
 from .evaluation import EvalOutcome, MockEvalTransport, behavioral_report, evaluate_dataset
 from .extract import extract_tree
-from .jsonl import IncrementalWriter, load, snapshot
+from .jsonl import IncrementalWriter, canonical_json, load, snapshot, write_json
 from .kg import (
     Entity,
     KnowledgeGraph,
@@ -74,7 +73,6 @@ from .providers import (
     MockChatTransport,
     MockEmbeddingTransport,
     ResponseCache,
-    canonical_json,
     parallel_map,
 )
 from .rag import CorpusIndex, RagContext, build_rag_context
@@ -399,12 +397,6 @@ def run_lock(run_dir: Path):
         yield
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-
-
 @cache
 def _reads_upstream_of(artifact: str) -> frozenset[str]:
     """Fields read by the stage that writes ``artifact`` and by every stage
@@ -607,7 +599,7 @@ def run_tree(run_dir: str | Path, config: PipelineConfig) -> StageResult:
         tree = build_summary_tree(read("chunks.jsonl"), chat, embedder, config)
         ordered = sorted(tree.nodes.values(), key=lambda n: (n.level, n.node_id))
         write_artifact([tree_node_to_record(n) for n in ordered], outputs["tree.jsonl"])
-        _write_json(outputs["gmm_report.json"], {"levels": tree.level_reports})
+        write_json(outputs["gmm_report.json"], {"levels": tree.level_reports})
         return {"nodes": len(tree.nodes), "levels": tree.max_level()}
 
     return _stage(run_dir, config, "tree", compute)
@@ -648,7 +640,7 @@ def run_shatter(run_dir: str | Path, config: PipelineConfig) -> StageResult:
             "original": topology_report(graph).to_record(),
             "shattered": topology_report(shattered).to_record(),
         }
-        _write_json(outputs["topology_report.json"], report)
+        write_json(outputs["topology_report.json"], report)
         pruned = [e for e in shattered.entities.values() if e.is_pruned]
         return {
             "pruned": len(pruned),
@@ -730,7 +722,7 @@ def run_stats(run_dir: str | Path, config: PipelineConfig) -> StageResult:
         adjudications = read("adjudications.jsonl") if has_adjudications else None
         payload = compute_overlap_stats(items, chunks, sentences, embedder, adjudications=adjudications)
         payload["config_digest"] = digest
-        _write_json(outputs["stats_report.json"], payload)
+        write_json(outputs["stats_report.json"], payload)
         return {"total": payload["total_qa_pairs"], "excluded": payload["excluded_items"]}
 
     return _stage(run_dir, config, "stats", compute, optional=has_adjudications)
@@ -816,7 +808,7 @@ def run_report(run_dir: str | Path, config: PipelineConfig, model: str) -> Stage
         payload = report.to_record()
         payload["config_digest"] = digest
         [report_path] = outputs.values()
-        _write_json(report_path, payload)
+        write_json(report_path, payload)
         print(report.table())
         return {"total_errors": report.overall.errors, "unparseable": report.overall.unparseable}
 
@@ -834,7 +826,7 @@ def run_shatter_sweep(run_dir: str | Path, config: PipelineConfig, ks: list[floa
         if report_path.exists():
             payload = json.loads(report_path.read_text(encoding="utf-8"))
         payload["sweep"] = [{"k": k, **report.to_record()} for k, report in zip(labels, reports)]
-        _write_json(report_path, payload)
+        write_json(report_path, payload)
         return {"k_values": labels}
 
     return _stage(run_dir, config, "shatter-sweep", compute, args={"ks": ks})

@@ -14,7 +14,6 @@ request and returns one float64 matrix, a row per text.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -36,7 +35,8 @@ from .errors import (
     ValidationError,
 )
 from . import prompts
-from .seeding import stable_text_digest
+from .jsonl import canonical_json
+from .seeding import derive_seed, stable_text_digest
 
 logger = logging.getLogger(__name__)
 
@@ -78,11 +78,6 @@ class ChatRequest:
     def with_reask(self, note: str) -> "ChatRequest":
         """Append a corrective user turn (used for JSON re-asks)."""
         return replace(self, messages=(*self.messages, note), seed=None if self.seed is None else self.seed + 1)
-
-
-def canonical_json(obj) -> str:
-    """Stable serialization used for request hashing and config digests."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
 def request_hash(provider_id: str, body: dict) -> str:
@@ -269,10 +264,6 @@ _TAGGED_LINE = re.compile(r"^\[([^|\]]+)\|s=(\d+)\|p=(\d+)\]\s*(.+)$")
 _WORD = re.compile(r"[A-Za-z0-9]+|[一-鿿]")
 
 
-def _hash_int(*parts: str) -> int:
-    return int.from_bytes(hashlib.sha256("|".join(parts).encode("utf-8")).digest()[:8], "big")
-
-
 def mock_extract_relations(sentence: str) -> tuple[str, str, str] | None:
     """Pattern-based relation reader the mock provider answers with.
 
@@ -372,8 +363,8 @@ class MockChatTransport:
         # question (regeneration cannot fix those), and a seed-dependent slice
         # leaks only on some attempts (regeneration fixes those). Both paths
         # of the masking gate stay exercised.
-        sticky_leak = _hash_int("sticky", bridge.lower()) % 29 == 0
-        flaky_leak = _hash_int("flaky", str(seed), bridge.lower()) % 23 == 0
+        sticky_leak = derive_seed("sticky", bridge.lower()) % 29 == 0
+        flaky_leak = derive_seed("flaky", str(seed), bridge.lower()) % 23 == 0
         if sticky_leak or flaky_leak:
             question = (
                 f"A patient presents with findings of {context.lower()}. Given the "
@@ -399,10 +390,10 @@ class MockChatTransport:
         # Task label depends only on the question so ensemble members mostly
         # agree; a provider-salted jitter dissents occasionally to keep the
         # majority vote non-trivial. Scores are provider-salted throughout.
-        task_index = _hash_int("task", question) % len(tasks)
-        if _hash_int("task-jitter", self.provider_id, question) % 7 == 0:
+        task_index = derive_seed("task", question) % len(tasks)
+        if derive_seed("task-jitter", self.provider_id, question) % 7 == 0:
             task_index = (task_index + 1) % len(tasks)
-        h = _hash_int("scores", self.provider_id, question)
+        h = derive_seed("scores", self.provider_id, question)
         verdict = {
             "clinical_task": tasks[task_index],
             "reasoning_type": "Multi-hop",
@@ -418,7 +409,7 @@ class MockChatTransport:
     def _answer_mcq(self, text: str) -> str:
         options = re.findall(r"^([A-Z])\. ", text, flags=re.MULTILINE)
         n = max(len(set(options)), 2)
-        h = _hash_int("mcq", self.seed and str(self.seed) or "0", text)
+        h = derive_seed("mcq", str(self.seed), text)
         return chr(ord("A") + h % n)
 
 
@@ -442,7 +433,7 @@ class MockEmbeddingTransport:
         cached = self._token_cache.get(token)
         if cached is not None:
             return cached
-        rng = np.random.default_rng(_hash_int("tok", str(self.seed), token))
+        rng = np.random.default_rng(derive_seed("tok", str(self.seed), token))
         vector = rng.standard_normal(self.dimension)
         vector /= np.linalg.norm(vector)
         self._token_cache[token] = vector

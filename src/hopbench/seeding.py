@@ -11,8 +11,10 @@ from __future__ import annotations
 import hashlib
 
 
-def derive_seed(master_seed: int, *parts: str) -> int:
-    """Derive a child seed from the master seed and a label path."""
+def derive_seed(master_seed: int | str, *parts: str) -> int:
+    """Derive a child seed from the master seed and a label path. A string in
+    the master's place hashes as itself, which is how the mock providers turn
+    their labels into integers."""
     material = "|".join([str(master_seed), *parts])
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

@@ -2,7 +2,8 @@
 
 The bridge entity must never appear in the question text (it may appear in
 the rationale); violations trigger regeneration and, past the retry budget,
-a discard with a recorded reason. Options mix the true target, the sibling
+a discard with a recorded reason. A provider failure is not a discard: it
+propagates and ends the stage, which writes nothing. Options mix the true target, the sibling
 hard negative, and fillers drawn from entities topologically far from the
 source, shuffled by a per-item seed."""
 
@@ -17,7 +18,7 @@ from . import prompts
 from .chains import ReasoningChain
 from .config import PipelineConfig
 from .corpus import Chunk, SentenceStore, normalize_for_match
-from .errors import ItemDiscardedError, ProviderError, ValidationError
+from .errors import ItemDiscardedError, ValidationError
 from .kg import KnowledgeGraph
 from .providers import ChatRequest, ChatService
 from .seeding import derive_seed
@@ -183,13 +184,7 @@ def synthesize_item(
             model_name=config.chat_model,
             seed=derive_seed(rng_seed, f"attempt{attempt}"),
         )
-        try:
-            response = chat.complete(request)
-        except ProviderError as exc:
-            raise ItemDiscardedError(
-                f"chain {chain.key}: provider failure during synthesis: {exc}",
-                reason="provider_error",
-            ) from exc
+        response = chat.complete(request)
         payload = prompts.parse_json_reply(response, dict)
         if payload is None or "question" not in payload or "rationale" not in payload:
             last_violations = ["<unparseable generation>"]
@@ -246,7 +241,8 @@ def synthesize_dataset(
     config: PipelineConfig,
 ) -> tuple[list[QAItem], list[Discard]]:
     """Synthesize items for every completed chain, each seeded from
-    ``config.seed`` and its chain key; discards carry reasons."""
+    ``config.seed`` and its chain key; discards carry reasons. A
+    ``ProviderError`` is raised to the caller, never recorded as a discard."""
     items: list[QAItem] = []
     discards: list[Discard] = []
     far_by_source: dict[str, list[str]] = {}  # chains share sources; the graph is fixed here

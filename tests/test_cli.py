@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import fcntl
+import itertools
 import json
 import logging
 import os
@@ -714,6 +715,131 @@ def test_provider_failure_in_tree_exits_4(toy_yaml, tmp_path, monkeypatch):
     assert not (tmp_path / "run" / "graph_raw.jsonl").exists()
 
 
+def every_second_call_fails(complete):
+    """``complete``, a transport method, with every second call raising
+    ``TransportError`` instead; safe to share between threads."""
+    from hopbench.errors import TransportError
+
+    calls = itertools.count(1)
+
+    def failing(self, request):
+        if next(calls) % 2 == 0:
+            raise TransportError("endpoint down")
+        return complete(self, request)
+
+    return failing
+
+
+def recorded_stages(run_dir) -> list[str]:
+    return [record["stage"] for record in json.loads((run_dir / "manifest.json").read_text())["stages"]]
+
+
+def test_provider_failure_in_evaluate_exits_4_and_the_rerun_resumes(toy_yaml, tmp_path, monkeypatch):
+    from hopbench.evaluation import MockEvalTransport
+
+    config = load_config(toy_yaml)
+    whole, run = tmp_path / "whole", tmp_path / "run"
+    for run_dir in (whole, run):
+        synthesized_toy_run(run_dir, config)
+    evaluate, report = ["evaluate", "--model", "mock:oracle"], ["report", "--model", "mock:oracle"]
+    for args in (evaluate, report):
+        assert invoke(["--config", str(toy_yaml), "--run-dir", str(whole)] + args).exit_code == 0
+
+    base = ["--config", str(toy_yaml), "--run-dir", str(run)]
+    with monkeypatch.context() as patch:
+        patch.setattr(MockEvalTransport, "complete", every_second_call_fails(MockEvalTransport.complete))
+        result = invoke(base + evaluate)
+    assert result.exit_code == 4
+    assert "endpoint down" in result.output
+    # The one answer streamed before the failure is kept; the failed item is
+    # not an answer, and the stage records nothing.
+    name = pipeline.outcomes_name("mock:oracle", "zero_shot")
+    assert (run / name).read_text().splitlines() == (whole / name).read_text().splitlines()[:2]
+    assert "evaluate:mock-oracle:zero_shot" not in recorded_stages(run)
+
+    result = invoke(base + evaluate)
+    assert result.exit_code == 0
+    assert "evaluate:mock-oracle:zero_shot: ok" in result.output
+    assert "'resumed_existing': 1" in result.output
+    assert invoke(base + report).exit_code == 0
+    for name in (name, "report_mock-oracle.json"):
+        assert (run / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+def test_provider_failure_in_synthesize_exits_4_and_discards_nothing(toy_yaml, tmp_path, monkeypatch):
+    from hopbench.providers import MockChatTransport
+
+    # The interrupted run caches its responses; the uninterrupted one does not.
+    cached_yaml = tmp_path / "cached.yaml"
+    dump_config(replace(toy_config(seed=7), cache_dir=str(tmp_path / "cache")), cached_yaml)
+    whole, run = tmp_path / "whole", tmp_path / "run"
+    for run_dir, path in ((whole, toy_yaml), (run, cached_yaml)):
+        config = load_config(path)
+        for fn in (pipeline.run_ingest, pipeline.run_chunk, pipeline.run_tree, pipeline.run_extract,
+                   pipeline.run_shatter, pipeline.run_mine):
+            fn(run_dir, config)
+
+    calls = []
+    real_complete = MockChatTransport.complete
+
+    def counted(self, request):
+        calls.append(request)
+        return real_complete(self, request)
+
+    monkeypatch.setattr(MockChatTransport, "complete", counted)
+    assert invoke(["--config", str(toy_yaml), "--run-dir", str(whole), "synthesize"]).exit_code == 0
+    uninterrupted = len(calls)
+
+    base = ["--config", str(cached_yaml), "--run-dir", str(run)]
+    calls.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(MockChatTransport, "complete", every_second_call_fails(counted))
+        result = invoke(base + ["synthesize"])
+    assert result.exit_code == 4
+    assert "endpoint down" in result.output
+    answered = len(calls)
+    assert answered == 1
+    # The chain whose call failed is not a discard: nothing is written.
+    assert not (run / "dataset.jsonl").exists() and not (run / "discards.jsonl").exists()
+    assert "synthesize" not in recorded_stages(run)
+
+    calls.clear()
+    result = invoke(base + ["synthesize"])
+    assert result.exit_code == 0
+    assert "synthesize: ok" in result.output
+    assert len(calls) == uninterrupted - answered  # the answered call comes from the cache
+    for name in ("dataset.jsonl", "discards.jsonl"):
+        assert (run / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("max_parallel", [1, 2])
+def test_provider_failure_in_adjudicate_exits_4_at_any_parallelism(tmp_path, monkeypatch, max_parallel):
+    from hopbench.providers import MockChatTransport
+
+    path = tmp_path / "toy.yaml"
+    dump_config(replace(toy_config(seed=7), max_parallel=max_parallel), path)
+    config = load_config(path)
+    whole, run = tmp_path / "whole", tmp_path / "run"
+    for run_dir in (whole, run):
+        synthesized_toy_run(run_dir, config)
+    assert invoke(["--config", str(path), "--run-dir", str(whole), "adjudicate"]).exit_code == 0
+
+    base = ["--config", str(path), "--run-dir", str(run), "adjudicate"]
+    with monkeypatch.context() as patch:
+        patch.setattr(MockChatTransport, "complete", every_second_call_fails(MockChatTransport.complete))
+        result = invoke(base)
+    assert result.exit_code == 4
+    assert "endpoint down" in result.output
+    # A member whose provider failed is not a missing vote: nothing is written.
+    assert not (run / "adjudications.jsonl").exists()
+    assert "adjudicate" not in recorded_stages(run)
+
+    result = invoke(base)
+    assert result.exit_code == 0
+    assert "adjudicate: ok" in result.output
+    assert (run / "adjudications.jsonl").read_bytes() == (whole / "adjudications.jsonl").read_bytes()
+
+
 def test_second_model_reuses_the_run_contexts(toy_yaml, tmp_path, monkeypatch):
     from hopbench.providers import EmbeddingService
 
@@ -838,3 +964,17 @@ def test_shatter_sweep_rejects_a_threshold_that_is_not_a_number(zero_shot_toy_ru
     assert result.exit_code == 0, result.output
     report = json.loads((run_dir / "topology_report.json").read_text(encoding="utf-8"))
     assert [row["k"] for row in report["sweep"]] == [10.0, "inf"]
+
+
+def test_shatter_sweep_reads_every_spelling_of_infinity_as_no_threshold(zero_shot_toy_run, tmp_path):
+    reports = {}
+    for spec in ("10,inf", "10,infinity", "10,1e999"):
+        config_path, run_dir = copied_run(zero_shot_toy_run, tmp_path / spec)
+        base = ["--config", str(config_path), "--run-dir", str(run_dir), "shatter-sweep", "--k", spec]
+        result = invoke(base)
+        assert result.exit_code == 0, result.output
+        assert "shatter-sweep: ok" in result.output
+        assert "up to date" in invoke(base).output
+        reports[spec] = (run_dir / "topology_report.json").read_bytes()
+    assert reports["10,infinity"] == reports["10,1e999"] == reports["10,inf"]
+    assert [row["k"] for row in json.loads(reports["10,inf"])["sweep"]] == [10.0, "inf"]
