@@ -13,14 +13,23 @@ factors' inverses for the Mahalanobis terms, the log-determinants from the
 factors' diagonals, and one batched product for the weighted scatter
 matrices. The log-sum-exp helper repeats the arithmetic of
 ``scipy.special.logsumexp``, so the fits match a per-component loop to
-rounding.
+rounding. A fit allocates its two (K, d, N) stacks once and the steps write
+into them, so EM iterations take no fresh pages.
+
+The search scores each K (all its restarts) as one task through the ``map``
+it is given: the builtin ``map`` in-process, or ``fit_pool``'s map over
+forked worker processes, each with one BLAS thread. A task returns only its
+best restart's index, log-likelihood and BIC; the caller picks K* and refits
+the winning restart in-process for the model. Every fit is seeded by its K
+and restart alone, so both maps give the same search bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +63,8 @@ class GaussianMixture:
 class ClusterSearch:
     k_star: int
     best: GaussianMixture
-    bic_by_k: dict[int, float] = field(default_factory=dict)
-    log_likelihood_by_k: dict[int, float] = field(default_factory=dict)
+    bic_by_k: dict[int, float]
+    log_likelihood_by_k: dict[int, float]
 
 
 def bic_score(log_likelihood: float, k: int, n: int) -> float:
@@ -83,15 +92,22 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return np.log1p(s / m) + np.log(m) + a_max
 
 
-def _differences(x: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """x_i - mu_k for all k, i -> (K, d, N)."""
-    return np.ascontiguousarray(x.T)[None, :, :] - means[:, :, None]
+# Two (K, d, N) arrays the E- and M-steps write their stacks into; None
+# allocates fresh ones (``out=None``), which gives the same bits.
+NO_WORKSPACE = (None, None)
 
 
-def _log_gaussian(x: np.ndarray, means: np.ndarray, covariances: np.ndarray, covariance_type: str) -> np.ndarray:
+def _differences(x: np.ndarray, means: np.ndarray, out=None) -> np.ndarray:
+    """x_i - mu_k for all k, i -> (K, d, N), written into ``out`` if given."""
+    return np.subtract(np.ascontiguousarray(x.T)[None, :, :], means[:, :, None], out=out)
+
+
+def _log_gaussian(
+    x: np.ndarray, means: np.ndarray, covariances: np.ndarray, covariance_type: str, work=NO_WORKSPACE
+) -> np.ndarray:
     """log N(x_i | mu_k, Sigma_k) for all i, k -> (N, K), all components at once."""
     d = x.shape[1]
-    diff = _differences(x, means)
+    diff = _differences(x, means, work[0])
     if covariance_type == "full":
         try:
             chol = np.linalg.cholesky(covariances)
@@ -102,38 +118,40 @@ def _log_gaussian(x: np.ndarray, means: np.ndarray, covariances: np.ndarray, cov
                 except np.linalg.LinAlgError:
                     raise DegenerateFitError(f"component {j} covariance not positive definite") from exc
             raise
-        z = np.linalg.inv(chol) @ diff
+        z = np.matmul(np.linalg.inv(chol), diff, out=work[1])
         maha = np.einsum("kdn,kdn->kn", z, z)
         log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
     else:
         bad = np.flatnonzero(np.any(covariances <= 0, axis=1))
         if bad.size:
             raise DegenerateFitError(f"component {bad[0]} has non-positive variance")
-        maha = np.sum(diff * diff / covariances[:, :, None], axis=1)
+        squared = np.multiply(diff, diff, out=work[1])
+        maha = np.sum(np.divide(squared, covariances[:, :, None], out=squared), axis=1)
         log_det = np.sum(np.log(covariances), axis=1)
     out = -0.5 * (d * math.log(2 * math.pi) + log_det[:, None] + maha)
     return np.ascontiguousarray(out.T)  # row-major: _logsumexp then sums rows in scipy's order
 
 
-def _e_step(x, weights, means, covariances, covariance_type):
-    weighted = _log_gaussian(x, means, covariances, covariance_type) + np.log(weights)
+def _e_step(x, weights, means, covariances, covariance_type, work=NO_WORKSPACE):
+    weighted = _log_gaussian(x, means, covariances, covariance_type, work) + np.log(weights)
     norms = _logsumexp(weighted)
     gamma = np.exp(weighted - norms)
     return gamma, float(np.sum(norms))
 
 
-def _m_step(x: np.ndarray, gamma: np.ndarray, mass: np.ndarray, covariance_type: str):
+def _m_step(x: np.ndarray, gamma: np.ndarray, mass: np.ndarray, covariance_type: str, work=NO_WORKSPACE):
     """Weights, means and regularized covariances from the responsibilities
     and their per-component sums, all components at once."""
     weights = mass / x.shape[0]
     weights = weights / weights.sum()
     means = (gamma.T @ x) / mass[:, None]
-    diff = _differences(x, means)
-    weighted = np.ascontiguousarray(gamma.T)[:, None, :] * diff
+    diff = _differences(x, means, work[0])
+    weighted = np.multiply(np.ascontiguousarray(gamma.T)[:, None, :], diff, out=work[1])
     if covariance_type == "full":
         scatter = np.matmul(weighted, diff.transpose(0, 2, 1))
         return weights, means, _regularize(scatter / mass[:, None, None], "full")
-    return weights, means, _regularize(np.sum(weighted * diff, axis=2) / mass[:, None], "diag")
+    scatter = np.sum(np.multiply(weighted, diff, out=weighted), axis=2)
+    return weights, means, _regularize(scatter / mass[:, None], "diag")
 
 
 def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -188,12 +206,13 @@ def fit_gmm_em(points, K: int, seed: int) -> tuple[GaussianMixture, np.ndarray]:
     else:
         covariances = _regularize(np.repeat(np.diag(base_cov)[None, :], K, axis=0), "diag")
 
+    work = (np.empty((K, d, n)), np.empty((K, d, n)))
     trace: list[float] = []
     converged = False
     rescues_left = 3  # bounded so a hopeless component cannot thrash forever
     gamma = np.full((n, K), 1.0 / K)
     for _ in range(MAX_ITERATIONS):
-        gamma, log_likelihood = _e_step(x, weights, means, covariances, covariance_type)
+        gamma, log_likelihood = _e_step(x, weights, means, covariances, covariance_type, work)
         trace.append(log_likelihood)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < CONVERGENCE_TOL:
             converged = True
@@ -203,7 +222,7 @@ def fit_gmm_em(points, K: int, seed: int) -> tuple[GaussianMixture, np.ndarray]:
         dead = np.where(mass < 1e-10)[0]
         if dead.size and rescues_left > 0:
             rescues_left -= 1
-            per_point = _logsumexp(_log_gaussian(x, means, covariances, covariance_type) + np.log(weights))
+            per_point = _logsumexp(_log_gaussian(x, means, covariances, covariance_type, work) + np.log(weights))
             worst = int(np.argmin(per_point))
             for j in dead:
                 means[j] = x[worst]
@@ -218,10 +237,10 @@ def fit_gmm_em(points, K: int, seed: int) -> tuple[GaussianMixture, np.ndarray]:
             continue
 
         mass = np.maximum(mass, 10 * np.finfo(np.float64).eps)  # guards the division once rescues run out
-        weights, means, covariances = _m_step(x, gamma, mass, covariance_type)
+        weights, means, covariances = _m_step(x, gamma, mass, covariance_type, work)
 
     if not trace:
-        gamma, log_likelihood = _e_step(x, weights, means, covariances, covariance_type)
+        gamma, log_likelihood = _e_step(x, weights, means, covariances, covariance_type, work)
         trace.append(log_likelihood)
 
     model = GaussianMixture(
@@ -252,9 +271,54 @@ def soft_assign(model: GaussianMixture, points) -> np.ndarray:
     return gamma
 
 
-def search_cluster_count(points, K_max: int, seed: int, n_restarts: int) -> ClusterSearch:
+def _restart_seed(seed: int, k: int, restart: int) -> int:
+    return derive_seed(seed, f"k{k}", f"r{restart}")
+
+
+def _score_k(task: tuple[np.ndarray, int, int, int]) -> tuple[int, float, float]:
+    """One K of the search, all its restarts: the index, log-likelihood and
+    BIC of the first restart with the highest log-likelihood."""
+    x, k, seed, n_restarts = task
+    best = None
+    for restart in range(max(1, n_restarts)):
+        model, _ = fit_gmm_em(x, k, seed=_restart_seed(seed, k, restart))
+        if best is None or model.log_likelihood > best[1]:
+            best = (restart, model.log_likelihood, model.bic)
+    return best
+
+
+@contextlib.contextmanager
+def fit_pool(processes: int):
+    """A ``map`` for ``search_cluster_count`` over ``processes`` forked
+    worker processes; the builtin ``map`` for one. The pool is closed and
+    joined on leaving the block, and terminated first when the block raised,
+    so no worker outlives it.
+
+    Forked, not spawned: a worker starts with the program already imported,
+    where a spawned one would import it again. The stages run no threads of
+    their own while the tree is built (``providers.parallel_map`` joins its
+    threads before it returns), so the fork copies no held lock."""
+    if processes <= 1:
+        yield map
+        return
+    import multiprocessing
+
+    pool = multiprocessing.get_context("fork").Pool(processes)
+    try:
+        yield lambda fn, tasks: pool.map(fn, tasks, chunksize=1)
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+
+
+def search_cluster_count(points, K_max: int, seed: int, n_restarts: int, mapper=map) -> ClusterSearch:
     """Fit K = 1..K_max (best of ``n_restarts`` each) and minimize the
-    penalized objective; ties break toward smaller K."""
+    penalized objective; ties break toward smaller K. ``mapper`` runs the
+    per-K tasks, largest K first (see ``fit_pool``)."""
     if K_max < 1:
         raise ValidationError("K_max must be >= 1")
     x = _as_matrix(points)
@@ -262,18 +326,9 @@ def search_cluster_count(points, K_max: int, seed: int, n_restarts: int) -> Clus
     if n < 2:
         raise ValidationError("cluster-count search needs at least 2 points")
 
-    search = ClusterSearch(k_star=1, best=None)  # type: ignore[arg-type]
-    for k in range(1, min(K_max, n) + 1):
-        best_model: GaussianMixture | None = None
-        for restart in range(max(1, n_restarts)):
-            model, _ = fit_gmm_em(x, k, seed=derive_seed(seed, f"k{k}", f"r{restart}"))
-            if best_model is None or model.log_likelihood > best_model.log_likelihood:
-                best_model = model
-        assert best_model is not None
-        search.bic_by_k[k] = best_model.bic
-        search.log_likelihood_by_k[k] = best_model.log_likelihood
-        if search.best is None or best_model.bic < search.best.bic:
-            search.k_star = k
-            search.best = best_model
-    return search
-
+    ks = range(min(K_max, n), 0, -1)  # the longest fits go out first
+    scores = dict(zip(ks, mapper(_score_k, [(x, k, seed, n_restarts) for k in ks])))
+    bic_by_k = {k: scores[k][2] for k in sorted(scores)}
+    k_star = min(bic_by_k, key=bic_by_k.__getitem__)  # the first minimum: ties go to the smaller K
+    best, _ = fit_gmm_em(x, k_star, seed=_restart_seed(seed, k_star, scores[k_star][0]))
+    return ClusterSearch(k_star, best, bic_by_k, {k: scores[k][1] for k in sorted(scores)})

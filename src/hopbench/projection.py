@@ -81,11 +81,12 @@ def distance_rank_correlation(source: np.ndarray, points: np.ndarray, seed: int)
     if n < 3:
         return 1.0
     target = np.asarray(points, dtype=np.float64)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if len(pairs) > MAX_PAIRS:
+    rows, cols = np.triu_indices(n, 1)  # every pair i < j, in row-major order
+    if len(rows) > MAX_PAIRS:
         rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(pairs), size=MAX_PAIRS, replace=False)
-        pairs = [pairs[int(c)] for c in chosen]
+        chosen = rng.choice(len(rows), size=MAX_PAIRS, replace=False)
+        rows, cols = rows[chosen], cols[chosen]
+    pairs = list(zip(rows.tolist(), cols.tolist()))
     d_source = [float(np.linalg.norm(source[i] - source[j])) for i, j in pairs]
     d_target = [float(np.linalg.norm(target[i] - target[j])) for i, j in pairs]
     coefficient = spearman(np.array(d_source), np.array(d_target))

@@ -9,6 +9,7 @@ stops at a single root, at two nodes, or at ``max_levels``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import prompts
 from .config import PipelineConfig
 from .corpus import Chunk
 from .errors import ValidationError
-from .gmm import search_cluster_count, soft_assign
+from .gmm import fit_pool, search_cluster_count, soft_assign
 from .projection import distance_rank_correlation, reduce_dimensions
 from .providers import ChatRequest, ChatService, EmbeddingService
 from .seeding import derive_seed
@@ -97,9 +98,22 @@ def build_summary_tree(
 ) -> SummaryTree:
     """Build the hierarchy bottom-up from chunks; one chunk needs no calls.
     Reads the hierarchy settings, ``chat_model`` and the tree seed derived
-    from ``config.seed``."""
+    from ``config.seed``. Every level's cluster-count search runs in one pool
+    of fit workers, one per CPU this process may run on."""
     if not chunks:
         raise ValidationError("cannot build a tree from zero chunks")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    with fit_pool(min(cpus, config.gmm_k_max)) as mapper:
+        return _build_levels(chunks, chat, embedder, config, mapper)
+
+
+def _build_levels(
+    chunks: list[Chunk],
+    chat: ChatService,
+    embedder: EmbeddingService,
+    config: PipelineConfig,
+    mapper,
+) -> SummaryTree:
     seed = derive_seed(config.seed, "tree")
 
     tree = SummaryTree()
@@ -125,7 +139,7 @@ def build_summary_tree(
 
         k_max = min(config.gmm_k_max, len(ids) - 1)
         search = search_cluster_count(
-            matrix, K_max=k_max, seed=level_seed, n_restarts=config.gmm_restarts
+            matrix, K_max=k_max, seed=level_seed, n_restarts=config.gmm_restarts, mapper=mapper
         )
         gamma = soft_assign(search.best, matrix)
         members_by_cluster = soft_members(gamma, ids, config.membership_floor)

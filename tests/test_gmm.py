@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
+from hopbench import gmm
 from hopbench.errors import DegenerateFitError, ValidationError
 from hopbench.gmm import (
     COVARIANCE_REGULARIZATION,
@@ -17,6 +19,7 @@ from hopbench.gmm import (
     _m_step,
     bic_score,
     fit_gmm_em,
+    fit_pool,
     search_cluster_count,
     soft_assign,
 )
@@ -290,3 +293,34 @@ def test_zero_variance_names_the_first_bad_component():
     covariances[3, 0] = -1.0
     with pytest.raises(DegenerateFitError, match="component 1 has non-positive variance"):
         _e_step(x, weights, means, covariances, "diag")
+
+
+def test_pooled_search_equals_the_serial_search_bit_for_bit():
+    x = np.random.default_rng(24).standard_normal((198, 10))
+    serial = search_cluster_count(x, K_max=50, seed=3, n_restarts=4)
+    with fit_pool(2) as mapper:
+        pooled = search_cluster_count(x, K_max=50, seed=3, n_restarts=4, mapper=mapper)
+    assert multiprocessing.active_children() == []
+    assert pooled.k_star == serial.k_star
+    assert list(pooled.bic_by_k.items()) == list(serial.bic_by_k.items())
+    assert list(pooled.log_likelihood_by_k.items()) == list(serial.log_likelihood_by_k.items())
+    assert np.array_equal(pooled.best.means, serial.best.means)
+    assert np.array_equal(pooled.best.covariances, serial.best.covariances)
+    assert pooled.best.iteration_trace == serial.best.iteration_trace
+    assert np.array_equal(soft_assign(pooled.best, x), soft_assign(serial.best, x))
+
+
+def test_a_fit_that_fails_in_a_worker_raises_in_the_caller(monkeypatch):
+    fit = gmm.fit_gmm_em
+
+    def collapses_at_three(points, K, seed):
+        if K == 3 and multiprocessing.parent_process() is not None:
+            raise DegenerateFitError(f"component 0 collapsed at K={K}")
+        return fit(points, K, seed)
+
+    monkeypatch.setattr(gmm, "fit_gmm_em", collapses_at_three)  # before the fork: the workers inherit it
+    x = np.random.default_rng(25).standard_normal((40, 3))
+    with pytest.raises(DegenerateFitError, match="collapsed at K=3"):
+        with fit_pool(2) as mapper:
+            search_cluster_count(x, K_max=6, seed=0, n_restarts=2, mapper=mapper)
+    assert multiprocessing.active_children() == []

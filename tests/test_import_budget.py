@@ -1,6 +1,7 @@
 """Importing the CLI loads only what every command runs: `scipy.stats` is
-not used at all and `requests` only by the HTTP transports, which import it
-on their first call."""
+not used at all, `requests` only by the HTTP transports, which import it on
+their first call, and `multiprocessing` only by the `tree` stage, which
+imports it where it opens its pool of fit workers."""
 
 from __future__ import annotations
 
@@ -19,4 +20,4 @@ def test_importing_the_cli_loads_neither_scipy_stats_nor_requests():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     loaded = set(json.loads(result.stdout))
     assert "hopbench.pipeline" in loaded
-    assert {"scipy.stats", "requests"} & loaded == set()
+    assert {"scipy.stats", "requests", "multiprocessing"} & loaded == set()

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import pytest
 
+from hopbench import gmm
 from hopbench.corpus import Chunk
-from hopbench.errors import ValidationError
+from hopbench.errors import DegenerateFitError, ValidationError
 from hopbench.providers import (
     ChatService,
     EmbeddingService,
@@ -173,3 +177,46 @@ def test_builds_are_deterministic():
     for node_id, node in first.nodes.items():
         assert second.nodes[node_id].member_ids == node.member_ids
         assert second.nodes[node_id].summary_text == node.summary_text
+
+
+def topic_chunks(embedder: EmbeddingService) -> list[Chunk]:
+    """24 chunks over six topics, enough for a search of several K per level."""
+    words = "renal cardiac hepatic neural dermal ocular".split()
+    texts = [f"{w} finding {i} case {i % 3} grade {i % 2}" for i, w in enumerate(words * 4)]
+    return make_chunks(texts, embedder)
+
+
+def tree_record(tree: SummaryTree) -> tuple:
+    nodes = sorted((n.node_id, n.level, n.member_ids, n.summary_text) for n in tree.nodes.values())
+    return nodes, tree.level_reports
+
+
+def test_a_tree_on_one_cpu_equals_the_pooled_tree_and_no_worker_outlives_it(monkeypatch):
+    embedder = EmbeddingService(MockEmbeddingTransport(dimension=32, seed=1))
+    chunks = topic_chunks(embedder)
+    config = PipelineConfig(target_dim=4, gmm_k_max=8, gmm_restarts=2, max_levels=3, seed=2)
+    built = {}
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, cpus=cpus: cpus, raising=False)
+        tree = build_summary_tree(chunks, ChatService(MockChatTransport(seed=0)), embedder, config)
+        assert multiprocessing.active_children() == []
+        built[len(cpus)] = tree_record(tree)
+    assert built[2] == built[1]
+    assert built[1][1][0]["k_star"] > 1
+
+
+def test_a_fit_that_raises_in_a_worker_ends_the_tree_and_its_workers(monkeypatch):
+    fit = gmm.fit_gmm_em
+
+    def collapses(points, K, seed):
+        if K == 2 and multiprocessing.parent_process() is not None:
+            raise DegenerateFitError("component 1 covariance not positive definite")
+        return fit(points, K, seed)
+
+    monkeypatch.setattr(gmm, "fit_gmm_em", collapses)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+    embedder = EmbeddingService(MockEmbeddingTransport(dimension=32, seed=1))
+    config = PipelineConfig(target_dim=4, gmm_k_max=8, gmm_restarts=2, max_levels=3, seed=2)
+    with pytest.raises(DegenerateFitError, match="component 1"):
+        build_summary_tree(topic_chunks(embedder), ChatService(MockChatTransport(seed=0)), embedder, config)
+    assert multiprocessing.active_children() == []
