@@ -47,7 +47,10 @@ DEFAULT_THETA = ThetaSchedule()
 # raise it, so the bag distance stays a lower bound on the edit distance.
 _COLUMNS = 128
 _DIGIT_RUNS = re.compile(r"\d+")
-POLARITY_PREFIXES = ("hyper", "hypo", "post", "pre", "anti")
+# Word beginnings of opposite meaning. `anti` needs no entry: adding or
+# dropping it takes four edits, above the largest tolerance.
+POLARITY_PAIRS = (("hyper", "hypo"), ("pre", "post"), ("intra", "extra"), ("endo", "exo"))
+_OPPOSITE = {a: b for pair in POLARITY_PAIRS for a, b in (pair, pair[::-1])}
 
 
 def damerau_levenshtein(s1: str, s2: str, limit: int | None = None) -> int:
@@ -83,16 +86,24 @@ def damerau_levenshtein(s1: str, s2: str, limit: int | None = None) -> int:
 
 
 def merge_signature(normalized: str) -> tuple[tuple[str, ...], tuple[tuple[int, str], ...]]:
-    """What two surfaces must share to merge: their digit runs, and the
-    polarity prefix (``POLARITY_PREFIXES``) of each word that carries one.
-    "type 1 diabetes" and "type 2 diabetes", or "hyperthyroidism" and
-    "hypothyroidism", are close in edit distance but name distinct entities."""
+    """What ``signatures_clash`` compares: the surface's digit runs, and the
+    position and ``POLARITY_PAIRS`` member of each word that starts with one."""
     polarity = []
     for position, word in enumerate(normalized.split()):
-        prefix = next((p for p in POLARITY_PREFIXES if word.startswith(p)), None)
+        prefix = next((p for p in _OPPOSITE if word.startswith(p)), None)
         if prefix is not None:
             polarity.append((position, prefix))
     return tuple(_DIGIT_RUNS.findall(normalized)), tuple(polarity)
+
+
+def signatures_clash(a, b) -> bool:
+    """Whether two surfaces with these ``merge_signature``s name distinct
+    entities: their digit runs differ ("type 1" / "type 2 diabetes"), or
+    their words at one position start with the two members of a pair
+    ("hyperthyroidism" / "hypothyroidism"). A typo inside a prefix
+    ("hyprtension") starts with no member and clashes with nothing."""
+    prefixes = dict(a[1])
+    return a[0] != b[0] or any(prefixes.get(i) == _OPPOSITE[prefix] for i, prefix in b[1])
 
 
 def _char_counts(text: str) -> np.ndarray:
@@ -156,9 +167,9 @@ def fuzzy_merge(
     indexed on the call, its entities named by ``canonical_names`` or else
     by their ids (an index carries its own names). Tolerance scales with the
     candidate's length per the schedule. A surface whose ``merge_signature``
-    differs from the candidate's is never a match. Ties break by smaller
-    distance, then lexicographic canonical name, then entity id. Returns
-    None when nothing qualifies.
+    clashes with the candidate's (``signatures_clash``) is never a match.
+    Ties break by smaller distance, then lexicographic canonical name, then
+    entity id. Returns None when nothing qualifies.
     """
     normalized = normalize_for_match(candidate)
     if not normalized:
@@ -172,7 +183,7 @@ def fuzzy_merge(
     signature = merge_signature(normalized)
     best: tuple[int, str, str] | None = None
     for target, entity_id, name in vocabulary.within_bag_distance(normalized, tolerance):
-        if merge_signature(target) != signature:
+        if signatures_clash(merge_signature(target), signature):
             continue
         distance = damerau_levenshtein(normalized, target, limit=tolerance)
         if distance > tolerance:

@@ -16,19 +16,20 @@ matrices. The log-sum-exp helper repeats the arithmetic of
 rounding. A fit allocates its two (K, d, N) stacks once and the steps write
 into them, so EM iterations take no fresh pages.
 
-The search scores each K (all its restarts) as one task through the ``map``
-it is given: the builtin ``map`` in-process, or ``fit_pool``'s map over
-forked worker processes, each with one BLAS thread. A task returns only its
-best restart's index, log-likelihood and BIC; the caller picks K* and refits
-the winning restart in-process for the model. Every fit is seeded by its K
-and restart alone, so both maps give the same search bit for bit.
+The search scores each K (all its restarts) as one task and decides where
+the tasks run: with more than one CPU and at least ``POOLED_SEARCH_MIN_WORK``
+of work, in ``fit_pool``'s forked workers, one per CPU, each with one BLAS
+thread; otherwise in-process. A task returns only its best restart's index,
+log-likelihood and BIC; the search picks K* and refits the winning restart
+in-process for the model. Every fit is seeded by its K and restart alone, so
+both ways give the same search bit for bit.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,10 @@ COVARIANCE_REGULARIZATION = 1e-6
 CONVERGENCE_TOL = 1e-7
 MAX_ITERATIONS = 300
 FULL_COVARIANCE_MAX_DIM = 16
+# Points x dimensions^2 x K values x restarts (the shape of a search's EM
+# work) below which a pool costs more than it saves. The tree's levels on
+# the default settings are 750,000 and up; the toy's are under 2,000.
+POOLED_SEARCH_MIN_WORK = 200_000
 
 
 @dataclass
@@ -287,38 +292,32 @@ def _score_k(task: tuple[np.ndarray, int, int, int]) -> tuple[int, float, float]
     return best
 
 
-@contextlib.contextmanager
-def fit_pool(processes: int):
-    """A ``map`` for ``search_cluster_count`` over ``processes`` forked
-    worker processes; the builtin ``map`` for one. The pool is closed and
-    joined on leaving the block, and terminated first when the block raised,
-    so no worker outlives it.
+def fit_pool(fn, tasks: list, processes: int) -> list:
+    """``map(fn, tasks)`` over ``processes`` forked worker processes, one
+    task at a time each. The pool is terminated and joined before the call
+    returns or raises, so no worker outlives it.
 
     Forked, not spawned: a worker starts with the program already imported,
-    where a spawned one would import it again. The stages run no threads of
-    their own while the tree is built (``providers.parallel_map`` joins its
-    threads before it returns), so the fork copies no held lock."""
-    if processes <= 1:
-        yield map
-        return
+    where a spawned one would import it again. A fork copies only the calling
+    thread, and any lock another thread holds stays held in the child, so
+    every caller of ``search_cluster_count`` must run no other threads. The
+    stages run none while the tree is built (``providers.parallel_map`` joins
+    its threads before it returns)."""
     import multiprocessing
 
     pool = multiprocessing.get_context("fork").Pool(processes)
     try:
-        yield lambda fn, tasks: pool.map(fn, tasks, chunksize=1)
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
+        return pool.map(fn, tasks, chunksize=1)
     finally:
+        pool.terminate()
         pool.join()
 
 
-def search_cluster_count(points, K_max: int, seed: int, n_restarts: int, mapper=map) -> ClusterSearch:
+def search_cluster_count(points, K_max: int, seed: int, n_restarts: int) -> ClusterSearch:
     """Fit K = 1..K_max (best of ``n_restarts`` each) and minimize the
-    penalized objective; ties break toward smaller K. ``mapper`` runs the
-    per-K tasks, largest K first (see ``fit_pool``)."""
+    penalized objective; ties break toward smaller K. The per-K tasks go
+    out largest K first, pooled as the module docstring says; ``taskset``
+    limits the CPUs."""
     if K_max < 1:
         raise ValidationError("K_max must be >= 1")
     x = _as_matrix(points)
@@ -327,7 +326,10 @@ def search_cluster_count(points, K_max: int, seed: int, n_restarts: int, mapper=
         raise ValidationError("cluster-count search needs at least 2 points")
 
     ks = range(min(K_max, n), 0, -1)  # the longest fits go out first
-    scores = dict(zip(ks, mapper(_score_k, [(x, k, seed, n_restarts) for k in ks])))
+    tasks = [(x, k, seed, n_restarts) for k in ks]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    pooled = cpus > 1 and x.size * x.shape[1] * len(ks) * max(1, n_restarts) >= POOLED_SEARCH_MIN_WORK
+    scores = dict(zip(ks, fit_pool(_score_k, tasks, min(cpus, len(ks))) if pooled else map(_score_k, tasks)))
     bic_by_k = {k: scores[k][2] for k in sorted(scores)}
     k_star = min(bic_by_k, key=bic_by_k.__getitem__)  # the first minimum: ties go to the smaller K
     best, _ = fit_gmm_em(x, k_star, seed=_restart_seed(seed, k_star, scores[k_star][0]))

@@ -8,8 +8,9 @@ are the one path from a stage to a transport. Without a cache they call the
 transport directly; with a ``ResponseCache`` they hash the request together
 with the transport's ``provider_id``, and a repeated request to the same
 provider is answered byte-identically from the cache.
-``EmbeddingService.embed_texts`` sends at most ``EMBED_BATCH`` texts per
-request and returns one float64 matrix, a row per text.
+``EmbeddingService.embed_texts`` sends each distinct text once, at most
+``EMBED_BATCH`` of them per request, and returns one float64 matrix, a row
+per text given.
 """
 
 from __future__ import annotations
@@ -484,8 +485,9 @@ class ChatService:
 
 
 class EmbeddingService:
-    """Validated, optionally cached batch embedding, ``EMBED_BATCH`` texts per
-    request and per cache entry."""
+    """Validated, optionally cached batch embedding: each distinct text is
+    sent once, in order of first occurrence, ``EMBED_BATCH`` distinct texts
+    per request and per cache entry."""
 
     def __init__(self, transport: EmbeddingTransport, cache: ResponseCache | None = None):
         self.transport = transport
@@ -497,13 +499,15 @@ class EmbeddingService:
         for i, text in enumerate(texts):
             if not text.strip():
                 raise ValidationError(f"embed_texts: text {i} is empty after trim")
+        row_of = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+        distinct = list(row_of)
         rows: list[list[float]] = []
-        for start in range(0, len(texts), EMBED_BATCH):
-            rows.extend(self._embed_slice(texts[start : start + EMBED_BATCH]))
+        for start in range(0, len(distinct), EMBED_BATCH):
+            rows.extend(self._embed_slice(distinct[start : start + EMBED_BATCH]))
         dimensions = {len(row) for row in rows}
         if len(dimensions) != 1:
             raise ProviderFaultError(f"embedding batch mixed dimensions: {sorted(dimensions)}")
-        return np.asarray(rows, dtype=np.float64)
+        return np.asarray(rows, dtype=np.float64)[[row_of[text] for text in texts]]
 
     def _embed_slice(self, texts: Sequence[str]) -> list[list[float]]:
         if self.cache is None:

@@ -111,11 +111,9 @@ def compute_overlap_stats(
     excluded = 0
     task_counts: dict[str, int] = {}
 
-    option_texts: list[str] = []
-    for item in items:
-        option_texts.append(item.options[item.answer_index])
-        option_texts.append(item.options[item.hard_negative_index])
-    option_vectors = embedder.embed_texts(option_texts)
+    # Each item's answer and hard negative, as an (items, 2, d) stack.
+    options = [item.options[i] for item in items for i in (item.answer_index, item.hard_negative_index)]
+    option_vectors = embedder.embed_texts(options).reshape(len(items), 2, -1)
 
     for index, item in enumerate(items):
         try:
@@ -140,9 +138,6 @@ def compute_overlap_stats(
         task = judged.get("clinical_task", item.clinical_task)
         task_counts[task] = task_counts.get(task, 0) + 1
 
-        answer_vec = option_vectors[2 * index]
-        negative_vec = option_vectors[2 * index + 1]
-
         measures = {
             "avg_question_length": len(question_tokens)
             if item.language.upper() != "ZH"
@@ -150,7 +145,7 @@ def compute_overlap_stats(
             "avg_explanation_length": len(rationale_tokens)
             if item.language.upper() != "ZH"
             else len([c for c in item.rationale if not c.isspace()]),
-            "avg_distractor_similarity_cosine": cosine_similarity(answer_vec, negative_vec),
+            "avg_distractor_similarity_cosine": cosine_similarity(*option_vectors[index]),
             "lexical_overlap_vs_content_a_rouge1": rouge1_f1(question_tokens, tokenize(content_a, item.language)),
             "lexical_overlap_vs_content_b_rouge1": rouge1_f1(question_tokens, tokenize(content_b, item.language)),
             "lexical_overlap_vs_evidence_bleu1": bleu1(rationale_tokens, evidence_tokens),

@@ -9,7 +9,6 @@ stops at a single root, at two nodes, or at ``max_levels``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ from . import prompts
 from .config import PipelineConfig
 from .corpus import Chunk
 from .errors import ValidationError
-from .gmm import fit_pool, search_cluster_count, soft_assign
+from .gmm import search_cluster_count, soft_assign
 from .projection import distance_rank_correlation, reduce_dimensions
 from .providers import ChatRequest, ChatService, EmbeddingService
 from .seeding import derive_seed
@@ -98,22 +97,11 @@ def build_summary_tree(
 ) -> SummaryTree:
     """Build the hierarchy bottom-up from chunks; one chunk needs no calls.
     Reads the hierarchy settings, ``chat_model`` and the tree seed derived
-    from ``config.seed``. Every level's cluster-count search runs in one pool
-    of fit workers, one per CPU this process may run on."""
+    from ``config.seed``. Each level's cluster-count search decides for
+    itself whether its fits run in worker processes; the tree is the same
+    either way."""
     if not chunks:
         raise ValidationError("cannot build a tree from zero chunks")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    with fit_pool(min(cpus, config.gmm_k_max)) as mapper:
-        return _build_levels(chunks, chat, embedder, config, mapper)
-
-
-def _build_levels(
-    chunks: list[Chunk],
-    chat: ChatService,
-    embedder: EmbeddingService,
-    config: PipelineConfig,
-    mapper,
-) -> SummaryTree:
     seed = derive_seed(config.seed, "tree")
 
     tree = SummaryTree()
@@ -138,9 +126,7 @@ def _build_levels(
             rank_corr = 1.0
 
         k_max = min(config.gmm_k_max, len(ids) - 1)
-        search = search_cluster_count(
-            matrix, K_max=k_max, seed=level_seed, n_restarts=config.gmm_restarts, mapper=mapper
-        )
+        search = search_cluster_count(matrix, K_max=k_max, seed=level_seed, n_restarts=config.gmm_restarts)
         gamma = soft_assign(search.best, matrix)
         members_by_cluster = soft_members(gamma, ids, config.membership_floor)
 
@@ -161,7 +147,6 @@ def _build_levels(
             }
         )
 
-        summaries: list[str] = []
         new_nodes: list[SummaryTreeNode] = []
         for k in range(search.k_star):
             members = members_by_cluster[k]
@@ -186,13 +171,12 @@ def _build_levels(
                     cluster_model_ref=f"level{level}:k{search.k_star}",
                 )
             )
-            summaries.append(summary)
 
         for node in new_nodes:
             tree.add(node)
             texts[node.node_id] = node.summary_text
         ids = [node.node_id for node in new_nodes]
-        embeddings = embedder.embed_texts(summaries)
+        embeddings = embedder.embed_texts([node.summary_text for node in new_nodes])
 
     tree.validate()
     return tree

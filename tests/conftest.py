@@ -17,6 +17,22 @@ def no_decodes_shared_across_tests():
     pipeline._decoded.clear()
 
 
+@pytest.fixture
+def pools_started(monkeypatch) -> list[int]:
+    """The worker count of each process pool the test starts, in order."""
+    import multiprocessing.context
+
+    started: list[int] = []
+    real_pool = multiprocessing.context.BaseContext.Pool
+
+    def counted_pool(self, processes=None, *args, **kwargs):
+        started.append(processes)
+        return real_pool(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", counted_pool)
+    return started
+
+
 def make_graph(names: list[str], edge_names: list[tuple[str, str, str]]) -> KnowledgeGraph:
     """Graph from canonical names and (head, relation, tail) name triples."""
     graph = KnowledgeGraph()

@@ -13,6 +13,7 @@ from hopbench.align import (
     damerau_levenshtein,
     fuzzy_merge,
     merge_signature,
+    signatures_clash,
 )
 from hopbench.corpus import normalize_for_match
 from hopbench.errors import ValidationError
@@ -157,6 +158,9 @@ def test_fuzzy_merge_tie_breaks_by_name_then_id():
         ("type 1 diabetes", "type 2 diabetes"),
         ("IL-8", "IL-6"),
         ("hyperthyroidism", "hypothyroidism"),
+        ("preoperative care", "postoperative care"),
+        ("intracellular fluid", "extracellular fluid"),
+        ("endogenous", "exogenous"),
         ("vitamin B6", "vitamin B12"),
         ("marker 13 level", "marker 12 level"),
         ("marker 7 level", "marker 12 level"),
@@ -175,6 +179,26 @@ def test_merge_veto_leaves_typos_that_keep_numbers_and_prefixes():
     assert fuzzy_merge("anti-inflamatory drug", {"anti-inflammatory drug": "e1"}) == "e1"
 
 
+@pytest.mark.parametrize(
+    "candidate, known",
+    [
+        ("antbody", "antibody"),
+        ("hyprtension", "hypertension"),
+        ("antdiuretic hormone", "antidiuretic hormone"),
+    ],
+)
+def test_merge_veto_leaves_typos_inside_a_prefix(candidate, known):
+    # The candidate's word starts with no pair member, so nothing clashes.
+    assert fuzzy_merge(candidate, {known: "e1"}) == "e1"
+
+
+def test_a_pair_member_clashes_only_with_its_opposite_at_the_same_word():
+    assert signatures_clash(merge_signature("hypertension"), merge_signature("hypotension"))
+    assert not signatures_clash(merge_signature("hypertension"), merge_signature("hyprtension"))
+    assert not signatures_clash(merge_signature("hypertension"), merge_signature("pretension"))
+    assert not signatures_clash(merge_signature("renal hypertension"), merge_signature("hypotension renal"))
+
+
 def test_vetoed_surface_gives_way_to_the_next_best():
     # Both at distance 1; the name tie-break would pick e1, which the veto drops.
     vocab = {"type 1 diabetes": "e1", "type 2 diabetis": "e2"}
@@ -184,6 +208,7 @@ def test_vetoed_surface_gives_way_to_the_next_best():
 def test_merge_signature_reads_digit_runs_and_word_prefixes():
     assert merge_signature("vitamin b12") == (("12",), ())
     assert merge_signature("post hyperkalemia pressure") == ((), ((0, "post"), (1, "hyper"), (2, "pre")))
+    assert merge_signature("antibody extracellular") == ((), ((1, "extra"),))
 
 
 # -- the index against a full scan ----------------------------------------------------
@@ -201,7 +226,7 @@ def brute_force_merge(candidate, vocabulary, theta_schedule, canonical_names):
         target = normalize_for_match(surface)
         if abs(len(target) - len(normalized)) > tolerance:
             continue
-        if merge_signature(target) != merge_signature(normalized):
+        if signatures_clash(merge_signature(target), merge_signature(normalized)):
             continue
         distance = damerau_levenshtein(normalized, target)
         if distance > tolerance:

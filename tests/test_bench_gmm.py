@@ -6,12 +6,10 @@ the default run deselects them; ``pytest -m bench`` runs them, and adding
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
-from hopbench.gmm import fit_gmm_em, fit_pool, search_cluster_count, soft_assign
+from hopbench.gmm import fit_gmm_em, search_cluster_count, soft_assign
 
 pytestmark = pytest.mark.bench
 
@@ -33,10 +31,10 @@ def test_search_cluster_count_level_two(benchmark):
 
 
 def test_search_cluster_count_level_one(benchmark):
-    """As the tree runs it: the K values spread over one worker per CPU."""
+    """As the tree runs it: a search this size spreads its K values over one
+    worker per CPU."""
     x = points(198)
-    with fit_pool(len(os.sched_getaffinity(0))) as mapper:
-        search = benchmark(search_cluster_count, x, K_max=50, seed=1, n_restarts=4, mapper=mapper)
+    search = benchmark(search_cluster_count, x, K_max=50, seed=1, n_restarts=4)
     assert sorted(search.bic_by_k) == list(range(1, 51))
 
 

@@ -655,19 +655,18 @@ def test_retrieval_embeds_questions_in_fixed_size_slices(toy_yaml, tmp_path, mon
     requests = recorded_embedding_requests(monkeypatch)
     assert pipeline.run_retrieve(run_dir, config).status == "ok"
     questions = [r["question"] for r in jsonl_load(run_dir / "dataset.jsonl", "dataset")]
-    assert 2 < len(questions) <= providers.EMBED_BATCH
-    assert requests == [questions]
+    distinct = list(dict.fromkeys(questions))  # the toy repeats its questions; each is sent once
+    assert 1 < len(distinct) < len(questions) <= providers.EMBED_BATCH
+    assert requests == [distinct]
     contexts = (run_dir / "rag_contexts.jsonl").read_bytes()
 
-    # A dataset larger than a slice takes ceil(len / slice) requests, in
-    # order, and retrieves the same contexts.
+    # More distinct questions than a slice holds take ceil(len / slice)
+    # requests, in order, and retrieve the same contexts.
     requests.clear()
-    monkeypatch.setattr(providers, "EMBED_BATCH", 2)
+    monkeypatch.setattr(providers, "EMBED_BATCH", 1)
     (run_dir / "rag_contexts.jsonl").unlink()
     assert pipeline.run_retrieve(run_dir, config).status == "ok"
-    assert len(requests) == -(-len(questions) // 2)
-    assert all(len(request) <= 2 for request in requests)
-    assert [q for request in requests for q in request] == questions
+    assert requests == [[question] for question in distinct]
     assert (run_dir / "rag_contexts.jsonl").read_bytes() == contexts
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from hopbench.gmm import (
     _m_step,
     bic_score,
     fit_gmm_em,
-    fit_pool,
     search_cluster_count,
     soft_assign,
 )
@@ -295,11 +295,18 @@ def test_zero_variance_names_the_first_bad_component():
         _e_step(x, weights, means, covariances, "diag")
 
 
-def test_pooled_search_equals_the_serial_search_bit_for_bit():
-    x = np.random.default_rng(24).standard_normal((198, 10))
+def on_cpus(monkeypatch, cpus: set[int]) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: cpus, raising=False)
+
+
+def test_pooled_search_equals_the_serial_search_bit_for_bit(monkeypatch, pools_started):
+    x = np.random.default_rng(24).standard_normal((198, 10))  # a level-1 search: 50 K values, 4 restarts
+    on_cpus(monkeypatch, {0})
     serial = search_cluster_count(x, K_max=50, seed=3, n_restarts=4)
-    with fit_pool(2) as mapper:
-        pooled = search_cluster_count(x, K_max=50, seed=3, n_restarts=4, mapper=mapper)
+    assert pools_started == []
+    on_cpus(monkeypatch, {0, 1})
+    pooled = search_cluster_count(x, K_max=50, seed=3, n_restarts=4)
+    assert pools_started == [2]
     assert multiprocessing.active_children() == []
     assert pooled.k_star == serial.k_star
     assert list(pooled.bic_by_k.items()) == list(serial.bic_by_k.items())
@@ -310,7 +317,7 @@ def test_pooled_search_equals_the_serial_search_bit_for_bit():
     assert np.array_equal(soft_assign(pooled.best, x), soft_assign(serial.best, x))
 
 
-def test_a_fit_that_fails_in_a_worker_raises_in_the_caller(monkeypatch):
+def test_a_fit_that_fails_in_a_worker_raises_in_the_caller(monkeypatch, pools_started):
     fit = gmm.fit_gmm_em
 
     def collapses_at_three(points, K, seed):
@@ -319,8 +326,33 @@ def test_a_fit_that_fails_in_a_worker_raises_in_the_caller(monkeypatch):
         return fit(points, K, seed)
 
     monkeypatch.setattr(gmm, "fit_gmm_em", collapses_at_three)  # before the fork: the workers inherit it
+    monkeypatch.setattr(gmm, "POOLED_SEARCH_MIN_WORK", 0)
+    on_cpus(monkeypatch, {0, 1})
     x = np.random.default_rng(25).standard_normal((40, 3))
     with pytest.raises(DegenerateFitError, match="collapsed at K=3"):
-        with fit_pool(2) as mapper:
-            search_cluster_count(x, K_max=6, seed=0, n_restarts=2, mapper=mapper)
+        search_cluster_count(x, K_max=6, seed=0, n_restarts=2)
+    assert pools_started == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_toy_size_search_starts_no_worker(monkeypatch, pools_started):
+    on_cpus(monkeypatch, {0, 1})
+    rng = np.random.default_rng(26)
+    search_cluster_count(rng.standard_normal((6, 4)), K_max=5, seed=0, n_restarts=4)  # a toy-tree level
+    # 600 points in 2 dimensions, as each of acceptance test 05's hundred searches.
+    blobs = np.vstack([rng.normal(0, BLOB_SIGMA, size=(200, 2)) + c for c in ([0, 0], [8, 8], [16, 0])])
+    search_cluster_count(blobs, K_max=6, seed=0, n_restarts=2)
+    assert pools_started == []
+
+
+def test_a_search_runs_pooled_from_the_work_constant_up(monkeypatch, pools_started):
+    on_cpus(monkeypatch, {0, 1, 2, 3})
+    x = np.random.default_rng(27).standard_normal((50, 10))
+    assert gmm.POOLED_SEARCH_MIN_WORK == 50 * 10**2 * 10 * 4  # points x dimensions^2 x K values x restarts
+    search_cluster_count(x[:49], K_max=10, seed=0, n_restarts=4)
+    assert pools_started == []
+    search_cluster_count(x, K_max=10, seed=0, n_restarts=4)
+    assert pools_started == [4]  # one worker per CPU, at most one per K
+    search_cluster_count(x, K_max=3, seed=0, n_restarts=14)
+    assert pools_started == [4, 3]
     assert multiprocessing.active_children() == []

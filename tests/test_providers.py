@@ -234,6 +234,23 @@ def test_embed_texts_sends_slices_of_at_most_embed_batch_texts(monkeypatch, tmp_
     assert len(list(tmp_path.glob("*.json"))) == 3  # one cache entry per slice
 
 
+def test_embed_texts_sends_each_distinct_text_once(monkeypatch, tmp_path):
+    class Recording(MockEmbeddingTransport):
+        def embed(self, texts):
+            requests.append(list(texts))
+            return super().embed(texts)
+
+    texts = ["beta", "alpha", "beta", "gamma", "alpha", "delta", "beta"]
+    per_text = np.stack([EmbeddingService(MockEmbeddingTransport(dimension=8, seed=0)).embed_texts([t])[0] for t in texts])
+    monkeypatch.setattr(providers, "EMBED_BATCH", 2)
+    for cache in (None, ResponseCache(tmp_path)):
+        requests: list[list[str]] = []
+        rows = EmbeddingService(Recording(dimension=8, seed=0), cache=cache).embed_texts(texts)
+        assert np.array_equal(rows, per_text)
+        assert requests == [["beta", "alpha"], ["gamma", "delta"]]  # slices of distinct texts
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
 def test_embed_texts_validation_errors():
     service = EmbeddingService(MockEmbeddingTransport(dimension=16, seed=2))
     with pytest.raises(ValidationError):

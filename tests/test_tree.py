@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from hopbench import gmm
+from hopbench import gmm, pipeline
 from hopbench.corpus import Chunk
 from hopbench.errors import DegenerateFitError, ValidationError
 from hopbench.providers import (
@@ -15,6 +15,7 @@ from hopbench.providers import (
     MockEmbeddingTransport,
 )
 from hopbench.config import PipelineConfig
+from hopbench.toydata import toy_config
 from hopbench.tree import SummaryTree, SummaryTreeNode, build_summary_tree
 
 # Two clearly separated topic groups: texts within a group share one token
@@ -191,21 +192,35 @@ def tree_record(tree: SummaryTree) -> tuple:
     return nodes, tree.level_reports
 
 
-def test_a_tree_on_one_cpu_equals_the_pooled_tree_and_no_worker_outlives_it(monkeypatch):
+def test_a_tree_on_one_cpu_equals_the_pooled_tree_and_no_worker_outlives_it(monkeypatch, pools_started):
     embedder = EmbeddingService(MockEmbeddingTransport(dimension=32, seed=1))
     chunks = topic_chunks(embedder)
     config = PipelineConfig(target_dim=4, gmm_k_max=8, gmm_restarts=2, max_levels=3, seed=2)
+    # Level 1 (24 points x 4^2 x 8 K values x 2 restarts) runs pooled on two
+    # CPUs, the smaller levels above in-process.
+    monkeypatch.setattr(gmm, "POOLED_SEARCH_MIN_WORK", 24 * 4**2 * 8 * 2)
     built = {}
     for cpus in ({0, 1}, {0}):
+        pools_started.clear()
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, cpus=cpus: cpus, raising=False)
         tree = build_summary_tree(chunks, ChatService(MockChatTransport(seed=0)), embedder, config)
         assert multiprocessing.active_children() == []
+        assert pools_started == ([2] if len(cpus) == 2 else [])
         built[len(cpus)] = tree_record(tree)
     assert built[2] == built[1]
     assert built[1][1][0]["k_star"] > 1
+    assert len(built[1][1]) > 1
 
 
-def test_a_fit_that_raises_in_a_worker_ends_the_tree_and_its_workers(monkeypatch):
+def test_the_toy_tree_starts_no_worker_on_two_cpus(tmp_path, monkeypatch, pools_started):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+    config = toy_config(7)
+    for run in (pipeline.run_ingest, pipeline.run_chunk, pipeline.run_tree):
+        assert run(tmp_path, config).status == "ok"
+    assert pools_started == []
+
+
+def test_a_fit_that_raises_in_a_worker_ends_the_tree_and_its_workers(monkeypatch, pools_started):
     fit = gmm.fit_gmm_em
 
     def collapses(points, K, seed):
@@ -214,9 +229,11 @@ def test_a_fit_that_raises_in_a_worker_ends_the_tree_and_its_workers(monkeypatch
         return fit(points, K, seed)
 
     monkeypatch.setattr(gmm, "fit_gmm_em", collapses)
+    monkeypatch.setattr(gmm, "POOLED_SEARCH_MIN_WORK", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
     embedder = EmbeddingService(MockEmbeddingTransport(dimension=32, seed=1))
     config = PipelineConfig(target_dim=4, gmm_k_max=8, gmm_restarts=2, max_levels=3, seed=2)
     with pytest.raises(DegenerateFitError, match="component 1"):
         build_summary_tree(topic_chunks(embedder), ChatService(MockChatTransport(seed=0)), embedder, config)
+    assert pools_started == [2]
     assert multiprocessing.active_children() == []
