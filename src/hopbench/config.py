@@ -66,6 +66,11 @@ class PipelineConfig:
     # run
     seed: int = 0
 
+    def __post_init__(self):
+        # "No threshold" has one spelling, None; YAML's `.inf` loads as a float.
+        if self.k_threshold == math.inf:
+            self.k_threshold = None
+
     def theta_schedule(self) -> ThetaSchedule:
         return ThetaSchedule(
             steps=tuple((int(a), int(b)) for a, b in self.theta_steps), above=self.theta_above
@@ -94,8 +99,8 @@ class PipelineConfig:
             raise ValidationError("n_options must be >= 3")
         if self.per_source_cap is not None and self.per_source_cap < 1:
             raise ValidationError("per_source_cap must be >= 1 or null")
-        if self.synthesis_temperature < 0:
-            raise ValidationError("synthesis_temperature must be >= 0")
+        if not 0 <= self.synthesis_temperature < math.inf:  # NaN fails too
+            raise ValidationError("synthesis_temperature must be a finite number >= 0")
         if self.difficulty not in ("easy", "hard"):
             raise ValidationError("difficulty must be easy or hard")
         if self.context_k < 1:
@@ -119,10 +124,7 @@ class PipelineConfig:
         self.theta_schedule()  # validates the step order
 
     def to_record(self) -> dict:
-        record = asdict(self)
-        if record["k_threshold"] is not None and math.isinf(record["k_threshold"]):
-            record["k_threshold"] = None
-        return record
+        return asdict(self)
 
 
 _FIELDS = PipelineConfig.__dataclass_fields__
@@ -153,7 +155,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     unknown = set(raw) - set(_FIELDS)
     if unknown:
         raise ValidationError(f"{path}: unknown config keys: {sorted(unknown)}")
-    if "k_threshold" in raw and raw["k_threshold"] in ("inf", "null", None):
+    if raw.get("k_threshold") in ("inf", "null"):
         raw["k_threshold"] = None
     for key, value in raw.items():
         if not _conforms(value, _FIELD_TYPES[key]):

@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 from . import prompts
 from .errors import ValidationError
 from .providers import ChatRequest, ChatService, MockChatTransport
-from .rag import RagContext
 from .seeding import derive_seed
 from .synthesis import QAItem
 
@@ -77,12 +76,13 @@ def evaluate_dataset(
     chat: ChatService,
     model_id: str,
     mode: str = "zero_shot",
-    contexts: dict[str, RagContext] | None = None,
+    passages: dict[str, list[str]] | None = None,
     outcome_sink: Callable[[EvalOutcome], None] | None = None,
 ) -> list[EvalOutcome]:
     """Evaluate every item with the frozen prompt at temperature 0.
 
-    RAG mode requires a context per item. Outcomes stream to ``outcome_sink``
+    RAG mode requires each item's context passages, in prompt order, under
+    its ``qa_id`` in ``passages``. Outcomes stream to ``outcome_sink``
     as they are produced, so an interrupted run keeps them; a resumed run
     passes only the items it has not answered. A provider failure is not an
     answer: it propagates and ends the run, and the outcomes streamed before
@@ -90,15 +90,15 @@ def evaluate_dataset(
     if mode not in ("zero_shot", "rag"):
         raise ValidationError(f"unknown evaluation mode: {mode!r}")
     if mode == "rag":
-        if contexts is None:
+        if passages is None:
             raise ValidationError("rag mode requires a context per item")
-        missing = [item.qa_id for item in items if item.qa_id not in contexts]
+        missing = [item.qa_id for item in items if item.qa_id not in passages]
         if missing:
             raise ValidationError(f"rag contexts missing for {len(missing)} items (e.g. {missing[:3]})")
 
     outcomes: list[EvalOutcome] = []
     for item in items:
-        docs = contexts[item.qa_id].documents if mode == "rag" else None
+        docs = passages[item.qa_id] if mode == "rag" else None
         prompt = prompts.render_eval_prompt(item.question, item.options, docs)
         request = ChatRequest.user(prompt, temperature=0.0, model_name=model_id)
         response = chat.complete(request)

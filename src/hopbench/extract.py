@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from . import prompts
 from .corpus import Chunk, SentenceStore, normalize_for_match
@@ -126,7 +127,7 @@ def extract_triplets(
 
 def extract_tree(
     tree: SummaryTree,
-    chunks: list[Chunk],
+    chunks: Mapping[str, Chunk],
     chat: ChatService,
     sentence_store: SentenceStore,
     model_name: str,
@@ -137,15 +138,15 @@ def extract_tree(
 
     Returns (raw triplets, per-node reports, failed node ids). Entities that
     recur across many hierarchical nodes thereby accumulate frequency, which
-    is what the shattering threshold keys on.
+    is what the shattering threshold keys on. ``chunks`` maps chunk id to
+    chunk.
     """
-    chunk_by_id = {chunk.chunk_id: chunk for chunk in chunks}
     raw: list[RawTriplet] = []
     reports: list[NodeExtraction] = []
     failed: list[str] = []
     node_ids = sorted(tree.nodes, key=lambda nid: (tree.nodes[nid].level, nid))
     for node_id in node_ids:
-        member_chunks = [chunk_by_id[cid] for cid in tree.leaf_ids(node_id) if cid in chunk_by_id]
+        member_chunks = [chunks[cid] for cid in tree.leaf_ids(node_id) if cid in chunks]
         report = NodeExtraction(node_id=node_id)
         try:
             accepted = extract_triplets(report, member_chunks, chat, sentence_store, model_name, seed)

@@ -75,7 +75,7 @@ from .providers import (
     ResponseCache,
     parallel_map,
 )
-from .rag import CorpusIndex, RagContext, build_rag_context
+from .rag import CorpusIndex, build_rag_context, context_passages
 from .seeding import derive_seed, stable_text_digest
 from .synthesis import QAItem, synthesize_dataset
 from .topology import shatter_sweep, topology_report
@@ -294,10 +294,11 @@ def graph_from_records(records: list[dict]) -> KnowledgeGraph:
     return graph
 
 
-def _chunks(records: list[dict]) -> list[Chunk]:
-    """Refuses an ``embedding`` that is not a list of numbers: older files
-    hold an object there under the same ``chunk`` key, so only deleting the
-    file makes ``chunk`` write it anew."""
+def _chunks(records: list[dict]) -> dict[str, Chunk]:
+    """Chunk id to chunk, in file order; every reader of chunks uses this
+    mapping. Refuses a repeated chunk id, and an ``embedding`` that is not a
+    list of numbers: older files hold an object there under the same
+    ``chunk`` key, so only deleting the file makes ``chunk`` write it anew."""
     for record in records:
         embedding = record.get("embedding")
         if not isinstance(embedding, list) or not all(isinstance(v, (int, float)) for v in embedding):
@@ -305,7 +306,10 @@ def _chunks(records: list[dict]) -> list[Chunk]:
                 f"chunks.jsonl: chunk {record.get('chunk_id')}: embedding is not a list of numbers, as in "
                 "files written by older versions; delete chunks.jsonl and re-run `hopbench chunk`"
             )
-    return [from_record(Chunk, r) for r in records]
+    chunks = {r["chunk_id"]: from_record(Chunk, r) for r in records}
+    if len(chunks) != len(records):
+        raise ValidationError("chunks.jsonl: a chunk id is repeated")
+    return chunks
 
 
 def _tree(records: list[dict]) -> SummaryTree:
@@ -342,7 +346,7 @@ ARTIFACTS = {
     "dataset.jsonl": Artifact("dataset", _each(QAItem)),
     "discards.jsonl": Artifact("discards"),
     "adjudications.jsonl": Artifact("adjudications", lambda records: {r["qa_id"]: r for r in records}),
-    "rag_contexts.jsonl": Artifact("rag_contexts"),  # `evaluate` resolves them against the chunk texts
+    "rag_contexts.jsonl": Artifact("rag_contexts"),  # `evaluate` resolves them with `rag.context_passages`
     "outcomes_{model}_{mode}.jsonl": Artifact("outcomes", _each(EvalOutcome)),
 }
 
@@ -596,7 +600,7 @@ def run_tree(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     embedder = make_embedding_service(config)
 
     def compute(read, outputs, _digest):
-        tree = build_summary_tree(read("chunks.jsonl"), chat, embedder, config)
+        tree = build_summary_tree(list(read("chunks.jsonl").values()), chat, embedder, config)
         ordered = sorted(tree.nodes.values(), key=lambda n: (n.level, n.node_id))
         write_artifact([tree_node_to_record(n) for n in ordered], outputs["tree.jsonl"])
         write_json(outputs["gmm_report.json"], {"levels": tree.level_reports})
@@ -673,8 +677,7 @@ def run_synthesize(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     chat = make_chat_service(config, config.seed)
 
     def compute(read, outputs, _digest):
-        graph, chains = read("graph.jsonl"), read("chains.jsonl")
-        chunks = {c.chunk_id: c for c in read("chunks.jsonl")}
+        graph, chains, chunks = read("graph.jsonl"), read("chains.jsonl"), read("chunks.jsonl")
         items, discards = synthesize_dataset(chains, graph, chunks, read("sentences.jsonl"), chat, config)
         write_artifact([to_record(i) for i in items], outputs["dataset.jsonl"])
         write_artifact(
@@ -716,9 +719,7 @@ def run_stats(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     has_adjudications = (Path(run_dir) / "adjudications.jsonl").exists()
 
     def compute(read, outputs, digest):
-        items = read("dataset.jsonl")
-        chunks = {c.chunk_id: c for c in read("chunks.jsonl")}
-        sentences = read("sentences.jsonl")
+        items, chunks, sentences = read("dataset.jsonl"), read("chunks.jsonl"), read("sentences.jsonl")
         adjudications = read("adjudications.jsonl") if has_adjudications else None
         payload = compute_overlap_stats(items, chunks, sentences, embedder, adjudications=adjudications)
         payload["config_digest"] = digest
@@ -739,18 +740,20 @@ def outcomes_name(model: str, mode: str) -> str:
 def run_retrieve(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     """Build every item's RAG context once per run. Contexts do not depend on
     the model, so each model's RAG evaluation reads them from
-    ``rag_contexts.jsonl`` (chunk ids in prompt order, golden position)."""
+    ``rag_contexts.jsonl`` (chunk ids in prompt order, golden position).
+    Each distinct question is embedded and ranked once; every item of that
+    question gets its ranking."""
     embedder = make_embedding_service(config)
 
     def compute(read, outputs, _digest):
-        items = read("dataset.jsonl")
+        items, chunks = read("dataset.jsonl"), read("chunks.jsonl")
         if not items:
             raise ValidationError("dataset is empty; nothing to evaluate")
-        index = CorpusIndex(read("chunks.jsonl"))
-        vectors = embedder.embed_texts([item.question for item in items])
-        records = [
-            build_rag_context(item, index, vector, config).to_record() for item, vector in zip(items, vectors)
-        ]
+        index = CorpusIndex(chunks)
+        questions = list(dict.fromkeys(item.question for item in items))
+        vectors = embedder.embed_texts(questions)
+        ranked = {question: index.rank(vector, config.coarse_pool) for question, vector in zip(questions, vectors)}
+        records = [build_rag_context(item, ranked[item.question], chunks, config) for item in items]
         write_artifact(records, outputs["rag_contexts.jsonl"])
         return {"contexts": len(records)}
 
@@ -767,12 +770,12 @@ def run_evaluate(run_dir: str | Path, config: PipelineConfig, model: str, mode: 
         items = read("dataset.jsonl")
         if not items:
             raise ValidationError("dataset is empty; nothing to evaluate")
-        contexts: dict[str, RagContext] | None = None
+        passages: dict[str, list[str]] | None = None
         golden_texts: dict[str, str] = {}
         if mode == "rag":
-            texts = {c.chunk_id: c.text for c in read("chunks.jsonl")}
-            contexts = {r["qa_id"]: RagContext.from_record(r, texts) for r in read("rag_contexts.jsonl")}
-            golden_texts = {qa_id: c.documents[c.golden_position] for qa_id, c in contexts.items()}
+            chunks, contexts = read("chunks.jsonl"), read("rag_contexts.jsonl")
+            passages = {r["qa_id"]: context_passages(r, chunks) for r in contexts}
+            golden_texts = {r["qa_id"]: passages[r["qa_id"]][r["golden_position"]] for r in contexts}
 
         [(out_name, out_path)] = outputs.items()
         # Opened before the read: it drops a torn last record, and the
@@ -788,7 +791,7 @@ def run_evaluate(run_dir: str | Path, config: PipelineConfig, model: str, mode: 
                 chat = make_chat_service(config, config.seed)
             outcomes = evaluate_dataset(
                 [item for item in items if item.qa_id not in done], chat, model_id=model, mode=mode,
-                contexts=contexts, outcome_sink=lambda o: writer.append(to_record(o)),
+                passages=passages, outcome_sink=lambda o: writer.append(to_record(o)),
             )
         return {"evaluated": len(outcomes), "resumed_existing": len(done)}
 

@@ -6,15 +6,16 @@ final context embeds the golden paragraph (the hop evidence that names the
 masked bridge) at a seeded-random position among the top-ranked distractor
 passages.
 
-Contexts depend on the question, the corpus and the retrieval config, not on
-the model answering, so a run builds them once (the ``retrieve`` stage writes
-their chunk ids to ``rag_contexts.jsonl``) and every model's RAG evaluation
-reads them back with ``RagContext.from_record``."""
+A context is its chunk ids from retrieval to prompt. Contexts depend on the
+question, the corpus and the retrieval config, not on the model answering,
+so a run builds them once: the ``retrieve`` stage ranks each distinct
+question once and writes each item's record (chunk ids in prompt order,
+golden position) to ``rag_contexts.jsonl``, and every model's RAG evaluation
+turns a record into its passage texts with ``context_passages``."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,34 +28,13 @@ from .synthesis import QAItem
 from .textstats import tokenize
 
 
-@dataclass
-class RagContext:
-    qa_id: str
-    chunk_ids: list[str]
-    documents: list[str]
-    golden_position: int
-
-    def to_record(self) -> dict:
-        """The stored form: chunk ids in prompt order, not their texts."""
-        return {
-            "qa_id": self.qa_id,
-            "chunk_ids": self.chunk_ids,
-            "golden_position": self.golden_position,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict, texts: Mapping[str, str]) -> "RagContext":
-        """Rebuild a stored context; ``texts`` maps chunk id to chunk text."""
-        chunk_ids = list(record["chunk_ids"])
-        missing = [c for c in chunk_ids if c not in texts]
-        if missing:
-            raise StageError(f"{record['qa_id']}: context chunks {missing} are not in the corpus")
-        return cls(
-            qa_id=record["qa_id"],
-            chunk_ids=chunk_ids,
-            documents=[texts[c] for c in chunk_ids],
-            golden_position=record["golden_position"],
-        )
+def context_passages(record: dict, chunks: Mapping[str, Chunk]) -> list[str]:
+    """The passage texts of a stored context, in prompt order; ``chunks``
+    maps chunk id to chunk. An id missing from the corpus is refused."""
+    missing = [c for c in record["chunk_ids"] if c not in chunks]
+    if missing:
+        raise StageError(f"{record['qa_id']}: context chunks {missing} are not in the corpus")
+    return [chunks[c].text for c in record["chunk_ids"]]
 
 
 def token_overlap_scores(query: str, passages: Sequence[str], language: str) -> list[float]:
@@ -69,23 +49,17 @@ def token_overlap_scores(query: str, passages: Sequence[str], language: str) -> 
 
 
 class CorpusIndex:
-    """The chunks' embedding matrix, rows normalized, for cosine ranking."""
+    """The chunks' embedding matrix, rows normalized and in corpus order, for
+    cosine ranking; ``chunks`` maps chunk id to chunk."""
 
-    def __init__(self, chunks: list[Chunk]):
+    def __init__(self, chunks: Mapping[str, Chunk]):
         if not chunks:
             raise ValidationError("corpus index needs at least one chunk")
-        self.chunks = list(chunks)
-        matrix = np.asarray([c.embedding for c in chunks], dtype=np.float64)
+        self.chunks = list(chunks.values())
+        matrix = np.asarray([c.embedding for c in self.chunks], dtype=np.float64)
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         self._matrix = matrix / norms
-        self._by_id = {c.chunk_id: c for c in chunks}
-
-    def __len__(self) -> int:
-        return len(self.chunks)
-
-    def chunk(self, chunk_id: str) -> Chunk | None:
-        return self._by_id.get(chunk_id)
 
     def rank(self, query_vector: np.ndarray, top_k: int) -> list[Chunk]:
         """The ``top_k`` chunks by cosine score, best first, ties in corpus
@@ -107,52 +81,40 @@ class CorpusIndex:
 
 def build_rag_context(
     item: QAItem,
-    index: CorpusIndex,
-    query_vector: np.ndarray,
+    candidates: Sequence[Chunk],
+    chunks: Mapping[str, Chunk],
     config: PipelineConfig,
-) -> RagContext:
-    """Assemble the ``context_k``-document context with the golden paragraph
-    embedded; ``query_vector`` embeds the item's question.
+) -> dict:
+    """The stored record of the item's ``context_k``-document context, with
+    the golden paragraph embedded: ``qa_id``, ``chunk_ids`` in prompt order
+    and ``golden_position``. ``candidates`` are the ``coarse_pool`` chunks
+    that rank best by cosine against the item's question; ``chunks`` maps
+    chunk id to chunk.
 
     The golden paragraph is the hop-2 evidence chunk (it states the masked
     bridge and the target). The remaining k-1 slots take the highest-ranked
-    non-golden passages of the ``coarse_pool`` best by cosine, reranked by
-    token overlap in the item's language when ``use_reranker`` is set and cut
-    to ``rerank_keep``; the insertion position is seeded-uniform."""
+    non-golden candidates, reranked by token overlap in the item's language
+    when ``use_reranker`` is set and cut to ``rerank_keep``, then the other
+    chunks in corpus order; the insertion position is seeded-uniform."""
     k = config.context_k
-    if len(index) < k:
-        raise ValidationError(f"corpus has {len(index)} chunks, fewer than context size {k}")
+    if len(chunks) < k:
+        raise ValidationError(f"corpus has {len(chunks)} chunks, fewer than context size {k}")
 
-    golden_anchor = item.evidence_anchors[-1]
-    golden_chunk = index.chunk(golden_anchor["chunk_id"])
-    if golden_chunk is None:
-        raise StageError(f"{item.qa_id}: golden paragraph {golden_anchor['chunk_id']} unresolvable")
+    golden_id = item.evidence_anchors[-1]["chunk_id"]
+    if golden_id not in chunks:
+        raise StageError(f"{item.qa_id}: golden paragraph {golden_id} unresolvable")
 
-    candidates = index.rank(query_vector, config.coarse_pool)
     if config.use_reranker:
         scores = token_overlap_scores(item.question, [c.text for c in candidates], item.language)
         ranked = [c for _, c in sorted(zip(scores, candidates), key=lambda t: -t[0])]
     else:
         ranked = candidates
-    kept = ranked[: config.rerank_keep]
-
-    distractors = [c for c in kept if c.chunk_id != golden_chunk.chunk_id]
-    if len(distractors) < k - 1:
-        extras = [
-            c
-            for c in index.chunks
-            if c.chunk_id != golden_chunk.chunk_id and all(c.chunk_id != d.chunk_id for d in distractors)
-        ]
-        distractors.extend(extras)
-    passages = distractors[: k - 1]
+    chunk_ids = [c.chunk_id for c in ranked[: config.rerank_keep] if c.chunk_id != golden_id]
+    if len(chunk_ids) < k - 1:
+        chunk_ids += [c for c in chunks if c != golden_id and c not in chunk_ids]
+    del chunk_ids[k - 1 :]
 
     rng = random.Random(derive_seed(config.seed, "golden-position", item.qa_id))
     golden_position = rng.randrange(k)
-    passages.insert(golden_position, golden_chunk)
-
-    return RagContext(
-        qa_id=item.qa_id,
-        chunk_ids=[c.chunk_id for c in passages],
-        documents=[c.text for c in passages],
-        golden_position=golden_position,
-    )
+    chunk_ids.insert(golden_position, golden_id)
+    return {"qa_id": item.qa_id, "chunk_ids": chunk_ids, "golden_position": golden_position}

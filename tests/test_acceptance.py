@@ -31,7 +31,7 @@ from hopbench.evaluation import EvalOutcome, MockEvalTransport, behavioral_repor
 from hopbench.gmm import fit_gmm_em, search_cluster_count
 from hopbench.kg import KnowledgeGraph, shatter
 from hopbench.providers import ChatService, EmbeddingService, MockChatTransport, MockEmbeddingTransport
-from hopbench.rag import CorpusIndex, build_rag_context
+from hopbench.rag import CorpusIndex, build_rag_context, context_passages
 from hopbench.seeding import derive_seed
 from hopbench.synthesis import QAItem, synthesize_item, verify_masking
 from hopbench.textstats import bleu1, rouge1_f1, tokenize
@@ -403,8 +403,8 @@ def test_acceptance_12_rag_context_contract():
     embedder = EmbeddingService(MockEmbeddingTransport(dimension=16, seed=0))
     texts = [f"passage about topic {i} with detail {i * 7 % 13}" for i in range(40)]
     vectors = embedder.embed_texts(texts)
-    chunks = [
-        Chunk(
+    chunks = {
+        f"c{i:03d}": Chunk(
             chunk_id=f"c{i:03d}",
             doc_id="d",
             sentence_span=(0, 0),
@@ -413,7 +413,7 @@ def test_acceptance_12_rag_context_contract():
             embedding=vector,
         )
         for i, (text, vector) in enumerate(zip(texts, vectors))
-    ]
+    }
     index = CorpusIndex(chunks)
     config = PipelineConfig(coarse_pool=20, rerank_keep=10, context_k=5, seed=777)
 
@@ -437,12 +437,14 @@ def test_acceptance_12_rag_context_contract():
             ],
             chain_ref="k",
         )
-        context = build_rag_context(item, index, embedder.embed_texts([item.question])[0], config)
-        golden_text = index.chunk(golden_id).text
-        assert len(context.documents) == config.context_k
-        assert context.documents.count(golden_text) == 1
-        assert context.documents[context.golden_position] == golden_text
-        position_counts[context.golden_position] += 1
+        candidates = index.rank(embedder.embed_texts([item.question])[0], config.coarse_pool)
+        context = build_rag_context(item, candidates, chunks, config)
+        documents = context_passages(context, chunks)
+        golden_text = chunks[golden_id].text
+        assert len(documents) == config.context_k
+        assert documents.count(golden_text) == 1
+        assert documents[context["golden_position"]] == golden_text
+        position_counts[context["golden_position"]] += 1
 
     chi = scipy_stats.chisquare(position_counts)
     assert chi.pvalue > 0.01, f"golden positions {position_counts} not uniform (p={chi.pvalue:.4f})"

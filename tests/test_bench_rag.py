@@ -16,19 +16,20 @@ from hopbench.rag import CorpusIndex
 pytestmark = pytest.mark.bench
 
 
-def chunks(n: int = 10_000, d: int = 32, seed: int = 0) -> list[Chunk]:
+def chunks(n: int = 10_000, d: int = 32, seed: int = 0) -> dict[str, Chunk]:
+    """Chunk id to chunk, the form ``chunks.jsonl`` decodes to."""
     rows = np.random.default_rng(seed).standard_normal((n, d))
-    return [
-        Chunk(chunk_id=f"c{i:05d}", doc_id=f"d{i // 10:04d}", sentence_span=(0, 0), text=f"chunk {i}",
-              page_anchor=1, embedding=tuple(row.tolist()))
+    return {
+        f"c{i:05d}": Chunk(chunk_id=f"c{i:05d}", doc_id=f"d{i // 10:04d}", sentence_span=(0, 0), text=f"chunk {i}",
+                           page_anchor=1, embedding=tuple(row.tolist()))
         for i, row in enumerate(rows)
-    ]
+    }
 
 
 def test_corpus_index_construction(benchmark):
     corpus = chunks()
     index = benchmark(CorpusIndex, corpus)
-    assert len(index) == 10_000
+    assert len(index.chunks) == 10_000
 
 
 def test_corpus_index_rank(benchmark):

@@ -97,8 +97,11 @@ def test_out_of_range_values_rejected(tmp_path):
     config = PipelineConfig(provider_mode="http")  # missing endpoints
     with pytest.raises(ValidationError):
         config.validate()
-    # Of the right type, but a step that is not a pair and a threshold that is not a number.
-    for line in ("theta_steps: [[1, 2, 3]]", "k_threshold: .nan"):
+    # Of the right type, but a step that is not a pair, and a threshold and
+    # temperatures that are not finite numbers.
+    for line in (
+        "theta_steps: [[1, 2, 3]]", "k_threshold: .nan", "synthesis_temperature: .nan", "synthesis_temperature: .inf"
+    ):
         path = tmp_path / "bad.yaml"
         path.write_text(f"corpus_paths: []\n{line}\n", encoding="utf-8")
         key = line.split(":")[0]
@@ -115,6 +118,31 @@ def test_inf_threshold_parses_to_none(tmp_path):
     record["k_threshold"] = "inf"
     path.write_text(yaml.safe_dump(record), encoding="utf-8")
     assert load_config(path).k_threshold is None
+
+
+def test_an_infinite_threshold_writes_the_bytes_of_no_threshold(tmp_path):
+    # YAML's `.inf` loads as a float. No threshold has one spelling, None, so
+    # the graph and the report hold JSON `null`/"inf", not `Infinity`.
+    def strict(text: str):
+        return json.loads(text, parse_constant=lambda name: pytest.fail(f"not JSON: {name}"))
+
+    record = toy_config(seed=7).to_record()
+    record["k_threshold"] = None
+    written = {}
+    for spelling in ("null", ".inf"):
+        text = yaml.safe_dump(record).replace("k_threshold: null", f"k_threshold: {spelling}")
+        assert f"k_threshold: {spelling}\n" in text
+        path = tmp_path / f"{spelling}.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert load_config(path).k_threshold is None
+        run_dir = tmp_path / f"run{spelling}"
+        for stage in ("ingest", "chunk", "tree", "extract", "shatter"):
+            assert invoke(["--config", str(path), "--run-dir", str(run_dir), stage]).exit_code == 0
+        written[spelling] = {name: (run_dir / name).read_bytes() for name in ("graph.jsonl", "topology_report.json")}
+        for line in written[spelling]["graph.jsonl"].decode("utf-8").splitlines():
+            strict(line)
+        assert strict(written[spelling]["topology_report.json"].decode("utf-8"))["k_threshold"] == "inf"
+    assert written[".inf"] == written["null"]
 
 
 # -- stage ordering and idempotence ---------------------------------------------
@@ -608,7 +636,7 @@ def test_evaluate_resumes_over_a_torn_last_outcome(toy_yaml, tmp_path, caplog, m
 
 def test_stored_contexts_equal_fresh_ones(toy_yaml, tmp_path):
     from hopbench.jsonl import load as jsonl_load
-    from hopbench.rag import CorpusIndex, RagContext, build_rag_context
+    from hopbench.rag import CorpusIndex, build_rag_context, context_passages
 
     run_dir = tmp_path / "run"
     config = load_config(toy_yaml)
@@ -616,18 +644,44 @@ def test_stored_contexts_equal_fresh_ones(toy_yaml, tmp_path):
     assert pipeline.run_retrieve(run_dir, config).status == "ok"
 
     items = [from_record(QAItem, r) for r in jsonl_load(run_dir / "dataset.jsonl", "dataset")]
-    chunks = [from_record(Chunk, r) for r in jsonl_load(run_dir / "chunks.jsonl", "chunks")]
+    chunks = {r["chunk_id"]: from_record(Chunk, r) for r in jsonl_load(run_dir / "chunks.jsonl", "chunks")}
     index = CorpusIndex(chunks)
-    texts = {c.chunk_id: c.text for c in chunks}
     stored = jsonl_load(run_dir / "rag_contexts.jsonl", "rag_contexts")
     assert [r["qa_id"] for r in stored] == [i.qa_id for i in items]
     vectors = pipeline.make_embedding_service(config).embed_texts([i.question for i in items])
     for item, record, vector in zip(items, stored, vectors):
-        fresh = build_rag_context(item, index, vector, config)
-        context = RagContext.from_record(record, texts)
-        assert context.documents == fresh.documents
-        assert context.golden_position == fresh.golden_position
+        fresh = build_rag_context(item, index.rank(vector, config.coarse_pool), chunks, config)
+        assert context_passages(record, chunks) == context_passages(fresh, chunks)
+        assert record["golden_position"] == fresh["golden_position"]
+        assert record == fresh
     assert pipeline.run_retrieve(run_dir, config).status == "skipped"
+
+
+@pytest.mark.parametrize("use_reranker", [False, True])
+def test_retrieval_ranks_each_distinct_question_once(toy_yaml, tmp_path, monkeypatch, use_reranker):
+    from hopbench.jsonl import load as jsonl_load
+    from hopbench.rag import CorpusIndex, build_rag_context
+
+    run_dir = tmp_path / "run"
+    config = replace(load_config(toy_yaml), use_reranker=use_reranker)
+    synthesized_toy_run(run_dir, config)
+    ranked, real_rank = [], CorpusIndex.rank
+    monkeypatch.setattr(CorpusIndex, "rank", lambda self, *args: ranked.append(args) or real_rank(self, *args))
+    assert pipeline.run_retrieve(run_dir, config).status == "ok"
+    items = [from_record(QAItem, r) for r in jsonl_load(run_dir / "dataset.jsonl", "dataset")]
+    distinct = {item.question for item in items}
+    assert 1 < len(distinct) < len(items)  # the toy repeats its questions
+    assert len(ranked) == len(distinct)
+
+    # Each item ranked on its own gets the context that was stored.
+    chunks = {r["chunk_id"]: from_record(Chunk, r) for r in jsonl_load(run_dir / "chunks.jsonl", "chunks")}
+    index, embedder = CorpusIndex(chunks), pipeline.make_embedding_service(config)
+    alone = [
+        build_rag_context(item, real_rank(index, embedder.embed_texts([item.question])[0], config.coarse_pool),
+                          chunks, config)
+        for item in items
+    ]
+    assert jsonl_load(run_dir / "rag_contexts.jsonl", "rag_contexts") == alone
 
 
 def recorded_embedding_requests(monkeypatch) -> list[list[str]]:

@@ -17,6 +17,7 @@ from hopbench.adjudicate import Adjudication
 from hopbench.chains import ReasoningChain
 from hopbench.codec import from_record, to_record
 from hopbench.corpus import Chunk
+from hopbench.errors import ValidationError
 from hopbench.evaluation import EvalOutcome
 from hopbench.jsonl import snapshot
 from hopbench.kg import Evidence
@@ -105,6 +106,7 @@ TREE_LEAVES = [
 ENCODE = {
     "documents": list,
     "sentences": lambda store: [to_record(s) for s in store.sentences],
+    "chunks": lambda by_id: [to_record(c) for c in by_id.values()],
     "tree": lambda tree: [pipeline.tree_node_to_record(n) for n in tree.nodes.values()],
     "discards": list,
     "adjudications": lambda by_qa_id: [to_record(from_record(Adjudication, r)) for r in by_qa_id.values()],
@@ -132,6 +134,14 @@ def test_decode_then_encode_gives_the_same_bytes(tmp_path, schema):
     records = ENCODE.get(schema, lambda objects: [to_record(o) for o in objects])(decoded)
     written = snapshot(records, tmp_path / "out.jsonl", schema=schema)
     assert written.read_bytes() == source.read_bytes()
+
+
+def test_chunks_decode_to_chunks_by_id_and_refuse_a_repeated_id(tmp_path):
+    decoded = pipeline.read_artifact(_file(tmp_path, "chunks.jsonl", [LINES["chunks"]]))
+    [(chunk_id, chunk)] = decoded.items()
+    assert chunk_id == chunk.chunk_id == json.loads(LINES["chunks"])["chunk_id"]
+    with pytest.raises(ValidationError, match="repeated"):
+        pipeline.read_artifact(_file(tmp_path, "chunks.jsonl", [LINES["chunks"]] * 2))
 
 
 def test_graph_records_decode_then_encode_to_the_same_bytes(tmp_path):

@@ -12,7 +12,6 @@ from hopbench.evaluation import (
 )
 from hopbench import prompts
 from hopbench.providers import ChatRequest, ChatService, MockChatTransport
-from hopbench.rag import RagContext
 from hopbench.synthesis import QAItem
 
 
@@ -110,8 +109,8 @@ def test_rag_aware_mocks_recover_only_with_the_golden_passage(behavior):
     chat = ChatService(MockEvalTransport(f"mock:{behavior}", items, seed=3, golden_texts=golden))
 
     def run(documents):
-        contexts = {item.qa_id: RagContext(item.qa_id, ["c"], documents(item), 0) for item in items}
-        return evaluate_dataset(items, chat, model_id=f"mock:{behavior}", mode="rag", contexts=contexts)
+        passages = {item.qa_id: documents(item) for item in items}
+        return evaluate_dataset(items, chat, model_id=f"mock:{behavior}", mode="rag", passages=passages)
 
     assert all(o.correct for o in run(lambda item: [golden[item.qa_id]]))
     without = run(lambda item: ["an unrelated passage"])

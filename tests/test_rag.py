@@ -7,7 +7,7 @@ from hopbench.config import PipelineConfig
 from hopbench.corpus import Chunk
 from hopbench.errors import StageError, ValidationError
 from hopbench.providers import EmbeddingService, MockEmbeddingTransport
-from hopbench.rag import CorpusIndex, RagContext, build_rag_context
+from hopbench.rag import CorpusIndex, build_rag_context, context_passages
 from hopbench.synthesis import QAItem
 
 
@@ -22,8 +22,20 @@ def chunk_of(chunk_id: str, text: str, embedder: EmbeddingService) -> Chunk:
     )
 
 
+def by_id(chunks: list[Chunk]) -> dict[str, Chunk]:
+    """Chunk id to chunk, the form ``chunks.jsonl`` decodes to."""
+    return {c.chunk_id: c for c in chunks}
+
+
 def question_vector(item: QAItem, embedder: EmbeddingService) -> np.ndarray:
     return embedder.embed_texts([item.question])[0]
+
+
+def context_of(item: QAItem, chunks: dict[str, Chunk], embedder: EmbeddingService, config: PipelineConfig):
+    """The item's context record and its passage texts, ranked as `retrieve` ranks."""
+    candidates = CorpusIndex(chunks).rank(question_vector(item, embedder), config.coarse_pool)
+    record = build_rag_context(item, candidates, chunks, config)
+    return record, context_passages(record, chunks)
 
 
 def item_with_golden(golden_chunk_id: str, question: str, language: str = "EN") -> QAItem:
@@ -52,7 +64,7 @@ def embedder() -> EmbeddingService:
 
 
 @pytest.fixture
-def toy_index(embedder) -> CorpusIndex:
+def toy_chunks(embedder) -> dict[str, Chunk]:
     texts = [
         "diabetes harms bone quality",
         "diabetes drives sorbitol pathways",
@@ -65,76 +77,75 @@ def toy_index(embedder) -> CorpusIndex:
         "filtration declines with damage",
         "diabetes worsens fracture outcomes",
     ]
-    return CorpusIndex([chunk_of(f"c{i}", t, embedder) for i, t in enumerate(texts)])
+    return by_id([chunk_of(f"c{i}", t, embedder) for i, t in enumerate(texts)])
 
 
-def test_k_one_context_is_exactly_the_golden_paragraph(toy_index, embedder):
+def test_k_one_context_is_exactly_the_golden_paragraph(toy_chunks, embedder):
     item = item_with_golden("c0", "what does diabetes do to bone?")
-    context = build_rag_context(
-        item, toy_index, question_vector(item, embedder), PipelineConfig(coarse_pool=5, rerank_keep=3, context_k=1)
+    record, documents = context_of(
+        item, toy_chunks, embedder, PipelineConfig(coarse_pool=5, rerank_keep=3, context_k=1)
     )
-    assert context.documents == [toy_index.chunk("c0").text]
-    assert context.golden_position == 0
+    assert documents == [toy_chunks["c0"].text]
+    assert record["golden_position"] == 0
 
 
-def test_fixed_seed_fixes_golden_position(toy_index, embedder):
+def test_fixed_seed_fixes_golden_position(toy_chunks, embedder):
     item = item_with_golden("c0", "what does diabetes do to bone?")
     config = PipelineConfig(coarse_pool=6, rerank_keep=4, context_k=4, seed=99)
-    query = question_vector(item, embedder)
-    positions = {build_rag_context(item, toy_index, query, config).golden_position for _ in range(5)}
+    positions = {context_of(item, toy_chunks, embedder, config)[0]["golden_position"] for _ in range(5)}
     assert len(positions) == 1
 
 
-def test_non_golden_slots_are_top_cosine_neighbors(toy_index, embedder):
+def test_non_golden_slots_are_top_cosine_neighbors(toy_chunks, embedder):
     # Exhaustive cosine ranking oracle over the 10-chunk corpus: with K=5,
     # N=3, k=3 the two non-golden slots must be the best non-golden chunks.
     question = "what does diabetes do to bone?"
     item = item_with_golden("c0", question)
     config = PipelineConfig(coarse_pool=5, rerank_keep=3, context_k=3, seed=0)
-    context = build_rag_context(item, toy_index, question_vector(item, embedder), config)
+    record, documents = context_of(item, toy_chunks, embedder, config)
 
     query = embedder.embed_texts([question])[0]
     scored = []
-    for chunk in toy_index.chunks:
+    for chunk in toy_chunks.values():
         vector = np.asarray(chunk.embedding)
         score = float(np.dot(query, vector) / (np.linalg.norm(query) * np.linalg.norm(vector)))
         scored.append((score, chunk.chunk_id, chunk.text))
     scored.sort(reverse=True)
     oracle_top = [text for _, chunk_id, text in scored if chunk_id != "c0"][:2]
 
-    non_golden = [d for i, d in enumerate(context.documents) if i != context.golden_position]
+    non_golden = [d for i, d in enumerate(documents) if i != record["golden_position"]]
     assert non_golden == oracle_top
 
 
-def test_golden_paragraph_appears_exactly_once(toy_index, embedder):
+def test_golden_paragraph_appears_exactly_once(toy_chunks, embedder):
     item = item_with_golden("c0", "diabetes and bone")
     for seed in range(20):
         config = PipelineConfig(coarse_pool=8, rerank_keep=6, context_k=5, seed=seed)
-        context = build_rag_context(item, toy_index, question_vector(item, embedder), config)
-        golden_text = toy_index.chunk("c0").text
-        assert context.documents.count(golden_text) == 1
-        assert context.documents[context.golden_position] == golden_text
-        assert len(context.documents) == 5
+        record, documents = context_of(item, toy_chunks, embedder, config)
+        golden_text = toy_chunks["c0"].text
+        assert documents.count(golden_text) == 1
+        assert documents[record["golden_position"]] == golden_text
+        assert len(documents) == 5
 
 
 def test_corpus_smaller_than_context_rejected(embedder):
-    index = CorpusIndex([chunk_of("c0", "only one chunk", embedder)])
+    chunks = by_id([chunk_of("c0", "only one chunk", embedder)])
     item = item_with_golden("c0", "q")
     with pytest.raises(ValidationError):
-        build_rag_context(item, index, question_vector(item, embedder), PipelineConfig(context_k=2))
+        context_of(item, chunks, embedder, PipelineConfig(context_k=2))
 
 
-def test_unresolvable_golden_is_stage_error(toy_index, embedder):
+def test_unresolvable_golden_is_stage_error(toy_chunks, embedder):
     item = item_with_golden("c404", "q")
     with pytest.raises(StageError):
-        build_rag_context(item, toy_index, question_vector(item, embedder), PipelineConfig(context_k=3))
+        context_of(item, toy_chunks, embedder, PipelineConfig(context_k=3))
 
 
-def test_reranker_can_reorder_candidates(toy_index, embedder):
+def test_reranker_can_reorder_candidates(toy_chunks, embedder):
     item = item_with_golden("c0", "airways bacteria colonize")
     config = PipelineConfig(coarse_pool=10, rerank_keep=4, context_k=3, use_reranker=True, seed=1)
-    context = build_rag_context(item, toy_index, question_vector(item, embedder), config)
-    non_golden = [d for i, d in enumerate(context.documents) if i != context.golden_position]
+    record, documents = context_of(item, toy_chunks, embedder, config)
+    non_golden = [d for i, d in enumerate(documents) if i != record["golden_position"]]
     assert "bacteria colonize airways" in non_golden  # highest token overlap
 
 
@@ -145,7 +156,7 @@ def test_reranker_tokenizes_in_the_item_language(embedder):
     # Chinese text has no tokens and the reranker would keep cosine's order.
     question = "糖尿病导致肾病"
     query = embedder.embed_texts([question])[0]
-    index = CorpusIndex(
+    chunks = by_id(
         [
             chunk_with_vector("c0", "天气晴朗", -query),
             chunk_with_vector("c1", "高血压", query),
@@ -156,8 +167,8 @@ def test_reranker_tokenizes_in_the_item_language(embedder):
 
     def distractor(use_reranker: bool) -> str:
         config = PipelineConfig(coarse_pool=3, rerank_keep=1, context_k=2, use_reranker=use_reranker)
-        context = build_rag_context(item, index, question_vector(item, embedder), config)
-        [chunk_id] = [c for i, c in enumerate(context.chunk_ids) if i != context.golden_position]
+        record, _documents = context_of(item, chunks, embedder, config)
+        [chunk_id] = [c for i, c in enumerate(record["chunk_ids"]) if i != record["golden_position"]]
         return chunk_id
 
     assert distractor(use_reranker=False) == "c1"
@@ -184,17 +195,19 @@ def chunk_with_vector(chunk_id: str, text: str, vector: np.ndarray) -> Chunk:
 
 def index_of_rows(matrix: np.ndarray) -> CorpusIndex:
     return CorpusIndex(
-        [
-            Chunk(
-                chunk_id=f"c{i:03d}",
-                doc_id="d1",
-                sentence_span=(0, 0),
-                text=f"chunk {i}",
-                page_anchor=1,
-                embedding=tuple(row),
-            )
-            for i, row in enumerate(matrix)
-        ]
+        by_id(
+            [
+                Chunk(
+                    chunk_id=f"c{i:03d}",
+                    doc_id="d1",
+                    sentence_span=(0, 0),
+                    text=f"chunk {i}",
+                    page_anchor=1,
+                    embedding=tuple(row),
+                )
+                for i, row in enumerate(matrix)
+            ]
+        )
     )
 
 
@@ -230,18 +243,12 @@ def test_rank_with_a_non_finite_score_falls_back_to_the_full_sort():
         assert [c.chunk_id for c in index.rank(query, k)] == expected
 
 
-def test_context_record_round_trip(toy_index, embedder):
+def test_context_record_round_trip(toy_chunks, embedder):
     item = item_with_golden("c0", "diabetes and bone")
-    context = build_rag_context(item, toy_index, question_vector(item, embedder), PipelineConfig(context_k=4, seed=3))
-    record = context.to_record()
+    record, documents = context_of(item, toy_chunks, embedder, PipelineConfig(context_k=4, seed=3))
     assert set(record) == {"qa_id", "chunk_ids", "golden_position"}
-    assert context.chunk_ids[context.golden_position] == "c0"
-    texts = {c.chunk_id: c.text for c in toy_index.chunks}
-    restored = RagContext.from_record(record, texts)
-    assert (restored.chunk_ids, restored.documents, restored.golden_position) == (
-        context.chunk_ids,
-        context.documents,
-        context.golden_position,
-    )
+    assert record["chunk_ids"][record["golden_position"]] == "c0"
+    assert documents == [toy_chunks[c].text for c in record["chunk_ids"]]
+    assert documents[record["golden_position"]] == toy_chunks["c0"].text
     with pytest.raises(StageError):
-        RagContext.from_record(record, {"c0": texts["c0"]})
+        context_passages(record, {"c0": toy_chunks["c0"]})
