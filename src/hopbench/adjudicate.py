@@ -1,14 +1,15 @@
 """Ensemble quality adjudication of synthesized items.
 
 Each ensemble member receives the fixed adjudication prompt and must return
-strict JSON (one re-ask, then lenient brace extraction). Numeric scores are
-the arithmetic mean over the members whose reply parses; the task label is a
-majority vote with ties broken by provider order. A member whose reply does
-not parse is left out of the vote; a provider failure is not such a reply,
-and propagates."""
+strict JSON (one re-ask, then lenient brace extraction). Each score is the
+arithmetic mean of the finite numbers the members whose reply parses gave
+for it (a boolean is not a score); the task label is a majority vote with
+ties broken by provider order. A member whose reply does not parse is left
+out of the vote; a provider failure is not such a reply, and propagates."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import prompts
@@ -39,6 +40,18 @@ def _ask_member(service: ChatService, prompt: str, model_name: str) -> dict | No
             return payload
         request = request.with_reask("Output EXACTLY the JSON format requested, nothing else.")
     return None
+
+
+def _score(value) -> float | None:
+    """A judge's score as a finite float; None for a boolean, a non-finite
+    number or a value ``float`` refuses, which the mean leaves out."""
+    if isinstance(value, bool):
+        return None
+    try:
+        score = float(value)
+    except (TypeError, ValueError):
+        return None
+    return score if math.isfinite(score) else None
 
 
 def _majority_label(labels: list[str]) -> str:
@@ -76,12 +89,7 @@ def adjudicate_quality(
         raise AdjudicationError(f"{item.qa_id}: no ensemble member returned parseable JSON")
 
     def mean_score(field: str) -> float:
-        values = []
-        for verdict in verdicts:
-            try:
-                values.append(float(verdict[field]))
-            except (TypeError, ValueError):
-                continue
+        values = [score for score in (_score(verdict[field]) for verdict in verdicts) if score is not None]
         if not values:
             raise AdjudicationError(f"{item.qa_id}: no numeric {field} in any verdict")
         return round(sum(values) / len(values), 2)

@@ -83,7 +83,7 @@ def report(ctx, models: tuple[str, ...]):
 def _parse_ks(_ctx, _param, spec: str) -> list[float | None]:
     """Comma-separated thresholds; "none", an empty token or any spelling of
     positive infinity ("inf", "infinity", "1e999") is None (no threshold). A
-    token that is not a number is a usage error."""
+    token that is not a number, or a number below 1, is a usage error."""
     ks: list[float | None] = []
     for token in spec.split(","):
         token = token.strip().lower()
@@ -96,6 +96,8 @@ def _parse_ks(_ctx, _param, spec: str) -> list[float | None]:
                 raise ValueError(token)
         except ValueError:
             raise click.BadParameter(f"{token!r} is not a number") from None
+        if k < 1:
+            raise click.BadParameter(f"{token!r} is below 1: a k threshold must be >= 1 (or inf)")
         ks.append(None if k == math.inf else k)
     return ks
 

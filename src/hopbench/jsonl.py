@@ -3,7 +3,8 @@
 Every artifact file starts with a header line naming its schema and version;
 records follow one JSON object per line with sorted keys, so identical data
 always serializes to identical bytes. Writes are atomic (temp + rename), as
-are those of the JSON reports and the run manifest."""
+are those of the JSON reports and the run manifest. A non-finite number
+(NaN, infinity) is not JSON: writing one raises ``ValueError``."""
 
 from __future__ import annotations
 
@@ -24,16 +25,21 @@ SCHEMA_VERSION = 1  # of every artifact's header; a reader refuses any other
 def canonical_json(obj) -> str:
     """Sorted keys, no whitespace, UTF-8 kept: equal data gives equal text.
     Every JSONL line, request hash and stage-run digest is written by it."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
 
 
 @contextmanager
 def _replacing(path: Path) -> Iterator[TextIO]:
-    """A handle on ``<path>.tmp``, renamed over ``path`` once written in full."""
+    """A handle on ``<path>.tmp``, renamed over ``path`` once written in full;
+    a write that raises deletes it and leaves ``path`` as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        yield handle
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            yield handle
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -50,7 +56,7 @@ def snapshot(records: Iterable[dict], path: str | Path, schema: str) -> Path:
 def write_json(path: Path, payload: dict) -> None:
     """Write one indented JSON document (a report, the manifest) atomically."""
     with _replacing(path) as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+        handle.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n")
 
 
 def load(path: str | Path, schema: str) -> list[dict]:

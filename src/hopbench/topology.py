@@ -11,19 +11,27 @@ present nodes and hands components and all-pairs hop distances to
 for single-source distances (filler selection); it and
 ``connected_components`` are also the pure-Python reference the report is
 tested against.
+
+``scipy.sparse`` is imported by the report helpers on their first call, not
+with this module: of all commands only ``shatter`` and ``shatter-sweep``
+compute a report, and importing scipy took more than half of every other
+command's start-up.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from . import codec
 from .errors import ValidationError
 from .kg import KnowledgeGraph, Triplet, shatter
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 # Elements of the float64 distance block one batch of sources may fill
 # (8 MiB), so the all-pairs distances cost O(batch * n) memory.
@@ -83,6 +91,8 @@ def connected_components(graph: KnowledgeGraph) -> list[list[str]]:
 def _present_adjacency(present: list[str], edges: list[Triplet]) -> csr_matrix:
     """Undirected adjacency of the present ``edges`` over the present nodes,
     in ``present`` order."""
+    from scipy.sparse import csr_matrix
+
     index = {entity_id: i for i, entity_id in enumerate(present)}
     rows = np.fromiter((index[e.head] for e in edges), dtype=np.int64, count=len(edges))
     cols = np.fromiter((index[e.tail] for e in edges), dtype=np.int64, count=len(edges))
@@ -93,6 +103,8 @@ def _present_adjacency(present: list[str], edges: list[Triplet]) -> csr_matrix:
 def _distance_sum(adjacency: csr_matrix) -> int:
     """Sum of hop distances over ordered pairs of a connected graph, as an
     exact integer, computed a batch of sources at a time."""
+    from scipy.sparse import csgraph
+
     n = adjacency.shape[0]
     batch = max(1, DISTANCE_BLOCK // n)
     total = 0
@@ -106,6 +118,8 @@ def _distance_sum(adjacency: csr_matrix) -> int:
 def topology_report(graph: KnowledgeGraph) -> TopologyReport:
     """Counts, components and the average shortest path of the present
     nodes and edges; a graph with no present node has the zero report."""
+    from scipy.sparse import csgraph
+
     present = graph.present_ids()
     edges = graph.present_edges()
     pruned_count = sum(1 for e in graph.entities.values() if e.is_pruned)

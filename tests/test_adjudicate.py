@@ -106,6 +106,22 @@ def test_failed_members_are_skipped_not_fatal():
     assert result.clarity == 5.0
 
 
+NON_FINITE_AND_BOOLEAN = (
+    '{"clinical_task": "Basic Medicine", "reasoning_type": "Multi-hop", '
+    '"clarity_score": NaN, "validity_score": "Infinity", "difficulty_score": true}'
+)
+
+
+def test_non_finite_and_boolean_scores_are_left_out_of_the_mean():
+    ensemble = [scripted_member(NON_FINITE_AND_BOOLEAN), scripted_member(verdict("Basic Medicine", 4, 3, 2))]
+    result = adjudicate_quality(item(), ensemble, names(ensemble))
+    assert (result.clarity, result.validity, result.difficulty) == (4.0, 3.0, 2.0)
+    assert result.members_responded == 2
+
+    with pytest.raises(AdjudicationError, match="no numeric clarity_score"):
+        adjudicate_quality(item(), [scripted_member(NON_FINITE_AND_BOOLEAN)], ["judge"])
+
+
 def test_empty_ensemble_rejected():
     with pytest.raises(ValidationError):
         adjudicate_quality(item(), [], [])

@@ -1012,11 +1012,23 @@ def test_shatter_sweep_rejects_a_threshold_that_is_not_a_number(zero_shot_toy_ru
         assert f"'{token}' is not a number" in result.output
     result = invoke(base + ["0"])  # a number, but not a valid threshold
     assert result.exit_code == 2
-    assert "k threshold must be positive" in result.output
+    assert "'0' is below 1" in result.output
     result = invoke(base + ["10, inf"])
     assert result.exit_code == 0, result.output
     report = json.loads((run_dir / "topology_report.json").read_text(encoding="utf-8"))
     assert [row["k"] for row in report["sweep"]] == [10.0, "inf"]
+
+
+def test_shatter_sweep_rejects_a_threshold_below_one(zero_shot_toy_run, tmp_path):
+    config_path, run_dir = copied_run(zero_shot_toy_run, tmp_path)
+    report = (run_dir / "topology_report.json").read_bytes()
+    base = ["--config", str(config_path), "--run-dir", str(run_dir), "shatter-sweep", "--k"]
+    for spec, token in (("10,0.5", "0.5"), ("0.999", "0.999"), ("-1,10", "-1"), ("-inf", "-inf")):
+        result = invoke(base + [spec])
+        assert result.exit_code == 2, result.output
+        assert f"'{token}' is below 1" in result.output
+    assert (run_dir / "topology_report.json").read_bytes() == report
+    assert invoke(base + ["1"]).exit_code == 0
 
 
 def test_shatter_sweep_reads_every_spelling_of_infinity_as_no_threshold(zero_shot_toy_run, tmp_path):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from hopbench.errors import MigrationError, SnapshotError
-from hopbench.jsonl import IncrementalWriter, load, snapshot
+from hopbench.jsonl import IncrementalWriter, canonical_json, load, snapshot, write_json
 
 
 def test_round_trip_structural_equality(tmp_path):
@@ -120,3 +122,23 @@ def test_incremental_writer_starts_afresh_under_another_key_or_none(tmp_path):
     with IncrementalWriter(path, schema="outcomes", run_digest="k2"):
         pass
     assert load(path, "outcomes") == []
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_number_is_refused_not_written_as_non_json(value):
+    with pytest.raises(ValueError):
+        canonical_json({"score": value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_refused_write_leaves_the_old_file_and_no_temp_file(tmp_path, value):
+    jsonl_path = snapshot([{"a": 1}], tmp_path / "data.jsonl", schema="s")
+    json_path = tmp_path / "report.json"
+    write_json(json_path, {"a": 1})
+    before = {path: path.read_bytes() for path in (jsonl_path, json_path)}
+    with pytest.raises(ValueError):
+        snapshot([{"a": 2}, {"b": value}], jsonl_path, schema="s")
+    with pytest.raises(ValueError):
+        write_json(json_path, {"a": 2, "b": value})
+    assert {path: path.read_bytes() for path in (jsonl_path, json_path)} == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["data.jsonl", "report.json"]
