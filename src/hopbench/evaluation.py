@@ -22,9 +22,11 @@ from .synthesis import QAItem
 
 UNPARSEABLE = None
 
+# A lowercase letter counts only bracketed or before punctuation or the end,
+# so the article in "the answer is a hard one" is not option A.
 _EXPLICIT = re.compile(
-    r"(?:final answer|answer|choice|option)\s*(?:is|:)?\s*[\(\[]?([A-Za-z])[\)\]]?(?![A-Za-z])",
-    re.IGNORECASE,
+    r"(?i:final answer|answer|choice|option)\s*(?i:is|:)?\s*"
+    r"[\(\[]?((?<=[\(\[])[a-z]|[A-Z]|[a-z](?=[^\w\s]|$))[\)\]]?(?![A-Za-z])"
 )
 _OWN_LINE = re.compile(r"^\s*\(?([A-Za-z])[\)\].,:]?\s*$")
 _LEADING = re.compile(r"^\s*\(?([A-Za-z])[\)\].,:]?(?=\s|$)")

@@ -16,13 +16,12 @@ matrices. The log-sum-exp helper repeats the arithmetic of
 rounding. A fit allocates its two (K, d, N) stacks once and the steps write
 into them, so EM iterations take no fresh pages.
 
-The search scores each K (all its restarts) as one task and decides where
-the tasks run: with more than one CPU and at least ``POOLED_SEARCH_MIN_WORK``
-of work, in ``fit_pool``'s forked workers, one per CPU, each with one BLAS
-thread; otherwise in-process. A task returns only its best restart's index,
-log-likelihood and BIC; the search picks K* and refits the winning restart
-in-process for the model. Every fit is seeded by its K and restart alone, so
-both ways give the same search bit for bit.
+The search scores each K (all its restarts) as one task. With more than one
+CPU and more than one K value the tasks run in ``fit_pool``'s forked workers,
+one per CPU (at most one per K), each with one BLAS thread; on one CPU or for
+a single K they run in-process. A task returns its best restart's fitted
+mixture, and the search keeps the one of K*. Every fit is seeded by its K and
+restart alone, so both ways give the same search bit for bit.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ COVARIANCE_REGULARIZATION = 1e-6
 CONVERGENCE_TOL = 1e-7
 MAX_ITERATIONS = 300
 FULL_COVARIANCE_MAX_DIM = 16
-# Points x dimensions^2 x K values x restarts (the shape of a search's EM
-# work) below which a pool costs more than it saves. The tree's levels on
-# the default settings are 750,000 and up; the toy's are under 2,000.
-POOLED_SEARCH_MIN_WORK = 200_000
 
 
 @dataclass
@@ -280,15 +275,15 @@ def _restart_seed(seed: int, k: int, restart: int) -> int:
     return derive_seed(seed, f"k{k}", f"r{restart}")
 
 
-def _score_k(task: tuple[np.ndarray, int, int, int]) -> tuple[int, float, float]:
-    """One K of the search, all its restarts: the index, log-likelihood and
-    BIC of the first restart with the highest log-likelihood."""
+def _score_k(task: tuple[np.ndarray, int, int, int]) -> GaussianMixture:
+    """One K of the search, all its restarts: the fit of the first restart
+    with the highest log-likelihood."""
     x, k, seed, n_restarts = task
     best = None
     for restart in range(max(1, n_restarts)):
         model, _ = fit_gmm_em(x, k, seed=_restart_seed(seed, k, restart))
-        if best is None or model.log_likelihood > best[1]:
-            best = (restart, model.log_likelihood, model.bic)
+        if best is None or model.log_likelihood > best.log_likelihood:
+            best = model
     return best
 
 
@@ -316,8 +311,9 @@ def fit_pool(fn, tasks: list, processes: int) -> list:
 def search_cluster_count(points, K_max: int, seed: int, n_restarts: int) -> ClusterSearch:
     """Fit K = 1..K_max (best of ``n_restarts`` each) and minimize the
     penalized objective; ties break toward smaller K. The per-K tasks go
-    out largest K first, pooled as the module docstring says; ``taskset``
-    limits the CPUs."""
+    out largest K first, to one worker per CPU when there are more than one
+    CPU and K value, else in-process; ``taskset`` limits the CPUs. The
+    result holds the winning K's fit as its task returned it."""
     if K_max < 1:
         raise ValidationError("K_max must be >= 1")
     x = _as_matrix(points)
@@ -328,9 +324,8 @@ def search_cluster_count(points, K_max: int, seed: int, n_restarts: int) -> Clus
     ks = range(min(K_max, n), 0, -1)  # the longest fits go out first
     tasks = [(x, k, seed, n_restarts) for k in ks]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    pooled = cpus > 1 and x.size * x.shape[1] * len(ks) * max(1, n_restarts) >= POOLED_SEARCH_MIN_WORK
-    scores = dict(zip(ks, fit_pool(_score_k, tasks, min(cpus, len(ks))) if pooled else map(_score_k, tasks)))
-    bic_by_k = {k: scores[k][2] for k in sorted(scores)}
+    workers = min(cpus, len(ks))
+    fits = dict(zip(ks, fit_pool(_score_k, tasks, workers) if workers > 1 else map(_score_k, tasks)))
+    bic_by_k = {k: fits[k].bic for k in sorted(fits)}
     k_star = min(bic_by_k, key=bic_by_k.__getitem__)  # the first minimum: ties go to the smaller K
-    best, _ = fit_gmm_em(x, k_star, seed=_restart_seed(seed, k_star, scores[k_star][0]))
-    return ClusterSearch(k_star, best, bic_by_k, {k: scores[k][1] for k in sorted(scores)})
+    return ClusterSearch(k_star, fits[k_star], bic_by_k, {k: fits[k].log_likelihood for k in sorted(fits)})

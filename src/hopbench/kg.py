@@ -215,11 +215,12 @@ def shatter(
 ) -> KnowledgeGraph:
     """Return a shattered copy: entities over the frequency threshold or on
     the stoplist are flagged pruned, so traversal drops every incident edge.
-    The copy keeps every edge; the original graph is left untouched."""
+    The copy keeps every edge; the original graph is left untouched. ``k``
+    must be at least 1; None sets no threshold."""
     stoplist = stoplist or set()
     threshold = math.inf if k is None else float(k)
-    if threshold <= 0:
-        raise ValidationError("k threshold must be positive")
+    if not threshold >= 1:  # NaN fails too
+        raise ValidationError(f"k threshold must be at least 1, got {k!r}")
 
     shattered = graph.copy()
     shattered.k_threshold = k

@@ -97,9 +97,9 @@ def build_summary_tree(
 ) -> SummaryTree:
     """Build the hierarchy bottom-up from chunks; one chunk needs no calls.
     Reads the hierarchy settings, ``chat_model`` and the tree seed derived
-    from ``config.seed``. Each level's cluster-count search decides for
-    itself whether its fits run in worker processes; the tree is the same
-    either way."""
+    from ``config.seed``. Each level's cluster-count search runs its fits in
+    one worker process per CPU when the stage may use more than one CPU and
+    in-process on one; the tree is the same either way."""
     if not chunks:
         raise ValidationError("cannot build a tree from zero chunks")
     seed = derive_seed(config.seed, "tree")

@@ -1031,6 +1031,17 @@ def test_shatter_sweep_rejects_a_threshold_below_one(zero_shot_toy_run, tmp_path
     assert invoke(base + ["1"]).exit_code == 0
 
 
+def test_a_sweep_below_one_through_the_api_raises_and_writes_no_row(zero_shot_toy_run, tmp_path):
+    config_path, run_dir = copied_run(zero_shot_toy_run, tmp_path)
+    report = (run_dir / "topology_report.json").read_bytes()
+    manifest = (run_dir / "manifest.json").read_bytes()
+    with pytest.raises(ValidationError, match="k threshold must be at least 1, got 0.5"):
+        pipeline.run_shatter_sweep(run_dir, load_config(config_path), [0.5])
+    assert "sweep" not in json.loads(report)
+    assert (run_dir / "topology_report.json").read_bytes() == report
+    assert (run_dir / "manifest.json").read_bytes() == manifest
+
+
 def test_shatter_sweep_reads_every_spelling_of_infinity_as_no_threshold(zero_shot_toy_run, tmp_path):
     reports = {}
     for spec in ("10,inf", "10,infinity", "10,1e999"):

@@ -43,6 +43,8 @@ def outcome(qa_id: str, correct: bool, choice: int | None, mode: str = "zero_sho
 
 def test_parse_explicit_answer_pattern():
     assert parse_choice("The answer is B.", 4) == 1
+    assert parse_choice("answer: (b)", 4) == 1
+    assert parse_choice("answer: b", 4) == 1
 
 
 def test_parse_bare_letter():
@@ -72,6 +74,11 @@ def test_parse_letter_beyond_option_count_unparseable():
 
 def test_parse_word_initial_letter_not_taken():
     assert parse_choice("Because of the mechanism", 4) is None
+
+
+def test_parse_article_after_answer_is_not_option_a():
+    assert parse_choice("The answer is a hard one, but I pick C.", 4) != 0
+    assert parse_choice("The final answer is a B", 4) != 0
 
 
 def test_parse_option_count_bounds():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -326,7 +327,6 @@ def test_a_fit_that_fails_in_a_worker_raises_in_the_caller(monkeypatch, pools_st
         return fit(points, K, seed)
 
     monkeypatch.setattr(gmm, "fit_gmm_em", collapses_at_three)  # before the fork: the workers inherit it
-    monkeypatch.setattr(gmm, "POOLED_SEARCH_MIN_WORK", 0)
     on_cpus(monkeypatch, {0, 1})
     x = np.random.default_rng(25).standard_normal((40, 3))
     with pytest.raises(DegenerateFitError, match="collapsed at K=3"):
@@ -335,24 +335,51 @@ def test_a_fit_that_fails_in_a_worker_raises_in_the_caller(monkeypatch, pools_st
     assert multiprocessing.active_children() == []
 
 
-def test_a_toy_size_search_starts_no_worker(monkeypatch, pools_started):
-    on_cpus(monkeypatch, {0, 1})
+def test_a_search_pools_unless_it_has_one_cpu_or_one_k_value(monkeypatch, pools_started):
     rng = np.random.default_rng(26)
-    search_cluster_count(rng.standard_normal((6, 4)), K_max=5, seed=0, n_restarts=4)  # a toy-tree level
+    toy_level = rng.standard_normal((6, 4))  # a toy-tree level
     # 600 points in 2 dimensions, as each of acceptance test 05's hundred searches.
     blobs = np.vstack([rng.normal(0, BLOB_SIGMA, size=(200, 2)) + c for c in ([0, 0], [8, 8], [16, 0])])
+    on_cpus(monkeypatch, {0})
+    search_cluster_count(toy_level, K_max=5, seed=0, n_restarts=4)
     search_cluster_count(blobs, K_max=6, seed=0, n_restarts=2)
     assert pools_started == []
+    on_cpus(monkeypatch, {0, 1})
+    assert search_cluster_count(blobs, K_max=1, seed=0, n_restarts=2).k_star == 1
+    assert pools_started == []
+    search_cluster_count(toy_level, K_max=5, seed=0, n_restarts=4)
+    search_cluster_count(blobs, K_max=6, seed=0, n_restarts=2)
+    search_cluster_count(toy_level[:2], K_max=5, seed=0, n_restarts=1)  # two points: K = 2 and 1
+    assert pools_started == [2, 2, 2]
+    assert multiprocessing.active_children() == []
 
 
-def test_a_search_runs_pooled_from_the_work_constant_up(monkeypatch, pools_started):
+def test_a_search_starts_one_worker_per_cpu_and_at_most_one_per_k_value(monkeypatch, pools_started):
     on_cpus(monkeypatch, {0, 1, 2, 3})
     x = np.random.default_rng(27).standard_normal((50, 10))
-    assert gmm.POOLED_SEARCH_MIN_WORK == 50 * 10**2 * 10 * 4  # points x dimensions^2 x K values x restarts
-    search_cluster_count(x[:49], K_max=10, seed=0, n_restarts=4)
-    assert pools_started == []
     search_cluster_count(x, K_max=10, seed=0, n_restarts=4)
-    assert pools_started == [4]  # one worker per CPU, at most one per K
+    assert pools_started == [4]
     search_cluster_count(x, K_max=3, seed=0, n_restarts=14)
-    assert pools_started == [4, 3]
+    search_cluster_count(x, K_max=2, seed=0, n_restarts=1)
+    assert pools_started == [4, 3, 2]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "pooled"])
+def test_the_search_keeps_the_fit_of_its_winning_restart(monkeypatch, cpus):
+    x = np.random.default_rng(1).standard_normal((60, 3))
+    on_cpus(monkeypatch, cpus)
+    search = search_cluster_count(x, K_max=6, seed=1, n_restarts=4)
+    assert search.k_star == 5
+    restarts = [fit_gmm_em(x, 5, seed=gmm._restart_seed(1, 5, r))[0] for r in range(4)]
+    likelihoods = [model.log_likelihood for model in restarts]
+    winner = likelihoods.index(max(likelihoods))  # the first restart with the highest likelihood
+    assert winner == 2
+    for field in dataclasses.fields(GaussianMixture):
+        kept, fresh = getattr(search.best, field.name), getattr(restarts[winner], field.name)
+        if isinstance(fresh, np.ndarray):
+            assert kept.dtype == fresh.dtype and np.array_equal(kept, fresh), field.name
+        else:
+            assert kept == fresh, field.name
+    assert search.bic_by_k[5] == search.best.bic
+    assert search.log_likelihood_by_k[5] == search.best.log_likelihood

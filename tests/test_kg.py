@@ -204,8 +204,10 @@ def test_alias_match_prunes_via_stoplist():
 
 
 def test_k_must_be_positive(diabetes_toy_graph):
-    with pytest.raises(ValidationError):
-        shatter(diabetes_toy_graph, 0)
+    for k in (0, 0.5, -1, float("nan")):
+        with pytest.raises(ValidationError, match="k threshold must be at least 1"):
+            shatter(diabetes_toy_graph, k)
+    assert shatter(diabetes_toy_graph, 1).k_threshold == 1
 
 
 # -- stoplist file ----------------------------------------------------------------

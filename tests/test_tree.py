@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 
@@ -196,28 +197,32 @@ def test_a_tree_on_one_cpu_equals_the_pooled_tree_and_no_worker_outlives_it(monk
     embedder = EmbeddingService(MockEmbeddingTransport(dimension=32, seed=1))
     chunks = topic_chunks(embedder)
     config = PipelineConfig(target_dim=4, gmm_k_max=8, gmm_restarts=2, max_levels=3, seed=2)
-    # Level 1 (24 points x 4^2 x 8 K values x 2 restarts) runs pooled on two
-    # CPUs, the smaller levels above in-process.
-    monkeypatch.setattr(gmm, "POOLED_SEARCH_MIN_WORK", 24 * 4**2 * 8 * 2)
     built = {}
     for cpus in ({0, 1}, {0}):
         pools_started.clear()
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, cpus=cpus: cpus, raising=False)
         tree = build_summary_tree(chunks, ChatService(MockChatTransport(seed=0)), embedder, config)
         assert multiprocessing.active_children() == []
-        assert pools_started == ([2] if len(cpus) == 2 else [])
+        # Every level searches at least two K values: one pool each on two CPUs.
+        assert pools_started == ([2] * len(tree.level_reports) if len(cpus) == 2 else [])
         built[len(cpus)] = tree_record(tree)
     assert built[2] == built[1]
     assert built[1][1][0]["k_star"] > 1
     assert len(built[1][1]) > 1
 
 
-def test_the_toy_tree_starts_no_worker_on_two_cpus(tmp_path, monkeypatch, pools_started):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+def test_the_toy_tree_pools_on_two_cpus_and_writes_what_one_cpu_writes(tmp_path, monkeypatch, pools_started):
     config = toy_config(7)
-    for run in (pipeline.run_ingest, pipeline.run_chunk, pipeline.run_tree):
-        assert run(tmp_path, config).status == "ok"
-    assert pools_started == []
+    for cpus in ({0, 1}, {0}):
+        pools_started.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, cpus=cpus: cpus, raising=False)
+        for run in (pipeline.run_ingest, pipeline.run_chunk, pipeline.run_tree):
+            assert run(tmp_path / str(len(cpus)), config).status == "ok"
+        levels = json.loads((tmp_path / str(len(cpus)) / "gmm_report.json").read_text(encoding="utf-8"))["levels"]
+        assert levels
+        assert pools_started == ([2] * len(levels) if len(cpus) == 2 else [])
+    for name in ("tree.jsonl", "gmm_report.json"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
 
 
 def test_a_fit_that_raises_in_a_worker_ends_the_tree_and_its_workers(monkeypatch, pools_started):
@@ -229,7 +234,6 @@ def test_a_fit_that_raises_in_a_worker_ends_the_tree_and_its_workers(monkeypatch
         return fit(points, K, seed)
 
     monkeypatch.setattr(gmm, "fit_gmm_em", collapses)
-    monkeypatch.setattr(gmm, "POOLED_SEARCH_MIN_WORK", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
     embedder = EmbeddingService(MockEmbeddingTransport(dimension=32, seed=1))
     config = PipelineConfig(target_dim=4, gmm_k_max=8, gmm_restarts=2, max_levels=3, seed=2)
