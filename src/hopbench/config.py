@@ -50,7 +50,6 @@ class PipelineConfig:
     # evaluation / retrieval
     context_k: int = 5
     coarse_pool: int = 50
-    rerank_keep: int = 15
     use_reranker: bool = False
     # providers
     provider_mode: str = "mock"  # mock | http
@@ -107,8 +106,6 @@ class PipelineConfig:
             raise ValidationError("context_k must be >= 1")
         if self.coarse_pool < self.context_k:
             raise ValidationError("coarse_pool must be >= context_k")
-        if self.rerank_keep < 1:
-            raise ValidationError("rerank_keep must be >= 1")
         if self.provider_mode not in ("mock", "http"):
             raise ValidationError("provider_mode must be mock or http")
         if self.provider_mode == "http" and not (self.chat_base_url and self.embed_base_url):

@@ -29,7 +29,9 @@ _EXPLICIT = re.compile(
     r"[\(\[]?((?<=[\(\[])[a-z]|[A-Z]|[a-z](?=[^\w\s]|$))[\)\]]?(?![A-Za-z])"
 )
 _OWN_LINE = re.compile(r"^\s*\(?([A-Za-z])[\)\].,:]?\s*$")
-_LEADING = re.compile(r"^\s*\(?([A-Za-z])[\)\].,:]?(?=\s|$)")
+# A reply's first word is a letter only before a bracket or punctuation, so
+# the article of "A patient with ..." is not option A.
+_LEADING = re.compile(r"^\s*\(?([A-Za-z])[\)\].,:](?=\s|$)")
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,8 @@ def parse_choice(response: str, n_options: int) -> int | None:
 
     Precedence: explicit "answer is X" phrasing (last occurrence wins, since
     models restate their final answer), then a standalone letter on its own
-    line, then a leading letter token. Letters beyond the option count are
-    unparseable."""
+    line, then a leading letter closed by a bracket or punctuation. Letters
+    beyond the option count are unparseable."""
     if not 2 <= n_options <= 26:
         raise ValidationError("n_options must be in [2, 26]")
 

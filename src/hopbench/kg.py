@@ -67,11 +67,11 @@ class Triplet:
 
 
 class KnowledgeGraph:
-    """Entity and edge store with adjacency and surface indexes."""
+    """Entity and edge store with adjacency and surface indexes. It holds no
+    setting: the stage that writes a graph file names the k threshold and
+    stoplist behind its prune flags."""
 
-    def __init__(self, k_threshold: float | None = None, stoplist_id: str = ""):
-        self.k_threshold = k_threshold  # None means unbounded
-        self.stoplist_id = stoplist_id
+    def __init__(self):
         self.entities: dict[str, Entity] = {}
         self.edges: list[Triplet] = []
         self._out: dict[str, list[Triplet]] | None = None  # built on demand
@@ -151,7 +151,7 @@ class KnowledgeGraph:
 
     def copy(self) -> "KnowledgeGraph":
         """Independent copy of the entities and their flags, with every edge."""
-        clone = KnowledgeGraph(k_threshold=self.k_threshold, stoplist_id=self.stoplist_id)
+        clone = KnowledgeGraph()
         for entity_id in sorted(self.entities):
             entity = self.entities[entity_id]
             clone.entities[entity_id] = replace(entity, aliases=set(entity.aliases))
@@ -207,24 +207,18 @@ def apply_frequencies(graph: KnowledgeGraph, counting_unit: str = "tree_nodes") 
         entity.frequency = counts.get(entity.entity_id, 0)
 
 
-def shatter(
-    graph: KnowledgeGraph,
-    k: float | None,
-    stoplist: set[str] | None = None,
-    stoplist_id: str = "",
-) -> KnowledgeGraph:
+def shatter(graph: KnowledgeGraph, k: float | None, stoplist: set[str] | None = None) -> KnowledgeGraph:
     """Return a shattered copy: entities over the frequency threshold or on
     the stoplist are flagged pruned, so traversal drops every incident edge.
     The copy keeps every edge; the original graph is left untouched. ``k``
-    must be at least 1; None sets no threshold."""
+    must be at least 1; None sets no threshold. The graph holds no record
+    of ``k`` or the stoplist: the caller that writes it names them."""
     stoplist = stoplist or set()
     threshold = math.inf if k is None else float(k)
     if not threshold >= 1:  # NaN fails too
         raise ValidationError(f"k threshold must be at least 1, got {k!r}")
 
     shattered = graph.copy()
-    shattered.k_threshold = k
-    shattered.stoplist_id = stoplist_id
     for entity in shattered.entities.values():
         surfaces = {normalize_for_match(s) for s in entity.surfaces()}
         reason: str | None = None

@@ -186,7 +186,7 @@ STAGES = {
         ),
         Stage(
             "retrieve",
-            ("coarse_pool", "context_k", "rerank_keep", "use_reranker", *EMBED),
+            ("coarse_pool", "context_k", "use_reranker", *EMBED),
             ("dataset.jsonl", "chunks.jsonl"),
             ("rag_contexts.jsonl",),
             "Build every item's RAG context once; each model's RAG evaluation reads them.",
@@ -262,12 +262,16 @@ def tree_node_to_record(node: SummaryTreeNode) -> dict:
     return {**to_record(node), "member_ids": {k: round(v, 9) for k, v in node.member_ids.items()}}
 
 
-def graph_to_records(graph: KnowledgeGraph, frequency_unit: str) -> list[dict]:
+def graph_to_records(graph: KnowledgeGraph, frequency_unit: str, **cut) -> list[dict]:
+    """A meta record, the entities by id, then the edges. ``cut`` names the
+    ``k_threshold`` and ``stoplist_id`` that set the prune flags; without
+    it the meta names none (null and ``""``)."""
     meta = {
         "kind": "meta",
         "view": "original",  # no reader; kept so graph files stay byte-identical
-        "k_threshold": graph.k_threshold,
-        "stoplist_id": graph.stoplist_id,
+        "k_threshold": None,
+        "stoplist_id": "",
+        **cut,
         "frequency_unit": frequency_unit,
     }
     records = [meta]
@@ -278,11 +282,11 @@ def graph_to_records(graph: KnowledgeGraph, frequency_unit: str) -> list[dict]:
 
 def graph_from_records(records: list[dict]) -> KnowledgeGraph:
     """Rebuild a graph (entities keep their ids, frequencies and prune flags,
-    so traversal skips the pruned ones; all stored edges are attached)."""
-    meta = records[0]
-    if meta.get("kind") != "meta":
+    so traversal skips the pruned ones; all stored edges are attached). The
+    meta record is checked, not read: the settings it names are the stage's."""
+    if not records or records[0].get("kind") != "meta":
         raise ValidationError("graph snapshot must start with a meta record")
-    graph = KnowledgeGraph(k_threshold=meta.get("k_threshold"), stoplist_id=meta.get("stoplist_id", ""))
+    graph = KnowledgeGraph()
     for record in records[1:]:
         if record["kind"] == "entity":
             entity = from_record(Entity, record)
@@ -619,9 +623,13 @@ def run_extract(run_dir: str | Path, config: PipelineConfig) -> StageResult:
         )
         graph, assembly = assemble_graph(raw, config.theta_schedule(), counting_unit=config.frequency_unit)
         write_artifact(graph_to_records(graph, config.frequency_unit), outputs["graph_raw.jsonl"])
+        reasons = Counter()
+        for report in reports:
+            reasons.update(report.rejection_reasons)
         return {
             "raw_triplets": len(raw),
             "rejected_triplets": sum(r.rejected for r in reports),
+            "rejection_reasons": dict(sorted(reasons.items())),
             "failed_nodes": failed,
             "entities": len(graph.entities),
             "edges": len(graph.edges),
@@ -636,8 +644,9 @@ def run_shatter(run_dir: str | Path, config: PipelineConfig) -> StageResult:
     def compute(read, outputs, _digest):
         graph = read("graph_raw.jsonl")
         stop_terms, stoplist_id = _stoplist(config)
-        shattered = shatter(graph, config.k_threshold, stoplist=stop_terms, stoplist_id=stoplist_id)
-        write_artifact(graph_to_records(shattered, config.frequency_unit), outputs["graph.jsonl"])
+        shattered = shatter(graph, config.k_threshold, stoplist=stop_terms)
+        cut = {"k_threshold": config.k_threshold, "stoplist_id": stoplist_id}
+        write_artifact(graph_to_records(shattered, config.frequency_unit, **cut), outputs["graph.jsonl"])
         report = {
             "k_threshold": "inf" if config.k_threshold is None else config.k_threshold,
             "stoplist_id": stoplist_id,
@@ -821,8 +830,7 @@ def run_report(run_dir: str | Path, config: PipelineConfig, model: str) -> Stage
 def run_shatter_sweep(run_dir: str | Path, config: PipelineConfig, ks: list[float | None]) -> StageResult:
     def compute(read, outputs, _digest):
         graph = read("graph_raw.jsonl")
-        stop_terms, stoplist_id = _stoplist(config)
-        reports = shatter_sweep(graph, ks, stoplist=stop_terms, stoplist_id=stoplist_id)
+        reports = shatter_sweep(graph, ks, stoplist=_stoplist(config)[0])
         labels = ["inf" if k is None else k for k in ks]
         report_path = outputs["topology_report.json"]
         payload = {}

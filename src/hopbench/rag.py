@@ -1,10 +1,9 @@
 """Retrieval-augmented context assembly.
 
 Two-stage retrieval: a coarse cosine pass over the chunk index picks a
-candidate pool, an optional reranker keeps the most relevant subset, and the
-final context embeds the golden paragraph (the hop evidence that names the
-masked bridge) at a seeded-random position among the top-ranked distractor
-passages.
+candidate pool, an optional reranker reorders it, and the final context
+embeds the golden paragraph (the hop evidence that names the masked bridge)
+at a seeded-random position among the best-ranked distractor passages.
 
 A context is its chunk ids from retrieval to prompt. Contexts depend on the
 question, the corpus and the retrieval config, not on the model answering,
@@ -94,8 +93,9 @@ def build_rag_context(
     The golden paragraph is the hop-2 evidence chunk (it states the masked
     bridge and the target). The remaining k-1 slots take the highest-ranked
     non-golden candidates, reranked by token overlap in the item's language
-    when ``use_reranker`` is set and cut to ``rerank_keep``, then the other
-    chunks in corpus order; the insertion position is seeded-uniform."""
+    when ``use_reranker`` is set: at most one candidate is golden and there
+    are ``min(coarse_pool, chunks) >= k`` of them, so they fill every slot.
+    The insertion position is seeded-uniform."""
     k = config.context_k
     if len(chunks) < k:
         raise ValidationError(f"corpus has {len(chunks)} chunks, fewer than context size {k}")
@@ -109,10 +109,7 @@ def build_rag_context(
         ranked = [c for _, c in sorted(zip(scores, candidates), key=lambda t: -t[0])]
     else:
         ranked = candidates
-    chunk_ids = [c.chunk_id for c in ranked[: config.rerank_keep] if c.chunk_id != golden_id]
-    if len(chunk_ids) < k - 1:
-        chunk_ids += [c for c in chunks if c != golden_id and c not in chunk_ids]
-    del chunk_ids[k - 1 :]
+    chunk_ids = [c.chunk_id for c in ranked if c.chunk_id != golden_id][: k - 1]
 
     rng = random.Random(derive_seed(config.seed, "golden-position", item.qa_id))
     golden_position = rng.randrange(k)

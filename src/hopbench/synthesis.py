@@ -86,7 +86,7 @@ def select_fillers(
     graph: KnowledgeGraph,
     count: int,
     rng: random.Random,
-    far_by_source: dict[str, list[str]] | None = None,
+    far_by_source: dict[str, list[str]],
 ) -> list[str]:
     """Entity ids at undirected distance >= FILLER_MIN_DISTANCE from the
     source (unreachable counts as far). None of the chain's own nodes is
@@ -94,11 +94,11 @@ def select_fillers(
     one hop from the source, the target and the hard negative two at most.
 
     ``far_by_source`` memoises the far ids of each source, in
-    ``present_ids()`` order, for callers that draw many items from one
-    unchanged graph; the sample is the same with or without it."""
+    ``present_ids()`` order, for every item drawn from one unchanged graph;
+    the sample is the same as from a fresh search."""
     if count <= 0:
         return []
-    far = None if far_by_source is None else far_by_source.get(chain.a)
+    far = far_by_source.get(chain.a)
     if far is None:
         distances = bfs_hops(graph, chain.a)
         far = [
@@ -106,8 +106,7 @@ def select_fillers(
             for entity_id in graph.present_ids()
             if distances.get(entity_id, FILLER_MIN_DISTANCE) >= FILLER_MIN_DISTANCE
         ]
-        if far_by_source is not None:
-            far_by_source[chain.a] = far
+        far_by_source[chain.a] = far
     if len(far) < count:
         raise ItemDiscardedError(
             f"chain {chain.key}: only {len(far)} filler candidates for {count} slots",
@@ -125,7 +124,7 @@ def synthesize_item(
     qa_id: str,
     config: PipelineConfig,
     rng_seed: int,
-    far_by_source: dict[str, list[str]] | None = None,
+    far_by_source: dict[str, list[str]],
 ) -> QAItem:
     """Synthesize one masked multiple-choice item from a completed chain,
     seeded by ``rng_seed``, with the synthesis settings and ``language`` of

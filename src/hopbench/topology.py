@@ -149,7 +149,7 @@ def topology_report(graph: KnowledgeGraph) -> TopologyReport:
 
 
 def shatter_sweep(
-    graph: KnowledgeGraph, ks: list[float | None], stoplist: set[str] | None = None, stoplist_id: str = ""
+    graph: KnowledgeGraph, ks: list[float | None], stoplist: set[str] | None = None
 ) -> list[TopologyReport]:
     """The topology report at each frequency threshold of ``ks`` (None = off), in order."""
-    return [topology_report(shatter(graph, k, stoplist=stoplist, stoplist_id=stoplist_id)) for k in ks]
+    return [topology_report(shatter(graph, k, stoplist=stoplist)) for k in ks]

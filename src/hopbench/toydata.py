@@ -35,7 +35,6 @@ def toy_config(seed: int = 7) -> PipelineConfig:
         per_source_cap=8,
         context_k=3,
         coarse_pool=8,
-        rerank_keep=5,
         provider_mode="mock",
         seed=seed,
     )

@@ -255,7 +255,7 @@ def synthesize_thousand():
                 chat,
                 f"qa{index:05d}",
                 PipelineConfig(),
-                rng_seed=derive_seed(99, "acc7", str(index)),
+                rng_seed=derive_seed(99, "acc7", str(index)), far_by_source={},
             )
             retained.append((item, chain))
         except ItemDiscardedError as exc:
@@ -415,7 +415,7 @@ def test_acceptance_12_rag_context_contract():
         for i, (text, vector) in enumerate(zip(texts, vectors))
     }
     index = CorpusIndex(chunks)
-    config = PipelineConfig(coarse_pool=20, rerank_keep=10, context_k=5, seed=777)
+    config = PipelineConfig(coarse_pool=20, context_k=5, seed=777)
 
     position_counts = [0] * config.context_k
     for i in range(500):

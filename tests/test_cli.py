@@ -61,9 +61,10 @@ def test_config_digest_stable_and_sensitive(toy_yaml):
 
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "bad.yaml"
-    path.write_text("corpus_paths: []\nmystery_knob: 3\n", encoding="utf-8")
-    with pytest.raises(ValidationError):
-        load_config(path)
+    for line in ("mystery_knob: 3", "rerank_keep: 15"):  # a removed setting is unknown too
+        path.write_text(f"corpus_paths: []\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="unknown config keys"):
+            load_config(path)
 
 
 @pytest.mark.parametrize(

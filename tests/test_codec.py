@@ -153,8 +153,16 @@ def test_graph_records_decode_then_encode_to_the_same_bytes(tmp_path):
         assert graph.entities["e00000"].aliases == {"T2D", "type II diabetes"}
         assert graph.edges[0].evidence == Evidence("toy_metabolic-c0000", (1, 2), 1)
         assert graph.resolve_surface("t2d") == "e00000"
-        written = snapshot(pipeline.graph_to_records(graph, "tree_nodes"), tmp_path / "out.jsonl", schema="graph")
+        records = pipeline.graph_to_records(graph, "tree_nodes", k_threshold=50, stoplist_id="3f2a")
+        written = snapshot(records, tmp_path / "out.jsonl", schema="graph")
         assert written.read_bytes() == source.read_bytes()
+
+
+def test_a_graph_file_without_its_meta_record_is_refused(tmp_path):
+    for name in ("graph_raw.jsonl", "graph.jsonl"):
+        for lines in ([], GRAPH_LINES[1:]):
+            with pytest.raises(ValidationError, match="must start with a meta record"):
+                pipeline.read_artifact(_file(tmp_path, name, lines))
 
 
 def test_nested_fields_decode_to_their_types():

@@ -66,6 +66,7 @@ def test_parse_letter_on_own_line():
 
 def test_parse_leading_letter_token():
     assert parse_choice("C. because the cascade continues", 4) == 2
+    assert parse_choice("(C) the cascade", 4) == 2
 
 
 def test_parse_letter_beyond_option_count_unparseable():
@@ -73,7 +74,9 @@ def test_parse_letter_beyond_option_count_unparseable():
 
 
 def test_parse_word_initial_letter_not_taken():
-    assert parse_choice("Because of the mechanism", 4) is None
+    article = "A patient with this profile most likely shows fracture risk."
+    for reply in ("Because of the mechanism", article, "a patient"):
+        assert parse_choice(reply, 4) is None, reply
 
 
 def test_parse_article_after_answer_is_not_option_a():

@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from hopbench import pipeline
+from hopbench.config import PipelineConfig
 from hopbench.corpus import Chunk, Sentence, SentenceStore
 from hopbench.errors import ExtractionError
 from hopbench.extract import NodeExtraction, extract_triplets
+from hopbench.manifest import RunManifest
 from hopbench.prompts import parse_json_reply
 from hopbench.providers import ChatService, MockChatTransport
 
@@ -70,6 +73,23 @@ def test_triplet_absent_from_cited_sentence_rejected():
     assert accepted == []
     assert report.rejected == 1
     assert report.rejection_reasons == {"surface_not_in_evidence": 1}
+
+
+def test_extract_stage_stats_count_rejections_by_reason(tmp_path, monkeypatch):
+    chunks, store = fixture_corpus()
+    run_dir = tmp_path / "run"
+    pipeline.write_artifact([pipeline.to_record(s) for s in store.sentences], run_dir / "sentences.jsonl")
+    pipeline.write_artifact([pipeline.to_record(c) for c in chunks], run_dir / "chunks.jsonl")
+    leaf = {"cluster_model_ref": None, "level": 0, "member_ids": {}, "node_id": "c1", "summary_text": ""}
+    pipeline.write_artifact([leaf], run_dir / "tree.jsonl")
+    chat = scripted_chat(
+        [{"head": "Diabetes", "relation": "causes", "tail": "Melanoma", "chunk_id": "c1", "sentence_index": 0}]
+    )
+    monkeypatch.setattr(pipeline, "make_chat_service", lambda config, seed: chat)
+    result = pipeline.run_extract(run_dir, PipelineConfig())
+    assert result.stats["rejected_triplets"] == 1
+    assert result.stats["rejection_reasons"] == {"surface_not_in_evidence": 1}
+    assert RunManifest.load(run_dir).stages["extract"].stats == result.stats
 
 
 def test_sentence_index_outside_span_rejected():

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 
 import pytest
 
 from conftest import entity_id_by_name, far_apart_surfaces, make_graph, random_digraph
-from hopbench import align
+from hopbench import align, pipeline
 from hopbench.align import DEFAULT_THETA
 from hopbench.chains import mine_chains, sample_hard_negative
+from hopbench.config import PipelineConfig
 from hopbench.errors import NoHardNegativeError, ValidationError
 from hopbench.kg import (
     Evidence,
@@ -207,7 +209,24 @@ def test_k_must_be_positive(diabetes_toy_graph):
     for k in (0, 0.5, -1, float("nan")):
         with pytest.raises(ValidationError, match="k threshold must be at least 1"):
             shatter(diabetes_toy_graph, k)
-    assert shatter(diabetes_toy_graph, 1).k_threshold == 1
+
+
+def test_the_graph_file_meta_names_the_configs_k_and_stoplist(diabetes_toy_graph, tmp_path):
+    run_dir = tmp_path / "run"
+    pipeline.write_artifact(pipeline.graph_to_records(diabetes_toy_graph, "tree_nodes"), run_dir / "graph_raw.jsonl")
+    stoplist = tmp_path / "stop.txt"
+    stoplist.write_text("Blood\n", encoding="utf-8")
+
+    def meta(name: str) -> dict:
+        return json.loads((run_dir / name).read_text(encoding="utf-8").splitlines()[1])
+
+    fixed = {"kind": "meta", "view": "original", "frequency_unit": "tree_nodes"}
+    assert meta("graph_raw.jsonl") == {**fixed, "k_threshold": None, "stoplist_id": ""}
+    for k_threshold, stoplist_path in ((3, str(stoplist)), (None, str(stoplist)), (2.5, None)):
+        config = PipelineConfig(k_threshold=k_threshold, stoplist_path=stoplist_path)
+        assert pipeline.run_shatter(run_dir, config).status == "ok"
+        stoplist_id = load_stoplist(stoplist_path)[1] if stoplist_path else ""
+        assert meta("graph.jsonl") == {**fixed, "k_threshold": k_threshold, "stoplist_id": stoplist_id}
 
 
 # -- stoplist file ----------------------------------------------------------------

@@ -82,26 +82,24 @@ def toy_chunks(embedder) -> dict[str, Chunk]:
 
 def test_k_one_context_is_exactly_the_golden_paragraph(toy_chunks, embedder):
     item = item_with_golden("c0", "what does diabetes do to bone?")
-    record, documents = context_of(
-        item, toy_chunks, embedder, PipelineConfig(coarse_pool=5, rerank_keep=3, context_k=1)
-    )
+    record, documents = context_of(item, toy_chunks, embedder, PipelineConfig(coarse_pool=5, context_k=1))
     assert documents == [toy_chunks["c0"].text]
     assert record["golden_position"] == 0
 
 
 def test_fixed_seed_fixes_golden_position(toy_chunks, embedder):
     item = item_with_golden("c0", "what does diabetes do to bone?")
-    config = PipelineConfig(coarse_pool=6, rerank_keep=4, context_k=4, seed=99)
+    config = PipelineConfig(coarse_pool=6, context_k=4, seed=99)
     positions = {context_of(item, toy_chunks, embedder, config)[0]["golden_position"] for _ in range(5)}
     assert len(positions) == 1
 
 
 def test_non_golden_slots_are_top_cosine_neighbors(toy_chunks, embedder):
     # Exhaustive cosine ranking oracle over the 10-chunk corpus: with K=5,
-    # N=3, k=3 the two non-golden slots must be the best non-golden chunks.
+    # k=3 the two non-golden slots must be the best non-golden chunks.
     question = "what does diabetes do to bone?"
     item = item_with_golden("c0", question)
-    config = PipelineConfig(coarse_pool=5, rerank_keep=3, context_k=3, seed=0)
+    config = PipelineConfig(coarse_pool=5, context_k=3, seed=0)
     record, documents = context_of(item, toy_chunks, embedder, config)
 
     query = embedder.embed_texts([question])[0]
@@ -120,7 +118,7 @@ def test_non_golden_slots_are_top_cosine_neighbors(toy_chunks, embedder):
 def test_golden_paragraph_appears_exactly_once(toy_chunks, embedder):
     item = item_with_golden("c0", "diabetes and bone")
     for seed in range(20):
-        config = PipelineConfig(coarse_pool=8, rerank_keep=6, context_k=5, seed=seed)
+        config = PipelineConfig(coarse_pool=8, context_k=5, seed=seed)
         record, documents = context_of(item, toy_chunks, embedder, config)
         golden_text = toy_chunks["c0"].text
         assert documents.count(golden_text) == 1
@@ -143,7 +141,7 @@ def test_unresolvable_golden_is_stage_error(toy_chunks, embedder):
 
 def test_reranker_can_reorder_candidates(toy_chunks, embedder):
     item = item_with_golden("c0", "airways bacteria colonize")
-    config = PipelineConfig(coarse_pool=10, rerank_keep=4, context_k=3, use_reranker=True, seed=1)
+    config = PipelineConfig(coarse_pool=10, context_k=3, use_reranker=True, seed=1)
     record, documents = context_of(item, toy_chunks, embedder, config)
     non_golden = [d for i, d in enumerate(documents) if i != record["golden_position"]]
     assert "bacteria colonize airways" in non_golden  # highest token overlap
@@ -166,7 +164,7 @@ def test_reranker_tokenizes_in_the_item_language(embedder):
     item = item_with_golden("c0", question, language="ZH")
 
     def distractor(use_reranker: bool) -> str:
-        config = PipelineConfig(coarse_pool=3, rerank_keep=1, context_k=2, use_reranker=use_reranker)
+        config = PipelineConfig(coarse_pool=3, context_k=2, use_reranker=use_reranker)
         record, _documents = context_of(item, chunks, embedder, config)
         [chunk_id] = [c for i, c in enumerate(record["chunk_ids"]) if i != record["golden_position"]]
         return chunk_id
@@ -177,7 +175,7 @@ def test_reranker_tokenizes_in_the_item_language(embedder):
 
 def test_retrieval_config_validation():
     # The retrieval settings are checked where they are defined.
-    for settings in ({"context_k": 0}, {"rerank_keep": 0}, {"coarse_pool": 2, "context_k": 3}):
+    for settings in ({"context_k": 0}, {"coarse_pool": 2, "context_k": 3}):
         with pytest.raises(ValidationError):
             PipelineConfig(**settings).validate()
 

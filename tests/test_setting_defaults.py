@@ -24,7 +24,6 @@ SETTING_NAMES = set(PipelineConfig.__dataclass_fields__) | LAYER_NAMES
 ALLOWED = {
     ("kg.py", "apply_frequencies", "counting_unit"): "perfbench/tests calls it without one; perfbench/ is fixed",
     ("align.py", "fuzzy_merge", "theta_schedule"): "perfbench/tests calls it without one; perfbench/ is fixed",
-    ("kg.py", "KnowledgeGraph.__init__", "k_threshold"): "None is the unpruned graph; perfbench builds it bare",
     ("toydata.py", "toy_config", "seed"): "the toy run's own seed",
 }
 

@@ -138,7 +138,8 @@ def synthesis_fixture():
 def test_mock_synthesis_masks_bridge_and_includes_key_options():
     graph, chain, chunks, store = synthesis_fixture()
     item = synthesize_item(
-        chain, graph, chunks, store, ChatService(MockChatTransport(seed=0)), "qa0", PipelineConfig(), rng_seed=11
+        chain, graph, chunks, store, ChatService(MockChatTransport(seed=0)), "qa0", PipelineConfig(), rng_seed=11,
+        far_by_source={},
     )
     assert "AGEs Accumulation".casefold() not in item.question.casefold()
     assert "Osteoblast Suppression" in item.options
@@ -154,7 +155,8 @@ def test_two_options_rejected():
     graph, chain, chunks, store = synthesis_fixture()
     with pytest.raises(ValidationError):
         synthesize_item(
-            chain, graph, chunks, store, ChatService(MockChatTransport(seed=0)), "qa0", PipelineConfig(n_options=2), 0
+            chain, graph, chunks, store, ChatService(MockChatTransport(seed=0)), "qa0", PipelineConfig(n_options=2), 0,
+            far_by_source={},
         )
 
 
@@ -162,24 +164,28 @@ def test_incomplete_chain_rejected():
     graph, chain, chunks, store = synthesis_fixture()
     bare = mine_chains(graph, None)[0]
     with pytest.raises(ValidationError):
-        synthesize_item(bare, graph, chunks, store, ChatService(MockChatTransport(seed=0)), "qa0", PipelineConfig(), 0)
+        synthesize_item(
+            bare, graph, chunks, store, ChatService(MockChatTransport(seed=0)), "qa0", PipelineConfig(), 0,
+            far_by_source={},
+        )
 
 
 def test_same_seed_reproduces_item_exactly():
     graph, chain, chunks, store = synthesis_fixture()
     chat, config = ChatService(MockChatTransport(seed=0)), PipelineConfig()
-    first = synthesize_item(chain, graph, chunks, store, chat, "qa0", config, rng_seed=5)
-    second = synthesize_item(chain, graph, chunks, store, chat, "qa0", config, rng_seed=5)
+    first = synthesize_item(chain, graph, chunks, store, chat, "qa0", config, rng_seed=5, far_by_source={})
+    second = synthesize_item(chain, graph, chunks, store, chat, "qa0", config, rng_seed=5, far_by_source={})
     assert first.options == second.options
     assert first.question == second.question
-    other = synthesize_item(chain, graph, chunks, store, chat, "qa0", config, rng_seed=6)
+    other = synthesize_item(chain, graph, chunks, store, chat, "qa0", config, rng_seed=6, far_by_source={})
     assert first.options != other.options or first.question == other.question  # seed moves the shuffle
 
 
 def test_fillers_exclude_chain_and_near_entities():
     graph, chain, chunks, store = synthesis_fixture()
     item = synthesize_item(
-        chain, graph, chunks, store, ChatService(MockChatTransport(seed=0)), "qa0", PipelineConfig(), rng_seed=1
+        chain, graph, chunks, store, ChatService(MockChatTransport(seed=0)), "qa0", PipelineConfig(), rng_seed=1,
+        far_by_source={},
     )
     chain_names = {
         graph.entities[x].canonical_name
@@ -208,7 +214,7 @@ def test_insufficient_fillers_discards_item():
     with pytest.raises(ItemDiscardedError) as excinfo:
         synthesize_item(
             chain, graph, {"c0": chunk}, SentenceStore(sentences),
-            ChatService(MockChatTransport(seed=0)), "qa0", PipelineConfig(), 0,
+            ChatService(MockChatTransport(seed=0)), "qa0", PipelineConfig(), 0, far_by_source={},
         )
     assert excinfo.value.reason == "insufficient_fillers"
 
@@ -225,7 +231,8 @@ def test_masking_violations_retry_then_discard():
 
     with pytest.raises(ItemDiscardedError) as excinfo:
         synthesize_item(
-            chain, graph, chunks, store, ChatService(LeakyTransport(seed=0)), "qa0", PipelineConfig(), rng_seed=2
+            chain, graph, chunks, store, ChatService(LeakyTransport(seed=0)), "qa0", PipelineConfig(), rng_seed=2,
+            far_by_source={},
         )
     assert excinfo.value.reason == "masking_violation"
 
@@ -239,7 +246,8 @@ def test_unparseable_generation_discarded_with_reason():
 
     with pytest.raises(ItemDiscardedError) as excinfo:
         synthesize_item(
-            chain, graph, chunks, store, ChatService(GarbageTransport(seed=0)), "qa0", PipelineConfig(), rng_seed=2
+            chain, graph, chunks, store, ChatService(GarbageTransport(seed=0)), "qa0", PipelineConfig(), rng_seed=2,
+            far_by_source={},
         )
     assert excinfo.value.reason == "unparseable_generation"
 
@@ -248,7 +256,7 @@ def test_five_option_items_supported():
     graph, chain, chunks, store = synthesis_fixture()
     item = synthesize_item(
         chain, graph, chunks, store, ChatService(MockChatTransport(seed=0)),
-        "qa0", PipelineConfig(n_options=5), rng_seed=4,
+        "qa0", PipelineConfig(n_options=5), rng_seed=4, far_by_source={},
     )
     assert len(item.options) == 5
     assert len(set(item.options)) == 5
@@ -303,7 +311,7 @@ def test_filler_memo_gives_the_fillers_of_a_fresh_search_per_item(monkeypatch):
     fresh = [
         synthesize_item(
             chain, graph, chunks, store, chat,
-            f"qa{index:05d}", config, rng_seed=derive_seed(3, "synthesize", chain.key),
+            f"qa{index:05d}", config, rng_seed=derive_seed(3, "synthesize", chain.key), far_by_source={},
         )
         for index, chain in enumerate(chains)
     ]
